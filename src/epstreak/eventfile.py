@@ -48,9 +48,16 @@ def read_event_file(path) -> EventStream:
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise ConfigurationError(f"{path}: not an EPPS event file")
+    if len(raw) < 8:
+        raise ConfigurationError(f"{path}: truncated event-file header")
     version, n_channels = struct.unpack("<HH", raw[4:8])
     if version != VERSION:
         raise ConfigurationError(f"{path}: unsupported event-file version {version}")
+    body = len(raw) - 8
+    if body % _RECORD_DTYPE.itemsize:
+        raise ConfigurationError(
+            f"{path}: truncated event file: {body} record bytes is not a whole "
+            f"number of {_RECORD_DTYPE.itemsize}-byte records")
     records = np.frombuffer(raw[8:], dtype=_RECORD_DTYPE)
     meta = {}
     sc = sidecar_path(path)

@@ -100,7 +100,9 @@ def build_histogram(stream: EventStream, start_channel, stop_channel,
         bins = (dt - t0_ps) // bin_width_ps
     else:
         raise ConfigurationError(f"unknown histogram mode {mode!r}")
-    np.add.at(counts, bins, 1)
+    # accumulate into the array allocated before the large temporaries: a
+    # fresh bincount result kept alive above them would pin the heap top
+    counts += np.bincount(bins, minlength=n_bins)
     return Histogram(bin_width_ps, t0_ps, counts, int(len(starts)), flags)
 
 
@@ -110,8 +112,7 @@ def _span_indices(i0, i1):
     total = int(reps.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    offsets = np.arange(total) - np.repeat(np.cumsum(reps) - reps, reps)
-    return np.repeat(i0, reps) + offsets
+    return np.repeat(i0 - (np.cumsum(reps) - reps), reps) + np.arange(total)
 
 
 def rebin(hist: Histogram, factor: int) -> Histogram:
@@ -140,10 +141,40 @@ class G2Curve:
         return float(self.g2_values[np.argmin(np.abs(self.delay_axis_ps))])
 
 
-def _window_counts(centers, events, half_width):
-    i0 = np.searchsorted(events, centers - half_width, side="left")
-    i1 = np.searchsorted(events, centers + half_width, side="right")
-    return i1 - i0
+def _integer_window(center_ps, window_ps):
+    """Inclusive int64 bounds of every integer dt with |dt - center| <= window/2."""
+    half = 0.5 * window_ps
+    return (np.ceil(center_ps - half).astype(np.int64),
+            np.floor(center_ps + half).astype(np.int64))
+
+
+def _arm_pairs(heralds, arm, dt_lo, dt_hi):
+    """(herald index, dt = arm - herald) of every pair with dt_lo <= dt <= dt_hi.
+
+    Searches from the arm side: each arm event locates its heralds in
+    [arm - dt_hi, arm - dt_lo] with two exact int64 searches.
+    """
+    i0 = np.searchsorted(heralds, arm - dt_hi, side="left")
+    i1 = np.searchsorted(heralds, arm - dt_lo, side="right")
+    idx = _span_indices(i0, i1)
+    return idx, np.repeat(arm, i1 - i0) - heralds[idx]
+
+
+def _window_sums(dt, weights, lo, hi):
+    """Per window k: (#dt, sum of weights) over lo[k] <= dt <= hi[k].
+
+    ``dt`` is binned once against the sorted unique window edges; each window
+    is then a difference of cumulative bin sums. Integer weights keep the
+    float sums exact. Memory scales with len(dt) + len(lo), not the range.
+    """
+    edges = np.unique(np.concatenate((lo, hi + 1)))
+    j = np.searchsorted(edges, dt, side="right")
+    # below[i] = number (weight) of dt < edges[i]
+    below = np.cumsum(np.bincount(j, minlength=len(edges) + 1))
+    below_w = np.cumsum(np.bincount(j, weights=weights, minlength=len(edges) + 1))
+    k0 = np.searchsorted(edges, lo)
+    k1 = np.searchsorted(edges, hi + 1)
+    return below[k1] - below[k0], below_w[k1] - below_w[k0]
 
 
 def heralded_g2(stream: EventStream, herald_channel, t_channel, r_channel,
@@ -154,49 +185,47 @@ def heralded_g2(stream: EventStream, herald_channel, t_channel, r_channel,
     the delta-shifted window is applied to one HBT arm while the other stays
     herald-centered; the two arm orientations are averaged so the estimate is
     invariant under relabeling the arms.
+
+    Windows are inclusive and exact on the int64 tags: a pair with
+    dt = arm - herald is central when ceil(-w/2) <= dt <= floor(w/2) and lies
+    in the window of delay d when ceil(d - w/2) <= dt <= floor(d + w/2). Each
+    arm's (herald, dt) pairs inside the union of all windows are enumerated
+    once; the central counts per herald and every delay bin's pair and triple
+    counts are then bincounts over those pairs, so delay windows may be
+    unsorted, uneven or overlapping.
     """
     if len({herald_channel, t_channel, r_channel}) != 3:
         raise ConfigurationError("herald and HBT channels must be distinct")
     if coincidence_window_ps <= 0:
         raise ConfigurationError("coincidence window must be > 0")
-    h = stream.times(herald_channel).astype(float)
-    arms = {"t": stream.times(t_channel).astype(float),
-            "r": stream.times(r_channel).astype(float)}
+    h = stream.times(herald_channel)
     n_h = len(h)
     if n_h == 0:
         raise UndefinedG2Error("no herald events")
-    half = 0.5 * coincidence_window_ps
-    central = {k: _window_counts(h, v, half) for k, v in arms.items()}
+    c_lo, c_hi = _integer_window(0.0, coincidence_window_ps)
+    delay_axis_ps = np.asarray(delay_axis_ps, dtype=float)
+    lo, hi = _integer_window(delay_axis_ps, coincidence_window_ps)
+    dt_lo, dt_hi = min(c_lo, lo.min()), max(c_hi, hi.max())
+
+    pairs, central = {}, {}
+    for k, ch in (("t", t_channel), ("r", r_channel)):
+        idx, dt = _arm_pairs(h, stream.times(ch), dt_lo, dt_hi)
+        pairs[k] = (idx, dt)
+        central[k] = np.bincount(idx[(dt >= c_lo) & (dt <= c_hi)], minlength=n_h)
     pair_totals = {k: int(c.sum()) for k, c in central.items()}
     for k in ("t", "r"):
         if pair_totals[k] == 0:
             raise UndefinedG2Error(f"zero herald-{k} coincidences; normalization undefined")
 
-    delay_axis_ps = np.asarray(delay_axis_ps, dtype=float)
-    lo_edge = delay_axis_ps.min() - half
-    hi_edge = delay_axis_ps.max() + half
     values = np.zeros(len(delay_axis_ps))
     triple_counts = np.zeros(len(delay_axis_ps))
     for fixed, shifted in (("t", "r"), ("r", "t")):
-        # all (herald, shifted-arm) delays once; each delay bin is then a
-        # range query on the sorted delays instead of a fresh pair search
-        arm = arms[shifted]
-        i0 = np.searchsorted(arm, h + lo_edge, side="left")
-        i1 = np.searchsorted(arm, h + hi_edge, side="right")
-        reps = i1 - i0
-        dt = arm[_span_indices(i0, i1)] - np.repeat(h, reps)
-        weight = np.repeat(central[fixed].astype(float), reps)
-        order = np.argsort(dt, kind="stable")
-        dt = dt[order]
-        cum_weight = np.concatenate(([0.0], np.cumsum(weight[order])))
-        j0 = np.searchsorted(dt, delay_axis_ps - half, side="left")
-        j1 = np.searchsorted(dt, delay_axis_ps + half, side="right")
-        n_pair_shift = j1 - j0
+        idx, dt = pairs[shifted]
+        n_pair_shift, triples = _window_sums(dt, central[fixed][idx], lo, hi)
         if np.any(n_pair_shift == 0):
             bad = delay_axis_ps[np.argmax(n_pair_shift == 0)]
             raise UndefinedG2Error(
                 f"zero herald-{shifted} coincidences at delay {bad:g} ps")
-        triples = cum_weight[j1] - cum_weight[j0]
         values += 0.5 * triples * n_h / (pair_totals[fixed] * n_pair_shift)
         triple_counts += triples
     errors = np.where(triple_counts > 0, values / np.sqrt(np.maximum(triple_counts, 1)), np.inf)
@@ -205,14 +234,20 @@ def heralded_g2(stream: EventStream, herald_channel, t_channel, r_channel,
 
 
 def coincidence_rate(stream: EventStream, ch_a, ch_b, window_ps):
-    """(rate_hz, poisson_error_hz) of a-b pairs with |dt| <= window/2."""
+    """(rate_hz, poisson_error_hz) of a-b pairs with |dt| <= window/2.
+
+    The window is inclusive on the int64 tags: ceil(-w/2) <= b - a <= floor(w/2).
+    """
     if stream.duration_s <= 0:
         raise ConfigurationError("stream duration unknown; cannot form a rate")
     a = stream.times(ch_a)
     b = stream.times(ch_b)
     if len(a) == 0 or len(b) == 0:
         return 0.0, 0.0
-    pairs = int(_window_counts(a.astype(float), b.astype(float), 0.5 * window_ps).sum())
+    lo, hi = _integer_window(0.0, window_ps)
+    i0 = np.searchsorted(b, a + lo, side="left")
+    i1 = np.searchsorted(b, a + hi, side="right")
+    pairs = int((i1 - i0).sum())
     rate = pairs / stream.duration_s
     return rate, np.sqrt(pairs) / stream.duration_s
 
@@ -236,6 +271,8 @@ def read_histogram_csv(path) -> Histogram:
         l, c = row.split(",")
         lefts.append(int(l))
         counts.append(float(c))
+    if not lefts:
+        raise ConfigurationError(f"{path}: histogram has no bins")
     lefts = np.asarray(lefts)
     widths = np.diff(lefts)
     if len(widths) and not np.all(widths == widths[0]):

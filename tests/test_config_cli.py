@@ -7,6 +7,8 @@ import pytest
 from epstreak import cli
 from epstreak.config import load_config, validate_config
 from epstreak.errors import ConfigurationError
+from epstreak.events import EventStream
+from epstreak.eventfile import write_event_file
 from epstreak.fitting import DecayModel, convolve_model
 from epstreak.tcspc import Histogram, read_histogram_csv, write_histogram_csv
 from epstreak.units import FWHM_PER_SIGMA
@@ -152,6 +154,26 @@ def test_histogram_from_saved_events_matches_direct(tmp_path):
                      "--events", str(sim / "events.bin")]) == 0
     assert ((direct / "histogram.csv").read_bytes()
             == (via / "histogram.csv").read_bytes())
+
+
+def test_histogram_truncated_event_file_exits_2(tmp_path, capsys):
+    stream = EventStream(np.array([0, 1, 0], dtype=np.uint8),
+                         np.array([10, 20, 30], dtype=np.int64), 1.0, 2)
+    path = tmp_path / "events.bin"
+    write_event_file(path, stream, {})
+    path.write_bytes(path.read_bytes()[:-4])
+    assert cli.main(["histogram", "--out", str(tmp_path / "o"),
+                     "--events", str(path)]) == 2
+    assert "truncated event file" in capsys.readouterr().err
+
+
+def test_fit_header_only_histogram_exits_2(tmp_path, capsys):
+    hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
+    hp.write_text("bin_left_ps,counts\n")
+    write_histogram_csv(ip, _gaussian_irf_hist())
+    assert cli.main(["fit", "--out", str(tmp_path / "o"), "--hist", str(hp),
+                     "--irf", str(ip), "--n", "1"]) == 2
+    assert "histogram has no bins" in capsys.readouterr().err
 
 
 def _gaussian_irf_hist(fwhm_ps=260.0, bin_width_ps=4, t0_ps=-1000, n_bins=3000):

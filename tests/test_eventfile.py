@@ -48,3 +48,13 @@ def test_bad_version(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(ConfigurationError):
         read_event_file(p)
+
+
+@pytest.mark.parametrize("keep, message", [(6, "truncated event-file header"),
+                                           (-4, "truncated event file")])
+def test_truncated_file(tmp_path, keep, message):
+    p = tmp_path / "events.bin"
+    write_event_file(p, _stream(), {})
+    p.write_bytes(p.read_bytes()[:keep])
+    with pytest.raises(ConfigurationError, match=message):
+        read_event_file(p)

@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from epstreak.errors import ConfigurationError, UndefinedG2Error
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
@@ -9,7 +11,8 @@ from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
 from epstreak.presets import heralded_source
 from epstreak.tcspc import (Histogram, accidental_rate_hz, build_histogram,
                             coincidence_rate, heralded_g2,
-                            read_histogram_csv, rebin, write_histogram_csv)
+                            read_histogram_csv, rebin, write_g2_csv,
+                            write_histogram_csv)
 
 IDEAL = DetectorModel()
 
@@ -91,6 +94,33 @@ def test_first_stop_vs_all_stops(rng):
     assert every.counts.sum() == 2 * len(starts)
 
 
+def _histogram_reference(starts, stops, bin_width_ps, window_ps, t0_ps, mode):
+    counts = np.zeros(window_ps // bin_width_ps, dtype=np.int64)
+    for start in starts:
+        dts = [stop - start for stop in stops if stop - start >= t0_ps]
+        if mode == "first":
+            dts = dts[:1]
+        for dt in dts:
+            if dt - t0_ps < window_ps:
+                counts[(dt - t0_ps) // bin_width_ps] += 1
+    return counts
+
+
+@given(st.lists(st.integers(0, 400), max_size=30),
+       st.lists(st.integers(0, 400), max_size=30),
+       st.integers(1, 5), st.integers(1, 20), st.integers(-50, 50),
+       st.sampled_from(["first", "all"]))
+def test_histogram_matches_per_start_reference(starts, stops, bin_width_ps,
+                                               n_bins, t0_ps, mode):
+    stream = _make_stream([0] * len(starts) + [1] * len(stops), starts + stops)
+    window_ps = n_bins * bin_width_ps
+    hist = build_histogram(stream, 0, 1, bin_width_ps, window_ps, t0_ps, mode)
+    expected = _histogram_reference(sorted(starts), sorted(stops), bin_width_ps,
+                                    window_ps, t0_ps, mode)
+    assert hist.counts.dtype == np.int64
+    assert np.array_equal(hist.counts, expected)
+
+
 def test_histogram_validation():
     stream = _make_stream([0, 1], [0, 10])
     with pytest.raises(ConfigurationError):
@@ -156,6 +186,80 @@ def test_g2_starved_pair_named():
                     np.array([0.0]))
 
 
+def _g2_reference(h, t, r, window_ps, delays):
+    """Brute-force heralded g2: every herald-arm difference, every delay."""
+    if len(h) == 0:
+        raise UndefinedG2Error("no herald events")
+    half = 0.5 * window_ps
+    delays = np.asarray(delays, dtype=float)
+    dts = {"t": t[None, :] - h[:, None], "r": r[None, :] - h[:, None]}
+    central = {k: ((d >= -half) & (d <= half)).sum(axis=1) for k, d in dts.items()}
+    totals = {k: int(c.sum()) for k, c in central.items()}
+    for k in ("t", "r"):
+        if totals[k] == 0:
+            raise UndefinedG2Error(f"zero herald-{k} coincidences; normalization undefined")
+    values = np.zeros(len(delays))
+    triple_counts = np.zeros(len(delays))
+    for fixed, shifted in (("t", "r"), ("r", "t")):
+        n_pair = np.zeros(len(delays), dtype=np.int64)
+        triples = np.zeros(len(delays))
+        for k, delay in enumerate(delays):
+            inside = (dts[shifted] >= delay - half) & (dts[shifted] <= delay + half)
+            n_pair[k] = inside.sum()
+            triples[k] = float((central[fixed] * inside.sum(axis=1)).sum())
+        if np.any(n_pair == 0):
+            bad = delays[np.argmax(n_pair == 0)]
+            raise UndefinedG2Error(
+                f"zero herald-{shifted} coincidences at delay {bad:g} ps")
+        values += 0.5 * triples * len(h) / (totals[fixed] * n_pair)
+        triple_counts += triples
+    errors = np.where(triple_counts > 0,
+                      values / np.sqrt(np.maximum(triple_counts, 1)), np.inf)
+    return values, errors, totals["t"] * totals["r"] / len(h)
+
+
+_tags = st.lists(st.integers(0, 1000), min_size=1, max_size=20)
+_delay = st.one_of(st.integers(-800, 800).map(float),
+                   st.integers(-1600, 1600).map(lambda x: x / 2),
+                   st.floats(-800, 800, allow_nan=False))
+
+
+@given(_tags, _tags, _tags, st.integers(1, 600),
+       st.lists(_delay, min_size=1, max_size=8))
+@settings(max_examples=200)
+def test_g2_matches_brute_force(h, t, r, window_ps, delays):
+    # delay axes here are unsorted, uneven, overlapping and non-integer;
+    # odd windows put the window edges on half picoseconds
+    stream = _make_stream([CH_HERALD] * len(h) + [CH_HBT_T] * len(t)
+                          + [CH_HBT_R] * len(r), h + t + r)
+    tags = [np.sort(np.asarray(v, dtype=np.int64)) for v in (h, t, r)]
+    try:
+        values, errors, norm = _g2_reference(*tags, window_ps, delays)
+    except UndefinedG2Error as exc:
+        with pytest.raises(UndefinedG2Error) as got:
+            heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, window_ps, delays)
+        assert str(got.value) == str(exc)
+        return
+    curve = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, window_ps, delays)
+    assert np.array_equal(curve.g2_values, values)
+    assert np.array_equal(curve.errors, errors)
+    assert curve.normalization == norm
+
+
+def test_g2_csv_bytes_pinned(tmp_path):
+    # sha256 from the earlier float-tag implementation: the int64 pair
+    # enumeration must reproduce its g2.csv byte for byte
+    src = heralded_source(pair_rate_hz=1e6)
+    run = RunConfig(duration_s=0.3, seed=11, topology="hbt")
+    stream = simulate_stream(src, None, IDEAL, IDEAL, None, run)
+    delays = np.arange(-50_000, 50_001, 2000, dtype=float)
+    curve = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, 1000, delays)
+    path = tmp_path / "g2.csv"
+    write_g2_csv(path, curve)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "fed0cbbf591c593b1437a415059c5dfd710dcc3054d39b15229e34c43a4dcefe")
+
+
 def test_coincidence_rate_matches_source_budget():
     src = heralded_source()
     run = RunConfig(duration_s=1.0, seed=30, topology="irf")
@@ -163,6 +267,16 @@ def test_coincidence_rate_matches_source_budget():
     rate, err = coincidence_rate(stream, CH_HERALD, CH_SIGNAL, 1000)
     assert rate == pytest.approx(2e5, abs=3 * np.sqrt(2e5))
     assert err == pytest.approx(np.sqrt(rate), rel=0.05)
+
+
+@given(st.lists(st.integers(0, 100), min_size=1, max_size=30),
+       st.lists(st.integers(0, 100), min_size=1, max_size=30),
+       st.integers(1, 40))
+def test_coincidence_rate_matches_brute_force(a, b, window_ps):
+    stream = _make_stream([0] * len(a) + [1] * len(b), a + b)
+    dt = np.subtract.outer(np.asarray(b), np.asarray(a))
+    pairs = int((np.abs(dt) <= 0.5 * window_ps).sum())
+    assert coincidence_rate(stream, 0, 1, window_ps) == (pairs, np.sqrt(pairs))
 
 
 def test_coincidence_rate_empty_channel():
