@@ -21,6 +21,8 @@ VERSION = 1
 
 _RECORD_DTYPE = np.dtype([("channel", "<u1"), ("t_ps", "<u8")])
 
+MISSING_SIDECAR = "missing-sidecar: duration unknown"
+
 
 def sidecar_path(path):
     return Path(str(path) + ".meta.json")
@@ -38,8 +40,9 @@ def write_event_file(path, stream: EventStream, metadata: dict):
     meta = dict(metadata)
     meta.setdefault("duration_s", stream.duration_s)
     meta.setdefault("n_channels", stream.n_channels)
-    if stream.warnings:
-        meta["warnings"] = list(stream.warnings)
+    warnings = [w for w in stream.warnings if w != MISSING_SIDECAR]  # it gets one here
+    if warnings:
+        meta["warnings"] = warnings
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -59,10 +62,11 @@ def read_event_file(path) -> EventStream:
             f"{path}: truncated event file: {body} record bytes is not a whole "
             f"number of {_RECORD_DTYPE.itemsize}-byte records")
     records = np.frombuffer(raw[8:], dtype=_RECORD_DTYPE)
-    meta = {}
     sc = sidecar_path(path)
     if sc.exists():
         meta = json.loads(sc.read_text())
+    else:
+        meta = {"warnings": [MISSING_SIDECAR]}
     stream = EventStream(
         channel=records["channel"].copy(),
         t_ps=records["t_ps"].astype(np.int64),

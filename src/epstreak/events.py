@@ -127,40 +127,83 @@ def _rng(seed, *tags):
     return np.random.default_rng(np.random.SeedSequence((seed,) + tags))
 
 
+def _next_outside(times, i, dead_ps):
+    """Per index in ``i``: the first j > i with times[j] - times[i] >= dead_ps, else len(times).
+
+    A galloping search, then a bisection, on that float subtraction itself,
+    which is monotone in j because times is sorted.
+    """
+    n = len(times)
+    lo, hi = i.copy(), np.minimum(i + 1, n)  # times[lo] is too close
+    active = np.arange(len(i))
+    while len(active):
+        h = hi[active]
+        short = h < n
+        short[short] = times[h[short]] - times[i[active[short]]] < dead_ps
+        active = active[short]
+        lo[active] = hi[active]
+        hi[active] = np.minimum(2 * hi[active] - i[active], n)
+    active = np.flatnonzero(hi - lo > 1)
+    while len(active):
+        mid = (lo[active] + hi[active]) // 2
+        far = times[mid] - times[i[active]] >= dead_ps
+        hi[active[far]] = mid[far]
+        lo[active[~far]] = mid[~far]
+        active = active[hi[active] - lo[active] > 1]
+    return hi
+
+
 def _dead_time_prune(times, dead_ps):
+    """Nonparalyzable dead time over sorted times: keep t when t - last_kept >= dead_ps.
+
+    An event at least dead_ps after its predecessor (a head) is always kept,
+    because the last kept event is no later than that predecessor and float
+    subtraction is monotone; the event right after a head is dropped when
+    closer than dead_ps. So only bursts of three or more events need their
+    kept events followed from the head: all such bursts at once, one numpy
+    search per kept event of the longest. A stream with almost no gap of
+    dead_ps or more (count rates many times 1/dead_ps) is one long burst and
+    costs one such round per kept event.
+    """
     if dead_ps <= 0 or len(times) == 0:
         return times
-    kept = np.empty(len(times))
-    n = 0
-    last = -np.inf
-    for t in times.tolist():
-        if t - last >= dead_ps:
-            kept[n] = t
-            n += 1
-            last = t
-    return kept[:n]
+    n = len(times)
+    close = np.diff(times) < dead_ps
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    keep[1:] = ~close
+    # heads of bursts of three or more events, then the last kept event of each
+    chain = np.flatnonzero(keep[:-2] & close[:-1] & close[1:])
+    while len(chain):
+        chain = _next_outside(times, chain, dead_ps)
+        chain = chain[chain < n]
+        chain = chain[~keep[chain]]  # reaching the next head ends the burst
+        keep[chain] = True
+    return times[keep]
 
 
 def apply_detector(arrivals, det: DetectorModel, rng, duration_ps):
     """Run the detector chain over time-sorted candidate arrivals.
 
-    ``arrivals`` is a pair (t_ps float array, accept_prob scalar or array).
-    Each arrival survives with probability accept_prob * efficiency, is
-    jittered by a Gaussian of the configured FWHM, then merged with dark
-    counts and pruned by the nonparalyzable dead time. Returns sorted int64
-    timestamps (events jittered below t=0 are dropped).
+    ``arrivals`` is a pair (t_ps float array, accept_prob). ``accept_prob`` is
+    a scalar when every arrival is equally likely to reach the detector (pass
+    1.0 when there is nothing to weight), or an array parallel to t_ps. Each
+    arrival survives with probability accept_prob * efficiency, is jittered by
+    a Gaussian of the configured FWHM, then merged with dark counts and pruned
+    by the nonparalyzable dead time: an event is kept when it comes at least
+    the dead time after the last kept event. Returns sorted int64 timestamps
+    (events jittered below t=0 are dropped).
     """
     t, accept = arrivals
     t = np.asarray(t, dtype=float)
-    p = np.broadcast_to(np.asarray(accept, dtype=float), t.shape) * det.efficiency
-    keep = rng.random(len(t)) < p
+    keep = rng.random(len(t)) < np.asarray(accept, dtype=float) * det.efficiency
     t = t[keep]
     if det.jitter_fwhm_ps > 0 and len(t):
         t = t + rng.normal(0.0, det.jitter_fwhm_ps / FWHM_PER_SIGMA, len(t))
     n_dark = rng.poisson(det.dark_rate_hz * duration_ps / PS_PER_S)
     if n_dark:
         t = np.concatenate([t, rng.random(n_dark) * duration_ps])
-    t.sort()
+    t.sort(kind="stable")  # near linear here: jitter barely unsorts the arrivals
     t = _dead_time_prune(t, det.dead_time_ns * PS_PER_NS)
     t = np.rint(t).astype(np.int64)
     return t[t >= 0]
@@ -195,10 +238,12 @@ def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
     """End-to-end pair generation through the configured topology.
 
     Pair birth times follow a homogeneous Poisson process at the source pair
-    rate; each pair's signal wavelength is drawn from the herald-conditioned
-    density (the herald filter's spectral selection acts through that
-    ensemble, so pair_rate_hz is the rate of filtered pairs). Externally this
-    is a pure function of (configuration, seed).
+    rate, which is taken as the rate of pairs that pass the herald filter. No
+    signal wavelength is drawn per pair: the conditioned_jsd() call only checks
+    up front that the herald filter overlaps the joint spectral density. The
+    only wavelength that acts on events is the emission wavelength drawn per
+    fluorescence photon, through the TWINS transmission. Externally this is a
+    pure function of (configuration, seed).
     """
     if run.topology == "fluorescence":
         if sample is None:
@@ -219,8 +264,9 @@ def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
         source.conditioned_jsd()  # validates herald filter / density overlap up front
 
     n_channels = 3 if run.topology == "hbt" else 2
-    herald_t, herald_p = [], []
-    signal_arrivals = {ch: ([], []) for ch in range(1, n_channels)}
+    herald_t = []
+    signal_t = {ch: [] for ch in range(1, n_channels)}
+    signal_p = []  # TWINS transmission per emitted photon; other arms accept 1.0
 
     n_chunks = max(1, int(np.ceil(run.duration_s / CHUNK_S)))
     chunk_ps = duration_ps / n_chunks
@@ -231,38 +277,32 @@ def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
             continue
         birth_ps = np.sort(k * chunk_ps + rng.random(n) * chunk_ps)
         herald_t.append(birth_ps)
-        herald_p.append(np.ones(n))
 
         if run.topology == "irf":
-            signal_arrivals[CH_SIGNAL][0].append(birth_ps)
-            signal_arrivals[CH_SIGNAL][1].append(np.ones(n))
+            signal_t[CH_SIGNAL].append(birth_ps)
         elif run.topology == "hbt":
             to_t = rng.random(n) < 0.5
-            for ch, mask in ((CH_HBT_T, to_t), (CH_HBT_R, ~to_t)):
-                signal_arrivals[ch][0].append(birth_ps[mask])
-                signal_arrivals[ch][1].append(np.ones(mask.sum()))
+            signal_t[CH_HBT_T].append(birth_ps[to_t])
+            signal_t[CH_HBT_R].append(birth_ps[~to_t])
         else:  # fluorescence
             emitted, delay_ps, lam_nm = _fluorescence_batch(sample, n, rng)
-            t_em = birth_ps[emitted] + delay_ps[emitted]
+            signal_t[CH_SIGNAL].append(birth_ps[emitted] + delay_ps[emitted])
             if twins is not None:
-                p_em = twins_transmission(lam_nm[emitted], run.twins_position_um, twins)
-            else:
-                p_em = np.ones(emitted.sum())
-            signal_arrivals[CH_SIGNAL][0].append(t_em)
-            signal_arrivals[CH_SIGNAL][1].append(np.asarray(p_em))
+                signal_p.append(twins_transmission(lam_nm[emitted],
+                                                   run.twins_position_um, twins))
 
     def _concat(parts):
         return np.concatenate(parts) if parts else np.empty(0)
 
     channels, times = [], []
     det_for = {CH_HERALD: herald_det}
-    arrivals_for = {CH_HERALD: (_concat(herald_t), _concat(herald_p))}
+    arrivals_for = {CH_HERALD: (_concat(herald_t), 1.0)}
     for ch in range(1, n_channels):
         det_for[ch] = signal_det
-        t = _concat(signal_arrivals[ch][0])
-        p = _concat(signal_arrivals[ch][1])
+        t = _concat(signal_t[ch])
         order = np.argsort(t, kind="stable")
-        arrivals_for[ch] = (t[order], p[order])
+        accept = _concat(signal_p)[order] if twins is not None else 1.0
+        arrivals_for[ch] = (t[order], accept)
 
     for ch in range(n_channels):
         out = apply_detector(arrivals_for[ch], det_for[ch], _rng(run.seed, 1, ch),

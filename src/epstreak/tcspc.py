@@ -239,7 +239,8 @@ def coincidence_rate(stream: EventStream, ch_a, ch_b, window_ps):
     The window is inclusive on the int64 tags: ceil(-w/2) <= b - a <= floor(w/2).
     """
     if stream.duration_s <= 0:
-        raise ConfigurationError("stream duration unknown; cannot form a rate")
+        why = f" ({'; '.join(stream.warnings)})" if stream.warnings else ""
+        raise ConfigurationError(f"stream duration unknown{why}; cannot form a rate")
     a = stream.times(ch_a)
     b = stream.times(ch_b)
     if len(a) == 0 or len(b) == 0:

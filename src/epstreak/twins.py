@@ -125,11 +125,17 @@ class TwinsCalibration:
 
 
 def _max_workers():
-    env = os.environ.get("EPPS_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    """Worker count from EPPS_THREADS: unset or empty means 1."""
+    env = os.environ.get("EPPS_THREADS", "").strip()
+    if not env:
         return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"EPPS_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def acquire_cube(source, sample, herald_det, signal_det, twins: TwinsSpec,

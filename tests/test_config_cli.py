@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +232,11 @@ def test_seed_override_changes_output(tmp_path):
     assert cli.main(["simulate", "--out", str(b), "--config", cfg,
                      "--seed", "2"]) == 0
     assert (a / "events.bin").read_bytes() != (b / "events.bin").read_bytes()
+
+
+def test_ft_map_bad_epps_threads_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EPPS_THREADS", "abc")
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "two_dye_map.yaml"
+    assert cli.main(["ft-map", "--out", str(tmp_path / "o"),
+                     "--config", str(cfg)]) == 2
+    assert "EPPS_THREADS" in capsys.readouterr().err

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from epstreak.errors import ConfigurationError
-from epstreak.eventfile import read_event_file, write_event_file
+from epstreak.eventfile import (MISSING_SIDECAR, read_event_file, sidecar_path,
+                                write_event_file)
 from epstreak.events import DetectorModel, RunConfig, simulate_stream
 from epstreak.presets import heralded_source
+from epstreak.tcspc import coincidence_rate
 
 
 def _stream():
@@ -58,3 +60,26 @@ def test_truncated_file(tmp_path, keep, message):
     p.write_bytes(p.read_bytes()[:keep])
     with pytest.raises(ConfigurationError, match=message):
         read_event_file(p)
+
+
+def test_missing_sidecar_is_reported(tmp_path):
+    stream = _stream()
+    path = tmp_path / "events.bin"
+    write_event_file(path, stream, {})
+    with_sidecar = read_event_file(path)
+    assert with_sidecar.warnings == []
+    assert with_sidecar.duration_s == stream.duration_s
+    sidecar_path(path).unlink()
+    back = read_event_file(path)
+    assert back.warnings == [MISSING_SIDECAR]
+    assert back.duration_s == 0.0
+    assert np.array_equal(back.t_ps, stream.t_ps)
+    with pytest.raises(ConfigurationError, match="sidecar"):
+        coincidence_rate(back, 0, 1, 1000)
+    # written back, the file has a sidecar again and must not claim otherwise
+    write_event_file(path, back, {})
+    again = read_event_file(path)
+    assert again.warnings == []
+    assert again.duration_s == 0.0
+    with pytest.raises(ConfigurationError, match=r"duration unknown; cannot"):
+        coincidence_rate(again, 0, 1, 1000)

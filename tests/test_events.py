@@ -1,14 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epstreak.errors import ConfigurationError
+from epstreak.eventfile import write_event_file
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
-                             DetectorModel, EmitterSpecies, RunConfig,
-                             SampleModel, apply_detector, sample_fluorescence,
+                             DETECTOR_PRESETS, DetectorModel, EmitterSpecies,
+                             RunConfig, SampleModel, _dead_time_prune,
+                             apply_detector, sample_fluorescence,
                              simulate_stream)
 from epstreak.presets import heralded_source
 from epstreak.tcspc import build_histogram
+from epstreak.twins import TwinsSpec
 
 IDEAL = DetectorModel()
 
@@ -167,3 +172,109 @@ def test_determinism_any_seed(seed):
     a = simulate_stream(src, None, IDEAL, IDEAL, None, run)
     b = simulate_stream(src, None, IDEAL, IDEAL, None, run)
     assert np.array_equal(a.t_ps, b.t_ps)
+
+
+def _reference_prune(times, dead_ps):
+    """The per-event nonparalyzable dead-time loop the fast prune must match."""
+    if dead_ps <= 0 or len(times) == 0:
+        return times
+    kept = np.empty(len(times))
+    n = 0
+    last = -np.inf
+    for t in times.tolist():
+        if t - last >= dead_ps:
+            kept[n] = t
+            n += 1
+            last = t
+    return kept[:n]
+
+
+def _assert_prune_matches(times, dead_ps):
+    got = _dead_time_prune(times, dead_ps)
+    want = _reference_prune(times, dead_ps)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+_DEAD_TIMES = st.one_of(st.just(0.0), st.integers(1, 40).map(float),
+                        st.floats(0.01, 40.0, allow_nan=False))
+
+
+@st.composite
+def _sorted_times(draw, dead_ps):
+    """Sorted times built from gaps around dead_ps: ties, half-integers, bursts."""
+    unit = max(dead_ps, 1.0)
+    gap = st.one_of(
+        st.just(0.0),                                        # exact ties
+        st.integers(0, 4 * int(unit) + 4).map(lambda k: k / 2),  # half-integers
+        st.sampled_from([dead_ps, np.nextafter(dead_ps, 0.0), dead_ps + 0.5,
+                         dead_ps / 2, dead_ps / 3]),
+        st.floats(0.0, 3 * unit, allow_nan=False),
+    )
+    gaps = draw(st.lists(gap, max_size=60))
+    # large offsets make t - last round differently from the gaps drawn
+    offset = draw(st.sampled_from([0.0, -7.5, 1e6 + 0.5, 2.0 ** 52, 3e15]))
+    return offset + np.cumsum([0.0] + gaps)
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_dead_time_prune_matches_reference_loop(data):
+    dead_ps = data.draw(_DEAD_TIMES)
+    times = data.draw(_sorted_times(dead_ps))
+    _assert_prune_matches(times, dead_ps)
+
+
+@pytest.mark.parametrize("times", [
+    [],
+    [5.0],                                     # single event
+    [0.0, 3.0, 20.0],                          # isolated burst of 2
+    [0.0, 6.0, 12.0, 30.0],                    # isolated burst of 3: third kept
+    [0.0, 6.0, 9.0, 30.0],                     # isolated burst of 3: third dropped
+    [0.0, 0.0, 0.0, 10.0, 10.0, 10.0],         # exact ties
+    [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 100.0],  # one long burst
+    list(np.arange(0.0, 200.0, 0.5)),          # fully saturated run
+])
+@pytest.mark.parametrize("dead_ps", [0.0, 10.0, 10.5])
+def test_dead_time_prune_bursts(times, dead_ps):
+    _assert_prune_matches(np.asarray(times), dead_ps)
+
+
+@pytest.mark.parametrize("mean_gap", [5e3, 100.0, 77.0, 10.0, 1.0])
+@pytest.mark.parametrize("n", [300, 200_000])
+def test_dead_time_prune_matches_reference_at_rate(mean_gap, n):
+    """Few and many bursts, short and saturated."""
+    rng = np.random.default_rng(int(mean_gap * 10) + n)
+    times = np.sort(np.cumsum(rng.exponential(mean_gap, n)) + rng.normal(0, 20, n))
+    _assert_prune_matches(times, 77.0)
+
+
+# sha256 of the event file written for each stream below, taken from the
+# per-event dead-time loop and per-arrival acceptance arrays this package used
+# before the vectorized detector chain; any change to the detector chain's
+# output bytes shows here
+_PINNED_EVENT_FILES = {
+    "irf": "267aa6e8c782d6f630c081550905862ca2351439ca51654ecf4227d9e7ffd2da",
+    "hbt": "05c0e3172d31d253171dd7733dd600e17353fc428d5385e44993b80332f1176a",
+    "fluorescence": "9b4a3d308443685f1a363a20a528b8bb43521b74c96e5a8e492eac4275f5081a",
+}
+
+
+@pytest.mark.parametrize("topology", sorted(_PINNED_EVENT_FILES))
+def test_detector_chain_bytes_pinned(tmp_path, topology):
+    """Dead time, darks and jitter all act: mpd herald at 2e6 pairs/s."""
+    mpd, excelitas = DETECTOR_PRESETS["mpd"], DETECTOR_PRESETS["excelitas"]
+    sample = twins = None
+    signal_det = excelitas
+    if topology == "hbt":
+        signal_det = mpd
+    elif topology == "fluorescence":
+        sample = SampleModel((EmitterSpecies(1.0, 1.0, 850.0, 40.0),))
+        twins = TwinsSpec()
+    run = RunConfig(duration_s=0.05, seed=17, topology=topology,
+                    twins_position_um=150.0 if twins else None)
+    stream = simulate_stream(heralded_source(pair_rate_hz=2e6), sample, mpd,
+                             signal_det, twins, run)
+    path = tmp_path / "events.bin"
+    write_event_file(path, stream, {})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_EVENT_FILES[topology]

@@ -7,7 +7,7 @@ from epstreak.presets import heralded_source
 from epstreak.spdc import density_fwhm
 from epstreak.tcspc import Histogram, rebin
 from epstreak.twins import (InterferogramCube, TwinsCalibration, TwinsSpec,
-                            acquire_cube, calibrate_delay, fringe_period_um,
+                            _max_workers, acquire_cube, calibrate_delay, fringe_period_um,
                             load_cube, nyquist_spacing_um, reconstruct_map,
                             save_cube, transmission)
 from epstreak.units import C_NM_PER_FS
@@ -244,3 +244,20 @@ def test_cube_validation():
     h2 = Histogram(32, 0, np.zeros(8), 0)
     with pytest.raises(ConfigurationError):
         InterferogramCube(np.array([0.0, 1.0]), [h, h2])
+
+
+@pytest.mark.parametrize("value, workers", [(None, 1), ("", 1), (" ", 1),
+                                            ("1", 1), ("3", 3), (" 2 ", 2)])
+def test_max_workers_from_env(monkeypatch, value, workers):
+    if value is None:
+        monkeypatch.delenv("EPPS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("EPPS_THREADS", value)
+    assert _max_workers() == workers
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_max_workers_rejects_bad_env(monkeypatch, value):
+    monkeypatch.setenv("EPPS_THREADS", value)
+    with pytest.raises(ConfigurationError, match="EPPS_THREADS"):
+        _max_workers()
