@@ -23,11 +23,13 @@ import numpy as np
 from . import presets
 from .config import load_config, validate_config
 from .errors import ConfigurationError, EpstreakError
-from .events import CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, RunConfig, simulate_stream
+from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, RunConfig,
+                     simulate_channels, simulate_stream)
 from .eventfile import read_event_file, write_event_file
 from .fitting import fit_decay, format_fit_report
 from .spdc import tuning_curve
-from .tcspc import build_histogram, heralded_g2, read_histogram_csv, write_g2_csv, write_histogram_csv
+from .tcspc import (build_histogram, heralded_g2, read_histogram_csv, start_stop_histogram,
+                    write_g2_csv, write_histogram_csv)
 from .twins import TwinsCalibration, acquire_cube, reconstruct_map, save_cube, write_map_csv
 
 
@@ -101,14 +103,15 @@ def cmd_simulate(args):
 
 
 def _histogram_from_args(cfg, args):
-    if args.events:
-        stream = read_event_file(args.events)
-    else:
-        stream = _simulate(cfg)
     an = cfg.analysis
-    return build_histogram(stream, CH_HERALD, CH_SIGNAL,
-                           bin_width_ps=an.bin_width_ps, window_ps=an.window_ps,
-                           t0_ps=an.t0_ps, mode=an.histogram_mode)
+    binning = dict(bin_width_ps=an.bin_width_ps, window_ps=an.window_ps,
+                   t0_ps=an.t0_ps, mode=an.histogram_mode)
+    if args.events:
+        return build_histogram(read_event_file(args.events), CH_HERALD, CH_SIGNAL,
+                               **binning)
+    tags = simulate_channels(cfg.source, cfg.sample, cfg.herald_det,
+                             cfg.signal_det, cfg.twins, cfg.run)
+    return start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], **binning)
 
 
 def cmd_histogram(args):

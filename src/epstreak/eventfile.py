@@ -21,6 +21,8 @@ VERSION = 1
 
 _RECORD_DTYPE = np.dtype([("channel", "<u1"), ("t_ps", "<u8")])
 
+_WRITE_CHUNK = 1 << 20  # records per write; bounds the writer's temporaries
+
 MISSING_SIDECAR = "missing-sidecar: duration unknown"
 
 
@@ -30,13 +32,15 @@ def sidecar_path(path):
 
 def write_event_file(path, stream: EventStream, metadata: dict):
     path = Path(path)
-    records = np.empty(len(stream), dtype=_RECORD_DTYPE)
-    records["channel"] = stream.channel
-    records["t_ps"] = stream.t_ps.astype(np.uint64)
+    records = np.empty(min(len(stream), _WRITE_CHUNK), dtype=_RECORD_DTYPE)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HH", VERSION, stream.n_channels))
-        fh.write(records.tobytes())
+        for i in range(0, len(stream), _WRITE_CHUNK):
+            chunk = records[:min(_WRITE_CHUNK, len(stream) - i)]
+            chunk["channel"] = stream.channel[i:i + len(chunk)]
+            chunk["t_ps"] = stream.t_ps[i:i + len(chunk)]  # int64 -> <u8, same bits
+            fh.write(chunk.data)
     meta = dict(metadata)
     meta.setdefault("duration_s", stream.duration_s)
     meta.setdefault("n_channels", stream.n_channels)

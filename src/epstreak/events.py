@@ -12,6 +12,7 @@ seed are bit-identical and long runs accumulate no float drift.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,14 +234,39 @@ def sample_fluorescence(sample: SampleModel, rng):
     return float(delay_ps[0]), float(lam_nm[0])
 
 
-def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
-                    signal_det: DetectorModel, twins, run: RunConfig) -> EventStream:
-    """End-to-end pair generation through the configured topology.
+@functools.lru_cache(maxsize=16)
+def _check_overlap(source: SourceModel):
+    """Raise EmptySupportError when the herald filter misses the joint spectrum.
+
+    Cached per (frozen, hashable) source so a cube of many runs checks once;
+    an exception is not cached, so a bad filter raises on every call.
+    """
+    source.conditioned_jsd()
+
+
+def _concat(parts):
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _concat_sorted(parts):
+    """Concatenation of sorted chunks, sorted again only if two chunks overlap."""
+    parts = [p for p in parts if len(p)]
+    t = _concat(parts)
+    if any(a[-1] > b[0] for a, b in zip(parts, parts[1:])):
+        t.sort(kind="stable")  # a fresh array: more than one part was concatenated
+    return t
+
+
+def simulate_channels(source: SourceModel, sample, herald_det: DetectorModel,
+                      signal_det: DetectorModel, twins, run: RunConfig):
+    """Detections per channel: a list of sorted int64 timestamp arrays, indexed by channel.
 
     Pair birth times follow a homogeneous Poisson process at the source pair
     rate, which is taken as the rate of pairs that pass the herald filter. No
-    signal wavelength is drawn per pair: the conditioned_jsd() call only checks
-    up front that the herald filter overlaps the joint spectral density. The
+    signal wavelength is drawn per pair: the herald filter's overlap with the
+    joint spectral density is only checked up front, once per source. The
     only wavelength that acts on events is the emission wavelength drawn per
     fluorescence photon, through the TWINS transmission. Externally this is a
     pure function of (configuration, seed).
@@ -261,7 +287,7 @@ def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
     rate = source.pump.pair_rate_hz
     duration_ps = run.duration_s * PS_PER_S
     if rate > 0:
-        source.conditioned_jsd()  # validates herald filter / density overlap up front
+        _check_overlap(source)
 
     n_channels = 3 if run.topology == "hbt" else 2
     herald_t = []
@@ -291,30 +317,38 @@ def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
                 signal_p.append(twins_transmission(lam_nm[emitted],
                                                    run.twins_position_um, twins))
 
-    def _concat(parts):
-        return np.concatenate(parts) if parts else np.empty(0)
-
-    channels, times = [], []
     det_for = {CH_HERALD: herald_det}
     arrivals_for = {CH_HERALD: (_concat(herald_t), 1.0)}
     for ch in range(1, n_channels):
         det_for[ch] = signal_det
-        t = _concat(signal_t[ch])
-        order = np.argsort(t, kind="stable")
-        accept = _concat(signal_p)[order] if twins is not None else 1.0
-        arrivals_for[ch] = (t[order], accept)
+        if run.topology == "fluorescence":
+            t = _concat(signal_t[ch])
+            order = np.argsort(t, kind="stable")
+            accept = _concat(signal_p)[order] if twins is not None else 1.0
+            arrivals_for[ch] = (t[order], accept)
+        else:  # birth times: each chunk sorted, chunk k within [k, k + 1] chunk lengths
+            arrivals_for[ch] = (_concat_sorted(signal_t[ch]), 1.0)
 
-    for ch in range(n_channels):
-        out = apply_detector(arrivals_for[ch], det_for[ch], _rng(run.seed, 1, ch),
-                             duration_ps)
-        channels.append(np.full(len(out), ch, dtype=np.uint8))
-        times.append(out)
+    return [apply_detector(arrivals_for[ch], det_for[ch], _rng(run.seed, 1, ch),
+                           duration_ps)
+            for ch in range(n_channels)]
 
-    channel = np.concatenate(channels)
-    t_ps = np.concatenate(times)
+
+def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
+                    signal_det: DetectorModel, twins, run: RunConfig) -> EventStream:
+    """simulate_channels merged into one time-ordered EventStream.
+
+    Ties in time are ordered by channel. A run with zero pair rate and zero
+    dark rates gets an ``empty-stream`` warning.
+    """
+    detections = simulate_channels(source, sample, herald_det, signal_det, twins, run)
+    n_channels = len(detections)
+    channel = np.concatenate([np.full(len(t), ch, dtype=np.uint8)
+                              for ch, t in enumerate(detections)])
+    t_ps = np.concatenate(detections)
     order = np.lexsort((channel, t_ps))
     stream = EventStream(channel[order], t_ps[order], run.duration_s, n_channels)
     dark_total = herald_det.dark_rate_hz + (n_channels - 1) * signal_det.dark_rate_hz
-    if rate == 0 and dark_total == 0:
+    if source.pump.pair_rate_hz == 0 and dark_total == 0:
         stream.warnings.append("empty-stream: zero pair rate and zero dark rates")
     return stream

@@ -14,11 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DETECTOR_PRESETS,
-                     EmitterSpecies, RunConfig, SampleModel, simulate_stream)
+                     EmitterSpecies, RunConfig, SampleModel, simulate_channels,
+                     simulate_stream)
 from .eventfile import write_event_file
 from .fitting import fit_decay, format_fit_report
 from .spdc import CrystalSpec, FilterSpec, PumpSpec, SourceModel, tuning_curve
-from .tcspc import build_histogram, heralded_g2, write_g2_csv, write_histogram_csv
+from .tcspc import (build_histogram, heralded_g2, start_stop_histogram, write_g2_csv,
+                    write_histogram_csv)
 from .twins import (TwinsSpec, acquire_cube, calibrate_delay, reconstruct_map,
                     save_cube, write_map_csv)
 
@@ -180,14 +182,14 @@ def _decay_and_irf(source, sample, det_h, det_s, duration_s, seed,
     """Fluorescence decay histogram plus a matched-grid response histogram."""
     run = RunConfig(duration_s=duration_s, seed=_seed(seed, 0),
                     topology="fluorescence")
-    stream = simulate_stream(source, sample, det_h, det_s, None, run)
-    decay = build_histogram(stream, CH_HERALD, CH_SIGNAL, bin_width_ps,
-                            window_ps, t0_ps)
+    tags = simulate_channels(source, sample, det_h, det_s, None, run)
+    decay = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], bin_width_ps,
+                                 window_ps, t0_ps)
     irf_run = RunConfig(duration_s=irf_duration_s, seed=_seed(seed, 1),
                         topology="irf")
-    irf_stream = simulate_stream(source, None, det_h, det_s, None, irf_run)
-    irf = build_histogram(irf_stream, CH_HERALD, CH_SIGNAL, bin_width_ps,
-                          window_ps, t0_ps)
+    tags = simulate_channels(source, None, det_h, det_s, None, irf_run)
+    irf = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], bin_width_ps,
+                               window_ps, t0_ps)
     return decay, irf
 
 
@@ -276,8 +278,8 @@ def run_fig5_integration_sweep(out_dir, seed=1):
     det = DETECTOR_PRESETS["mpd"]
     sample = SampleModel((FIG5_SPECIES,))
     irf_run = RunConfig(duration_s=10.0, seed=_seed(seed, 99), topology="irf")
-    irf_stream = simulate_stream(source, None, det, det, None, irf_run)
-    irf = build_histogram(irf_stream, CH_HERALD, CH_SIGNAL, 4, 14_000, -2_000)
+    tags = simulate_channels(source, None, det, det, None, irf_run)
+    irf = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], 4, 14_000, -2_000)
     write_histogram_csv(out / "irf.csv", irf)
 
     rows = ["duration_s,tau_ns,tau_err_ns,coincidences"]
@@ -285,8 +287,8 @@ def run_fig5_integration_sweep(out_dir, seed=1):
     for i, duration in enumerate(FIG5_DURATIONS_S):
         run = RunConfig(duration_s=duration, seed=_seed(seed, i),
                         topology="fluorescence")
-        stream = simulate_stream(source, sample, det, det, None, run)
-        decay = build_histogram(stream, CH_HERALD, CH_SIGNAL, 4, 14_000, -2_000)
+        tags = simulate_channels(source, sample, det, det, None, run)
+        decay = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], 4, 14_000, -2_000)
         write_histogram_csv(out / f"decay_{duration:g}s.csv", decay)
         result = fit_decay(decay, irf, n_components=1)
         tau = result.model.components[0][1]

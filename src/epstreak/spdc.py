@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import DomainError, EmptySupportError
 from .sellmeier import get_table, refractive_index
-from .units import C_NM_PER_FS
 
 TWO_PI = 2.0 * np.pi
 
@@ -242,16 +241,6 @@ def density_fwhm(axis_nm, density):
         f = (density[i1] - half) / (density[i1] - density[i1 + 1])
         right = axis_nm[i1] + f * (axis_nm[i1 + 1] - axis_nm[i1])
     return float(right - left)
-
-
-def entanglement_time_fs(jsd: JointSpectralDensity):
-    """Coherence-time proxy from the density width (no target value implied)."""
-    fwhm = jsd.fwhm_nm()
-    if fwhm <= 0:
-        return np.inf
-    lam = jsd.peak_nm()
-    dnu_per_fs = C_NM_PER_FS * fwhm / lam**2  # optical-frequency FWHM, 1/fs
-    return 0.44 / dnu_per_fs  # Fourier-limit time-bandwidth product
 
 
 def sample_signal_wavelengths(jsd: JointSpectralDensity, n: int, rng) -> np.ndarray:

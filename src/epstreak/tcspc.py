@@ -62,34 +62,35 @@ class Histogram:
 def build_histogram(stream: EventStream, start_channel, stop_channel,
                     bin_width_ps=DEFAULT_BIN_WIDTH_PS, window_ps=DEFAULT_WINDOW_PS,
                     t0_ps=0, mode="first") -> Histogram:
-    """Start-stop delay histogram between two channels.
+    """start_stop_histogram between two distinct channels of a stream."""
+    if start_channel == stop_channel:
+        raise ConfigurationError("start and stop channels must be distinct")
+    return start_stop_histogram(stream.times(start_channel), stream.times(stop_channel),
+                                bin_width_ps, window_ps, t0_ps, mode)
+
+
+def start_stop_histogram(starts, stops, bin_width_ps=DEFAULT_BIN_WIDTH_PS,
+                         window_ps=DEFAULT_WINDOW_PS, t0_ps=0, mode="first") -> Histogram:
+    """Start-stop delay histogram of two sorted int64 timestamp arrays.
 
     For each start event the first stop with t0 <= dt < t0 + window
     contributes one count to bin floor((dt - t0)/bin_width); this first-stop
     behavior matches classic TCSPC hardware. ``mode="all"`` counts every stop
     in the window instead (pile-up diagnostics).
     """
-    if start_channel == stop_channel:
-        raise ConfigurationError("start and stop channels must be distinct")
     if window_ps % bin_width_ps != 0:
         raise ConfigurationError("window_ps must be a multiple of bin_width_ps")
     n_bins = window_ps // bin_width_ps
-    starts = stream.times(start_channel)
-    stops = stream.times(stop_channel)
     counts = np.zeros(n_bins, dtype=np.int64)
-    flags = []
     if len(starts) == 0 or len(stops) == 0:
-        flags.append("empty-stream")
-        return Histogram(bin_width_ps, t0_ps, counts, int(len(starts)), flags)
+        return Histogram(bin_width_ps, t0_ps, counts, int(len(starts)), ["empty-stream"])
 
     lo = starts + t0_ps
     if mode == "first":
         idx = np.searchsorted(stops, lo, side="left")
-        ok = idx < len(stops)
-        dt = np.full(len(starts), np.iinfo(np.int64).max, dtype=np.int64)
-        dt[ok] = stops[idx[ok]] - starts[ok]
-        inside = ok & (dt - t0_ps < window_ps)
-        bins = (dt[inside] - t0_ps) // bin_width_ps
+        dt = stops.take(idx, mode="clip") - lo  # dt - t0 of the first stop at or after lo
+        ok = (idx < len(stops)) & (dt < window_ps)
+        bins = dt[ok] // bin_width_ps
     elif mode == "all":
         i0 = np.searchsorted(stops, lo, side="left")
         i1 = np.searchsorted(stops, lo + window_ps, side="left")
@@ -103,7 +104,7 @@ def build_histogram(stream: EventStream, start_channel, stop_channel,
     # accumulate into the array allocated before the large temporaries: a
     # fresh bincount result kept alive above them would pin the heap top
     counts += np.bincount(bins, minlength=n_bins)
-    return Histogram(bin_width_ps, t0_ps, counts, int(len(starts)), flags)
+    return Histogram(bin_width_ps, t0_ps, counts, int(len(starts)))
 
 
 def _span_indices(i0, i1):
@@ -260,7 +261,7 @@ def accidental_rate_hz(rate_a_hz, rate_b_hz, window_ps):
 
 def write_histogram_csv(path, hist: Histogram):
     lines = ["bin_left_ps,counts"]
-    for left, c in zip(hist.bin_left_ps(), hist.counts):
+    for left, c in zip(hist.bin_left_ps().tolist(), hist.counts.tolist()):
         lines.append(f"{int(left)},{c}")
     Path(path).write_text("\n".join(lines) + "\n")
 

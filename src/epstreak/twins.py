@@ -22,7 +22,7 @@ from scipy.optimize import minimize_scalar
 from scipy.signal import hilbert
 
 from .errors import CalibrationError, ConfigurationError, DomainError
-from .tcspc import build_histogram, read_histogram_csv, write_histogram_csv
+from .tcspc import read_histogram_csv, start_stop_histogram, write_histogram_csv
 from .units import C_NM_PER_FS
 
 
@@ -148,7 +148,7 @@ def acquire_cube(source, sample, herald_det, signal_det, twins: TwinsSpec,
     seed derived from (run seed, position index), so the cube is reproducible
     and positions may be simulated concurrently (EPPS_THREADS caps workers).
     """
-    from .events import CH_HERALD, CH_SIGNAL, simulate_stream
+    from .events import CH_HERALD, CH_SIGNAL, simulate_channels
 
     positions_um = np.asarray(positions_um, dtype=float)
     if len(positions_um) < 2:
@@ -164,10 +164,9 @@ def acquire_cube(source, sample, herald_det, signal_det, twins: TwinsSpec,
     def one(i):
         sub_seed = int(np.random.SeedSequence((per_position_run.seed, 2, i)).generate_state(1)[0])
         run = replace(per_position_run, seed=sub_seed, twins_position_um=float(positions_um[i]))
-        stream = simulate_stream(source, sample, herald_det, signal_det, twins, run)
-        return build_histogram(stream, CH_HERALD, CH_SIGNAL,
-                               bin_width_ps=bin_width_ps, window_ps=window_ps,
-                               t0_ps=t0_ps)
+        tags = simulate_channels(source, sample, herald_det, signal_det, twins, run)
+        return start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], bin_width_ps,
+                                    window_ps, t0_ps)
 
     workers = _max_workers()
     if workers > 1:
@@ -289,7 +288,9 @@ def load_cube(directory) -> InterferogramCube:
 
 def write_map_csv(path, tf_map: TimeFrequencyMap):
     lines = ["wavelength_nm,time_ps,intensity"]
-    for i, lam in enumerate(tf_map.wavelength_axis_nm):
-        for j, t in enumerate(tf_map.time_axis_ps):
-            lines.append(f"{lam:.4f},{t:g},{tf_map.intensity[i, j]:.6g}")
+    times = [f"{t:g}" for t in tf_map.time_axis_ps.tolist()]
+    # one row at a time: the whole matrix as Python floats would raise peak memory
+    for lam, row in zip(tf_map.wavelength_axis_nm.tolist(), tf_map.intensity):
+        lam_text = f"{lam:.4f}"
+        lines.extend(f"{lam_text},{t},{v:.6g}" for t, v in zip(times, row.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -6,8 +6,6 @@ quantity-carrying variable name spells out its unit.
 
 # speed of light
 C_NM_PER_FS = 299.792458
-C_NM_PER_PS = 299792.458
-C_UM_PER_PS = 299.792458
 
 PS_PER_NS = 1000.0
 PS_PER_S = 1e12

@@ -1,17 +1,20 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epstreak.errors import ConfigurationError
+from epstreak.errors import ConfigurationError, EmptySupportError
 from epstreak.eventfile import write_event_file
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
                              DETECTOR_PRESETS, DetectorModel, EmitterSpecies,
-                             RunConfig, SampleModel, _dead_time_prune,
-                             apply_detector, sample_fluorescence,
+                             RunConfig, SampleModel, _check_overlap,
+                             _concat_sorted, _dead_time_prune, apply_detector,
+                             sample_fluorescence, simulate_channels,
                              simulate_stream)
 from epstreak.presets import heralded_source
+from epstreak.spdc import FilterSpec, SourceModel
 from epstreak.tcspc import build_histogram
 from epstreak.twins import TwinsSpec
 
@@ -278,3 +281,63 @@ def test_detector_chain_bytes_pinned(tmp_path, topology):
     path = tmp_path / "events.bin"
     write_event_file(path, stream, {})
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_EVENT_FILES[topology]
+
+
+@pytest.mark.parametrize("topology, twins, duration_s, rate_hz", [
+    ("irf", None, 0.02, 2e6),
+    ("irf", None, 11.0, 2e3),          # three chunks
+    ("hbt", None, 0.02, 2e6),
+    ("hbt", None, 11.0, 2e3),
+    ("fluorescence", None, 0.02, 2e6),
+    ("fluorescence", TwinsSpec(), 0.02, 2e6),
+])
+def test_simulate_channels_match_stream(topology, twins, duration_s, rate_hz):
+    mpd, excelitas = DETECTOR_PRESETS["mpd"], DETECTOR_PRESETS["excelitas"]
+    sample = None
+    if topology == "fluorescence":
+        sample = SampleModel((EmitterSpecies(1.0, 1.0, 850.0, 40.0),))
+    run = RunConfig(duration_s=duration_s, seed=23, topology=topology,
+                    twins_position_um=150.0 if twins else None)
+    args = (heralded_source(pair_rate_hz=rate_hz), sample, mpd, excelitas, twins, run)
+    tags = simulate_channels(*args)
+    stream = simulate_stream(*args)
+    assert len(tags) == stream.n_channels
+    for ch, t in enumerate(tags):
+        assert t.dtype == np.int64
+        assert np.array_equal(t, stream.times(ch))
+
+
+@pytest.mark.parametrize("parts, want", [
+    ([], []),
+    ([[1.0, 5.0]], [1.0, 5.0]),
+    ([[1.0, 2.0], [], [2.0, 3.0]], [1.0, 2.0, 2.0, 3.0]),
+    ([[1.0, 5.0], [3.0, 7.0]], [1.0, 3.0, 5.0, 7.0]),   # overlapping chunks
+])
+def test_concat_sorted(parts, want):
+    got = _concat_sorted([np.asarray(p) for p in parts])
+    assert np.array_equal(got, want)
+
+
+def test_overlap_checked_once_per_source(monkeypatch):
+    calls = []
+    original = SourceModel.conditioned_jsd
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SourceModel, "conditioned_jsd", counted)
+    _check_overlap.cache_clear()
+    source = heralded_source()
+    run = RunConfig(duration_s=0.001, seed=1, topology="irf")
+    simulate_stream(source, None, IDEAL, IDEAL, None, run)
+    simulate_stream(source, None, IDEAL, IDEAL, None, run)
+    simulate_channels(heralded_source(), None, IDEAL, IDEAL, None, run)  # equal source
+    assert len(calls) == 1
+    # tophat far outside the conjugate image of the grid: zero overlap
+    bad = replace(source, herald_filter=FilterSpec(2500.0, 1.0, "tophat"))
+    for simulate in (simulate_stream, simulate_channels, simulate_channels):
+        with pytest.raises(EmptySupportError):
+            simulate(bad, None, IDEAL, IDEAL, None, run)
+    assert len(calls) == 4
+    _check_overlap.cache_clear()

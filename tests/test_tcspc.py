@@ -11,8 +11,8 @@ from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
 from epstreak.presets import heralded_source
 from epstreak.tcspc import (Histogram, accidental_rate_hz, build_histogram,
                             coincidence_rate, heralded_g2,
-                            read_histogram_csv, rebin, write_g2_csv,
-                            write_histogram_csv)
+                            read_histogram_csv, rebin, start_stop_histogram,
+                            write_g2_csv, write_histogram_csv)
 
 IDEAL = DetectorModel()
 
@@ -297,3 +297,33 @@ def test_accidental_rate_formula(rng):
     rate, err = coincidence_rate(stream, 0, 1, window_ps)
     expected = accidental_rate_hz(r1, r2, window_ps)
     assert abs(rate - expected) < 3 * max(err, 1e-3)
+
+
+@st.composite
+def _start_stop_case(draw):
+    """Sorted int64 starts/stops with ties, empty arms and stops on the window edges."""
+    bin_width_ps = draw(st.integers(1, 5))
+    window_ps = draw(st.integers(1, 20)) * bin_width_ps
+    t0_ps = draw(st.integers(-50, 50))
+    starts = draw(st.lists(st.integers(0, 300), max_size=25))
+    stops = draw(st.lists(st.integers(-100, 400), max_size=25))
+    if starts:
+        edge = st.sampled_from([t0_ps, t0_ps + window_ps, t0_ps - 1, t0_ps + window_ps - 1])
+        stops += [s + draw(edge) for s in draw(st.lists(st.sampled_from(starts), max_size=10))]
+    mode = draw(st.sampled_from(["first", "all"]))
+    return (np.sort(np.asarray(starts, dtype=np.int64)),
+            np.sort(np.asarray(stops, dtype=np.int64)),
+            bin_width_ps, window_ps, t0_ps, mode)
+
+
+@given(_start_stop_case())
+@settings(max_examples=300)
+def test_start_stop_histogram_matches_per_start_reference(case):
+    starts, stops, bin_width_ps, window_ps, t0_ps, mode = case
+    hist = start_stop_histogram(starts, stops, bin_width_ps, window_ps, t0_ps, mode)
+    expected = _histogram_reference(starts.tolist(), stops.tolist(), bin_width_ps,
+                                    window_ps, t0_ps, mode)
+    assert hist.counts.dtype == np.int64
+    assert np.array_equal(hist.counts, expected)
+    assert hist.n_starts == len(starts)
+    assert hist.flags == ([] if len(starts) and len(stops) else ["empty-stream"])

@@ -9,7 +9,7 @@ from epstreak.tcspc import Histogram, rebin
 from epstreak.twins import (InterferogramCube, TwinsCalibration, TwinsSpec,
                             _max_workers, acquire_cube, calibrate_delay, fringe_period_um,
                             load_cube, nyquist_spacing_um, reconstruct_map,
-                            save_cube, transmission)
+                            save_cube, transmission, write_map_csv)
 from epstreak.units import C_NM_PER_FS
 
 IDEAL = DetectorModel()
@@ -261,3 +261,25 @@ def test_max_workers_rejects_bad_env(monkeypatch, value):
     monkeypatch.setenv("EPPS_THREADS", value)
     with pytest.raises(ConfigurationError, match="EPPS_THREADS"):
         _max_workers()
+
+
+def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch):
+    """32 fig3 positions around zero delay: save_cube files plus map.csv."""
+    import hashlib
+    from epstreak.presets import FIG3_POSITIONS, FIG3_TWINS, TWO_DYE_SAMPLE
+    monkeypatch.delenv("EPPS_THREADS", raising=False)
+    run = RunConfig(duration_s=0.02, seed=7, topology="fluorescence")
+    cube = acquire_cube(heralded_source(), TWO_DYE_SAMPLE, IDEAL, IDEAL, FIG3_TWINS,
+                        FIG3_POSITIONS[100:132], run, bin_width_ps=16,
+                        window_ps=12_800, t0_ps=0)
+    save_cube(tmp_path / "cube", cube)
+    cal = TwinsCalibration(1.0, 160.0, float("nan"))
+    write_map_csv(tmp_path / "map.csv", reconstruct_map(cube, cal))
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path).as_posix().encode())
+        digest.update(path.read_bytes())
+    # taken from the simulate_stream + build_histogram cube this package used
+    # before positions were histogrammed from their per-channel detections
+    assert digest.hexdigest() == (
+        "72e6d35a4a5db8cfc95407c38214d8ac2ebeeb7a01d3e847cadbea25ac3acf7c")
