@@ -4,6 +4,8 @@ Every subcommand writes its artifacts into ``--out DIR`` together with a
 ``manifest.json`` that echoes the configuration, records the seed and the
 sha256 of every artifact. Timestamps live in a separate manifest field so
 that reruns with the same config and seed are byte-identical elsewhere.
+``fit`` also writes a ``diagnostics`` field (model evaluations, convergence,
+multistart spread, Fisher conditioning, merges), deterministic like the rest.
 
 Exit codes: 0 success, 1 runtime error inside a module, 2 invalid
 configuration or arguments.
@@ -51,7 +53,7 @@ def _collect_artifacts(out: Path, names):
 
 
 def _write_manifest(out: Path, command, config_echo, seed, artifact_names,
-                    summary=None):
+                    summary=None, diagnostics=None):
     manifest = {
         "command": command,
         "config": config_echo,
@@ -60,6 +62,8 @@ def _write_manifest(out: Path, command, config_echo, seed, artifact_names,
         "summary": summary or {},
         "timestamps": {"written_utc": datetime.now(timezone.utc).isoformat()},
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, default=float) + "\n")
 
@@ -204,7 +208,8 @@ def cmd_fit(args):
     taus = [tau for _, tau in result.model.components]
     _write_manifest(out, "fit", cfg.raw, an.fit_seed, ["fit_report.txt"],
                     {"lifetimes_ns": taus,
-                     "reduced_chi2": result.reduced_chi2})
+                     "reduced_chi2": result.reduced_chi2},
+                    diagnostics=result.diagnostics())
     return 0
 
 

@@ -65,7 +65,7 @@ def read_event_file(path) -> EventStream:
         raise ConfigurationError(
             f"{path}: truncated event file: {body} record bytes is not a whole "
             f"number of {_RECORD_DTYPE.itemsize}-byte records")
-    records = np.frombuffer(raw[8:], dtype=_RECORD_DTYPE)
+    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=8)
     sc = sidecar_path(path)
     if sc.exists():
         meta = json.loads(sc.read_text())

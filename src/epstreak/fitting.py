@@ -2,14 +2,17 @@
 
 The model is a sum of causal exponentials convolved with a measured (or
 synthetic) IRF histogram plus a flat background. Fitting minimizes the
-Poisson negative log-likelihood with a derivative-free simplex refined from
-multistart candidates; amplitudes and background are pre-solved by a
-nonnegative linear step at each candidate lifetime set.
+Poisson negative log-likelihood by variable projection: a bounded
+quasi-Newton search (L-BFGS-B) runs over the log lifetimes (and the IRF
+shift) from multistart candidates, and at each of its points the
+nonnegative amplitudes and background are solved exactly. The search uses
+the analytic gradient of the single-pole recursion; the covariance is the
+inverse Fisher information.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize, nnls
@@ -45,11 +48,18 @@ class DecayModel:
 @dataclass
 class FitResult:
     model: DecayModel
-    covariance: np.ndarray  # over (a_1..K, tau_1..K [ns], background, shift [ps])
+    # inverse Fisher information over (a_1..K, tau_1..K [ns], background,
+    # shift [ps]); rows and columns of parameters not fitted are zero
+    covariance: np.ndarray
     reduced_chi2: float
     n_bins_used: int
     fit_range_bins: tuple
     nll: float
+    n_model_evals: int  # convolve_model calls, merged attempts included
+    converged: bool  # the optimizer's own test, at the best start
+    multistart_spread: float  # NLL of the worst start minus the best
+    fisher_condition: float  # of the Fisher matrix scaled to unit diagonal
+    merged_from: int | None = None  # components asked for when a merge fired
 
     def lifetime_errors_ns(self):
         k = len(self.model.components)
@@ -59,20 +69,31 @@ class FitResult:
         a = self.model.amplitudes()
         return a / a.sum() if a.sum() > 0 else a
 
+    def diagnostics(self):
+        """Deterministic fit diagnostics, JSON-ready."""
+        cond = self.fisher_condition
+        return {"model_evaluations": self.n_model_evals,
+                "converged": self.converged,
+                "multistart_nll_spread": self.multistart_spread,
+                "fisher_condition": cond if np.isfinite(cond) else None,
+                "merged_from_components": self.merged_from}
 
-def _exp_response(irf_weights, bin_width_ps, tau_ps, shift_ps, n_out):
+
+def _exp_response(irf_weights, bin_width_ps, tau_ps, shift_ps, n_out,
+                  derivatives=False):
     """Bin-averaged (irf * causal exponential) on the irf's bin grid.
 
     The IRF is treated as piecewise constant over its bins, so the integral
     of the exponential kernel over each source bin is exact. Full bins share
     a geometric factor, which turns the sum into a single-pole recursion
     y[m] = r*y[m-1] + x[m] evaluated in O(n); the partially covered boundary
-    bin gets its own exact weight.
+    bin gets its own exact weight. With ``derivatives`` the result is
+    (y, dy/dtau_ps, dy/dshift_ps).
     """
     from math import ceil
     delta = float(bin_width_ps)
     r = np.exp(-delta / tau_ps)
-    # m0 indexes the boundary bin; rho in (-delta/2, delta/2] is the kernel
+    # m0 indexes the boundary bin; rho in [-delta/2, delta/2) is the kernel
     # start measured from that bin's center
     m0 = ceil(shift_ps / delta - 0.5)
     rho = m0 * delta - shift_ps
@@ -84,8 +105,38 @@ def _exp_response(irf_weights, bin_width_ps, tau_ps, shift_ps, n_out):
     a_full = tau_ps * (np.exp(delta / (2 * tau_ps)) - np.exp(-delta / (2 * tau_ps)))
     partial = tau_ps * (1.0 - np.exp(-(rho + delta / 2) / tau_ps))
     scale = a_full * np.exp(-rho / tau_ps)
-    y = scale * lfilter([1.0], [1.0, -r], x) + (partial - scale) * x
-    return y / delta
+    h = lfilter([1.0], [1.0, -r], x)
+    y = scale * h + (partial - scale) * x
+    if not derivatives:
+        return y / delta
+    # dh/dr obeys the same recursion driven by h one bin later
+    dh_dr = lfilter([0.0, 1.0], [1.0, -r], h)
+    u = delta / (2 * tau_ps)
+    d_full = np.exp(u) - np.exp(-u) - u * (np.exp(u) + np.exp(-u))
+    d_scale = d_full * np.exp(-rho / tau_ps) + scale * rho / tau_ps ** 2
+    c = rho + delta / 2
+    e_c = np.exp(-c / tau_ps)
+    d_partial = 1.0 - e_c - c / tau_ps * e_c
+    dy_dtau = (d_scale * h + scale * r * delta / tau_ps ** 2 * dh_dr
+               + (d_partial - d_scale) * x)
+    # within one boundary bin x is fixed and rho = m0*delta - shift
+    dy_dshift = scale / tau_ps * h - (e_c + scale / tau_ps) * x
+    return y / delta, dy_dtau / delta, dy_dshift / delta
+
+
+def _target_grid(irf: Histogram, n_bins, t0_ps):
+    """Normalized IRF weights, the target grid's bin offset and length."""
+    if n_bins is None:
+        n_bins = len(irf.counts)
+    if t0_ps is None:
+        t0_ps = irf.t0_ps
+    offset, rem = divmod(int(t0_ps - irf.t0_ps), irf.bin_width_ps)
+    if rem:
+        raise ConfigurationError("target grid origin must align with the IRF bin grid")
+    total = irf.counts.sum()
+    if total <= 0:
+        raise ConfigurationError("IRF histogram is empty")
+    return irf.counts.astype(float) / total, offset, n_bins
 
 
 def convolve_model(model: DecayModel, irf: Histogram, n_bins=None, t0_ps=None):
@@ -95,26 +146,32 @@ def convolve_model(model: DecayModel, irf: Histogram, n_bins=None, t0_ps=None):
     must be offset from the IRF grid by a whole number of bins. The IRF is
     normalized internally; the result is linear in amplitudes and background.
     """
-    bw = irf.bin_width_ps
-    if n_bins is None:
-        n_bins = len(irf.counts)
-    if t0_ps is None:
-        t0_ps = irf.t0_ps
-    offset, rem = divmod(int(t0_ps - irf.t0_ps), bw)
-    if rem:
-        raise ConfigurationError("target grid origin must align with the IRF bin grid")
-    total = irf.counts.sum()
-    if total <= 0:
-        raise ConfigurationError("IRF histogram is empty")
-    irfw = irf.counts.astype(float) / total
+    irfw, offset, n_bins = _target_grid(irf, n_bins, t0_ps)
     n_resp = n_bins + max(offset, 0)
+    lo = max(0, -offset)  # target bins before the response starts stay flat
     expected = np.full(n_bins, float(model.background))
     for a, tau_ns in model.components:
-        resp = _exp_response(irfw, bw, tau_ns * PS_PER_NS, model.t_shift_ps, n_resp)
-        idx = np.arange(n_bins) + offset
-        valid = idx >= 0
-        expected[valid] += a * resp[idx[valid]]
+        resp = _exp_response(irfw, irf.bin_width_ps, tau_ns * PS_PER_NS,
+                             model.t_shift_ps, n_resp)
+        expected[lo:] += a * resp[lo + offset:offset + n_bins]
     return expected
+
+
+def response_derivatives(tau_ns, irf: Histogram, shift_ps=0.0, n_bins=None, t0_ps=None):
+    """d/dtau [per ns] and d/dshift [per ps] of the unit-amplitude response.
+
+    The response is ``convolve_model(DecayModel([(1.0, tau_ns)], 0.0,
+    shift_ps), irf, n_bins, t0_ps)``, on the same grid.
+    """
+    irfw, offset, n_bins = _target_grid(irf, n_bins, t0_ps)
+    _, d_tau, d_shift = _exp_response(irfw, irf.bin_width_ps, tau_ns * PS_PER_NS,
+                                      shift_ps, n_bins + max(offset, 0),
+                                      derivatives=True)
+    lo = max(0, -offset)
+    out_tau, out_shift = np.zeros(n_bins), np.zeros(n_bins)
+    out_tau[lo:] = d_tau[lo + offset:offset + n_bins] * PS_PER_NS
+    out_shift[lo:] = d_shift[lo + offset:offset + n_bins]
+    return out_tau, out_shift
 
 
 @dataclass(frozen=True)
@@ -124,8 +181,6 @@ class FitOptions:
     fit_shift: bool = False
     fit_background: bool = True
     fit_range_bins: tuple | None = None  # (first, last_exclusive)
-    max_polish_rounds: int = 5
-    simplex_maxiter: int = 10000
 
 
 def _default_fit_range(hist: Histogram, irf: Histogram):
@@ -142,8 +197,11 @@ def _default_fit_range(hist: Histogram, irf: Histogram):
     return first, last
 
 
+_MU_FLOOR = 1e-12
+
+
 def _nll(y, mu):
-    mu = np.clip(mu, 1e-12, None)
+    mu = np.clip(mu, _MU_FLOOR, None)
     return float(np.sum(mu - y * np.log(mu)))
 
 
@@ -160,14 +218,81 @@ def _solve_linear(responses, y, fit_background):
     return sol, 0.0
 
 
+def _poisson_linear(responses, y, fit_background):
+    """Nonnegative amplitudes (and background) at the Poisson NLL minimum.
+
+    Starts from the weighted NNLS solution and takes damped Newton steps on
+    the convex NLL of mu = c @ G. Variables at zero whose gradient points out
+    of the feasible set stay there; a step stops short of zero for the
+    others (those already at zero are clipped) and is halved until the NLL
+    falls. The NLL change is summed bin by bin, so it resolves steps far
+    below the NLL's roundoff. A full step with a Newton decrement below
+    1e-5 ends the loop: the next decrement would be of its square's order.
+    Returns (amplitudes, background, mu).
+    """
+    amps, bg = _solve_linear(responses, y, fit_background)
+    rows = list(responses)
+    c = np.asarray(amps, dtype=float)
+    if fit_background:
+        rows.append(np.ones_like(y))
+        c = np.append(c, bg)
+    g_mat = np.array(rows)
+    mu = np.maximum(c @ g_mat, _MU_FLOOR)
+    for _ in range(50):
+        w = y / mu
+        grad = g_mat @ (1.0 - w)
+        free = (c > 0) | (grad < 0)
+        g_free = g_mat if free.all() else g_mat[free]
+        try:
+            step = np.linalg.solve((g_free * (w / mu)) @ g_free.T, -grad[free])
+        except np.linalg.LinAlgError:
+            break
+        decrement = -grad[free] @ step
+        if not decrement > 1e-12:
+            break
+        c_free = c[free]
+        shrink = (step < 0) & (c_free > 0)
+        t = min(1.0, 0.99 * float(np.min(-c_free[shrink] / step[shrink]))) if shrink.any() else 1.0
+        while t > 1e-10:
+            trial = c.copy()
+            trial[free] = np.maximum(c_free + t * step, 0.0)
+            mu_t = np.maximum(trial @ g_mat, _MU_FLOOR)
+            d_mu = mu_t - mu
+            if np.sum(d_mu - y * np.log1p(d_mu / mu)) < 0:
+                break
+            t *= 0.5
+        else:
+            break
+        c, mu = trial, mu_t
+        if t == 1.0 and decrement < 1e-5:
+            break
+    if fit_background:
+        return c[:-1], c[-1], mu
+    return c, 0.0, mu
+
+
+def _deviance(y, mu, y_safe):
+    """NLL minus its value at mu = y (y_safe is y with zeros set to one).
+
+    Every bin's term mu - y - y log(mu/y) is >= 0 and formed before the sum,
+    so the total keeps full precision, unlike a difference of two NLLs.
+    """
+    d = mu - y
+    return float(np.sum(d - y * np.log1p(d / y_safe)))
+
+
 def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
               options: FitOptions | None = None) -> FitResult:
-    """Poisson maximum-likelihood reconvolution fit.
+    """Poisson maximum-likelihood reconvolution fit by variable projection.
 
+    L-BFGS-B minimizes the NLL profiled over amplitudes and background (see
+    ``_poisson_linear``) in log lifetime, plus the IRF shift with
+    ``fit_shift``, from the three best of the multistart candidates. The
+    gradient follows from the envelope theorem and ``response_derivatives``.
     Deterministic for a given options.seed. Lifetimes closer than 10% of each
     other after the fit are merged and the fit repeats with one component
-    fewer. Covariance comes from the observed information at the optimum;
-    reduced chi^2 uses Pearson weights.
+    fewer. Covariance is the inverse Fisher information of the fitted
+    parameters; reduced chi^2 uses Pearson weights.
     """
     options = options or FitOptions()
     if hist.bin_width_ps != irf.bin_width_ps:
@@ -184,19 +309,21 @@ def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
         raise FitError(
             f"too few populated bins for {n_components} components "
             f"({np.count_nonzero(y)} < {min_bins})")
-
-    def model_curve(taus_ns, amps, bg, shift):
-        m = DecayModel(list(zip(amps, taus_ns)), background=bg, t_shift_ps=shift)
-        return convolve_model(m, irf, n_bins=n_bins_fit, t0_ps=t0_fit)
+    k = n_components
+    bw = hist.bin_width_ps
+    y_safe = np.where(y > 0, y, 1.0)
+    n_evals = 0
 
     def responses(taus_ns, shift):
+        nonlocal n_evals
+        n_evals += len(taus_ns)
         return [convolve_model(DecayModel([(1.0, tau)], 0.0, shift), irf,
                                n_bins=n_bins_fit, t0_ps=t0_fit) for tau in taus_ns]
 
     # multistart over log-spaced lifetime candidates
     rng = np.random.default_rng(options.seed)
-    span_ps = n_bins_fit * hist.bin_width_ps
-    lo = max(2.0 * hist.bin_width_ps, 1.0) / PS_PER_NS
+    span_ps = n_bins_fit * bw
+    lo = max(2.0 * bw, 1.0) / PS_PER_NS
     hi = 0.8 * span_ps / PS_PER_NS
     base = np.geomspace(lo * 2, hi / 2, max(options.n_multistart, 4))
     candidates = []
@@ -214,110 +341,85 @@ def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
         resp = responses(np.asarray(taus), 0.0)
         amps, bg = _solve_linear(resp, y, options.fit_background)
         mu = sum(a * r for a, r in zip(amps, resp)) + bg
-        scored.append((_nll(y, mu), np.asarray(taus), amps, bg))
+        scored.append((_nll(y, mu), np.asarray(taus)))
     scored.sort(key=lambda s: s[0])
 
-    def pack(amps, taus, bg, shift):
-        z = list(np.log(np.clip(amps, 1e-12, None)))
-        z += list(np.log(taus))
-        if options.fit_background:
-            z.append(np.log(max(bg, 1e-6)))
+    # outer variables: log tau [ns] per component, then shift in bins
+    def at(v):
+        taus = np.exp(v[:k])
+        shift = float(v[k]) * bw if options.fit_shift else 0.0
+        resp = responses(taus, shift)
+        amps, bg, mu = _poisson_linear(resp, y, options.fit_background)
+        derivs = [response_derivatives(tau, irf, shift, n_bins_fit, t0_fit) for tau in taus]
+        return taus, shift, resp, derivs, amps, bg, mu
+
+    def profile(v):
+        taus, _, _, derivs, amps, _, mu = at(v)
+        resid = 1.0 - y / mu
+        grad = [a * tau * (resid @ d_tau) for a, tau, (d_tau, _) in zip(amps, taus, derivs)]
         if options.fit_shift:
-            z.append(shift)
-        return np.asarray(z)
+            grad.append(bw * sum(a * (resid @ d_shift) for a, (_, d_shift) in zip(amps, derivs)))
+        return _deviance(y, mu, y_safe), np.asarray(grad)
 
-    def unpack(z):
-        k = n_components
-        amps = np.exp(z[:k])
-        taus = np.exp(z[k:2 * k])
-        pos = 2 * k
-        bg = 0.0
-        if options.fit_background:
-            bg = np.exp(z[pos])
-            pos += 1
-        shift = z[pos] if options.fit_shift else 0.0
-        return amps, taus, bg, shift
-
-    def objective(z):
-        amps, taus, bg, shift = unpack(z)
-        if np.any(taus > 100 * hi) or np.any(taus < lo / 100):
-            return 1e300
-        return _nll(y, model_curve(taus, amps, bg, shift))
-
-    best = None
-    for nll0, taus, amps, bg in scored[:3]:
-        z0 = pack(amps, taus, bg, 0.0)
-        res = minimize(objective, z0, method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-8,
-                                "maxiter": options.simplex_maxiter, "adaptive": True})
-        if best is None or res.fun < best.fun:
-            best = res
-    for _ in range(options.max_polish_rounds):
-        res = minimize(objective, best.x, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-10,
-                                "maxiter": options.simplex_maxiter, "adaptive": True})
-        improved = best.fun - res.fun
-        if res.fun <= best.fun:
-            best = res
-        if improved < 1e-12:
-            break
+    bounds = [(np.log(lo / 100), np.log(100 * hi))] * k
+    if options.fit_shift:
+        bounds.append((None, None))
+    runs = []
+    for _, taus in scored[:3]:
+        v0 = np.log(taus) if not options.fit_shift else np.append(np.log(taus), 0.0)
+        runs.append(minimize(profile, v0, jac=True, method="L-BFGS-B", bounds=bounds,
+                             options={"ftol": 1e-12, "gtol": 1e-3, "maxfun": 150}))
+    best = min(runs, key=lambda res: res.fun)
     if not np.isfinite(best.fun):
         raise FitError("fit did not converge", diagnostics={"best": best})
 
-    amps, taus, bg, shift = unpack(best.x)
+    taus, shift, resp, derivs, amps, bg, mu = at(best.x)
+    order = np.argsort(taus)
+    taus, amps = taus[order], amps[order]
+    resp = [resp[i] for i in order]
+    derivs = [derivs[i] for i in order]
 
     # merge nearly equal lifetimes and refit with fewer components
-    if n_components > 1:
-        order = np.argsort(taus)
-        taus, amps = taus[order], amps[order]
-        for i in range(n_components - 1):
-            if (taus[i + 1] - taus[i]) / taus[i + 1] < 0.10:
-                return fit_decay(hist, irf, n_components - 1, options)
+    if np.any(np.diff(taus) / taus[1:] < 0.10):
+        merged = fit_decay(hist, irf, n_components - 1, options)
+        return replace(merged, n_model_evals=merged.n_model_evals + n_evals,
+                       merged_from=n_components)
 
-    order = np.argsort(taus)
-    model = DecayModel(list(zip(amps[order], taus[order])), background=bg,
-                       t_shift_ps=shift)
-    mu = model_curve(taus[order], amps[order], bg, shift)
-
-    theta = np.concatenate([amps[order], taus[order], [bg], [shift]])
-
-    def nll_nat(th):
-        k = n_components
-        a, t = th[:k], th[k:2 * k]
-        if np.any(a < 0) or np.any(t <= 0) or th[2 * k] < 0:
-            return np.inf
-        return _nll(y, model_curve(t, a, th[2 * k], th[2 * k + 1]))
-
-    cov = _observed_information_covariance(nll_nat, theta)
+    model = DecayModel(list(zip(amps, taus)), background=bg, t_shift_ps=shift)
+    cov, cond = _fisher_covariance(resp, derivs, amps, mu,
+                                   options.fit_background, options.fit_shift)
     n_params = 2 * n_components + int(options.fit_background) + int(options.fit_shift)
     dof = max(n_bins_fit - n_params, 1)
-    chi2 = float(np.sum((y - mu) ** 2 / np.clip(mu, 1e-12, None)))
+    chi2 = float(np.sum((y - mu) ** 2 / mu))
     return FitResult(model=model, covariance=cov, reduced_chi2=chi2 / dof,
                      n_bins_used=n_bins_fit, fit_range_bins=(first, last),
-                     nll=float(best.fun))
+                     nll=_nll(y, mu), n_model_evals=n_evals,
+                     converged=bool(best.success),
+                     multistart_spread=float(max(r.fun for r in runs) - best.fun),
+                     fisher_condition=cond)
 
 
-def _observed_information_covariance(nll, theta):
-    """Pseudo-inverse of the central-difference Hessian, clipped to PSD."""
-    n = len(theta)
-    h = np.maximum(np.abs(theta) * 1e-4, 1e-7)
-    hess = np.zeros((n, n))
-    f0 = nll(theta)
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n); ei[i] = h[i]
-            ej = np.zeros(n); ej[j] = h[j]
-            if i == j:
-                val = (nll(theta + ei) - 2 * f0 + nll(theta - ei)) / h[i] ** 2
-            else:
-                val = (nll(theta + ei + ej) - nll(theta + ei - ej)
-                       - nll(theta - ei + ej) + nll(theta - ei - ej)) / (4 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
-    hess = np.where(np.isfinite(hess), hess, 0.0)
-    cov = np.linalg.pinv(hess)
+def _fisher_covariance(resp, derivs, amps, mu, fit_background, fit_shift):
+    """Inverse Fisher information J^T diag(1/mu) J over the fitted parameters.
+
+    J is the analytic Jacobian of mu in the (a_1..K, tau_1..K [ns],
+    background, shift [ps]) layout; rows and columns of parameters not
+    fitted stay zero. Also returns the condition number of the Fisher matrix
+    scaled to unit diagonal (inf if a parameter carries no information).
+    """
+    k = len(amps)
+    cols = list(resp) + [a * d_tau for a, (d_tau, _) in zip(amps, derivs)]
+    cols.append(np.ones_like(mu))
+    cols.append(sum(a * d_shift for a, (_, d_shift) in zip(amps, derivs)))
+    fitted = np.array([True] * (2 * k) + [fit_background, fit_shift])
+    jac = np.stack(cols, axis=1)[:, fitted]
+    fisher = jac.T @ (jac / mu[:, None])
+    cov = np.zeros((2 * k + 2, 2 * k + 2))
+    cov[np.ix_(fitted, fitted)] = np.linalg.pinv(fisher, hermitian=True)
     cov = 0.5 * (cov + cov.T)
-    w, v = np.linalg.eigh(cov)
-    return (v * np.clip(w, 0, None)) @ v.T
+    scale = np.sqrt(np.diag(fisher))
+    cond = float(np.linalg.cond(fisher / np.outer(scale, scale))) if np.all(scale > 0) else np.inf
+    return cov, cond
 
 
 def slice_map(tf_map, axis, at_value, width):

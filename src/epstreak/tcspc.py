@@ -269,10 +269,14 @@ def write_histogram_csv(path, hist: Histogram):
 def read_histogram_csv(path) -> Histogram:
     rows = Path(path).read_text().strip().splitlines()[1:]
     lefts, counts = [], []
-    for row in rows:
-        l, c = row.split(",")
-        lefts.append(int(l))
-        counts.append(float(c))
+    for line, row in enumerate(rows, start=2):
+        try:
+            l, c = row.split(",")
+            lefts.append(int(l))
+            counts.append(float(c))
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}: line {line}: expected 'bin_left_ps,counts', got {row!r}") from None
     if not lefts:
         raise ConfigurationError(f"{path}: histogram has no bins")
     lefts = np.asarray(lefts)

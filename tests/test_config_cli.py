@@ -177,6 +177,17 @@ def test_fit_header_only_histogram_exits_2(tmp_path, capsys):
     assert "histogram has no bins" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row", ["8,3,1", "8,many"])
+def test_fit_malformed_histogram_row_exits_2(tmp_path, capsys, bad_row):
+    hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
+    hp.write_text(f"bin_left_ps,counts\n0,5\n4,7\n{bad_row}\n12,2\n")
+    write_histogram_csv(ip, _gaussian_irf_hist())
+    assert cli.main(["fit", "--out", str(tmp_path / "o"), "--hist", str(hp),
+                     "--irf", str(ip), "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{hp}: line 4" in err and bad_row in err
+
+
 def _gaussian_irf_hist(fwhm_ps=260.0, bin_width_ps=4, t0_ps=-1000, n_bins=3000):
     sigma = fwhm_ps / FWHM_PER_SIGMA
     t = t0_ps + (np.arange(n_bins) + 0.5) * bin_width_ps
@@ -200,6 +211,27 @@ def test_fit_subcommand_recovers_generator(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     (tau,) = manifest["summary"]["lifetimes_ns"]
     assert tau == pytest.approx(1.13, abs=1e-3)
+
+
+def test_fit_manifest_records_diagnostics(tmp_path):
+    irf = _gaussian_irf_hist()
+    mu = convolve_model(DecayModel([(40.0, 1.13)]), irf)
+    hist = Histogram(4, irf.t0_ps, 2e6 * mu / mu.sum(), n_starts=2_000_000)
+    hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
+    write_histogram_csv(hp, hist)
+    write_histogram_csv(ip, irf)
+    runs = []
+    for name in ("a", "b"):
+        assert cli.main(["fit", "--out", str(tmp_path / name), "--hist", str(hp),
+                         "--irf", str(ip), "--n", "1"]) == 0
+        runs.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+    diag = runs[0]["diagnostics"]
+    assert set(runs[0]["summary"]) == {"lifetimes_ns", "reduced_chi2"}
+    assert diag["converged"] is True
+    assert 0 < diag["model_evaluations"] <= 140
+    assert diag["fisher_condition"] >= 1.0
+    assert diag["merged_from_components"] is None
+    assert runs[1]["diagnostics"] == diag
 
 
 def test_irf_subcommand_reports_fwhm(tmp_path):

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from epstreak.errors import ConfigurationError
 from epstreak.eventfile import (MISSING_SIDECAR, read_event_file, sidecar_path,
                                 write_event_file)
-from epstreak.events import DetectorModel, RunConfig, simulate_stream
+from epstreak.events import DetectorModel, EventStream, RunConfig, simulate_stream
 from epstreak.presets import heralded_source
 from epstreak.tcspc import coincidence_rate
 
@@ -83,3 +85,21 @@ def test_missing_sidecar_is_reported(tmp_path):
     assert again.duration_s == 0.0
     with pytest.raises(ConfigurationError, match=r"duration unknown; cannot"):
         coincidence_rate(again, 0, 1, 1000)
+
+
+def test_read_peak_memory_bounded(tmp_path):
+    # the file's bytes plus the returned channel and int64 tag arrays: 2x
+    rng = np.random.default_rng(5)
+    n = 400_000
+    stream = EventStream(rng.integers(0, 3, n).astype(np.uint8),
+                         np.cumsum(rng.integers(1, 1000, n)), 1.0, 3)
+    path = tmp_path / "events.bin"
+    write_event_file(path, stream, {})
+    tracemalloc.start()
+    try:
+        back = read_event_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.t_ps, stream.t_ps)
+    assert peak <= 2.2 * path.stat().st_size

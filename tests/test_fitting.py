@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import erfc
 
 from epstreak.errors import ConfigurationError, DomainError, FitError
 from epstreak.fitting import (DecayModel, FitOptions, convolve_model, fit_decay,
-                              format_fit_report, slice_map)
+                              format_fit_report, response_derivatives, slice_map)
 from epstreak.tcspc import Histogram, rebin
 from epstreak.twins import TimeFrequencyMap
 from epstreak.units import FWHM_PER_SIGMA
@@ -21,9 +22,9 @@ def _gaussian_irf(fwhm_ps=260.0, bin_width_ps=BW_PS, t0_ps=-1000, n_bins=3500,
     return Histogram(bin_width_ps, t0_ps, counts, n_starts=int(total))
 
 
-def _delta_irf(n_bins=400, total=100_000):
+def _delta_irf(n_bins=400, total=100_000, index=0):
     counts = np.zeros(n_bins)
-    counts[0] = total
+    counts[index] = total
     return Histogram(BW_PS, 0, counts, n_starts=total)
 
 
@@ -153,6 +154,125 @@ def test_poisson_bias_and_coverage():
     taus = np.asarray(taus)
     assert abs(taus.mean() - 1.0) < 0.01
     assert 0.5 <= hits / n_rep <= 0.95
+
+
+@pytest.mark.parametrize("grid", [None, (300, 20), (300, -20)])
+@pytest.mark.parametrize("irf_kind", ["delta", "gaussian"])
+@pytest.mark.parametrize("tau_ns", [0.1, 1.13])
+@pytest.mark.parametrize("shift_ps", [-2.4, -1.6, 1.6, 2.4, 37.0])
+def test_response_derivatives_match_central_differences(shift_ps, tau_ns, irf_kind, grid):
+    # with 4 ps bins the boundary bin changes at shifts of +-2 ps: the shifts
+    # sit on both sides of those boundaries and no difference step crosses one
+    irf = _delta_irf(index=10) if irf_kind == "delta" else _gaussian_irf(n_bins=1000)
+    n_bins, t0_ps = None, None
+    if grid is not None:
+        n_bins, t0_ps = grid[0], irf.t0_ps + grid[1] * BW_PS
+
+    def resp(tau, shift):
+        return convolve_model(DecayModel([(1.0, tau)], 0.0, shift), irf, n_bins, t0_ps)
+
+    d_tau, d_shift = response_derivatives(tau_ns, irf, shift_ps, n_bins, t0_ps)
+    h_tau, h_shift = 1e-5 * tau_ns, 0.01
+    fd_tau = (resp(tau_ns + h_tau, shift_ps) - resp(tau_ns - h_tau, shift_ps)) / (2 * h_tau)
+    fd_shift = (resp(tau_ns, shift_ps + h_shift) - resp(tau_ns, shift_ps - h_shift)) / (2 * h_shift)
+    assert np.max(np.abs(fd_tau)) > 0 and np.max(np.abs(fd_shift)) > 0
+    assert np.max(np.abs(d_tau - fd_tau)) <= 1e-6 * np.max(np.abs(fd_tau))
+    assert np.max(np.abs(d_shift - fd_shift)) <= 1e-6 * np.max(np.abs(fd_shift))
+
+
+def test_noiseless_fit_recovers_shift():
+    irf = _gaussian_irf()
+    hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)], t_shift_ps=37.0), irf)
+    res = fit_decay(hist, irf, 1, FitOptions(seed=0, fit_shift=True))
+    assert res.model.t_shift_ps == pytest.approx(37.0, abs=0.1)
+    assert res.model.components[0][1] == pytest.approx(1.13, rel=1e-5)
+
+
+def _poisson_hist(model, irf, total, seed):
+    mu = convolve_model(model, irf)
+    y = np.random.default_rng(seed).poisson(total * mu / mu.sum())
+    return Histogram(irf.bin_width_ps, irf.t0_ps, y, n_starts=int(y.sum()))
+
+
+@pytest.mark.parametrize("fit_shift", [False, True])
+def test_lifetime_errors_match_finite_difference_fisher(fit_shift):
+    irf = _gaussian_irf(n_bins=2000)
+    shift = 11.0 if fit_shift else 0.0
+    hist = _poisson_hist(DecayModel([(1.0, 1.51)], background=2e-4, t_shift_ps=shift),
+                         irf, 1.2e6, seed=7)
+    res = fit_decay(hist, irf, 1, FitOptions(seed=0, fit_shift=fit_shift))
+    first, last = res.fit_range_bins
+    ((a, tau),) = res.model.components
+    theta = np.array([a, tau, res.model.background, res.model.t_shift_ps])
+    steps = np.array([1e-4 * a, 1e-4 * tau, 1e-3 * theta[2], 0.05])
+
+    def mu_at(th):
+        return convolve_model(DecayModel([(th[0], th[1])], th[2], th[3]), irf,
+                              n_bins=last - first, t0_ps=irf.t0_ps + first * BW_PS)
+
+    fitted = [0, 1, 2, 3] if fit_shift else [0, 1, 2]
+    cols = []
+    for i in fitted:
+        e = np.zeros(4)
+        e[i] = steps[i]
+        cols.append((mu_at(theta + e) - mu_at(theta - e)) / (2 * steps[i]))
+    jac = np.stack(cols, axis=1)
+    fisher = jac.T @ (jac / mu_at(theta)[:, None])
+    tau_err = np.sqrt(np.linalg.inv(fisher)[1, 1])
+    assert res.lifetime_errors_ns()[0] == pytest.approx(tau_err, rel=0.02)
+    if not fit_shift:
+        assert not res.covariance[3].any() and not res.covariance[:, 3].any()
+
+
+def test_covariance_zero_for_unfitted_background():
+    irf = _gaussian_irf()
+    hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)]), irf)
+    res = fit_decay(hist, irf, 1, FitOptions(seed=0, fit_background=False))
+    assert res.model.background == 0.0
+    assert not res.covariance[2].any() and not res.covariance[:, 2].any()
+    assert not res.covariance[3].any()
+    assert res.lifetime_errors_ns()[0] > 0
+
+
+def test_two_component_poisson_fit_reaches_generator_profile():
+    irf = _gaussian_irf()
+    taus = (0.79, 1.51)
+    hist = _poisson_hist(DecayModel([(30.0, taus[0]), (20.0, taus[1])], background=1e-3),
+                         irf, 1e6, seed=11)
+    res = fit_decay(hist, irf, 2, FitOptions(seed=1))
+    first, last = res.fit_range_bins
+    y = np.asarray(hist.counts[first:last], dtype=float)
+    cols = [convolve_model(DecayModel([(1.0, tau)]), irf, n_bins=last - first,
+                           t0_ps=irf.t0_ps + first * BW_PS) for tau in taus]
+    g = np.stack(cols + [np.ones_like(y)])
+    scale = np.array([y.sum() / col.sum() for col in cols] + [1.0])
+
+    # NLL at the generating lifetimes, minimized over amplitudes and background
+    def nll(x):
+        mu = (x * scale) @ g
+        return np.sum(mu - y * np.log(mu)), scale * (g @ (1.0 - y / mu))
+
+    prof = minimize(nll, np.array([0.5, 0.5, 1.0]), jac=True, method="L-BFGS-B",
+                    bounds=[(1e-9, None)] * 3, options={"ftol": 1e-15, "gtol": 1e-9})
+    assert len(res.model.components) == 2
+    assert res.nll <= prof.fun + 1e-6 * abs(prof.fun)
+
+
+def test_fit_records_diagnostics():
+    irf = _gaussian_irf()
+    hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)]), irf)
+    res = fit_decay(hist, irf, 1, FitOptions(seed=0))
+    assert res.converged and res.merged_from is None
+    assert 0 < res.n_model_evals <= 140
+    assert 1.0 <= res.fisher_condition < 1e3
+    assert res.multistart_spread >= 0.0
+    assert res.diagnostics()["model_evaluations"] == res.n_model_evals
+    # near-equal lifetimes merge into one component, and the fit says so
+    hist, _ = _noiseless_hist(DecayModel([(30.0, 1.0), (20.0, 1.05)]), irf)
+    merged = fit_decay(hist, irf, 2, FitOptions(seed=0))
+    assert len(merged.model.components) == 1
+    assert merged.merged_from == 2
+    assert merged.n_model_evals > res.n_model_evals
 
 
 def test_fit_rejects_degenerate_input():
