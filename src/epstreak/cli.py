@@ -30,7 +30,7 @@ from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, RunConfig,
 from .eventfile import read_event_file, write_event_file
 from .fitting import fit_decay, format_fit_report
 from .spdc import tuning_curve
-from .tcspc import (build_histogram, heralded_g2, read_histogram_csv, start_stop_histogram,
+from .tcspc import (build_histogram, read_histogram_csv, start_stop_histogram, tag_g2,
                     write_g2_csv, write_histogram_csv)
 from .twins import TwinsCalibration, acquire_cube, reconstruct_map, save_cube, write_map_csv
 
@@ -92,6 +92,11 @@ def _simulate(cfg):
                            cfg.signal_det, cfg.twins, cfg.run)
 
 
+def _simulate_channels(cfg):
+    return simulate_channels(cfg.source, cfg.sample, cfg.herald_det,
+                             cfg.signal_det, cfg.twins, cfg.run)
+
+
 def cmd_simulate(args):
     cfg = _apply_overrides(_load_cfg(args), args)
     out = Path(args.out)
@@ -113,8 +118,7 @@ def _histogram_from_args(cfg, args):
     if args.events:
         return build_histogram(read_event_file(args.events), CH_HERALD, CH_SIGNAL,
                                **binning)
-    tags = simulate_channels(cfg.source, cfg.sample, cfg.herald_det,
-                             cfg.signal_det, cfg.twins, cfg.run)
+    tags = _simulate_channels(cfg)
     return start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], **binning)
 
 
@@ -157,10 +161,10 @@ def cmd_g2(args):
         raise ConfigurationError("g2 requires run.topology = hbt")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stream = _simulate(cfg)
+    tags = _simulate_channels(cfg)
     an = cfg.analysis
-    curve = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R,
-                        an.coincidence_window_ps, an.g2_delay_axis_ps())
+    curve = tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R],
+                   an.coincidence_window_ps, an.g2_delay_axis_ps())
     write_g2_csv(out / "g2.csv", curve)
     _write_manifest(out, "g2", cfg.raw, cfg.run.seed, ["g2.csv"],
                     {"g2_zero": curve.at_zero()})

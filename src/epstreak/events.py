@@ -290,48 +290,58 @@ def simulate_channels(source: SourceModel, sample, herald_det: DetectorModel,
         _check_overlap(source)
 
     n_channels = 3 if run.topology == "hbt" else 2
-    herald_t = []
-    signal_t = {ch: [] for ch in range(1, n_channels)}
+    parts = [[] for _ in range(n_channels)]  # arrival chunks per channel
     signal_p = []  # TWINS transmission per emitted photon; other arms accept 1.0
 
     n_chunks = max(1, int(np.ceil(run.duration_s / CHUNK_S)))
     chunk_ps = duration_ps / n_chunks
-    for k in range(n_chunks):
+
+    def draw_chunk(k):  # a function, so that the chunk's temporaries die with it
         rng = _rng(run.seed, 0, k)
         n = rng.poisson(rate * run.duration_s / n_chunks)
         if n == 0:
-            continue
+            return
         birth_ps = np.sort(k * chunk_ps + rng.random(n) * chunk_ps)
-        herald_t.append(birth_ps)
+        parts[CH_HERALD].append(birth_ps)
 
         if run.topology == "irf":
-            signal_t[CH_SIGNAL].append(birth_ps)
+            parts[CH_SIGNAL].append(birth_ps)
         elif run.topology == "hbt":
             to_t = rng.random(n) < 0.5
-            signal_t[CH_HBT_T].append(birth_ps[to_t])
-            signal_t[CH_HBT_R].append(birth_ps[~to_t])
+            parts[CH_HBT_T].append(birth_ps[to_t])
+            parts[CH_HBT_R].append(birth_ps[~to_t])
         else:  # fluorescence
             emitted, delay_ps, lam_nm = _fluorescence_batch(sample, n, rng)
-            signal_t[CH_SIGNAL].append(birth_ps[emitted] + delay_ps[emitted])
+            parts[CH_SIGNAL].append(birth_ps[emitted] + delay_ps[emitted])
             if twins is not None:
                 signal_p.append(twins_transmission(lam_nm[emitted],
                                                    run.twins_position_um, twins))
 
-    det_for = {CH_HERALD: herald_det}
-    arrivals_for = {CH_HERALD: (_concat(herald_t), 1.0)}
-    for ch in range(1, n_channels):
-        det_for[ch] = signal_det
-        if run.topology == "fluorescence":
-            t = _concat(signal_t[ch])
+    for k in range(n_chunks):
+        draw_chunk(k)
+
+    # each channel's arrivals are built right before its detector pass, and
+    # its chunk list is dropped once concatenated, so at most one channel's
+    # arrivals (plus chunks another channel still shares) are alive at a time
+    detections = []
+    for ch in range(n_channels):
+        chunks, parts[ch] = parts[ch], None
+        if ch == CH_HERALD:
+            arrivals = (_concat(chunks), 1.0)
+        elif run.topology == "fluorescence":
+            t = _concat(chunks)
             order = np.argsort(t, kind="stable")
             accept = _concat(signal_p)[order] if twins is not None else 1.0
-            arrivals_for[ch] = (t[order], accept)
+            signal_p = None
+            arrivals = (t[order], accept)
+            del t, order
         else:  # birth times: each chunk sorted, chunk k within [k, k + 1] chunk lengths
-            arrivals_for[ch] = (_concat_sorted(signal_t[ch]), 1.0)
-
-    return [apply_detector(arrivals_for[ch], det_for[ch], _rng(run.seed, 1, ch),
-                           duration_ps)
-            for ch in range(n_channels)]
+            arrivals = (_concat_sorted(chunks), 1.0)
+        del chunks
+        det = herald_det if ch == CH_HERALD else signal_det
+        detections.append(apply_detector(arrivals, det, _rng(run.seed, 1, ch), duration_ps))
+        del arrivals
+    return detections
 
 
 def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,

@@ -289,10 +289,10 @@ def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
     ``_poisson_linear``) in log lifetime, plus the IRF shift with
     ``fit_shift``, from the three best of the multistart candidates. The
     gradient follows from the envelope theorem and ``response_derivatives``.
-    Deterministic for a given options.seed. Lifetimes closer than 10% of each
-    other after the fit are merged and the fit repeats with one component
-    fewer. Covariance is the inverse Fisher information of the fitted
-    parameters; reduced chi^2 uses Pearson weights.
+    Deterministic for a given options.seed. When lifetimes end closer than
+    10% of each other, or a component ends with amplitude 0, the fit repeats
+    with one component fewer. Covariance is the inverse Fisher information
+    of the fitted parameters; reduced chi^2 uses Pearson weights.
     """
     options = options or FitOptions()
     if hist.bin_width_ps != irf.bin_width_ps:
@@ -379,8 +379,9 @@ def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
     resp = [resp[i] for i in order]
     derivs = [derivs[i] for i in order]
 
-    # merge nearly equal lifetimes and refit with fewer components
-    if np.any(np.diff(taus) / taus[1:] < 0.10):
+    # merge nearly equal lifetimes, or drop a component the fit switched off
+    # (amplitude exactly 0, its lifetime arbitrary), and refit with fewer
+    if n_components > 1 and (np.any(np.diff(taus) / taus[1:] < 0.10) or np.any(amps == 0)):
         merged = fit_decay(hist, irf, n_components - 1, options)
         return replace(merged, n_model_evals=merged.n_model_evals + n_evals,
                        merged_from=n_components)

@@ -19,7 +19,7 @@ from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DETECTOR_PRESETS,
 from .eventfile import write_event_file
 from .fitting import fit_decay, format_fit_report
 from .spdc import CrystalSpec, FilterSpec, PumpSpec, SourceModel, tuning_curve
-from .tcspc import (build_histogram, heralded_g2, start_stop_histogram, write_g2_csv,
+from .tcspc import (build_histogram, start_stop_histogram, tag_g2, write_g2_csv,
                     write_histogram_csv)
 from .twins import (TwinsSpec, acquire_cube, calibrate_delay, reconstruct_map,
                     save_cube, write_map_csv)
@@ -88,10 +88,10 @@ def run_fig2c_g2(out_dir, seed=1):
     source = heralded_source(pair_rate_hz=1.0e6)
     det = DETECTOR_PRESETS["ideal"]
     run = RunConfig(duration_s=10.0, seed=_seed(seed, 0), topology="hbt")
-    stream = simulate_stream(source, None, det, det, None, run)
+    tags = simulate_channels(source, None, det, det, None, run)
     delays = np.arange(-50_000, 50_001, 2000, dtype=float)
-    curve = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R,
-                        coincidence_window_ps=1000, delay_axis_ps=delays)
+    curve = tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R],
+                   coincidence_window_ps=1000, delay_axis_ps=delays)
     write_g2_csv(out / "g2.csv", curve)
     plateau = curve.g2_values[np.abs(curve.delay_axis_ps) >= 10_000]
     return {

@@ -14,6 +14,7 @@ from .units import FWHM_PER_SIGMA, PS_PER_S
 
 DEFAULT_BIN_WIDTH_PS = 4
 DEFAULT_WINDOW_PS = 50_000  # 5x the longest lifetime of interest plus IRF tails
+HERALD_BLOCK = 1 << 16  # heralds per tag_g2 block: 512 kB of tags
 
 
 @dataclass
@@ -161,31 +162,35 @@ def _arm_pairs(heralds, arm, dt_lo, dt_hi):
     return idx, np.repeat(arm, i1 - i0) - heralds[idx]
 
 
-def _window_sums(dt, weights, lo, hi):
-    """Per window k: (#dt, sum of weights) over lo[k] <= dt <= hi[k].
+def _edge_bins(dt, weights, edges):
+    """(#dt, sum of weights) per bin edges[i-1] <= dt < edges[i] of the sorted edges.
 
-    ``dt`` is binned once against the sorted unique window edges; each window
-    is then a difference of cumulative bin sums. Integer weights keep the
-    float sums exact. Memory scales with len(dt) + len(lo), not the range.
+    Integer weights keep the float sums exact, so the bin sums of disjoint
+    parts of ``dt`` add up to those of the whole, bit for bit.
     """
-    edges = np.unique(np.concatenate((lo, hi + 1)))
     j = np.searchsorted(edges, dt, side="right")
-    # below[i] = number (weight) of dt < edges[i]
-    below = np.cumsum(np.bincount(j, minlength=len(edges) + 1))
-    below_w = np.cumsum(np.bincount(j, weights=weights, minlength=len(edges) + 1))
-    k0 = np.searchsorted(edges, lo)
-    k1 = np.searchsorted(edges, hi + 1)
-    return below[k1] - below[k0], below_w[k1] - below_w[k0]
+    n_bins = len(edges) + 1
+    return (np.bincount(j, minlength=n_bins),
+            np.bincount(j, weights=weights, minlength=n_bins))
 
 
 def heralded_g2(stream: EventStream, herald_channel, t_channel, r_channel,
                 coincidence_window_ps, delay_axis_ps) -> G2Curve:
-    """Heralded HBT correlation g2(delta) with accidental-based normalization.
+    """tag_g2 over three distinct channels of a stream."""
+    if len({herald_channel, t_channel, r_channel}) != 3:
+        raise ConfigurationError("herald and HBT channels must be distinct")
+    return tag_g2(stream.times(herald_channel), stream.times(t_channel),
+                  stream.times(r_channel), coincidence_window_ps, delay_axis_ps)
 
-    g2(delta) = N_htr(delta) * N_h / (N_ht * N_hr(delta)) per delay bin, where
-    the delta-shifted window is applied to one HBT arm while the other stays
-    herald-centered; the two arm orientations are averaged so the estimate is
-    invariant under relabeling the arms.
+
+def tag_g2(heralds, t_tags, r_tags, coincidence_window_ps, delay_axis_ps) -> G2Curve:
+    """Heralded HBT correlation g2(delta) of sorted int64 herald, T and R tags.
+
+    The normalization is accidental-based: g2(delta) = N_htr(delta) * N_h /
+    (N_ht * N_hr(delta)) per delay bin, where the delta-shifted window is
+    applied to one HBT arm while the other stays herald-centered; the two
+    arm orientations are averaged so the estimate is invariant under
+    relabeling the arms.
 
     Windows are inclusive and exact on the int64 tags: a pair with
     dt = arm - herald is central when ceil(-w/2) <= dt <= floor(w/2) and lies
@@ -194,26 +199,45 @@ def heralded_g2(stream: EventStream, herald_channel, t_channel, r_channel,
     once; the central counts per herald and every delay bin's pair and triple
     counts are then bincounts over those pairs, so delay windows may be
     unsorted, uneven or overlapping.
+
+    Heralds are taken ``HERALD_BLOCK`` at a time, each block with the slice
+    of each arm that can reach it, so memory is bounded by one block's pairs
+    and the herald searches stay in cache. Every count is an integer, so the
+    result does not depend on the block size.
     """
-    if len({herald_channel, t_channel, r_channel}) != 3:
-        raise ConfigurationError("herald and HBT channels must be distinct")
     if coincidence_window_ps <= 0:
         raise ConfigurationError("coincidence window must be > 0")
-    h = stream.times(herald_channel)
-    n_h = len(h)
+    n_h = len(heralds)
     if n_h == 0:
         raise UndefinedG2Error("no herald events")
     c_lo, c_hi = _integer_window(0.0, coincidence_window_ps)
     delay_axis_ps = np.asarray(delay_axis_ps, dtype=float)
     lo, hi = _integer_window(delay_axis_ps, coincidence_window_ps)
     dt_lo, dt_hi = min(c_lo, lo.min()), max(c_hi, hi.max())
+    # delay window k covers the bins k0[k] .. k1[k] - 1 of the sorted edges
+    edges = np.unique(np.concatenate((lo, hi + 1)))
+    k0, k1 = np.searchsorted(edges, lo), np.searchsorted(edges, hi + 1)
 
-    pairs, central = {}, {}
-    for k, ch in (("t", t_channel), ("r", r_channel)):
-        idx, dt = _arm_pairs(h, stream.times(ch), dt_lo, dt_hi)
-        pairs[k] = (idx, dt)
-        central[k] = np.bincount(idx[(dt >= c_lo) & (dt <= c_hi)], minlength=n_h)
-    pair_totals = {k: int(c.sum()) for k, c in central.items()}
+    arms = {"t": t_tags, "r": r_tags}
+    pair_totals = {"t": 0, "r": 0}
+    n_bins = len(edges) + 1
+    n_pair_bins = {k: np.zeros(n_bins, dtype=np.int64) for k in arms}
+    triple_bins = {k: np.zeros(n_bins) for k in arms}
+    for b0 in range(0, n_h, HERALD_BLOCK):
+        block = heralds[b0:b0 + HERALD_BLOCK]
+        pairs, central = {}, {}
+        for k, arm in arms.items():
+            reach = arm[np.searchsorted(arm, block[0] + dt_lo, side="left"):
+                        np.searchsorted(arm, block[-1] + dt_hi, side="right")]
+            idx, dt = _arm_pairs(block, reach, dt_lo, dt_hi)
+            pairs[k] = (idx, dt)
+            central[k] = np.bincount(idx[(dt >= c_lo) & (dt <= c_hi)], minlength=len(block))
+            pair_totals[k] += int(central[k].sum())
+        for fixed, shifted in (("t", "r"), ("r", "t")):
+            idx, dt = pairs[shifted]
+            n_pair, triples = _edge_bins(dt, central[fixed][idx], edges)
+            n_pair_bins[shifted] += n_pair
+            triple_bins[shifted] += triples
     for k in ("t", "r"):
         if pair_totals[k] == 0:
             raise UndefinedG2Error(f"zero herald-{k} coincidences; normalization undefined")
@@ -221,8 +245,10 @@ def heralded_g2(stream: EventStream, herald_channel, t_channel, r_channel,
     values = np.zeros(len(delay_axis_ps))
     triple_counts = np.zeros(len(delay_axis_ps))
     for fixed, shifted in (("t", "r"), ("r", "t")):
-        idx, dt = pairs[shifted]
-        n_pair_shift, triples = _window_sums(dt, central[fixed][idx], lo, hi)
+        below = np.cumsum(n_pair_bins[shifted])
+        below_w = np.cumsum(triple_bins[shifted])
+        n_pair_shift = below[k1] - below[k0]
+        triples = below_w[k1] - below_w[k0]
         if np.any(n_pair_shift == 0):
             bad = delay_axis_ps[np.argmax(n_pair_shift == 0)]
             raise UndefinedG2Error(

@@ -157,6 +157,17 @@ def test_histogram_from_saved_events_matches_direct(tmp_path):
             == (via / "histogram.csv").read_bytes())
 
 
+def test_g2_cli_bytes_pinned(tmp_path):
+    # sha256 from the merged-stream g2 path; the per-channel path must
+    # reproduce its g2.csv byte for byte
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "hbt.yaml"
+    out = tmp_path / "g2"
+    assert cli.main(["g2", "--out", str(out), "--config", str(cfg),
+                     "--duration", "0.3"]) == 0
+    assert (hashlib.sha256((out / "g2.csv").read_bytes()).hexdigest()
+            == "64b1133f587d8af7eaec239adc639a4d9175c6fab7885eaa9ff28f7e12e683a7")
+
+
 def test_histogram_truncated_event_file_exits_2(tmp_path, capsys):
     stream = EventStream(np.array([0, 1, 0], dtype=np.uint8),
                          np.array([10, 20, 30], dtype=np.int64), 1.0, 2)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -305,6 +306,24 @@ def test_simulate_channels_match_stream(topology, twins, duration_s, rate_hz):
     for ch, t in enumerate(tags):
         assert t.dtype == np.int64
         assert np.array_equal(t, stream.times(ch))
+
+
+def test_simulate_channels_peak_memory_bounded():
+    # ideal detectors keep every birth, so each channel's arrivals are n
+    # floats. A detector pass holds its arrivals, three more arrays of that
+    # length and the channels already detected; the chunk lists and the
+    # other channel's arrivals must not stay alive beside them.
+    source = heralded_source(pair_rate_hz=1e5)
+    run = RunConfig(duration_s=12.0, seed=3, topology="irf")  # three chunks
+    simulate_channels(source, None, IDEAL, IDEAL, None, run)  # overlap check cached
+    tracemalloc.start()
+    try:
+        tags = simulate_channels(source, None, IDEAL, IDEAL, None, run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrivals_bytes = 8 * len(tags[CH_HERALD])
+    assert peak <= 6.0 * arrivals_bytes
 
 
 @pytest.mark.parametrize("parts, want", [

@@ -275,6 +275,34 @@ def test_fit_records_diagnostics():
     assert merged.n_model_evals > res.n_model_evals
 
 
+def test_zero_amplitude_component_dropped():
+    # 1e6 counts of a single 1.13 ns decay over a 1% flat background, asked
+    # for two components: the second fit component ends at amplitude 0 with
+    # an arbitrary lifetime, so the fit repeats with one component
+    rng = np.random.default_rng(0)
+    sigma = 260.0 / FWHM_PER_SIGMA
+    t0_ps, n_bins, n = -2000, 3500, 1_000_000
+
+    def histogram(t):
+        idx = np.floor((t - t0_ps) / BW_PS).astype(np.int64)
+        counts = np.bincount(idx[(idx >= 0) & (idx < n_bins)], minlength=n_bins)
+        return Histogram(BW_PS, t0_ps, counts, n_starts=len(t))
+
+    irf = histogram(rng.normal(0.0, sigma, 240_000))
+    n_bg = rng.binomial(n, 0.01)
+    t = rng.normal(0.0, sigma, n - n_bg) + rng.exponential(1130.0, n - n_bg)
+    hist = histogram(np.concatenate([t, t0_ps + rng.random(n_bg) * BW_PS * n_bins]))
+    res = fit_decay(hist, irf, 2)
+    assert len(res.model.components) == 1
+    assert res.merged_from == 2
+    assert np.isfinite(res.fisher_condition)
+    assert res.diagnostics()["fisher_condition"] is not None
+    assert res.model.lifetimes_ns()[0] == pytest.approx(1.13, rel=0.01)
+    single = fit_decay(hist, irf, 1)
+    assert res.model == single.model
+    assert res.n_model_evals > single.n_model_evals
+
+
 def test_fit_rejects_degenerate_input():
     irf = _gaussian_irf(n_bins=200)
     empty = Histogram(BW_PS, irf.t0_ps, np.zeros(200, dtype=np.int64), 0)

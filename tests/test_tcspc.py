@@ -1,9 +1,11 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epstreak import tcspc
 from epstreak.errors import ConfigurationError, UndefinedG2Error
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
                              DetectorModel, EventStream, RunConfig,
@@ -12,7 +14,7 @@ from epstreak.presets import heralded_source
 from epstreak.tcspc import (Histogram, accidental_rate_hz, build_histogram,
                             coincidence_rate, heralded_g2,
                             read_histogram_csv, rebin, start_stop_histogram,
-                            write_g2_csv, write_histogram_csv)
+                            tag_g2, write_g2_csv, write_histogram_csv)
 
 IDEAL = DetectorModel()
 
@@ -244,6 +246,66 @@ def test_g2_matches_brute_force(h, t, r, window_ps, delays):
     assert np.array_equal(curve.g2_values, values)
     assert np.array_equal(curve.errors, errors)
     assert curve.normalization == norm
+
+
+@st.composite
+def _g2_case(draw):
+    """Herald, T and R tags (any possibly empty) with arm events on window edges."""
+    h, t, r = (list(draw(st.one_of(st.just([]), _tags))) for _ in range(3))
+    window_ps = draw(st.integers(1, 600))
+    delays = draw(st.lists(_delay, min_size=1, max_size=8))
+    if h:
+        edges = [np.ceil(-0.5 * window_ps), np.floor(0.5 * window_ps)]
+        for d in delays:
+            edges += [np.ceil(d - 0.5 * window_ps), np.floor(d + 0.5 * window_ps)]
+        offset = st.sampled_from(edges).flatmap(
+            lambda e: st.sampled_from([int(e) - 1, int(e), int(e) + 1]))
+        for arm in (t, r):
+            arm += [x + draw(offset) for x in draw(st.lists(st.sampled_from(h), max_size=6))]
+    return h, t, r, window_ps, delays, draw(st.integers(1, 25))
+
+
+@given(_g2_case())
+@settings(max_examples=300)
+def test_tag_g2_matches_brute_force(case):
+    # per-channel int64 tags, heralds split into blocks of every size from
+    # one herald up
+    h, t, r, window_ps, delays, herald_block = case
+    tags = [np.sort(np.asarray(v, dtype=np.int64)) for v in (h, t, r)]
+    stream = _make_stream([CH_HERALD] * len(h) + [CH_HBT_T] * len(t)
+                          + [CH_HBT_R] * len(r), h + t + r)
+    try:
+        values, errors, norm = _g2_reference(*tags, window_ps, delays)
+    except UndefinedG2Error as exc:
+        with pytest.raises(UndefinedG2Error) as got, \
+                mock.patch.object(tcspc, "HERALD_BLOCK", herald_block):
+            tag_g2(*tags, window_ps, delays)
+        assert str(got.value) == str(exc)
+        with pytest.raises(UndefinedG2Error) as got:
+            heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, window_ps, delays)
+        assert str(got.value) == str(exc)
+        return
+    with mock.patch.object(tcspc, "HERALD_BLOCK", herald_block):
+        curve = tag_g2(*tags, window_ps, delays)
+    assert np.array_equal(curve.g2_values, values)
+    assert np.array_equal(curve.errors, errors)
+    assert curve.normalization == norm
+    wrapped = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, window_ps, delays)
+    assert np.array_equal(wrapped.g2_values, curve.g2_values)
+    assert np.array_equal(wrapped.errors, curve.errors)
+    assert wrapped.normalization == curve.normalization
+
+
+@pytest.mark.parametrize("empty, message", [
+    ("heralds", "no herald events"),
+    ("t", "zero herald-t coincidences; normalization undefined"),
+    ("r", "zero herald-r coincidences; normalization undefined"),
+])
+def test_tag_g2_empty_arm_named(empty, message):
+    tags = {k: np.arange(0, 10**6, 1000, dtype=np.int64) for k in ("heralds", "t", "r")}
+    tags[empty] = np.empty(0, dtype=np.int64)
+    with pytest.raises(UndefinedG2Error, match=f"^{message}$"):
+        tag_g2(tags["heralds"], tags["t"], tags["r"], 100, np.array([0.0]))
 
 
 def test_g2_csv_bytes_pinned(tmp_path):
