@@ -24,7 +24,7 @@ import numpy as np
 
 from . import presets
 from .config import load_config, validate_config
-from .errors import ConfigurationError, EpstreakError
+from .errors import ConfigurationError, DomainError, EpstreakError
 from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, RunConfig,
                      simulate_channels, simulate_stream)
 from .eventfile import read_event_file, write_event_file
@@ -71,19 +71,18 @@ def _write_manifest(out: Path, command, config_echo, seed, artifact_names,
 def _load_cfg(args):
     if args.config:
         return load_config(args.config)
-    cfg, violations = validate_config("")
-    assert not violations
+    cfg, _ = validate_config({})
     return cfg
 
 
 def _apply_overrides(cfg, args):
+    """cfg with --seed and --duration applied; a value RunConfig rejects is a usage error."""
     from dataclasses import replace
-    run = cfg.run
-    if getattr(args, "seed", None) is not None:
-        run = replace(run, seed=args.seed)
-    if getattr(args, "duration", None) is not None:
-        run = replace(run, duration_s=args.duration)
-    cfg.run = run
+    flags = {"seed": getattr(args, "seed", None), "duration_s": getattr(args, "duration", None)}
+    try:
+        cfg.run = replace(cfg.run, **{k: v for k, v in flags.items() if v is not None})
+    except DomainError as exc:
+        raise ConfigurationError(f"command-line override: {exc}") from None
     return cfg
 
 
@@ -113,8 +112,8 @@ def cmd_simulate(args):
 
 def _histogram_from_args(cfg, args):
     an = cfg.analysis
-    binning = dict(bin_width_ps=an.bin_width_ps, window_ps=an.window_ps,
-                   t0_ps=an.t0_ps, mode=an.histogram_mode)
+    binning = dict(bin_width_ps=an.histogram.bin_width_ps, window_ps=an.histogram.window_ps,
+                   t0_ps=an.histogram.t0_ps, mode=an.histogram.mode)
     if args.events:
         return build_histogram(read_event_file(args.events), CH_HERALD, CH_SIGNAL,
                                **binning)
@@ -162,9 +161,9 @@ def cmd_g2(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tags = _simulate_channels(cfg)
-    an = cfg.analysis
+    g2 = cfg.analysis.g2
     curve = tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R],
-                   an.coincidence_window_ps, an.g2_delay_axis_ps())
+                   g2.coincidence_window_ps, g2.delay_axis_ps())
     write_g2_csv(out / "g2.csv", curve)
     _write_manifest(out, "g2", cfg.raw, cfg.run.seed, ["g2.csv"],
                     {"g2_zero": curve.at_zero()})
@@ -181,13 +180,13 @@ def cmd_ft_map(args):
     an = cfg.analysis
     cube = acquire_cube(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
                         cfg.twins, cfg.twins_positions_um(), cfg.run,
-                        bin_width_ps=an.bin_width_ps, window_ps=an.window_ps,
-                        t0_ps=an.t0_ps)
+                        bin_width_ps=an.histogram.bin_width_ps,
+                        window_ps=an.histogram.window_ps, t0_ps=an.histogram.t0_ps)
     save_cube(out / "cube", cube)
     cal = TwinsCalibration(cfg.twins.delay_per_um_fs, cfg.twins.x_zero_um,
                            fringe_period_um=float("nan"))
-    tf_map = reconstruct_map(cube, cal, apodization=an.ft_apodization,
-                             dc_removal=an.ft_dc_removal)
+    tf_map = reconstruct_map(cube, cal, apodization=an.ft.apodization,
+                             dc_removal=an.ft.dc_removal)
     write_map_csv(out / "map.csv", tf_map)
     _write_manifest(out, "ft-map", cfg.raw, cfg.run.seed, ["cube", "map.csv"],
                     {"n_positions": len(cube.positions_um)})
@@ -201,16 +200,15 @@ def cmd_fit(args):
     hist = read_histogram_csv(args.hist)
     irf = read_histogram_csv(args.irf)
     from .fitting import FitOptions
-    an = cfg.analysis
-    n = args.n if args.n is not None else an.fit_n_components
+    fit = cfg.analysis.fit
+    n = args.n if args.n is not None else fit.n_components
     result = fit_decay(hist, irf, n_components=n,
-                       options=FitOptions(seed=an.fit_seed,
-                                          fit_shift=an.fit_shift))
+                       options=FitOptions(seed=fit.seed, fit_shift=fit.fit_shift))
     report = format_fit_report(result, irf_source=str(args.irf))
     (out / "fit_report.txt").write_text(report)
     sys.stdout.write(report)
     taus = [tau for _, tau in result.model.components]
-    _write_manifest(out, "fit", cfg.raw, an.fit_seed, ["fit_report.txt"],
+    _write_manifest(out, "fit", cfg.raw, fit.seed, ["fit_report.txt"],
                     {"lifetimes_ns": taus,
                      "reduced_chi2": result.reduced_chi2},
                     diagnostics=result.diagnostics())

@@ -1,122 +1,43 @@
 """Experiment configuration: YAML with explicit units in every key name.
 
-``validate_config`` returns either a fully-defaulted ExperimentConfig or the
-complete list of violations (never just the first one). Unknown keys are
-rejected so typos cannot silently fall back to defaults.
+Each YAML section maps onto the model dataclass that owns it, and its leaf
+keys are that dataclass's field names: ``source.pump`` is a PumpSpec,
+``detectors.signal`` a DetectorModel on top of its preset, ``run`` a
+RunConfig, ``analysis.histogram`` a HistogramOptions, and so on. Defaults,
+ranges and choice sets are stated once, on those fields (see ``checks``);
+float fields must be finite.
+
+This module parses YAML, rejects unknown keys and coerces types, then runs
+the models' own rule collector with the YAML path as prefix. The only rules
+it states itself span sections: the topology against the sample and TWINS
+sections, and the Nyquist spacing of the TWINS scan for the sample's
+shortest emission wavelength. ``validate_config`` returns either a
+fully-defaulted ExperimentConfig or the complete list of violations, and
+never raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
 
-import numpy as np
 import yaml
 
+from .checks import violations
 from .errors import ConfigurationError
-from .events import DETECTOR_PRESETS, DetectorModel, EmitterSpecies, RunConfig, SampleModel
-from .sellmeier import TABLES
-from .spdc import CrystalSpec, FilterSpec, PumpSpec, SourceModel
+from .events import (DETECTOR_PRESETS, TOPOLOGIES, DetectorModel, EmitterSpecies,
+                     RunConfig, SampleModel, topology_violations)
+from .experiment import AnalysisOptions, ExperimentConfig
+from .spdc import SourceModel
 from .twins import TwinsSpec, nyquist_spacing_um
 
-DEFAULTS = {
-    "source": {
-        "pump": {"wavelength_nm": 413.0, "pair_rate_hz": 2.0e5},
-        "crystal": {"poling_period_um": 3.675, "length_mm": 30.0,
-                    "temperature_C": 56.0, "sellmeier_id": "ktp-z"},
-        "herald_filter": {"center_nm": 860.0, "fwhm_nm": 10.0, "shape": "gaussian"},
-        "grid": {"min_nm": 700.0, "max_nm": 1000.0, "step_nm": 0.05},
-    },
-    "sample": None,
-    "detectors": {
-        "herald": {"preset": "mpd"},
-        "signal": {"preset": "mpd"},
-    },
-    "twins": None,
-    "run": {"duration_s": 1.0, "seed": 1, "topology": "irf",
-            "twins_position_um": None},
-    "analysis": {
-        "histogram": {"bin_width_ps": 4, "window_ps": 50_000, "t0_ps": -5_000,
-                      "mode": "first"},
-        "g2": {"coincidence_window_ps": 1000, "delay_min_ps": -50_000,
-               "delay_max_ps": 50_000, "delay_step_ps": 1000},
-        "fit": {"n_components": 1, "seed": 0, "fit_shift": False},
-        "ft": {"apodization": "hann", "dc_removal": True},
-    },
-}
-
-_SPECIES_DEFAULTS = {"weight": 1.0, "lifetime_ns": 1.0, "emission_center_nm": 850.0,
-                     "emission_fwhm_nm": 40.0, "quantum_yield": 1.0}
-_SAMPLE_DEFAULTS = {"absorption_prob": 1.0, "species": None}
-_DETECTOR_KEYS = ("preset", "efficiency", "jitter_fwhm_ps", "dead_time_ns",
-                  "dark_rate_hz")
-_TWINS_DEFAULTS = {"delay_per_um_fs": 1.0, "position_min_um": 0.0,
-                   "position_max_um": 320.0, "n_positions": 256,
-                   "visibility": 0.9, "insertion_loss": 0.5, "x_zero_um": 160.0}
+SECTIONS = ("source", "sample", "detectors", "twins", "run", "analysis")
+DEFAULT_DETECTOR_PRESET = "mpd"
 
 
-@dataclass
-class AnalysisOptions:
-    bin_width_ps: int = 4
-    window_ps: int = 50_000
-    t0_ps: int = 0
-    histogram_mode: str = "first"
-    coincidence_window_ps: int = 1000
-    g2_delay_min_ps: int = -50_000
-    g2_delay_max_ps: int = 50_000
-    g2_delay_step_ps: int = 1000
-    fit_n_components: int = 1
-    fit_seed: int = 0
-    fit_shift: bool = False
-    ft_apodization: str = "hann"
-    ft_dc_removal: bool = True
-
-    def g2_delay_axis_ps(self):
-        return np.arange(self.g2_delay_min_ps, self.g2_delay_max_ps + 1,
-                         self.g2_delay_step_ps, dtype=float)
-
-
-@dataclass
-class ExperimentConfig:
-    source: SourceModel
-    sample: SampleModel | None
-    herald_det: DetectorModel
-    signal_det: DetectorModel
-    twins: TwinsSpec | None
-    n_twins_positions: int
-    run: RunConfig
-    analysis: AnalysisOptions
-    raw: dict = field(default_factory=dict)
-
-    def twins_positions_um(self):
-        if self.twins is None:
-            raise ConfigurationError("no TWINS configured")
-        return np.linspace(self.twins.position_min_um, self.twins.position_max_um,
-                           self.n_twins_positions)
-
-
-def _merge(defaults, user, path, errors):
-    """Defaults overlaid with user values; unknown keys become violations."""
-    if user is None:
-        return dict(defaults)
-    if not isinstance(user, dict):
-        errors.append(f"{path}: expected a mapping")
-        return dict(defaults)
-    out = dict(defaults)
-    for key, value in user.items():
-        if key not in defaults:
-            errors.append(f"{path}.{key}: unknown key")
-            continue
-        if isinstance(defaults[key], dict) and not isinstance(value, dict) and value is not None:
-            errors.append(f"{path}.{key}: expected a mapping")
-            continue
-        if isinstance(defaults[key], dict):
-            out[key] = _merge(defaults[key], value, f"{path}.{key}", errors)
-        else:
-            out[key] = value
-    return out
-
-
-def _number(value, path, errors, lo=None, hi=None, integer=False):
+def _number(value, path, errors, integer=False):
+    """value as an int or float, or None after appending why it is not one."""
     if isinstance(value, str):
         try:
             value = float(value)  # YAML 1.1 reads "5.0e5" as a string
@@ -124,50 +45,115 @@ def _number(value, path, errors, lo=None, hi=None, integer=False):
             pass
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.append(f"{path}: expected a number")
-        return None
-    if integer and int(value) != value:
+    elif integer and isinstance(value, float) and not value.is_integer():
         errors.append(f"{path}: expected an integer")
-        return None
-    if lo is not None and value < lo:
-        errors.append(f"{path}: must be >= {lo} (got {value})")
-        return None
-    if hi is not None and value > hi:
-        errors.append(f"{path}: must be <= {hi} (got {value}), bound [{lo if lo is not None else '-inf'},{hi}]")
-        return None
-    return int(value) if integer else float(value)
+    else:
+        try:
+            return int(value) if integer else float(value)
+        except OverflowError:  # an integer beyond the float range
+            errors.append(f"{path}: must be finite")
+    return None
 
 
-def _detector(d, path, errors):
-    if not isinstance(d, dict):
+def _coerce(value, kind, path, errors):
+    if kind is bool:
+        if not isinstance(value, bool):
+            errors.append(f"{path}: expected a boolean")
+        return value
+    if kind is int:
+        return _number(value, path, errors, integer=True)
+    if kind is float or (kind == (float | None) and value is not None):
+        return _number(value, path, errors)
+    return value  # a string or None: the model's choices judge it
+
+
+def _build(cls, raw, path, errors, base=None):
+    """``cls`` from the YAML mapping ``raw``, or None after appending its violations.
+
+    Keys are the field names of ``cls``. A key left out takes its value from
+    ``base`` (field name -> value), else the field's default; a field typed
+    as a dataclass is built from its own sub-mapping.
+    """
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
         errors.append(f"{path}: expected a mapping")
-        return DETECTOR_PRESETS["mpd"]
-    for key in d:
-        if key not in _DETECTOR_KEYS:
-            errors.append(f"{path}.{key}: unknown key")
-    preset = d.get("preset", "mpd")
-    if preset not in DETECTOR_PRESETS:
+        return None
+    base = base or {}
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    found = [f"{path}.{key}: unknown key" for key in raw if key not in names]
+    values = {}
+    for f in fields(cls):
+        kind, where, n_found = hints[f.name], f"{path}.{f.name}", len(found)
+        if is_dataclass(kind):
+            value = _build(kind, raw.get(f.name), where, found)
+        elif f.name in raw:
+            value = _coerce(raw[f.name], kind, where, found)
+        else:
+            value = base.get(f.name, f.default)
+        if value is not MISSING and len(found) == n_found:
+            values[f.name] = value
+    found += violations(cls, values, f"{path}.")
+    errors += found
+    return None if found or len(values) < len(names) else cls(**values)
+
+
+def _source(raw, errors):
+    """SourceModel from the source section; its grid mapping holds the grid_* fields."""
+    if isinstance(raw, dict):
+        grid = {} if raw.get("grid") is None else raw["grid"]
+        if not isinstance(grid, dict):
+            errors.append("source.grid: expected a mapping")
+            return None
+        errors += [f"source.{key}: unknown key" for key in raw if str(key).startswith("grid_")]
+        raw = {**{k: v for k, v in raw.items() if k != "grid"},
+               **{f"grid_{k}": v for k, v in grid.items()}}
+    found = []
+    source = _build(SourceModel, raw, "source", found)
+    errors += [e.replace("source.grid_", "source.grid.") for e in found]
+    return source
+
+
+def _sample(raw, errors):
+    if not isinstance(raw, dict):
+        errors.append("sample: expected a mapping")
+        return None
+    species_raw = raw.get("species")
+    base = {}
+    if not isinstance(species_raw, list) or not species_raw:
+        errors.append("sample.species: expected a nonempty list")
+    else:
+        found = []
+        species = tuple(_build(EmitterSpecies, sp, f"sample.species[{i}]", found)
+                        for i, sp in enumerate(species_raw))
+        errors += found
+        if not found:
+            base["species"] = species
+    return _build(SampleModel, {k: v for k, v in raw.items() if k != "species"},
+                  "sample", errors, base)
+
+
+def _detector(raw, path, errors):
+    """DetectorModel: the named preset, with any of its fields overridden."""
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        errors.append(f"{path}: expected a mapping")
+        return None
+    preset = raw.get("preset", DEFAULT_DETECTOR_PRESET)
+    if not isinstance(preset, str) or preset not in DETECTOR_PRESETS:
         errors.append(f"{path}.preset: unknown preset {preset!r} "
                       f"(available: {sorted(DETECTOR_PRESETS)})")
-        preset = "mpd"
-    base = DETECTOR_PRESETS[preset]
-    fields = {
-        "efficiency": _number(d.get("efficiency", base.efficiency),
-                              f"{path}.efficiency", errors, lo=0.0, hi=1.0),
-        "jitter_fwhm_ps": _number(d.get("jitter_fwhm_ps", base.jitter_fwhm_ps),
-                                  f"{path}.jitter_fwhm_ps", errors, lo=0.0),
-        "dead_time_ns": _number(d.get("dead_time_ns", base.dead_time_ns),
-                                f"{path}.dead_time_ns", errors, lo=0.0),
-        "dark_rate_hz": _number(d.get("dark_rate_hz", base.dark_rate_hz),
-                                f"{path}.dark_rate_hz", errors, lo=0.0),
-    }
-    if any(v is None for v in fields.values()):
-        return base
-    return DetectorModel(**fields)
+        preset = DEFAULT_DETECTOR_PRESET  # so the other fields are still checked
+    return _build(DetectorModel, {k: v for k, v in raw.items() if k != "preset"}, path,
+                  errors, vars(DETECTOR_PRESETS[preset]))
 
 
 def validate_config(text_or_dict):
-    """Parse and validate; returns (ExperimentConfig or None, violations)."""
-    errors = []
+    """Parse and validate YAML text or a parsed mapping; never raises.
+
+    Returns (ExperimentConfig, []) or (None, every violation, sorted).
+    """
     if isinstance(text_or_dict, dict):
         data = text_or_dict
     else:
@@ -178,142 +164,41 @@ def validate_config(text_or_dict):
         if not isinstance(data, dict):
             return None, ["<file>: top level must be a mapping"]
 
-    special = ("sample", "twins", "detectors")
-    top_defaults = {k: v for k, v in DEFAULTS.items() if k not in special}
-    for key in data:
-        if key not in DEFAULTS:
-            errors.append(f"{key}: unknown key")
-    known = {k: v for k, v in data.items() if k in DEFAULTS}
-    merged = _merge(top_defaults, {k: v for k, v in known.items()
-                                   if k not in special}, "<root>", errors)
-    # strip the synthetic <root>. prefix for readability
-    errors = [e.replace("<root>.", "") for e in errors]
+    errors = [f"{key}: unknown key" for key in data if key not in SECTIONS]
+    source = _source(data.get("source"), errors)
+    sample = _sample(data["sample"], errors) if data.get("sample") is not None else None
 
-    src = merged["source"]
-    pump_wl = _number(src["pump"]["wavelength_nm"], "source.pump.wavelength_nm",
-                      errors, lo=1.0)
-    pair_rate = _number(src["pump"]["pair_rate_hz"], "source.pump.pair_rate_hz",
-                        errors, lo=0.0)
-    cr = src["crystal"]
-    poling = _number(cr["poling_period_um"], "source.crystal.poling_period_um",
-                     errors, lo=1e-6)
-    length = _number(cr["length_mm"], "source.crystal.length_mm", errors, lo=1e-6)
-    sell_id = cr["sellmeier_id"]
-    temp = _number(cr["temperature_C"], "source.crystal.temperature_C", errors)
-    if sell_id not in TABLES:
-        errors.append(f"source.crystal.sellmeier_id: unknown id {sell_id!r}")
-    elif temp is not None:
-        tab = TABLES[sell_id]
-        if not (tab.temperature_min_C <= temp <= tab.temperature_max_C):
-            errors.append(
-                f"source.crystal.temperature_C: {temp} outside validity window "
-                f"[{tab.temperature_min_C}, {tab.temperature_max_C}] of {sell_id!r}")
-    filt = src["herald_filter"]
-    f_center = _number(filt["center_nm"], "source.herald_filter.center_nm", errors, lo=1.0)
-    f_fwhm = _number(filt["fwhm_nm"], "source.herald_filter.fwhm_nm", errors, lo=1e-9)
-    f_shape = filt["shape"]
-    if f_shape not in ("gaussian", "tophat"):
-        errors.append(f"source.herald_filter.shape: must be gaussian or tophat")
-    grid = src["grid"]
-    g_min = _number(grid["min_nm"], "source.grid.min_nm", errors, lo=1.0)
-    g_max = _number(grid["max_nm"], "source.grid.max_nm", errors, lo=1.0)
-    g_step = _number(grid["step_nm"], "source.grid.step_nm", errors, lo=1e-6)
-    if g_min is not None and g_max is not None and g_max <= g_min:
-        errors.append("source.grid.max_nm: must exceed source.grid.min_nm")
-
-    sample = None
-    if data.get("sample") is not None:
-        sd = _merge(_SAMPLE_DEFAULTS, {k: v for k, v in data["sample"].items()
-                                       if k != "species"}, "sample", errors) \
-            if isinstance(data["sample"], dict) else dict(_SAMPLE_DEFAULTS)
-        if not isinstance(data["sample"], dict):
-            errors.append("sample: expected a mapping")
-        absorb = _number(sd["absorption_prob"], "sample.absorption_prob", errors,
-                         lo=0.0, hi=1.0)
-        species_raw = (data["sample"] or {}).get("species")
-        species = []
-        if not isinstance(species_raw, list) or not species_raw:
-            errors.append("sample.species: expected a nonempty list")
-        else:
-            for i, sp in enumerate(species_raw):
-                spd = _merge(_SPECIES_DEFAULTS, sp, f"sample.species[{i}]", errors)
-                vals = {
-                    "weight": _number(spd["weight"], f"sample.species[{i}].weight",
-                                      errors, lo=0.0),
-                    "lifetime_ns": _number(spd["lifetime_ns"],
-                                           f"sample.species[{i}].lifetime_ns",
-                                           errors, lo=1e-9),
-                    "emission_center_nm": _number(spd["emission_center_nm"],
-                                                  f"sample.species[{i}].emission_center_nm",
-                                                  errors, lo=1.0),
-                    "emission_fwhm_nm": _number(spd["emission_fwhm_nm"],
-                                                f"sample.species[{i}].emission_fwhm_nm",
-                                                errors, lo=1e-9),
-                    "quantum_yield": _number(spd["quantum_yield"],
-                                             f"sample.species[{i}].quantum_yield",
-                                             errors, lo=0.0, hi=1.0),
-                }
-                if all(v is not None for v in vals.values()):
-                    species.append(EmitterSpecies(**vals))
-            if species and sum(s.weight for s in species) <= 0:
-                errors.append("sample.species: weights must not all be zero")
-        if absorb is not None and species and sum(s.weight for s in species) > 0:
-            sample = SampleModel(tuple(species), absorption_prob=absorb)
-
-    det_raw = data.get("detectors") or {}
-    if not isinstance(det_raw, dict):
+    detectors = data.get("detectors") or {}
+    if not isinstance(detectors, dict):
         errors.append("detectors: expected a mapping")
-        det_raw = {}
-    for key in det_raw:
-        if key not in ("herald", "signal"):
-            errors.append(f"detectors.{key}: unknown key")
-    herald_det = _detector(det_raw.get("herald") or {}, "detectors.herald", errors)
-    signal_det = _detector(det_raw.get("signal") or {}, "detectors.signal", errors)
+        detectors = {}
+    errors += [f"detectors.{key}: unknown key" for key in detectors
+               if key not in ("herald", "signal")]
+    herald_det = _detector(detectors.get("herald"), "detectors.herald", errors)
+    signal_det = _detector(detectors.get("signal"), "detectors.signal", errors)
 
-    twins = None
-    n_positions = _TWINS_DEFAULTS["n_positions"]
+    twins, n_positions = None, ExperimentConfig.n_twins_positions
     if data.get("twins") is not None:
-        td = _merge(_TWINS_DEFAULTS, data["twins"], "twins", errors)
-        vals = {
-            "delay_per_um_fs": _number(td["delay_per_um_fs"], "twins.delay_per_um_fs",
-                                       errors),
-            "position_min_um": _number(td["position_min_um"], "twins.position_min_um",
-                                       errors),
-            "position_max_um": _number(td["position_max_um"], "twins.position_max_um",
-                                       errors),
-            "visibility": _number(td["visibility"], "twins.visibility", errors,
-                                  lo=0.0, hi=1.0),
-            "insertion_loss": _number(td["insertion_loss"], "twins.insertion_loss",
-                                      errors, lo=1e-12, hi=1.0),
-            "x_zero_um": _number(td["x_zero_um"], "twins.x_zero_um", errors),
-        }
-        n_positions = _number(td["n_positions"], "twins.n_positions", errors,
-                              lo=2, integer=True) or 2
-        if all(v is not None for v in vals.values()):
-            if vals["delay_per_um_fs"] == 0:
-                errors.append("twins.delay_per_um_fs: must be nonzero")
-            elif vals["position_max_um"] <= vals["position_min_um"]:
-                errors.append("twins.position_max_um: must exceed twins.position_min_um")
-            else:
-                twins = TwinsSpec(**vals)
+        raw = data["twins"]
+        if isinstance(raw, dict) and "n_positions" in raw:  # the scan's, not TwinsSpec's
+            found = []
+            n_positions = _number(raw["n_positions"], "twins.n_positions", found, integer=True)
+            found = found or violations(ExperimentConfig, {"n_twins_positions": n_positions},
+                                        "twins.")
+            errors += [e.replace("n_twins_positions", "n_positions") for e in found]
+            n_positions = None if found else n_positions
+            raw = {k: v for k, v in raw.items() if k != "n_positions"}
+        twins = _build(TwinsSpec, raw, "twins", errors)
 
-    rn = merged["run"]
-    duration = _number(rn["duration_s"], "run.duration_s", errors, lo=1e-12)
-    seed = _number(rn["seed"], "run.seed", errors, lo=0, integer=True)
-    topology = rn["topology"]
-    if topology not in ("irf", "hbt", "fluorescence"):
-        errors.append("run.topology: must be one of irf, hbt, fluorescence")
-    twins_pos = rn["twins_position_um"]
-    if twins_pos is not None:
-        twins_pos = _number(twins_pos, "run.twins_position_um", errors)
+    run = _build(RunConfig, data.get("run"), "run", errors)
+    analysis = _build(AnalysisOptions, data.get("analysis"), "analysis", errors)
 
-    if topology == "fluorescence" and data.get("sample") is None:
-        errors.append("sample: required for fluorescence topology")
-    if topology in ("irf", "hbt") and data.get("sample") is not None:
-        errors.append(f"sample: not allowed for {topology} topology")
-    if twins is not None and topology != "fluorescence":
-        errors.append("twins: only allowed for fluorescence topology")
-    if twins is not None and sample is not None:
+    run_raw = data.get("run") if isinstance(data.get("run"), dict) else {}
+    topology = run_raw.get("topology", RunConfig.topology)
+    if topology in TOPOLOGIES:
+        errors += topology_violations(topology, data.get("sample") is not None,
+                                      data.get("twins") is not None)
+    if twins is not None and sample is not None and n_positions is not None:
         spacing = (twins.position_max_um - twins.position_min_um) / (n_positions - 1)
         limit = nyquist_spacing_um(sample.min_emission_nm(), twins)
         if spacing > limit * (1 + 1e-9):
@@ -322,69 +207,21 @@ def validate_config(text_or_dict):
                 f"required spacing <= {limit:.4g} um for the sample's shortest "
                 f"emission wavelength {sample.min_emission_nm():.4g} nm")
 
-    an = merged["analysis"]
-    hist = an["histogram"]
-    bw = _number(hist["bin_width_ps"], "analysis.histogram.bin_width_ps", errors,
-                 lo=1, integer=True)
-    window = _number(hist["window_ps"], "analysis.histogram.window_ps", errors,
-                     lo=1, integer=True)
-    t0 = _number(hist["t0_ps"], "analysis.histogram.t0_ps", errors, integer=True)
-    if hist["mode"] not in ("first", "all"):
-        errors.append("analysis.histogram.mode: must be first or all")
-    if bw and window and window % bw != 0:
-        errors.append("analysis.histogram.window_ps: must be a multiple of bin_width_ps")
-    g2 = an["g2"]
-    cw = _number(g2["coincidence_window_ps"], "analysis.g2.coincidence_window_ps",
-                 errors, lo=1, integer=True)
-    dmin = _number(g2["delay_min_ps"], "analysis.g2.delay_min_ps", errors, integer=True)
-    dmax = _number(g2["delay_max_ps"], "analysis.g2.delay_max_ps", errors, integer=True)
-    dstep = _number(g2["delay_step_ps"], "analysis.g2.delay_step_ps", errors,
-                    lo=1, integer=True)
-    fit = an["fit"]
-    ncomp = _number(fit["n_components"], "analysis.fit.n_components", errors,
-                    lo=1, integer=True)
-    fseed = _number(fit["seed"], "analysis.fit.seed", errors, lo=0, integer=True)
-    if not isinstance(fit["fit_shift"], bool):
-        errors.append("analysis.fit.fit_shift: expected a boolean")
-    ft = an["ft"]
-    if ft["apodization"] not in ("none", "hann"):
-        errors.append("analysis.ft.apodization: must be none or hann")
-    if not isinstance(ft["dc_removal"], bool):
-        errors.append("analysis.ft.dc_removal: expected a boolean")
-
     if errors:
         return None, sorted(set(errors))
-
-    source = SourceModel(
-        pump=PumpSpec(pump_wl, pair_rate),
-        crystal=CrystalSpec(poling, length, temp, sell_id),
-        herald_filter=FilterSpec(f_center, f_fwhm, f_shape),
-        grid_min_nm=g_min, grid_max_nm=g_max, grid_step_nm=g_step,
-    )
-    analysis = AnalysisOptions(
-        bin_width_ps=bw, window_ps=window, t0_ps=t0, histogram_mode=hist["mode"],
-        coincidence_window_ps=cw, g2_delay_min_ps=dmin, g2_delay_max_ps=dmax,
-        g2_delay_step_ps=dstep, fit_n_components=ncomp, fit_seed=fseed,
-        fit_shift=fit["fit_shift"], ft_apodization=ft["apodization"],
-        ft_dc_removal=ft["dc_removal"],
-    )
-    run = RunConfig(duration_s=duration, seed=seed, topology=topology,
-                    twins_position_um=twins_pos)
-    cfg = ExperimentConfig(source=source, sample=sample, herald_det=herald_det,
-                           signal_det=signal_det, twins=twins,
-                           n_twins_positions=n_positions, run=run,
-                           analysis=analysis, raw=data)
-    return cfg, []
+    return ExperimentConfig(source=source, sample=sample, herald_det=herald_det,
+                            signal_det=signal_det, twins=twins, run=run,
+                            analysis=analysis, n_twins_positions=n_positions,
+                            raw=data), []
 
 
-def load_config(path_or_text) -> ExperimentConfig:
-    """Load a config file (or YAML text), raising on any violation."""
-    from pathlib import Path
-    text = path_or_text
-    p = Path(str(path_or_text))
-    if p.exists():
-        text = p.read_text()
-    cfg, violations = validate_config(text)
-    if violations:
-        raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(violations))
+def load_config(path) -> ExperimentConfig:
+    """Load a YAML config file, raising ConfigurationError on any violation."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None
+    cfg, found = validate_config(text)
+    if found:
+        raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(found))
     return cfg

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .checks import Checked, relation, rule
+from .errors import ConfigurationError
 from .spdc import SourceModel
 from .units import FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
 
@@ -35,17 +36,11 @@ CHUNK_S = 5.0
 
 
 @dataclass(frozen=True)
-class DetectorModel:
-    efficiency: float = 1.0
-    jitter_fwhm_ps: float = 0.0
-    dead_time_ns: float = 0.0
-    dark_rate_hz: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise DomainError("efficiency must be in [0, 1]")
-        if self.jitter_fwhm_ps < 0 or self.dead_time_ns < 0 or self.dark_rate_hz < 0:
-            raise DomainError("jitter, dead time and dark rate must be >= 0")
+class DetectorModel(Checked):
+    efficiency: float = rule(1.0, lo=0.0, hi=1.0)
+    jitter_fwhm_ps: float = rule(0.0, lo=0.0)
+    dead_time_ns: float = rule(0.0, lo=0.0)
+    dark_rate_hz: float = rule(0.0, lo=0.0)
 
 
 # combined start-stop response of a preset pair reproduces the measured IRFs:
@@ -60,53 +55,45 @@ DETECTOR_PRESETS = {
 
 
 @dataclass(frozen=True)
-class EmitterSpecies:
-    weight: float
-    lifetime_ns: float
-    emission_center_nm: float
-    emission_fwhm_nm: float
-    quantum_yield: float = 1.0
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise DomainError("species weight must be >= 0")
-        if self.lifetime_ns <= 0:
-            raise DomainError("lifetime_ns must be > 0")
-        if self.emission_fwhm_nm <= 0:
-            raise DomainError("emission_fwhm_nm must be > 0")
-        if not 0.0 <= self.quantum_yield <= 1.0:
-            raise DomainError("quantum_yield must be in [0, 1]")
+class EmitterSpecies(Checked):
+    weight: float = rule(1.0, lo=0.0)
+    lifetime_ns: float = rule(1.0, lo=1e-9)
+    emission_center_nm: float = rule(850.0, lo=1.0)
+    emission_fwhm_nm: float = rule(40.0, lo=1e-9)
+    quantum_yield: float = rule(1.0, lo=0.0, hi=1.0)
 
 
 @dataclass(frozen=True)
-class SampleModel:
+class SampleModel(Checked):
     species: tuple
-    absorption_prob: float = 1.0
+    absorption_prob: float = rule(1.0, lo=0.0, hi=1.0)
 
-    def __post_init__(self):
-        if len(self.species) == 0:
-            raise DomainError("sample needs at least one species")
-        if sum(s.weight for s in self.species) <= 0:
-            raise DomainError("species weights must not all be zero")
-        if not 0.0 <= self.absorption_prob <= 1.0:
-            raise DomainError("absorption_prob must be in [0, 1]")
+    @relation("species")
+    def _species_weighted(species):
+        if len(species) == 0:
+            return "needs at least one species"
+        if sum(s.weight for s in species) <= 0:
+            return "weights must not all be zero"
+        return None
 
     def min_emission_nm(self):
         return min(s.emission_center_nm - s.emission_fwhm_nm for s in self.species)
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    duration_s: float
-    seed: int
-    topology: str
+class RunConfig(Checked):
+    duration_s: float = rule(1.0, lo=1e-12)
+    seed: int = rule(1, lo=0)
+    topology: str = rule("irf", choices=TOPOLOGIES)
     twins_position_um: float | None = None
 
-    def __post_init__(self):
-        if self.duration_s <= 0:
-            raise DomainError("duration_s must be > 0")
-        if self.topology not in TOPOLOGIES:
-            raise DomainError(f"unknown topology {self.topology!r}")
+
+def topology_violations(topology, has_sample, has_twins):
+    """The sample and TWINS sections that ``topology`` requires or forbids, as 'section: reason'."""
+    if topology == "fluorescence":
+        return [] if has_sample else ["sample: required for fluorescence topology"]
+    return [f"{name}: not allowed for {topology} topology"
+            for name, present in (("sample", has_sample), ("twins", has_twins)) if present]
 
 
 @dataclass
@@ -226,14 +213,6 @@ def _fluorescence_batch(sample: SampleModel, n, rng):
     return emitted, delay_ps, lam_nm
 
 
-def sample_fluorescence(sample: SampleModel, rng):
-    """Single emission draw; None when the photon is absorbed-and-lost or not absorbed."""
-    emitted, delay_ps, lam_nm = _fluorescence_batch(sample, 1, rng)
-    if not emitted[0]:
-        return None
-    return float(delay_ps[0]), float(lam_nm[0])
-
-
 @functools.lru_cache(maxsize=16)
 def _check_overlap(source: SourceModel):
     """Raise EmptySupportError when the herald filter misses the joint spectrum.
@@ -271,14 +250,9 @@ def simulate_channels(source: SourceModel, sample, herald_det: DetectorModel,
     fluorescence photon, through the TWINS transmission. Externally this is a
     pure function of (configuration, seed).
     """
-    if run.topology == "fluorescence":
-        if sample is None:
-            raise ConfigurationError("fluorescence topology requires a sample")
-    else:
-        if sample is not None:
-            raise ConfigurationError(f"{run.topology} topology takes no sample")
-        if twins is not None:
-            raise ConfigurationError("TWINS is only placed in the fluorescence path")
+    found = topology_violations(run.topology, sample is not None, twins is not None)
+    if found:
+        raise ConfigurationError("; ".join(found))
     if twins is not None and run.twins_position_um is None:
         raise ConfigurationError("twins_position_um required when TWINS is present")
 

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import minimize, nnls
 from scipy.signal import lfilter
 
+from .checks import Checked, rule
 from .errors import ConfigurationError, DomainError, FitError
 from .tcspc import Histogram
 from .units import PS_PER_NS
@@ -175,8 +176,8 @@ def response_derivatives(tau_ns, irf: Histogram, shift_ps=0.0, n_bins=None, t0_p
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    seed: int = 0
+class FitOptions(Checked):
+    seed: int = rule(0, lo=0)
     n_multistart: int = 12
     fit_shift: bool = False
     fit_background: bool = True

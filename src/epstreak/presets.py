@@ -193,7 +193,8 @@ def _decay_and_irf(source, sample, det_h, det_s, duration_s, seed,
     return decay, irf
 
 
-def _lifetime_preset(out_dir, seed, species, duration_s=30.0):
+def run_lifetime_species(out_dir, seed, species, duration_s=30.0):
+    """Single-species decay and response histograms, and a one-component fit."""
     out = Path(out_dir)
     source = heralded_source()
     det = DETECTOR_PRESETS["mpd"]
@@ -246,13 +247,9 @@ def run_fig4_lh2(out_dir, seed=1):
     return run_lifetime_species(out_dir, seed, LH2_SPECIES)
 
 
-def run_lifetime_species(out_dir, seed, species, duration_s=30.0):
-    return _lifetime_preset(out_dir, seed, species, duration_s)
-
-
 def _membrane(out_dir, seed, species):
     out = Path(out_dir)
-    summary = _lifetime_preset(out, seed, species)
+    summary = run_lifetime_species(out, seed, species)
     summary["spectrum_centroid_nm"] = _spectrum_centroid(
         out, heralded_source(), species, seed)
     summary["artifacts"].append("spectrum_map.csv")

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import Checked, relation, rule
 from .errors import DomainError, EmptySupportError
-from .sellmeier import get_table, refractive_index
+from .sellmeier import TABLES, get_table, refractive_index
 
 TWO_PI = 2.0 * np.pi
 
@@ -22,48 +23,32 @@ ROOT_BISECT_TOL_NM = 1e-6
 
 
 @dataclass(frozen=True)
-class CrystalSpec:
-    poling_period_um: float
-    length_mm: float
-    temperature_C: float
-    sellmeier_id: str = "ktp-z"
+class CrystalSpec(Checked):
+    poling_period_um: float = rule(3.675, lo=1e-6)
+    length_mm: float = rule(30.0, lo=1e-6)
+    temperature_C: float = 56.0
+    sellmeier_id: str = rule("ktp-z", choices=tuple(TABLES))
 
-    def __post_init__(self):
-        if self.poling_period_um <= 0:
-            raise DomainError("poling_period_um must be > 0")
-        if self.length_mm <= 0:
-            raise DomainError("length_mm must be > 0")
-        tab = get_table(self.sellmeier_id)
-        if not (tab.temperature_min_C <= self.temperature_C <= tab.temperature_max_C):
-            raise DomainError(
-                f"temperature_C outside validity window "
-                f"[{tab.temperature_min_C}, {tab.temperature_max_C}] of {self.sellmeier_id!r}"
-            )
+    @relation("temperature_C", "sellmeier_id")
+    def _in_sellmeier_window(temperature_C, sellmeier_id):
+        tab = get_table(sellmeier_id)
+        if not (tab.temperature_min_C <= temperature_C <= tab.temperature_max_C):
+            return (f"{temperature_C} outside validity window "
+                    f"[{tab.temperature_min_C}, {tab.temperature_max_C}] of {sellmeier_id!r}")
+        return None
 
 
 @dataclass(frozen=True)
-class PumpSpec:
-    wavelength_nm: float
-    pair_rate_hz: float
-
-    def __post_init__(self):
-        if self.wavelength_nm <= 0:
-            raise DomainError("pump wavelength_nm must be > 0")
-        if self.pair_rate_hz < 0:
-            raise DomainError("pair_rate_hz must be >= 0")
+class PumpSpec(Checked):
+    wavelength_nm: float = rule(413.0, lo=1.0)
+    pair_rate_hz: float = rule(2.0e5, lo=0.0)
 
 
 @dataclass(frozen=True)
-class FilterSpec:
-    center_nm: float
-    fwhm_nm: float
-    shape: str = "gaussian"  # gaussian | tophat
-
-    def __post_init__(self):
-        if self.fwhm_nm <= 0:
-            raise DomainError("filter fwhm_nm must be > 0")
-        if self.shape not in ("gaussian", "tophat"):
-            raise DomainError(f"unknown filter shape {self.shape!r}")
+class FilterSpec(Checked):
+    center_nm: float = rule(860.0, lo=1.0)
+    fwhm_nm: float = rule(10.0, lo=1e-9)
+    shape: str = rule("gaussian", choices=("gaussian", "tophat"))
 
     def transmission(self, wavelength_nm):
         lam = np.asarray(wavelength_nm, dtype=float)
@@ -254,15 +239,19 @@ def sample_signal_wavelengths(jsd: JointSpectralDensity, n: int, rng) -> np.ndar
 
 
 @dataclass(frozen=True)
-class SourceModel:
+class SourceModel(Checked):
     """Pump + crystal + herald filter; the full photon-pair source."""
 
     pump: PumpSpec
     crystal: CrystalSpec
     herald_filter: FilterSpec
-    grid_min_nm: float = 700.0
-    grid_max_nm: float = 1000.0
-    grid_step_nm: float = 0.05
+    grid_min_nm: float = rule(700.0, lo=1.0)
+    grid_max_nm: float = rule(1000.0, lo=1.0)
+    grid_step_nm: float = rule(0.05, lo=1e-6)
+
+    @relation("grid_max_nm", "grid_min_nm")
+    def _grid_ordered(grid_max_nm, grid_min_nm):
+        return "must exceed grid_min_nm" if grid_max_nm <= grid_min_nm else None
 
     def grid(self):
         return np.arange(self.grid_min_nm, self.grid_max_nm + self.grid_step_nm / 2,

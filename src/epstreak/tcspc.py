@@ -15,6 +15,7 @@ from .units import FWHM_PER_SIGMA, PS_PER_S
 DEFAULT_BIN_WIDTH_PS = 4
 DEFAULT_WINDOW_PS = 50_000  # 5x the longest lifetime of interest plus IRF tails
 HERALD_BLOCK = 1 << 16  # heralds per tag_g2 block: 512 kB of tags
+HISTOGRAM_MODES = ("first", "all")  # the first is the default
 
 
 @dataclass
@@ -62,7 +63,7 @@ class Histogram:
 
 def build_histogram(stream: EventStream, start_channel, stop_channel,
                     bin_width_ps=DEFAULT_BIN_WIDTH_PS, window_ps=DEFAULT_WINDOW_PS,
-                    t0_ps=0, mode="first") -> Histogram:
+                    t0_ps=0, mode=HISTOGRAM_MODES[0]) -> Histogram:
     """start_stop_histogram between two distinct channels of a stream."""
     if start_channel == stop_channel:
         raise ConfigurationError("start and stop channels must be distinct")
@@ -70,8 +71,14 @@ def build_histogram(stream: EventStream, start_channel, stop_channel,
                                 bin_width_ps, window_ps, t0_ps, mode)
 
 
+def window_violation(window_ps, bin_width_ps):
+    """Why a histogram window does not hold a whole number of bins, or None."""
+    return "must be a multiple of bin_width_ps" if window_ps % bin_width_ps else None
+
+
 def start_stop_histogram(starts, stops, bin_width_ps=DEFAULT_BIN_WIDTH_PS,
-                         window_ps=DEFAULT_WINDOW_PS, t0_ps=0, mode="first") -> Histogram:
+                         window_ps=DEFAULT_WINDOW_PS, t0_ps=0,
+                         mode=HISTOGRAM_MODES[0]) -> Histogram:
     """Start-stop delay histogram of two sorted int64 timestamp arrays.
 
     For each start event the first stop with t0 <= dt < t0 + window
@@ -79,8 +86,9 @@ def start_stop_histogram(starts, stops, bin_width_ps=DEFAULT_BIN_WIDTH_PS,
     behavior matches classic TCSPC hardware. ``mode="all"`` counts every stop
     in the window instead (pile-up diagnostics).
     """
-    if window_ps % bin_width_ps != 0:
-        raise ConfigurationError("window_ps must be a multiple of bin_width_ps")
+    reason = window_violation(window_ps, bin_width_ps)
+    if reason:
+        raise ConfigurationError(f"window_ps {reason}")
     n_bins = window_ps // bin_width_ps
     counts = np.zeros(n_bins, dtype=np.int64)
     if len(starts) == 0 or len(stops) == 0:

@@ -21,29 +21,31 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.signal import hilbert
 
+from .checks import Checked, relation, rule
 from .errors import CalibrationError, ConfigurationError, DomainError
 from .tcspc import read_histogram_csv, start_stop_histogram, write_histogram_csv
 from .units import C_NM_PER_FS
 
 
+APODIZATIONS = ("none", "hann")
+
+
 @dataclass(frozen=True)
-class TwinsSpec:
+class TwinsSpec(Checked):
     delay_per_um_fs: float = 1.0
     position_min_um: float = 0.0
     position_max_um: float = 320.0
-    visibility: float = 0.9
-    insertion_loss: float = 0.5
+    visibility: float = rule(0.9, lo=0.0, hi=1.0)
+    insertion_loss: float = rule(0.5, lo=1e-12, hi=1.0)
     x_zero_um: float = 160.0  # zero delay mid-scan so apodization keeps the fringe packet
 
-    def __post_init__(self):
-        if self.delay_per_um_fs == 0:
-            raise DomainError("delay_per_um_fs must be nonzero")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise DomainError("visibility must be in [0, 1]")
-        if not 0.0 < self.insertion_loss <= 1.0:
-            raise DomainError("insertion_loss must be in (0, 1]")
-        if self.position_max_um <= self.position_min_um:
-            raise DomainError("position range must have positive extent")
+    @relation("delay_per_um_fs")
+    def _delay_nonzero(delay_per_um_fs):
+        return "must be nonzero" if delay_per_um_fs == 0 else None
+
+    @relation("position_max_um", "position_min_um")
+    def _positions_ordered(position_max_um, position_min_um):
+        return "must exceed position_min_um" if position_max_um <= position_min_um else None
 
 
 def transmission(emission_nm, position_um, spec: TwinsSpec):
@@ -243,7 +245,7 @@ def reconstruct_map(cube: InterferogramCube, calibration: TwinsCalibration,
     position-frequency axis maps to wavelength via the calibrated delay
     slope. The k=0 (DC) component is discarded.
     """
-    if apodization not in ("none", "hann"):
+    if apodization not in APODIZATIONS:
         raise ConfigurationError(f"unknown apodization {apodization!r}")
     data = cube.counts_matrix()  # [position, time]
     n = data.shape[0]

@@ -1,0 +1,304 @@
+"""Field rules stated once on the models, checked alike by construction and by YAML."""
+
+import dataclasses
+import hashlib
+import json
+import math
+import typing
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+from epstreak import cli
+from epstreak.checks import Checked
+from epstreak.config import load_config, validate_config
+from epstreak.errors import ConfigurationError, DomainError
+from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleModel
+from epstreak.experiment import (AnalysisOptions, ExperimentConfig, FitSettings, FTOptions,
+                                 G2Options, HistogramOptions)
+from epstreak.fitting import FitOptions
+from epstreak.spdc import CrystalSpec, FilterSpec, PumpSpec, SourceModel
+from epstreak.twins import TwinsSpec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# every section and every detector and species field set to a non-default value
+FULL_CFG = """
+source:
+  pump: {wavelength_nm: 414.46, pair_rate_hz: 3.0e5}
+  crystal: {poling_period_um: 3.7, length_mm: 0.3, temperature_C: 60.0, sellmeier_id: ktp-z}
+  herald_filter: {center_nm: 858.0, fwhm_nm: 12.0, shape: tophat}
+  grid: {min_nm: 720.0, max_nm: 980.0, step_nm: 0.1}
+sample:
+  absorption_prob: 0.8
+  species:
+    - {weight: 2.0, lifetime_ns: 1.3, emission_center_nm: 820.0, emission_fwhm_nm: 35.0, quantum_yield: 0.9}
+    - {weight: 0.5, lifetime_ns: 0.6, emission_center_nm: 905.0, emission_fwhm_nm: 30.0, quantum_yield: 0.7}
+detectors:
+  herald: {preset: excelitas, efficiency: 0.5, jitter_fwhm_ps: 300.0, dead_time_ns: 30.0, dark_rate_hz: 1000.0}
+  signal: {preset: ideal, efficiency: 0.7, jitter_fwhm_ps: 150.0, dead_time_ns: 10.0, dark_rate_hz: 200.0}
+twins:
+  delay_per_um_fs: 0.8
+  position_min_um: 10.0
+  position_max_um: 300.0
+  n_positions: 200
+  visibility: 0.85
+  insertion_loss: 0.6
+  x_zero_um: 150.0
+run:
+  duration_s: 0.05
+  seed: 5
+  topology: fluorescence
+  twins_position_um: 123.4
+analysis:
+  histogram: {bin_width_ps: 8, window_ps: 16000, t0_ps: -1000, mode: all}
+  g2: {coincidence_window_ps: 500, delay_min_ps: -20000, delay_max_ps: 20000, delay_step_ps: 500}
+  fit: {n_components: 2, seed: 3, fit_shift: true}
+  ft: {apodization: none, dc_removal: false}
+"""
+
+
+def _artifact_digest(out):
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    return hashlib.sha256(json.dumps(artifacts, sort_keys=True).encode()).hexdigest()
+
+
+def test_ft_map_bytes_pinned(tmp_path):
+    # sha256 over the manifest's artifact hashes (256 cube positions, cube
+    # manifest, map.csv), taken from the hand-written config validation
+    text = (CONFIGS / "two_dye_map.yaml").read_text()
+    assert "duration_s: 0.5 " in text
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text(text.replace("duration_s: 0.5 ", "duration_s: 0.02"))
+    out = tmp_path / "ft"
+    assert cli.main(["ft-map", "--out", str(out), "--config", str(cfg)]) == 0
+    assert (hashlib.sha256((out / "map.csv").read_bytes()).hexdigest()
+            == "4a44176c052a479de13085e4e179a1972d2092b935b307d0b381fc45ec27780e")
+    assert (_artifact_digest(out)
+            == "6553745b65984762bfd008027cd63c18ebfabcd0815dc3365bc6b7aebdf91bec")
+
+
+def test_simulate_every_field_set_bytes_pinned(tmp_path):
+    cfg = tmp_path / "full.yaml"
+    cfg.write_text(FULL_CFG)
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--out", str(out), "--config", str(cfg)]) == 0
+    assert (hashlib.sha256((out / "events.bin").read_bytes()).hexdigest()
+            == "aee06b7998194fc07241523cb67e39d6d10f0d60998c54885dc23a1e5bcaec5f")
+    assert (hashlib.sha256((out / "events.bin.meta.json").read_bytes()).hexdigest()
+            == "8e844cdac50687504cace1825434291cba1b8932aea8cd84352e4a5f6a40f956")
+
+
+def _model_lines(obj, path=""):
+    """'path type repr' for every leaf value of a config, so types are pinned too."""
+    if dataclasses.is_dataclass(obj):
+        return [line for f in dataclasses.fields(obj) if f.name != "raw"
+                for line in _model_lines(getattr(obj, f.name),
+                                         f"{path}.{f.name}" if path else f.name)]
+    if isinstance(obj, tuple):
+        return [line for i, x in enumerate(obj) for line in _model_lines(x, f"{path}[{i}]")]
+    return [f"{path} {type(obj).__name__} {obj!r}"]
+
+
+@pytest.mark.parametrize("name,text,digest", [
+    ("defaults", "", "b6d417b4f7bfac07def922237afe96dbad0d56e93608cd1927ecdaecaf367df2"),
+    ("hbt.yaml", None, "b86274a34fd5bc6c586944a53ed67a2cf7bd686634b965e3129c765497d2c8b9"),
+    ("two_dye_map.yaml", None,
+     "f2d5b039d38109ababc1c92e54c268cb2c2238a7623ab42c93ac95df2a2261c1"),
+    ("full", FULL_CFG, "bf033c591d45ef7ae241746db1d146ace9a26f9e941d5680f3e02bd252327205"),
+])
+def test_configs_build_pinned_models(name, text, digest):
+    # digests of the sorted model lines, taken from the hand-written validation
+    # (its flat analysis fields renamed to the nested sections)
+    cfg, found = validate_config((CONFIGS / name).read_text() if text is None else text)
+    assert found == []
+    lines = "\n".join(sorted(_model_lines(cfg)))
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest, lines
+
+
+def test_every_shipped_config_is_valid():
+    shipped = sorted(CONFIGS.glob("*.yaml"))
+    assert shipped
+    for path in shipped:
+        assert validate_config(path.read_text())[1] == [], path.name
+
+
+# YAML section of each model; a model missing here fails every test below
+SECTION = {
+    PumpSpec: "source.pump", CrystalSpec: "source.crystal",
+    FilterSpec: "source.herald_filter", SourceModel: "source.grid",
+    EmitterSpecies: "sample.species[0]", SampleModel: "sample",
+    DetectorModel: "detectors.signal", TwinsSpec: "twins", RunConfig: "run",
+    HistogramOptions: "analysis.histogram", G2Options: "analysis.g2",
+    FitSettings: "analysis.fit", FitOptions: "analysis.fit", FTOptions: "analysis.ft",
+    ExperimentConfig: "twins",
+}
+YAML_KEY = {"grid_min_nm": "min_nm", "grid_max_nm": "max_nm", "grid_step_nm": "step_nm",
+            "n_twins_positions": "n_positions"}
+
+
+def _valid_kwargs(cls):
+    analysis = AnalysisOptions(HistogramOptions(), G2Options(), FitSettings(), FTOptions())
+    return {
+        SourceModel: dict(pump=PumpSpec(), crystal=CrystalSpec(), herald_filter=FilterSpec()),
+        SampleModel: dict(species=(EmitterSpecies(),)),
+        ExperimentConfig: dict(source=SourceModel(PumpSpec(), CrystalSpec(), FilterSpec()),
+                               sample=None, herald_det=DetectorModel(),
+                               signal_det=DetectorModel(), twins=None, run=RunConfig(),
+                               analysis=analysis),
+    }.get(cls, {})
+
+
+def _bad_values():
+    """(model, field, value) for one value past every bound and choice set, and
+    for NaN and +-inf in every float field."""
+    cases = []
+    for cls in SECTION:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            meta = f.metadata
+            if meta.get("lo") is not None:
+                cases.append((cls, f.name, meta["lo"] - 1))
+            if meta.get("hi") is not None:
+                cases.append((cls, f.name, meta["hi"] + 1))
+            if meta.get("choices") is not None:
+                cases.append((cls, f.name, "bogus"))
+            if hints[f.name] in (float, float | None):
+                cases += [(cls, f.name, v) for v in (math.nan, math.inf, -math.inf)]
+    return cases
+
+
+def _yaml_with(section, key, value):
+    if section == "sample.species[0]":
+        return {"sample": {"species": [{key: value}]}}
+    data = node = {}
+    *parents, last = section.split(".")
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[last] = {key: value}
+    return data
+
+
+def test_every_checked_model_has_a_section():
+    def subclasses(cls):
+        return {c for s in cls.__subclasses__() for c in {s} | subclasses(s)}
+    assert subclasses(Checked) == set(SECTION)
+
+
+@pytest.mark.parametrize("cls,name,value", _bad_values(),
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_bound_rejected_by_model_and_by_yaml(cls, name, value):
+    with pytest.raises(DomainError, match=f"{name}: "):
+        cls(**{**_valid_kwargs(cls), name: value})
+    path = f"{SECTION[cls]}.{YAML_KEY.get(name, name)}"
+    cfg, found = validate_config(_yaml_with(SECTION[cls], YAML_KEY.get(name, name), value))
+    assert cfg is None
+    assert any(v.startswith(f"{path}: ") for v in found), found
+
+
+@pytest.mark.parametrize("data,path,build", [
+    ({"source": {"crystal": {"temperature_C": 500.0}}}, "source.crystal.temperature_C",
+     lambda: CrystalSpec(temperature_C=500.0)),
+    ({"source": {"grid": {"min_nm": 900.0, "max_nm": 800.0}}}, "source.grid.max_nm",
+     lambda: SourceModel(PumpSpec(), CrystalSpec(), FilterSpec(), 900.0, 800.0)),
+    ({"twins": {"delay_per_um_fs": 0.0}}, "twins.delay_per_um_fs",
+     lambda: TwinsSpec(delay_per_um_fs=0.0)),
+    ({"twins": {"position_min_um": 5.0, "position_max_um": 5.0}}, "twins.position_max_um",
+     lambda: TwinsSpec(position_min_um=5.0, position_max_um=5.0)),
+    ({"sample": {"species": [{"weight": 0.0}]}}, "sample.species",
+     lambda: SampleModel((EmitterSpecies(weight=0.0),))),
+    ({"analysis": {"histogram": {"bin_width_ps": 3, "window_ps": 100}}},
+     "analysis.histogram.window_ps", lambda: HistogramOptions(bin_width_ps=3, window_ps=100)),
+])
+def test_relation_rejected_by_model_and_by_yaml(data, path, build):
+    with pytest.raises(DomainError, match=path.rsplit(".", 1)[-1]):
+        build()
+    cfg, found = validate_config(data)
+    assert cfg is None
+    assert any(v.startswith(f"{path}: ") for v in found), found
+
+
+@pytest.mark.parametrize("data,paths", [
+    ({"detectors": {"signal": {"preset": "bogus", "efficiency": 2.0}}},
+     ["detectors.signal.efficiency", "detectors.signal.preset"]),
+    ({"source": {"pump": {"wavelength_nm": 0.0}, "grid": {"min_nm": 900.0, "max_nm": 800.0}}},
+     ["source.grid.max_nm", "source.pump.wavelength_nm"]),
+    ({"twins": {"visibility": 2.0, "position_min_um": 5.0, "position_max_um": 5.0}},
+     ["twins.position_max_um", "twins.visibility", "twins"]),  # twins needs fluorescence
+])
+def test_every_violation_reported_together(data, paths):
+    cfg, found = validate_config(data)
+    assert cfg is None
+    assert [v.split(": ")[0] for v in found] == paths, found
+
+
+def test_relation_checked_beside_a_broken_field():
+    with pytest.raises(DomainError, match="visibility: .*position_max_um: "):
+        TwinsSpec(visibility=2.0, position_min_um=5.0, position_max_um=5.0)
+
+
+NON_FINITE = [
+    ("run: {duration_s: .nan}", "run.duration_s"),
+    ("source: {pump: {pair_rate_hz: .inf}}", "source.pump.pair_rate_hz"),
+    ("detectors: {signal: {efficiency: .nan}}", "detectors.signal.efficiency"),
+]
+
+
+@pytest.mark.parametrize("text,path", NON_FINITE)
+def test_non_finite_value_is_a_violation(text, path):
+    cfg, found = validate_config(text)
+    assert cfg is None
+    assert found == [f"{path}: must be finite (got {'inf' if 'inf' in text else 'nan'})"]
+
+
+@pytest.mark.parametrize("text,path", NON_FINITE)
+def test_non_finite_value_exits_2(tmp_path, capsys, text, path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text + "\n")
+    assert cli.main(["simulate", "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_missing_config_file_named(tmp_path, capsys):
+    missing = tmp_path / "no_such_file.yaml"
+    with pytest.raises(ConfigurationError, match="No such file"):
+        load_config(missing)
+    assert cli.main(["simulate", "--out", str(tmp_path / "o"),
+                     "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "No such file" in err
+
+
+def test_load_config_takes_a_path_not_text():
+    text = "run:\n  seed: 3\n" + "# padding\n" * 500  # over 4 KB
+    with pytest.raises(ConfigurationError, match="cannot read config file"):
+        load_config(text)
+    cfg, found = validate_config(text)
+    assert found == [] and cfg.run.seed == 3
+
+
+_KEYS = sorted({"source", "sample", "detectors", "twins", "run", "analysis", "pump",
+                "crystal", "herald_filter", "grid", "species", "herald", "signal",
+                "preset", "histogram", "g2", "fit", "ft", "n_positions", "min_nm"}
+               | {f.name for cls in SECTION for f in dataclasses.fields(cls)})
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30), st.floats(),
+                    st.sampled_from(["", "5.0e5", "nan", "ktp-z", "mpd", "hann", "irf",
+                                     "fluorescence", "bogus"]))
+_TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(_KEYS), inner, max_size=5)),
+    max_leaves=20)
+
+
+@given(st.dictionaries(st.sampled_from(_KEYS), _TREES, max_size=6))
+def test_validate_config_never_raises(data):
+    cfg, found = validate_config(data)
+    assert (cfg is None) == bool(found)
+
+
+@pytest.mark.parametrize("flag,value,field", [("--duration", "nan", "duration_s"),
+                                              ("--seed", "-3", "seed")])
+def test_bad_override_flag_exits_2(tmp_path, capsys, flag, value, field):
+    assert cli.main(["simulate", "--out", str(tmp_path / "o"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "command-line override" in err and field in err

@@ -11,9 +11,8 @@ from epstreak.eventfile import write_event_file
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
                              DETECTOR_PRESETS, DetectorModel, EmitterSpecies,
                              RunConfig, SampleModel, _check_overlap,
-                             _concat_sorted, _dead_time_prune, apply_detector,
-                             sample_fluorescence, simulate_channels,
-                             simulate_stream)
+                             _concat_sorted, _dead_time_prune, _fluorescence_batch,
+                             apply_detector, simulate_channels, simulate_stream)
 from epstreak.presets import heralded_source
 from epstreak.spdc import FilterSpec, SourceModel
 from epstreak.tcspc import build_histogram
@@ -127,7 +126,8 @@ def test_irf_quadrature_law(heralded_source, f1, f2):
 def test_sample_fluorescence_absorption_zero(rng):
     sample = SampleModel((EmitterSpecies(1.0, 1.0, 850.0, 40.0),),
                          absorption_prob=0.0)
-    assert all(sample_fluorescence(sample, rng) is None for _ in range(200))
+    emitted, _, _ = _fluorescence_batch(sample, 200, rng)
+    assert not emitted.any()
 
 
 def test_sample_fluorescence_mean_delay(rng):
