@@ -22,17 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import presets
+from . import experiment, presets
 from .config import load_config, validate_config
 from .errors import ConfigurationError, DomainError, EpstreakError
-from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, RunConfig,
-                     simulate_channels, simulate_stream)
 from .eventfile import read_event_file, write_event_file
-from .fitting import fit_decay, format_fit_report
-from .spdc import tuning_curve
-from .tcspc import (build_histogram, read_histogram_csv, start_stop_histogram, tag_g2,
-                    write_g2_csv, write_histogram_csv)
-from .twins import TwinsCalibration, acquire_cube, reconstruct_map, save_cube, write_map_csv
+from .fitting import format_fit_report
+from .spdc import write_tuning_csv
+from .tcspc import read_histogram_csv, write_g2_csv, write_histogram_csv
+from .twins import save_cube, write_map_csv
 
 
 def _sha256(path: Path):
@@ -86,167 +83,86 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
-def _simulate(cfg):
-    return simulate_stream(cfg.source, cfg.sample, cfg.herald_det,
-                           cfg.signal_det, cfg.twins, cfg.run)
+# Each command runs its step on the loaded config, writes its artifacts into
+# ``out`` and returns its summary; "artifacts" names them for the manifest.
 
-
-def _simulate_channels(cfg):
-    return simulate_channels(cfg.source, cfg.sample, cfg.herald_det,
-                             cfg.signal_det, cfg.twins, cfg.run)
-
-
-def cmd_simulate(args):
-    cfg = _apply_overrides(_load_cfg(args), args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stream = _simulate(cfg)
+def cmd_simulate(cfg, args, out):
+    stream = experiment.simulate(cfg)
     write_event_file(out / "events.bin", stream,
                      {"seed": cfg.run.seed, "topology": cfg.run.topology,
                       "config": cfg.raw})
-    _write_manifest(out, "simulate", cfg.raw, cfg.run.seed,
-                    ["events.bin", "events.bin.meta.json"],
-                    {"n_events": len(stream), "warnings": stream.warnings})
-    return 0
+    return {"artifacts": ["events.bin", "events.bin.meta.json"],
+            "n_events": len(stream), "warnings": stream.warnings}
 
 
-def _histogram_from_args(cfg, args):
-    an = cfg.analysis
-    binning = dict(bin_width_ps=an.histogram.bin_width_ps, window_ps=an.histogram.window_ps,
-                   t0_ps=an.histogram.t0_ps, mode=an.histogram.mode)
-    if args.events:
-        return build_histogram(read_event_file(args.events), CH_HERALD, CH_SIGNAL,
-                               **binning)
-    tags = _simulate_channels(cfg)
-    return start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], **binning)
-
-
-def cmd_histogram(args):
-    cfg = _apply_overrides(_load_cfg(args), args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    hist = _histogram_from_args(cfg, args)
+def cmd_histogram(cfg, args, out):
+    stream = read_event_file(args.events) if args.events else None
+    hist = experiment.histogram(cfg, stream)
     write_histogram_csv(out / "histogram.csv", hist)
-    _write_manifest(out, "histogram", cfg.raw, cfg.run.seed, ["histogram.csv"],
-                    {"counts": int(hist.counts.sum()), "fwhm_ps": hist.fwhm_ps(),
-                     "peak_ps": hist.peak_ps(), "flags": hist.flags})
-    return 0
+    return {"artifacts": ["histogram.csv"], "counts": int(hist.counts.sum()),
+            "fwhm_ps": hist.fwhm_ps(), "peak_ps": hist.peak_ps(), "flags": hist.flags}
 
 
-def cmd_irf(args):
-    cfg = _apply_overrides(_load_cfg(args), args)
-    if cfg.run.topology != "irf":
-        from dataclasses import replace
-        cfg.run = replace(cfg.run, topology="irf")
-        cfg.sample = None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    args.events = None
-    hist = _histogram_from_args(cfg, args)
+def cmd_irf(cfg, args, out):
+    hist = experiment.irf(cfg)
     write_histogram_csv(out / "irf.csv", hist)
-    report = (f"coincidences: {int(hist.counts.sum())}\n"
-              f"fwhm_ps: {hist.fwhm_ps():.2f}\n"
-              f"peak_ps: {hist.peak_ps():.2f}\n")
-    (out / "irf_report.txt").write_text(report)
-    _write_manifest(out, "irf", cfg.raw, cfg.run.seed,
-                    ["irf.csv", "irf_report.txt"],
-                    {"fwhm_ps": hist.fwhm_ps()})
-    return 0
+    (out / "irf_report.txt").write_text(f"coincidences: {int(hist.counts.sum())}\n"
+                                        f"fwhm_ps: {hist.fwhm_ps():.2f}\n"
+                                        f"peak_ps: {hist.peak_ps():.2f}\n")
+    return {"artifacts": ["irf.csv", "irf_report.txt"], "fwhm_ps": hist.fwhm_ps()}
 
 
-def cmd_g2(args):
-    cfg = _apply_overrides(_load_cfg(args), args)
-    if cfg.run.topology != "hbt":
-        raise ConfigurationError("g2 requires run.topology = hbt")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tags = _simulate_channels(cfg)
-    g2 = cfg.analysis.g2
-    curve = tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R],
-                   g2.coincidence_window_ps, g2.delay_axis_ps())
+def cmd_g2(cfg, args, out):
+    curve = experiment.g2(cfg)
     write_g2_csv(out / "g2.csv", curve)
-    _write_manifest(out, "g2", cfg.raw, cfg.run.seed, ["g2.csv"],
-                    {"g2_zero": curve.at_zero()})
-    return 0
+    return {"artifacts": ["g2.csv"], "g2_zero": curve.at_zero()}
 
 
-def cmd_ft_map(args):
-    cfg = _apply_overrides(_load_cfg(args), args)
-    if cfg.twins is None or cfg.sample is None:
-        raise ConfigurationError(
-            "ft-map requires both a twins section and a sample section")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    an = cfg.analysis
-    cube = acquire_cube(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
-                        cfg.twins, cfg.twins_positions_um(), cfg.run,
-                        bin_width_ps=an.histogram.bin_width_ps,
-                        window_ps=an.histogram.window_ps, t0_ps=an.histogram.t0_ps)
+def cmd_ft_map(cfg, args, out):
+    cube, calibration, tf_map = experiment.ft_map(
+        cfg, experiment.derive_seed(cfg.run.seed, 0))
     save_cube(out / "cube", cube)
-    cal = TwinsCalibration(cfg.twins.delay_per_um_fs, cfg.twins.x_zero_um,
-                           fringe_period_um=float("nan"))
-    tf_map = reconstruct_map(cube, cal, apodization=an.ft.apodization,
-                             dc_removal=an.ft.dc_removal)
     write_map_csv(out / "map.csv", tf_map)
-    _write_manifest(out, "ft-map", cfg.raw, cfg.run.seed, ["cube", "map.csv"],
-                    {"n_positions": len(cube.positions_um)})
-    return 0
+    return {"artifacts": ["cube", "map.csv"], "n_positions": len(cube.positions_um),
+            "delay_per_um_fs": calibration.delay_per_um_fs}
 
 
-def cmd_fit(args):
-    cfg = _load_cfg(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    hist = read_histogram_csv(args.hist)
-    irf = read_histogram_csv(args.irf)
-    from .fitting import FitOptions
-    fit = cfg.analysis.fit
-    n = args.n if args.n is not None else fit.n_components
-    result = fit_decay(hist, irf, n_components=n,
-                       options=FitOptions(seed=fit.seed, fit_shift=fit.fit_shift))
+def cmd_fit(cfg, args, out):
+    result = experiment.fit(cfg, read_histogram_csv(args.hist), read_histogram_csv(args.irf),
+                            args.n)
     report = format_fit_report(result, irf_source=str(args.irf))
     (out / "fit_report.txt").write_text(report)
     sys.stdout.write(report)
-    taus = [tau for _, tau in result.model.components]
-    _write_manifest(out, "fit", cfg.raw, fit.seed, ["fit_report.txt"],
-                    {"lifetimes_ns": taus,
-                     "reduced_chi2": result.reduced_chi2},
-                    diagnostics=result.diagnostics())
-    return 0
+    return {"artifacts": ["fit_report.txt"],
+            "lifetimes_ns": [tau for _, tau in result.model.components],
+            "reduced_chi2": result.reduced_chi2, "diagnostics": result.diagnostics()}
 
 
-def cmd_tuning_curve(args):
-    cfg = _load_cfg(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_tuning_curve(cfg, args, out):
     temps = np.arange(args.tmin, args.tmax + 1e-9, args.step)
     if len(temps) == 0:
         raise ConfigurationError("empty temperature range")
-    points = tuning_curve(cfg.source.pump, cfg.source.crystal, temps)
-    presets._write_tuning_csv(out / "tuning_curve.csv", points)
-    matched = [p for p in points if p.phase_matched]
-    summary = {"n_phase_matched": len(matched)}
-    if matched:
-        wl = [w for p in matched for w in (p.lambda_signal_nm, p.lambda_idler_nm)]
-        summary["coverage_min_nm"] = min(wl)
-        summary["coverage_max_nm"] = max(wl)
-    _write_manifest(out, "tuning-curve", cfg.raw, cfg.run.seed,
-                    ["tuning_curve.csv"], summary)
-    return 0
+    points = experiment.tuning(cfg, temps)
+    write_tuning_csv(out / "tuning_curve.csv", points)
+    return {"artifacts": ["tuning_curve.csv"], **experiment.tuning_summary(points)}
 
 
-def cmd_preset(args):
-    if args.name not in presets.PRESETS:
-        sys.stderr.write(f"unknown preset {args.name!r}; available: "
-                         f"{', '.join(sorted(presets.PRESETS))}\n")
-        return 2
+def _run(args):
+    """Run one command and write its manifest; the preset's config is its name."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 1
-    summary = presets.run_preset(args.name, out, seed=seed)
-    artifacts = summary.pop("artifacts", [])
-    _write_manifest(out, f"preset {args.name}", {"preset": args.name}, seed,
-                    artifacts, summary)
+    if args.command == "preset":
+        seed = 1 if args.seed is None else args.seed
+        command, echo = f"preset {args.name}", {"preset": args.name}
+        summary = presets.run_preset(args.name, out, seed=seed)
+    else:
+        cfg = _apply_overrides(_load_cfg(args), args)
+        out.mkdir(parents=True, exist_ok=True)
+        summary = args.func(cfg, args, out)
+        command, echo = args.command, cfg.raw
+        seed = cfg.analysis.fit.seed if args.command == "fit" else cfg.run.seed
+    artifacts = summary.pop("artifacts")
+    diagnostics = summary.pop("diagnostics", None)
+    _write_manifest(out, command, echo, seed, artifacts, summary, diagnostics)
     return 0
 
 
@@ -306,7 +222,6 @@ def build_parser():
     p.add_argument("name", help="preset name")
     common(p, config=False)
     p.add_argument("--seed", type=int, help="base seed for the preset")
-    p.set_defaults(func=cmd_preset)
 
     return parser
 
@@ -315,7 +230,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigurationError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2

@@ -1,22 +1,33 @@
-"""One experiment as data: the models of the chain plus the analysis options.
+"""One experiment as data, and the steps that run it.
 
 ``config.validate_config`` builds an ExperimentConfig from YAML; each
 analysis section below has the fields of the YAML section of the same name.
+Each step takes an ExperimentConfig and returns its result without writing
+anything; the CLI subcommands and the presets both run through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .checks import Checked, relation, rule, rule_of
 from .errors import ConfigurationError
-from .events import DetectorModel, RunConfig, SampleModel
-from .fitting import FitOptions
-from .spdc import SourceModel
-from .tcspc import DEFAULT_BIN_WIDTH_PS, DEFAULT_WINDOW_PS, HISTOGRAM_MODES, window_violation
-from .twins import APODIZATIONS, TwinsSpec
+from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DetectorModel,
+                     EmitterSpecies, RunConfig, SampleModel, simulate_channels,
+                     simulate_stream)
+from .fitting import FitOptions, fit_decay
+from .spdc import SourceModel, tuning_curve
+from .tcspc import (DEFAULT_BIN_WIDTH_PS, DEFAULT_WINDOW_PS, HISTOGRAM_MODES,
+                    build_histogram, start_stop_histogram, tag_g2, window_violation)
+from .twins import APODIZATIONS, TwinsSpec, acquire_cube, calibrate_delay, reconstruct_map
+
+# The TWINS calibration scans a quasi-monochromatic line of known wavelength
+# with the experiment's own positions, detectors and binning.
+REFERENCE_LINE = EmitterSpecies(weight=1.0, lifetime_ns=0.1, emission_center_nm=850.0,
+                                emission_fwhm_nm=0.5)
+REFERENCE_DURATION_S = 0.05  # per wedge position
 
 
 @dataclass(frozen=True)
@@ -81,3 +92,96 @@ class ExperimentConfig(Checked):
             raise ConfigurationError("no TWINS configured")
         return np.linspace(self.twins.position_min_um, self.twins.position_max_um,
                            self.n_twins_positions)
+
+
+def derive_seed(base, *tags):
+    """The seed of one run among several that share a base seed."""
+    return int(np.random.SeedSequence((int(base),) + tags).generate_state(1)[0])
+
+
+def tuning(cfg, temperatures_C):
+    """Phase-matched signal and idler wavelengths of the source over a temperature sweep."""
+    return tuning_curve(cfg.source.pump, cfg.source.crystal, temperatures_C)
+
+
+def tuning_summary(points):
+    """How many temperatures phase-match, and the wavelength span their pairs cover."""
+    matched = [p for p in points if p.phase_matched]
+    summary = {"n_phase_matched": len(matched)}
+    if matched:
+        wavelengths = [w for p in matched for w in (p.lambda_signal_nm, p.lambda_idler_nm)]
+        summary.update(coverage_min_nm=min(wavelengths), coverage_max_nm=max(wavelengths))
+    return summary
+
+
+def _channels(cfg):
+    return simulate_channels(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
+                             cfg.twins, cfg.run)
+
+
+def simulate(cfg):
+    """The run's detections merged into one time-ordered EventStream."""
+    return simulate_stream(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
+                           cfg.twins, cfg.run)
+
+
+def histogram(cfg, stream=None):
+    """Herald-signal start-stop histogram of ``stream``, or of a fresh run's detections."""
+    binning = asdict(cfg.analysis.histogram)
+    if stream is not None:
+        return build_histogram(stream, CH_HERALD, CH_SIGNAL, **binning)
+    tags = _channels(cfg)
+    return start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], **binning)
+
+
+def irf(cfg):
+    """Timing response of the detector pair: the run in irf topology, without sample or TWINS."""
+    return histogram(replace(cfg, run=replace(cfg.run, topology="irf"), sample=None,
+                             twins=None))
+
+
+def g2(cfg):
+    """Heralded HBT correlation of the signal arm; the run must be in hbt topology."""
+    if cfg.run.topology != "hbt":
+        raise ConfigurationError("g2 requires run.topology = hbt")
+    tags = _channels(cfg)
+    options = cfg.analysis.g2
+    return tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R],
+                  options.coincidence_window_ps, options.delay_axis_ps())
+
+
+def _cube(cfg, sample, run):
+    binning = cfg.analysis.histogram
+    return acquire_cube(cfg.source, sample, cfg.herald_det, cfg.signal_det, cfg.twins,
+                        cfg.twins_positions_um(), run, bin_width_ps=binning.bin_width_ps,
+                        window_ps=binning.window_ps, t0_ps=binning.t0_ps)
+
+
+def calibrate(cfg, reference_seed):
+    """TWINS calibration from a scan of REFERENCE_LINE seeded with ``reference_seed``."""
+    run = RunConfig(duration_s=REFERENCE_DURATION_S, seed=reference_seed,
+                    topology="fluorescence")
+    reference = _cube(cfg, SampleModel((REFERENCE_LINE,)), run)
+    return calibrate_delay(reference, REFERENCE_LINE.emission_center_nm)
+
+
+def ft_map(cfg, reference_seed):
+    """(interferogram cube, calibration, wavelength-time map) of the sample.
+
+    The map's wavelength axis comes from the calibration, not from the
+    nominal delay slope of the twins section.
+    """
+    if cfg.twins is None or cfg.sample is None:
+        raise ConfigurationError("ft-map requires both a twins section and a sample section")
+    calibration = calibrate(cfg, reference_seed)
+    cube = _cube(cfg, cfg.sample, cfg.run)
+    ft = cfg.analysis.ft
+    return cube, calibration, reconstruct_map(cube, calibration, ft.apodization, ft.dc_removal)
+
+
+def fit(cfg, hist, irf_hist, n_components=None):
+    """Reconvolution lifetime fit of ``hist`` against ``irf_hist`` with the config's fit options."""
+    options = cfg.analysis.fit
+    n = options.n_components if n_components is None else n_components
+    return fit_decay(hist, irf_hist, n,
+                     FitOptions(seed=options.seed, fit_shift=options.fit_shift))

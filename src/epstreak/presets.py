@@ -1,298 +1,236 @@
 """Baked experiment presets.
 
-Each preset bundles a source, sample, detector and analysis configuration and
-runs end to end, writing its artifacts into an output directory and
-returning a summary dict. Everything is seeded, so a preset rerun with the
-same seed reproduces its outputs byte for byte.
+Each preset is a few YAML-shaped mappings, built into ExperimentConfigs by
+``config.validate_config`` and run through the same steps as the CLI
+subcommands (``epstreak.experiment``). It writes its artifacts into an
+output directory and returns a summary dict. Every run seed derives from the
+preset's base seed, so a rerun with the same seed reproduces its outputs
+byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DETECTOR_PRESETS,
-                     EmitterSpecies, RunConfig, SampleModel, simulate_channels,
-                     simulate_stream)
+from .checks import violations
+from .config import validate_config
+from .errors import ConfigurationError
 from .eventfile import write_event_file
-from .fitting import fit_decay, format_fit_report
-from .spdc import CrystalSpec, FilterSpec, PumpSpec, SourceModel, tuning_curve
-from .tcspc import (build_histogram, start_stop_histogram, tag_g2, write_g2_csv,
-                    write_histogram_csv)
-from .twins import (TwinsSpec, acquire_cube, calibrate_delay, reconstruct_map,
-                    save_cube, write_map_csv)
+from .events import RunConfig
+from .experiment import (derive_seed, fit, ft_map, g2, histogram, irf,
+                         simulate, tuning, tuning_summary)
+from .fitting import format_fit_report
+from .spdc import write_tuning_csv
+from .tcspc import write_g2_csv, write_histogram_csv
+from .twins import save_cube, write_map_csv
 
-# Full-length crystal for phase-matching work (tuning curves, joint spectra).
-TUNING_CRYSTAL = CrystalSpec(poling_period_um=3.675, length_mm=30.0,
-                             temperature_C=56.0)
-TUNING_PUMP_NM = 413.0
-
-# Photon-budget source used by the counting presets. The pump is set so the
+# Photon-budget source of the counting presets. The pump is set so the
 # conjugate of the 860 nm herald filter is exactly 800 nm, and a short
 # effective interaction length gives a smooth broadband joint spectrum for
-# herald conditioning (bulk-crystal tuning work uses TUNING_CRYSTAL instead).
-HERALDED_PUMP_NM = 414.46
-HERALDED_LENGTH_MM = 0.3
-HERALDED_TEMPERATURE_C = 56.0
-PAIR_RATE_HZ = 2.0e5  # detected-coincidence budget at unit efficiency
+# herald conditioning. Phase-matching work (fig2b) keeps the default 413 nm
+# pump and 30 mm crystal.
+HERALDED = {"source": {"pump": {"wavelength_nm": 414.46, "pair_rate_hz": 2.0e5},
+                       "crystal": {"length_mm": 0.3, "temperature_C": 56.0}}}
 
 
-def heralded_source(pair_rate_hz=PAIR_RATE_HZ, filter_center_nm=860.0,
-                    filter_fwhm_nm=10.0, temperature_C=HERALDED_TEMPERATURE_C):
-    return SourceModel(
-        pump=PumpSpec(HERALDED_PUMP_NM, pair_rate_hz),
-        crystal=CrystalSpec(3.675, HERALDED_LENGTH_MM, temperature_C),
-        herald_filter=FilterSpec(filter_center_nm, filter_fwhm_nm, "gaussian"),
-    )
+def _detectors(herald, signal):
+    return {"detectors": {"herald": {"preset": herald}, "signal": {"preset": signal}}}
 
 
-def _seed(base, *tags):
-    return int(np.random.SeedSequence((int(base),) + tags).generate_state(1)[0])
+def _run(topology, duration_s, seed):
+    return {"run": {"topology": topology, "duration_s": duration_s, "seed": seed}}
 
 
-def _write_tuning_csv(path, points):
-    lines = ["temperature_C,signal_nm,idler_nm,phase_matched"]
-    for p in points:
-        if p.phase_matched:
-            lines.append(f"{p.temperature_C:g},{p.lambda_signal_nm:.4f},"
-                         f"{p.lambda_idler_nm:.4f},1")
-        else:
-            lines.append(f"{p.temperature_C:g},,,0")
-    Path(path).write_text("\n".join(lines) + "\n")
+def _bins(bin_width_ps, window_ps, t0_ps):
+    return {"analysis": {"histogram": {"bin_width_ps": bin_width_ps, "window_ps": window_ps,
+                                       "t0_ps": t0_ps}}}
+
+
+def _species(lifetime_ns, emission_center_nm, emission_fwhm_nm):
+    return {"weight": 1.0, "lifetime_ns": lifetime_ns,
+            "emission_center_nm": emission_center_nm, "emission_fwhm_nm": emission_fwhm_nm}
+
+
+def _merge(base, update):
+    merged = dict(base)
+    for key, value in update.items():
+        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+            value = _merge(merged[key], value)
+        merged[key] = value
+    return merged
+
+
+def config(*mappings):
+    """ExperimentConfig from YAML-shaped mappings, each later one merged over the earlier."""
+    data = {}
+    for mapping in mappings:
+        data = _merge(data, mapping)
+    cfg, found = validate_config(data)
+    if found:
+        raise ConfigurationError("invalid preset configuration:\n  " + "\n  ".join(found))
+    return cfg
+
+
+def heralded_source(pair_rate_hz=2.0e5, filter_center_nm=860.0):
+    """The counting presets' source at another pair rate or herald filter centre."""
+    return config(HERALDED, {"source": {"pump": {"pair_rate_hz": pair_rate_hz},
+                                        "herald_filter": {"center_nm": filter_center_nm}}}).source
 
 
 def run_fig2b_tuning(out_dir, seed=1):
     """Temperature sweep of the quasi-phase-matched signal/idler pair."""
-    out = Path(out_dir)
-    temps = np.arange(40.0, 200.0 + 1e-9, 2.0)
-    points = tuning_curve(PumpSpec(TUNING_PUMP_NM, PAIR_RATE_HZ),
-                          TUNING_CRYSTAL, temps)
-    _write_tuning_csv(out / "tuning_curve.csv", points)
-    matched = [p for p in points if p.phase_matched]
-    wavelengths = [w for p in matched
-                   for w in (p.lambda_signal_nm, p.lambda_idler_nm)]
-    return {
-        "artifacts": ["tuning_curve.csv"],
-        "n_temperatures": len(points),
-        "n_phase_matched": len(matched),
-        "coverage_min_nm": min(wavelengths),
-        "coverage_max_nm": max(wavelengths),
-    }
+    points = tuning(config(), np.arange(40.0, 200.0 + 1e-9, 2.0))
+    write_tuning_csv(Path(out_dir) / "tuning_curve.csv", points)
+    return {"artifacts": ["tuning_curve.csv"], "n_temperatures": len(points),
+            **tuning_summary(points)}
 
 
 def run_fig2c_g2(out_dir, seed=1):
     """Heralded HBT correlation of the signal arm."""
-    out = Path(out_dir)
-    source = heralded_source(pair_rate_hz=1.0e6)
-    det = DETECTOR_PRESETS["ideal"]
-    run = RunConfig(duration_s=10.0, seed=_seed(seed, 0), topology="hbt")
-    tags = simulate_channels(source, None, det, det, None, run)
-    delays = np.arange(-50_000, 50_001, 2000, dtype=float)
-    curve = tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R],
-                   coincidence_window_ps=1000, delay_axis_ps=delays)
-    write_g2_csv(out / "g2.csv", curve)
+    cfg = config(HERALDED, {"source": {"pump": {"pair_rate_hz": 1.0e6}}},
+                 _detectors("ideal", "ideal"), _run("hbt", 10.0, derive_seed(seed, 0)),
+                 {"analysis": {"g2": {"coincidence_window_ps": 1000, "delay_min_ps": -50_000,
+                                      "delay_max_ps": 50_000, "delay_step_ps": 2000}}})
+    curve = g2(cfg)
+    write_g2_csv(Path(out_dir) / "g2.csv", curve)
     plateau = curve.g2_values[np.abs(curve.delay_axis_ps) >= 10_000]
     return {
         "artifacts": ["g2.csv"],
         "g2_zero": curve.at_zero(),
         "plateau_mean": float(plateau.mean()),
-        "pair_rate_hz": source.pump.pair_rate_hz,
-        "coincidence_window_ps": 1000,
+        "pair_rate_hz": cfg.source.pump.pair_rate_hz,
+        "coincidence_window_ps": cfg.analysis.g2.coincidence_window_ps,
     }
+
+
+# detector pairing -> (signal detector, seconds); the herald is an mpd
+IRF_PAIRINGS = {"mpd_mpd": ("mpd", 42.0), "mpd_excelitas": ("excelitas", 25.0)}
 
 
 def run_fig2d_irf(out_dir, seed=1):
-    """Start-stop response of two detector pairings at >= 1e6 coincidences."""
+    """Start-stop response of two detector pairings at >= 1e6 coincidences.
+
+    The mpd/mpd run is also written as an event file.
+    """
     out = Path(out_dir)
-    source = heralded_source()
-    pairings = {
-        "mpd_mpd": (DETECTOR_PRESETS["mpd"], DETECTOR_PRESETS["mpd"], 42.0),
-        "mpd_excelitas": (DETECTOR_PRESETS["mpd"], DETECTOR_PRESETS["excelitas"], 25.0),
-    }
     summary = {"artifacts": []}
-    for i, (name, (det_h, det_s, duration)) in enumerate(pairings.items()):
-        run = RunConfig(duration_s=duration, seed=_seed(seed, i), topology="irf")
-        stream = simulate_stream(source, None, det_h, det_s, None, run)
-        hist = build_histogram(stream, CH_HERALD, CH_SIGNAL, bin_width_ps=4,
-                               window_ps=8000, t0_ps=-4000)
+    for i, (name, (signal, duration_s)) in enumerate(IRF_PAIRINGS.items()):
+        cfg = config(HERALDED, _detectors("mpd", signal),
+                     _run("irf", duration_s, derive_seed(seed, i)), _bins(4, 8000, -4000))
+        stream = simulate(cfg) if name == "mpd_mpd" else None
+        hist = histogram(cfg, stream)
         write_histogram_csv(out / f"irf_{name}.csv", hist)
         summary["artifacts"].append(f"irf_{name}.csv")
-        if i == 0:
-            write_event_file(out / "events_mpd_mpd.bin", stream,
-                             {"preset": "fig2d-irf", "seed": run.seed,
+        if stream is not None:
+            write_event_file(out / f"events_{name}.bin", stream,
+                             {"preset": "fig2d-irf", "seed": cfg.run.seed,
                               "topology": "irf"})
-            summary["artifacts"] += ["events_mpd_mpd.bin",
-                                     "events_mpd_mpd.bin.meta.json"]
+            summary["artifacts"] += [f"events_{name}.bin", f"events_{name}.bin.meta.json"]
         summary[f"fwhm_ps_{name}"] = hist.fwhm_ps()
         summary[f"coincidences_{name}"] = int(hist.counts.sum())
     return summary
 
 
-TWO_DYE_SAMPLE = SampleModel((
-    EmitterSpecies(weight=1.0, lifetime_ns=1.51, emission_center_nm=810.0,
-                   emission_fwhm_nm=40.0),
-    EmitterSpecies(weight=1.0, lifetime_ns=0.79, emission_center_nm=900.0,
-                   emission_fwhm_nm=40.0),
-))
-
-FIG3_TWINS = TwinsSpec(delay_per_um_fs=1.0, position_min_um=0.0,
-                       position_max_um=320.0, visibility=0.9,
-                       insertion_loss=0.5, x_zero_um=160.0)
-FIG3_POSITIONS = np.linspace(0.0, 320.0, 256)
-CAL_WAVELENGTH_NM = 850.0
+def spectrum(sample, twins, duration_s, seed):
+    """Interferometer scan of ``sample`` on ideal detectors; ft_map calibrates it."""
+    return config(HERALDED, _detectors("ideal", "ideal"), {"sample": sample, "twins": twins},
+                  _run("fluorescence", duration_s, seed), _bins(16, 12_800, 0))
 
 
-def _calibration_cube(source, det, twins, positions, seed, duration_s=0.05):
-    """Quasi-monochromatic reference scan used to calibrate the delay slope."""
-    line = SampleModel((EmitterSpecies(1.0, 0.1, CAL_WAVELENGTH_NM, 0.5),))
-    run = RunConfig(duration_s=duration_s, seed=seed, topology="fluorescence")
-    return acquire_cube(source, line, det, det, twins, positions, run,
-                        bin_width_ps=16, window_ps=12_800, t0_ps=0)
+TWO_DYES = {"species": [_species(1.51, 810.0, 40.0), _species(0.79, 900.0, 40.0)]}
+TWO_DYE_TWINS = {"delay_per_um_fs": 1.0, "position_min_um": 0.0, "position_max_um": 320.0,
+                 "n_positions": 256, "x_zero_um": 160.0, "visibility": 0.9,
+                 "insertion_loss": 0.5}
 
 
 def run_fig3_two_dyes(out_dir, seed=1):
     """Interferogram cube and reconstructed map of the two-dye mixture."""
     out = Path(out_dir)
-    source = heralded_source()
-    det = DETECTOR_PRESETS["ideal"]
-    ref = _calibration_cube(source, det, FIG3_TWINS, FIG3_POSITIONS,
-                            _seed(seed, 0))
-    cal = calibrate_delay(ref, CAL_WAVELENGTH_NM)
-    run = RunConfig(duration_s=0.5, seed=_seed(seed, 1), topology="fluorescence")
-    cube = acquire_cube(source, TWO_DYE_SAMPLE, det, det, FIG3_TWINS,
-                        FIG3_POSITIONS, run, bin_width_ps=16, window_ps=12_800,
-                        t0_ps=0)
+    cube, calibration, tf_map = ft_map(
+        spectrum(TWO_DYES, TWO_DYE_TWINS, 0.5, derive_seed(seed, 1)), derive_seed(seed, 0))
     save_cube(out / "cube", cube)
-    tf_map = reconstruct_map(cube, cal, apodization="hann")
     write_map_csv(out / "map.csv", tf_map)
     band = (tf_map.wavelength_axis_nm >= 740) & (tf_map.wavelength_axis_nm <= 980)
-    spectrum = tf_map.intensity[band].sum(axis=1)
+    spectrum_band = tf_map.intensity[band].sum(axis=1)
     return {
         "artifacts": ["cube", "map.csv"],
-        "delay_per_um_fs": cal.delay_per_um_fs,
-        "spectrum_peak_nm": float(tf_map.wavelength_axis_nm[band][np.argmax(spectrum)]),
+        "delay_per_um_fs": calibration.delay_per_um_fs,
+        "spectrum_peak_nm": float(tf_map.wavelength_axis_nm[band][np.argmax(spectrum_band)]),
     }
 
 
-def _decay_and_irf(source, sample, det_h, det_s, duration_s, seed,
-                   bin_width_ps=4, window_ps=14_000, t0_ps=-2_000,
-                   irf_duration_s=10.0):
-    """Fluorescence decay histogram plus a matched-grid response histogram."""
-    run = RunConfig(duration_s=duration_s, seed=_seed(seed, 0),
-                    topology="fluorescence")
-    tags = simulate_channels(source, sample, det_h, det_s, None, run)
-    decay = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], bin_width_ps,
-                                 window_ps, t0_ps)
-    irf_run = RunConfig(duration_s=irf_duration_s, seed=_seed(seed, 1),
-                        topology="irf")
-    tags = simulate_channels(source, None, det_h, det_s, None, irf_run)
-    irf = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], bin_width_ps,
-                               window_ps, t0_ps)
-    return decay, irf
+def lifetime(species, duration_s, seed):
+    """Fluorescence decay of one species on mpd detectors, on the lifetime presets' bins."""
+    return config(HERALDED, _detectors("mpd", "mpd"), {"sample": {"species": [species]}},
+                  _run("fluorescence", duration_s, seed), _bins(4, 14_000, -2_000))
 
 
-def run_lifetime_species(out_dir, seed, species, duration_s=30.0):
-    """Single-species decay and response histograms, and a one-component fit."""
+def run_lifetime_species(out_dir, seed, species):
+    """Single-species decay (30 s) and response (10 s) histograms, and a one-component fit."""
     out = Path(out_dir)
-    source = heralded_source()
-    det = DETECTOR_PRESETS["mpd"]
-    sample = SampleModel((species,))
-    decay, irf = _decay_and_irf(source, sample, det, det, duration_s, seed)
+    cfg = lifetime(species, 30.0, derive_seed(seed, 0))
+    decay = histogram(cfg)
+    response = irf(lifetime(species, 10.0, derive_seed(seed, 1)))
     write_histogram_csv(out / "decay.csv", decay)
-    write_histogram_csv(out / "irf.csv", irf)
-    result = fit_decay(decay, irf, n_components=1)
+    write_histogram_csv(out / "irf.csv", response)
+    result = fit(cfg, decay, response, n_components=1)
     (out / "fit_report.txt").write_text(
         format_fit_report(result, irf_source="simulated detector pair response"))
     return {
         "artifacts": ["decay.csv", "irf.csv", "fit_report.txt"],
         "tau_ns": result.model.components[0][1],
         "tau_err_ns": result.lifetime_errors_ns()[0],
-        "generator_tau_ns": species.lifetime_ns,
+        "generator_tau_ns": cfg.sample.species[0].lifetime_ns,
         "coincidences": int(decay.counts.sum()),
     }
 
 
-MEMBRANE_TWINS = TwinsSpec(delay_per_um_fs=1.0, position_min_um=0.0,
-                           position_max_um=160.0, visibility=0.9,
-                           insertion_loss=0.5, x_zero_um=80.0)
-MEMBRANE_POSITIONS = np.linspace(0.0, 160.0, 128)
+MEMBRANE_TWINS = {"delay_per_um_fs": 1.0, "position_min_um": 0.0, "position_max_um": 160.0,
+                  "n_positions": 128, "x_zero_um": 80.0, "visibility": 0.9,
+                  "insertion_loss": 0.5}
 
 
-def _spectrum_centroid(out, source, species, seed):
-    """Time-integrated emission centroid from a small interferometer scan."""
-    det = DETECTOR_PRESETS["ideal"]
-    ref = _calibration_cube(source, det, MEMBRANE_TWINS, MEMBRANE_POSITIONS,
-                            _seed(seed, 2))
-    cal = calibrate_delay(ref, CAL_WAVELENGTH_NM)
-    run = RunConfig(duration_s=0.1, seed=_seed(seed, 3), topology="fluorescence")
-    cube = acquire_cube(source, SampleModel((species,)), det, det,
-                        MEMBRANE_TWINS, MEMBRANE_POSITIONS, run,
-                        bin_width_ps=16, window_ps=12_800, t0_ps=0)
-    tf_map = reconstruct_map(cube, cal, apodization="hann")
+def _membrane(out_dir, seed, species):
+    """Lifetime fit plus the time-integrated emission centroid of a short scan."""
+    out = Path(out_dir)
+    summary = run_lifetime_species(out, seed, species)
+    _, _, tf_map = ft_map(spectrum({"species": [species]}, MEMBRANE_TWINS, 0.1,
+                                   derive_seed(seed, 3)), derive_seed(seed, 2))
     write_map_csv(out / "spectrum_map.csv", tf_map)
     band = (tf_map.wavelength_axis_nm >= 750) & (tf_map.wavelength_axis_nm <= 1000)
     lam = tf_map.wavelength_axis_nm[band]
     weight = tf_map.intensity[band].sum(axis=1)
-    return float(np.sum(lam * weight) / np.sum(weight))
-
-
-LH2_SPECIES = EmitterSpecies(1.0, 1.13, 870.0, 30.0)
-MEMBRANE_OPEN_SPECIES = EmitterSpecies(1.0, 0.101, 860.0, 40.0)
-MEMBRANE_CLOSED_SPECIES = EmitterSpecies(1.0, 0.248, 875.0, 40.0)
-
-
-def run_fig4_lh2(out_dir, seed=1):
-    return run_lifetime_species(out_dir, seed, LH2_SPECIES)
-
-
-def _membrane(out_dir, seed, species):
-    out = Path(out_dir)
-    summary = run_lifetime_species(out, seed, species)
-    summary["spectrum_centroid_nm"] = _spectrum_centroid(
-        out, heralded_source(), species, seed)
+    summary["spectrum_centroid_nm"] = float(np.sum(lam * weight) / np.sum(weight))
     summary["artifacts"].append("spectrum_map.csv")
     return summary
 
 
-def run_fig4_membrane_open(out_dir, seed=1):
-    return _membrane(out_dir, seed, MEMBRANE_OPEN_SPECIES)
-
-
-def run_fig4_membrane_closed(out_dir, seed=1):
-    return _membrane(out_dir, seed, MEMBRANE_CLOSED_SPECIES)
-
-
-FIG5_SPECIES = EmitterSpecies(1.0, 1.14, 870.0, 30.0)
+LH2_SPECIES = _species(1.13, 870.0, 30.0)
+MEMBRANE_OPEN_SPECIES = _species(0.101, 860.0, 40.0)
+MEMBRANE_CLOSED_SPECIES = _species(0.248, 875.0, 40.0)
+FIG5_SPECIES = _species(1.14, 870.0, 30.0)
 FIG5_DURATIONS_S = (50.0, 10.0, 2.0, 0.6)
 
 
 def run_fig5_integration_sweep(out_dir, seed=1):
     """Lifetime fit stability versus integration time for a fixed sample."""
     out = Path(out_dir)
-    source = heralded_source()
-    det = DETECTOR_PRESETS["mpd"]
-    sample = SampleModel((FIG5_SPECIES,))
-    irf_run = RunConfig(duration_s=10.0, seed=_seed(seed, 99), topology="irf")
-    tags = simulate_channels(source, None, det, det, None, irf_run)
-    irf = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], 4, 14_000, -2_000)
-    write_histogram_csv(out / "irf.csv", irf)
-
+    response = irf(lifetime(FIG5_SPECIES, 10.0, derive_seed(seed, 99)))
+    write_histogram_csv(out / "irf.csv", response)
     rows = ["duration_s,tau_ns,tau_err_ns,coincidences"]
     taus, errs = [], []
-    for i, duration in enumerate(FIG5_DURATIONS_S):
-        run = RunConfig(duration_s=duration, seed=_seed(seed, i),
-                        topology="fluorescence")
-        tags = simulate_channels(source, sample, det, det, None, run)
-        decay = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], 4, 14_000, -2_000)
-        write_histogram_csv(out / f"decay_{duration:g}s.csv", decay)
-        result = fit_decay(decay, irf, n_components=1)
-        tau = result.model.components[0][1]
-        err = result.lifetime_errors_ns()[0]
+    for i, duration_s in enumerate(FIG5_DURATIONS_S):
+        cfg = lifetime(FIG5_SPECIES, duration_s, derive_seed(seed, i))
+        decay = histogram(cfg)
+        write_histogram_csv(out / f"decay_{duration_s:g}s.csv", decay)
+        result = fit(cfg, decay, response, n_components=1)
+        tau, err = result.model.components[0][1], result.lifetime_errors_ns()[0]
         taus.append(tau)
         errs.append(err)
-        rows.append(f"{duration:g},{tau:.6f},{err:.6f},{int(decay.counts.sum())}")
+        rows.append(f"{duration_s:g},{tau:.6f},{err:.6f},{int(decay.counts.sum())}")
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
     return {
         "artifacts": ["irf.csv", "sweep.csv"]
@@ -300,39 +238,30 @@ def run_fig5_integration_sweep(out_dir, seed=1):
         "durations_s": list(FIG5_DURATIONS_S),
         "tau_ns": taus,
         "tau_err_ns": errs,
-        "generator_tau_ns": FIG5_SPECIES.lifetime_ns,
+        "generator_tau_ns": FIG5_SPECIES["lifetime_ns"],
     }
 
 
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    description: str
-    runner: callable
-
-
-PRESETS = {p.name: p for p in (
-    Preset("fig2b-tuning", "temperature tuning curve of the pair source",
-           run_fig2b_tuning),
-    Preset("fig2c-g2", "heralded HBT correlation of the signal arm",
-           run_fig2c_g2),
-    Preset("fig2d-irf", "start-stop timing response for two detector pairings",
-           run_fig2d_irf),
-    Preset("fig3-two-dyes", "two-dye interferogram cube and reconstructed map",
-           run_fig3_two_dyes),
-    Preset("fig4-lh2", "light-harvesting complex effective lifetime",
-           run_fig4_lh2),
-    Preset("fig4-membrane-open", "open-trap membrane lifetime and spectrum",
-           run_fig4_membrane_open),
-    Preset("fig4-membrane-closed", "closed-trap membrane lifetime and spectrum",
-           run_fig4_membrane_closed),
-    Preset("fig5-integration-sweep", "fit stability versus integration time",
-           run_fig5_integration_sweep),
-)}
+# name -> runner(out_dir, seed); the README's Presets table describes each
+PRESETS = {
+    "fig2b-tuning": run_fig2b_tuning,
+    "fig2c-g2": run_fig2c_g2,
+    "fig2d-irf": run_fig2d_irf,
+    "fig3-two-dyes": run_fig3_two_dyes,
+    "fig4-lh2": partial(run_lifetime_species, species=LH2_SPECIES),
+    "fig4-membrane-open": partial(_membrane, species=MEMBRANE_OPEN_SPECIES),
+    "fig4-membrane-closed": partial(_membrane, species=MEMBRANE_CLOSED_SPECIES),
+    "fig5-integration-sweep": run_fig5_integration_sweep,
+}
 
 
 def run_preset(name, out_dir, seed=1):
+    """Run preset ``name`` into ``out_dir``; its summary's "artifacts" names what it wrote."""
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r} (available: {sorted(PRESETS)})")
+        raise ConfigurationError(
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    found = violations(RunConfig, {"seed": seed}, "preset base ")
+    if found:
+        raise ConfigurationError("; ".join(found))
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return PRESETS[name].runner(out_dir, seed=seed)
+    return PRESETS[name](out_dir, seed=seed)

@@ -7,7 +7,8 @@ along the signal axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -176,6 +177,18 @@ def tuning_curve(pump: PumpSpec, crystal_template: CrystalSpec, temperatures):
     return points
 
 
+def write_tuning_csv(path, points):
+    """One row per temperature; the wavelengths of an unmatched one are empty."""
+    lines = ["temperature_C,signal_nm,idler_nm,phase_matched"]
+    for p in points:
+        if p.phase_matched:
+            lines.append(f"{p.temperature_C:g},{p.lambda_signal_nm:.4f},"
+                         f"{p.lambda_idler_nm:.4f},1")
+        else:
+            lines.append(f"{p.temperature_C:g},,,0")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def joint_spectral_density(pump: PumpSpec, crystal: CrystalSpec, grid_nm) -> JointSpectralDensity:
     """sinc^2 phase-matching density along the signal axis, unit sum."""
     grid = np.asarray(grid_nm, dtype=float)
@@ -226,16 +239,6 @@ def density_fwhm(axis_nm, density):
         f = (density[i1] - half) / (density[i1] - density[i1 + 1])
         right = axis_nm[i1] + f * (axis_nm[i1 + 1] - axis_nm[i1])
     return float(right - left)
-
-
-def sample_signal_wavelengths(jsd: JointSpectralDensity, n: int, rng) -> np.ndarray:
-    """Draw signal wavelengths from the density, dithered within grid bins."""
-    if n == 0:
-        return np.empty(0)
-    axis = jsd.signal_axis_nm
-    step = axis[1] - axis[0]
-    idx = rng.choice(len(axis), size=n, p=jsd.density)
-    return axis[idx] + (rng.random(n) - 0.5) * step
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,23 @@ Each test prints a single PASS line on success; a failed assertion reports
 the offending measurement in its message.
 """
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epstreak import presets
+from epstreak import experiment, presets
+from epstreak.config import validate_config
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, DETECTOR_PRESETS,
                              RunConfig, simulate_stream)
 from epstreak.fitting import (DecayModel, FitOptions, convolve_model, fit_decay,
                               slice_map)
 from epstreak.spdc import conjugate_wavelength
 from epstreak.tcspc import Histogram, build_histogram, heralded_g2, rebin
-from epstreak.twins import (calibrate_delay, load_cube, reconstruct_map,
-                            transmission)
+from epstreak.twins import TwinsSpec, load_cube, reconstruct_map, transmission
 from epstreak.units import FWHM_PER_SIGMA
 
 
@@ -26,47 +28,64 @@ def _report(n, detail):
     print(f"criterion {n}: PASS ({detail})")
 
 
+def _preset(tmp_path_factory, name):
+    """(output directory, summary, seconds) of one preset run at seed 1."""
+    out = tmp_path_factory.mktemp(name)
+    t0 = time.perf_counter()
+    summary = presets.run_preset(name, out, seed=1)
+    return out, summary, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def fig2b(tmp_path_factory):
+    return _preset(tmp_path_factory, "fig2b-tuning")
+
+
 @pytest.fixture(scope="session")
 def fig2d(tmp_path_factory):
-    out = tmp_path_factory.mktemp("fig2d")
-    t0 = time.perf_counter()
-    summary = presets.run_fig2d_irf(out, seed=1)
-    return summary, time.perf_counter() - t0
+    return _preset(tmp_path_factory, "fig2d-irf")
 
 
 @pytest.fixture(scope="session")
 def fig3(tmp_path_factory):
-    out = tmp_path_factory.mktemp("fig3")
-    summary = presets.run_fig3_two_dyes(out, seed=1)
-    return out, summary
+    return _preset(tmp_path_factory, "fig3-two-dyes")
 
 
 @pytest.fixture(scope="session")
 def fig4(tmp_path_factory):
-    runs = {}
-    for name, runner in (("lh2", presets.run_fig4_lh2),
-                         ("open", presets.run_fig4_membrane_open),
-                         ("closed", presets.run_fig4_membrane_closed)):
-        out = tmp_path_factory.mktemp(f"fig4_{name}")
-        runs[name] = runner(out, seed=1)
-    return runs
+    return {name: _preset(tmp_path_factory, f"fig4-{name}")
+            for name in ("lh2", "membrane-open", "membrane-closed")}
 
 
 @pytest.fixture(scope="session")
 def fig5(tmp_path_factory):
-    out = tmp_path_factory.mktemp("fig5")
-    return presets.run_fig5_integration_sweep(out, seed=1)
+    return _preset(tmp_path_factory, "fig5-integration-sweep")
 
 
-def test_criterion_1_tuning_trend(tmp_path):
-    t0 = time.perf_counter()
-    summary = presets.run_fig2b_tuning(tmp_path, seed=1)
-    elapsed = time.perf_counter() - t0
+GOLDEN_PRESETS = Path(__file__).with_name("golden_presets.json")
+
+
+def test_preset_artifacts_match_golden_hashes(fig2b, fig2d, fig3, fig4, fig5):
+    """sha256 of every artifact each preset writes at seed 1."""
+    runs = {"fig2b-tuning": fig2b, "fig2d-irf": fig2d, "fig3-two-dyes": fig3,
+            "fig5-integration-sweep": fig5,
+            **{f"fig4-{name}": run for name, run in fig4.items()}}
+    golden = json.loads(GOLDEN_PRESETS.read_text())
+    for name, (out, _, _) in runs.items():
+        got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.rglob("*")) if p.is_file()}
+        changed = sorted(k for k in got.keys() | golden[name].keys()
+                         if got.get(k) != golden[name].get(k))
+        assert not changed, f"{name}: {changed[:5]}"
+
+
+def test_criterion_1_tuning_trend(fig2b):
+    out, summary, elapsed = fig2b
     assert elapsed < 5.0, f"tuning sweep took {elapsed:.1f} s"
     assert summary["coverage_min_nm"] <= 685.0
     assert summary["coverage_max_nm"] >= 1085.0
     rows = [r.split(",") for r in
-            (tmp_path / "tuning_curve.csv").read_text().strip().splitlines()[1:]]
+            (out / "tuning_curve.csv").read_text().strip().splitlines()[1:]]
     matched = [(float(s), float(i)) for _, s, i, flag in rows if flag == "1"]
     signal_at_860 = min(matched, key=lambda p: abs(p[1] - 860.0))[0]
     assert abs(signal_at_860 - 800.0) <= 15.0, f"signal root {signal_at_860:.1f}"
@@ -80,7 +99,7 @@ def test_criterion_2_herald_conditioning():
     peak, fwhm = cond.peak_nm(), cond.fwhm_nm()
     assert abs(peak - 800.0) <= 5.0, f"peak {peak:.2f} nm"
     assert abs(fwhm - 10.0) <= 3.0, f"fwhm {fwhm:.2f} nm"
-    pump = presets.HERALDED_PUMP_NM
+    pump = presets.heralded_source().pump.wavelength_nm
     for shift in (+10.0, -10.0):
         moved = presets.heralded_source(
             filter_center_nm=860.0 + shift).conditioned_jsd().peak_nm()
@@ -94,7 +113,7 @@ def test_criterion_2_herald_conditioning():
 
 
 def test_criterion_3_irf(fig2d):
-    summary, elapsed = fig2d
+    _, summary, elapsed = fig2d
     assert elapsed < 60.0, f"preset took {elapsed:.1f} s"
     assert summary["coincidences_mpd_mpd"] >= 1_000_000
     assert summary["coincidences_mpd_excelitas"] >= 1_000_000
@@ -131,10 +150,10 @@ def test_criterion_4_g2_dip():
 
 @pytest.mark.parametrize("tau_ns,center_nm", [(1.51, 810.0), (0.79, 900.0)])
 def test_criterion_5_single_dye_lifetimes(tmp_path, tau_ns, center_nm):
-    from epstreak.events import EmitterSpecies
-    species = EmitterSpecies(1.0, tau_ns, center_nm, 40.0)
+    species = {"weight": 1.0, "lifetime_ns": tau_ns, "emission_center_nm": center_nm,
+               "emission_fwhm_nm": 40.0}
     t0 = time.perf_counter()
-    summary = presets.run_lifetime_species(tmp_path, 1, species, duration_s=30.0)
+    summary = presets.run_lifetime_species(tmp_path, 1, species)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"run took {elapsed:.1f} s"
     tau_hat = summary["tau_ns"]
@@ -143,13 +162,11 @@ def test_criterion_5_single_dye_lifetimes(tmp_path, tau_ns, center_nm):
 
 
 def test_criterion_6_two_dye_map(fig3):
-    out, _ = fig3
+    out, _, _ = fig3
     cube = load_cube(out / "cube")
-    det = DETECTOR_PRESETS["ideal"]
-    ref = presets._calibration_cube(presets.heralded_source(), det,
-                                    presets.FIG3_TWINS, presets.FIG3_POSITIONS,
-                                    presets._seed(1, 0))
-    cal = calibrate_delay(ref, presets.CAL_WAVELENGTH_NM)
+    cfg = presets.spectrum(presets.TWO_DYES, presets.TWO_DYE_TWINS, 0.5,
+                           experiment.derive_seed(1, 1))
+    cal = experiment.calibrate(cfg, experiment.derive_seed(1, 0))
     tf = reconstruct_map(cube, cal, apodization="hann")
     lam = tf.wavelength_axis_nm
     spectrum = tf.intensity.sum(axis=1)
@@ -187,22 +204,24 @@ def test_criterion_6_two_dye_map(fig3):
 
 
 def test_criterion_7_light_harvesting(fig4):
-    tol_ns = {"lh2": 0.050, "open": 0.010, "closed": 0.015}
-    for name, summary in fig4.items():
+    tol_ns = {"lh2": 0.050, "membrane-open": 0.010, "membrane-closed": 0.015}
+    summaries = {name: summary for name, (_, summary, _) in fig4.items()}
+    for name, summary in summaries.items():
         tau_hat, tau_true = summary["tau_ns"], summary["generator_tau_ns"]
         assert abs(tau_hat - tau_true) <= tol_ns[name], (
             f"{name}: {tau_hat:.4f} vs {tau_true} ns")
-    c_open = fig4["open"]["spectrum_centroid_nm"]
-    c_closed = fig4["closed"]["spectrum_centroid_nm"]
+    c_open = summaries["membrane-open"]["spectrum_centroid_nm"]
+    c_closed = summaries["membrane-closed"]["spectrum_centroid_nm"]
     assert c_closed > c_open, f"closed {c_closed:.1f} <= open {c_open:.1f} nm"
-    _report(7, ", ".join(f"{n} {fig4[n]['tau_ns'] * 1000:.0f} ps"
-                         for n in ("lh2", "open", "closed"))
+    _report(7, ", ".join(f"{n} {summaries[n]['tau_ns'] * 1000:.0f} ps"
+                         for n in ("lh2", "membrane-open", "membrane-closed"))
                + f"; centroid open {c_open:.1f} -> closed {c_closed:.1f} nm")
 
 
 def test_criterion_8_integration_sweep(fig5):
-    taus = np.asarray(fig5["tau_ns"])
-    errs = np.asarray(fig5["tau_err_ns"])
+    _, summary, _ = fig5
+    taus = np.asarray(summary["tau_ns"])
+    errs = np.asarray(summary["tau_err_ns"])
     assert np.all((taus >= 1.08) & (taus <= 1.20)), f"lifetimes {taus}"
     assert np.all(np.diff(errs) > 0), f"errors not monotone: {errs}"
     _report(8, "taus " + ", ".join(f"{t:.3f}" for t in taus)
@@ -212,9 +231,7 @@ def test_criterion_8_integration_sweep(fig5):
 def test_criterion_9_property_suite(tmp_path):
     from scipy.special import erfc
     # energy conservation across the full tuning sweep
-    points = presets.tuning_curve(
-        presets.PumpSpec(presets.TUNING_PUMP_NM, 2e5), presets.TUNING_CRYSTAL,
-        np.arange(40.0, 201.0, 5.0))
+    points = experiment.tuning(validate_config({})[0], np.arange(40.0, 201.0, 5.0))
     resid = max(abs(1 / p.lambda_signal_nm + 1 / p.lambda_idler_nm - 1 / 413.0)
                 * 413.0 for p in points if p.phase_matched)
     assert resid < 1e-12
@@ -230,7 +247,8 @@ def test_criterion_9_property_suite(tmp_path):
 
     # Parseval consistency of the interferogram transform
     positions = np.linspace(0.0, 320.0, 256)
-    twins = presets.FIG3_TWINS
+    twins = TwinsSpec(delay_per_um_fs=1.0, position_min_um=0.0, position_max_um=320.0,
+                      visibility=0.9, insertion_loss=0.5, x_zero_um=160.0)
     inter = np.array([transmission(850.0, x, twins) for x in positions])
     hists = [Histogram(16, 0, np.array([1e5 * p]), n_starts=100_000)
              for p in inter]

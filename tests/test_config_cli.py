@@ -255,6 +255,38 @@ def test_irf_subcommand_reports_fwhm(tmp_path):
     assert "fwhm_ps" in (out / "irf_report.txt").read_text()
 
 
+def test_irf_subcommand_on_twins_config(tmp_path):
+    # the response is measured without the sample and without the interferometer
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "two_dye_map.yaml"
+    out = tmp_path / "irf"
+    assert cli.main(["irf", "--out", str(out), "--config", str(cfg),
+                     "--duration", "0.01"]) == 0
+    assert read_histogram_csv(out / "irf.csv").counts.sum() > 0
+
+
+def test_ft_map_reference_scan_needs_nyquist_at_its_line(tmp_path, capsys):
+    # 1.52 um spacing resolves a sample down to 960 nm but not the 850 nm
+    # reference line the calibration scans
+    cfg = _write_cfg(tmp_path, """
+run: {topology: fluorescence, duration_s: 0.01}
+sample:
+  species: [{lifetime_ns: 1.0, emission_center_nm: 1000.0, emission_fwhm_nm: 40.0}]
+twins: {position_min_um: 0.0, position_max_um: 320.0, n_positions: 211}
+""")
+    assert cli.main(["ft-map", "--out", str(tmp_path / "o"), "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "violates Nyquist" in err and "849.5 nm" in err
+
+
+@pytest.mark.parametrize("name,seed", [("fig2c-g2", "-1"), ("fig2b-tuning", "-5")])
+def test_negative_preset_seed_exits_2(tmp_path, capsys, name, seed):
+    out = tmp_path / "p"
+    assert cli.main(["preset", name, "--out", str(out), "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"got {seed}" in err
+    assert not out.exists()
+
+
 def test_tuning_curve_subcommand(tmp_path):
     out = tmp_path / "tc"
     assert cli.main(["tuning-curve", "--out", str(out), "--tmin", "40",

@@ -59,24 +59,31 @@ analysis:
 """
 
 
-def _artifact_digest(out):
+def _artifact_digest(out, skip=()):
     artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    artifacts = {name: digest for name, digest in artifacts.items() if name not in skip}
     return hashlib.sha256(json.dumps(artifacts, sort_keys=True).encode()).hexdigest()
 
 
 def test_ft_map_bytes_pinned(tmp_path):
     # sha256 over the manifest's artifact hashes (256 cube positions, cube
-    # manifest, map.csv), taken from the hand-written config validation
+    # manifest, map.csv). The cube digest dates from the hand-written config
+    # validation; map.csv and the full digest from calibrating against the
+    # reference scan instead of the nominal delay slope.
     text = (CONFIGS / "two_dye_map.yaml").read_text()
     assert "duration_s: 0.5 " in text
     cfg = tmp_path / "short.yaml"
     cfg.write_text(text.replace("duration_s: 0.5 ", "duration_s: 0.02"))
     out = tmp_path / "ft"
     assert cli.main(["ft-map", "--out", str(out), "--config", str(cfg)]) == 0
+    assert (_artifact_digest(out, skip=("map.csv",))
+            == "2c150c318c62f1c34e8ca707dce9052f6b955d38b260ba357632ca62d4b1d6b8")
     assert (hashlib.sha256((out / "map.csv").read_bytes()).hexdigest()
-            == "4a44176c052a479de13085e4e179a1972d2092b935b307d0b381fc45ec27780e")
+            == "3a45d57cd91146364fff72dcc90118875ea3af06324e751849b859eef3d1a8aa")
     assert (_artifact_digest(out)
-            == "6553745b65984762bfd008027cd63c18ebfabcd0815dc3365bc6b7aebdf91bec")
+            == "3e4fc77c63964829d916539b4c96ae29f5b774c9e0f829681f737c7d1bc7372a")
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["delay_per_um_fs"] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_simulate_every_field_set_bytes_pinned(tmp_path):

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epstreak.errors import DomainError, EmptySupportError
-from epstreak.presets import TUNING_CRYSTAL, TUNING_PUMP_NM, heralded_source
+from epstreak.presets import heralded_source
 from epstreak.spdc import (CrystalSpec, FilterSpec, PumpSpec, conjugate_wavelength,
                            density_fwhm, herald_conditioned_spectrum,
-                           joint_spectral_density, phase_mismatch,
-                           sample_signal_wavelengths, tuning_curve)
+                           joint_spectral_density, phase_mismatch, tuning_curve)
 
-PUMP = PumpSpec(TUNING_PUMP_NM, 2e5)
+# the fig2b-tuning source: the default 413 nm pump and 30 mm crystal
+PUMP = PumpSpec(413.0, 2e5)
+TUNING_CRYSTAL = CrystalSpec(poling_period_um=3.675, length_mm=30.0, temperature_C=56.0)
 
 
 def test_conjugate_identity_exact():
@@ -128,14 +129,6 @@ def test_filter_shift_moves_conjugate_amount():
 def test_conditioning_narrows():
     src = heralded_source()
     assert src.conditioned_jsd().fwhm_nm() <= src.unconditioned_jsd().fwhm_nm()
-
-
-def test_sampled_wavelengths_follow_density(rng):
-    src = heralded_source()
-    cond = src.conditioned_jsd()
-    draws = sample_signal_wavelengths(cond, 200_000, rng)
-    mean_expected = np.sum(cond.signal_axis_nm * cond.density)
-    assert draws.mean() == pytest.approx(mean_expected, abs=0.1)
 
 
 def test_density_fwhm_triangle():

@@ -266,11 +266,11 @@ def test_max_workers_rejects_bad_env(monkeypatch, value):
 def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch):
     """32 fig3 positions around zero delay: save_cube files plus map.csv."""
     import hashlib
-    from epstreak.presets import FIG3_POSITIONS, FIG3_TWINS, TWO_DYE_SAMPLE
+    from epstreak.presets import TWO_DYE_TWINS, TWO_DYES, spectrum
     monkeypatch.delenv("EPPS_THREADS", raising=False)
-    run = RunConfig(duration_s=0.02, seed=7, topology="fluorescence")
-    cube = acquire_cube(heralded_source(), TWO_DYE_SAMPLE, IDEAL, IDEAL, FIG3_TWINS,
-                        FIG3_POSITIONS[100:132], run, bin_width_ps=16,
+    fig3 = spectrum(TWO_DYES, TWO_DYE_TWINS, 0.02, 7)
+    cube = acquire_cube(fig3.source, fig3.sample, IDEAL, IDEAL, fig3.twins,
+                        fig3.twins_positions_um()[100:132], fig3.run, bin_width_ps=16,
                         window_ps=12_800, t0_ps=0)
     save_cube(tmp_path / "cube", cube)
     cal = TwinsCalibration(1.0, 160.0, float("nan"))
