@@ -73,11 +73,22 @@ def _load_cfg(args):
 
 
 def _apply_overrides(cfg, args):
-    """cfg with --seed and --duration applied; a value RunConfig rejects is a usage error."""
+    """cfg with --seed and --duration applied; a value the models reject is a usage error.
+
+    ``--seed`` sets ``analysis.fit.seed`` for ``fit`` and ``run.seed`` for the others.
+    """
     from dataclasses import replace
-    flags = {"seed": getattr(args, "seed", None), "duration_s": getattr(args, "duration", None)}
+
+    def given(**values):
+        return {k: v for k, v in values.items() if v is not None}
+
+    seed = getattr(args, "seed", None)
+    fit_seed, run_seed = (seed, None) if args.command == "fit" else (None, seed)
     try:
-        cfg.run = replace(cfg.run, **{k: v for k, v in flags.items() if v is not None})
+        cfg.run = replace(cfg.run, **given(seed=run_seed,
+                                           duration_s=getattr(args, "duration", None)))
+        cfg.analysis = replace(cfg.analysis,
+                               fit=replace(cfg.analysis.fit, **given(seed=fit_seed)))
     except DomainError as exc:
         raise ConfigurationError(f"command-line override: {exc}") from None
     return cfg
@@ -148,12 +159,17 @@ def cmd_tuning_curve(cfg, args, out):
 
 
 def _run(args):
-    """Run one command and write its manifest; the preset's config is its name."""
+    """Run one command and write its manifest.
+
+    A preset's config echo is its name, the configs it ran and their seeds.
+    """
     out = Path(args.out)
     if args.command == "preset":
         seed = 1 if args.seed is None else args.seed
-        command, echo = f"preset {args.name}", {"preset": args.name}
         summary = presets.run_preset(args.name, out, seed=seed)
+        command = f"preset {args.name}"
+        echo = {"preset": args.name, "configs": summary.pop("configs"),
+                "seeds": summary.pop("seeds")}
     else:
         cfg = _apply_overrides(_load_cfg(args), args)
         out.mkdir(parents=True, exist_ok=True)
@@ -173,11 +189,11 @@ def build_parser():
                     "fluorescence: simulation and analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, config=True, seed_help="override run.seed"):
         p.add_argument("--out", required=True, help="output directory")
         if config:
             p.add_argument("--config", help="YAML configuration file")
-            p.add_argument("--seed", type=int, help="override run.seed")
+            p.add_argument("--seed", type=int, help=seed_help)
 
     p = sub.add_parser("simulate", help="write a raw event file")
     common(p)
@@ -205,7 +221,7 @@ def build_parser():
     p.set_defaults(func=cmd_ft_map)
 
     p = sub.add_parser("fit", help="reconvolution lifetime fit of a histogram")
-    common(p)
+    common(p, seed_help="override analysis.fit.seed")
     p.add_argument("--hist", required=True, help="decay histogram CSV")
     p.add_argument("--irf", required=True, help="response histogram CSV")
     p.add_argument("--n", type=int, help="number of exponential components")

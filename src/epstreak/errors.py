@@ -35,3 +35,7 @@ class FitError(EpstreakError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+class StreamOrderError(EpstreakError):
+    """A simulated detection would fall before tags already passed on to consumers."""

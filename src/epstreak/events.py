@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import Checked, relation, rule
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StreamOrderError
 from .spdc import SourceModel
 from .units import FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
 
@@ -29,10 +29,13 @@ CH_HBT_R = 2
 
 TOPOLOGIES = ("irf", "hbt", "fluorescence")
 
-# simulation is generated in independently seeded time chunks; the per-channel
-# detector pass afterwards runs over the merged stream so dead time is exact
-# across chunk boundaries
+# A run is simulated in time chunks of at most CHUNK_S seconds and about
+# CHUNK_PAIRS expected pairs, so its memory does not grow with its duration.
+# Each chunk's source draws are seeded by the chunk's index; each channel's
+# detector rng is consumed chunk after chunk, so a run of one chunk draws
+# exactly what one pass over the whole run draws.
 CHUNK_S = 5.0
+CHUNK_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,10 @@ def _next_outside(times, i, dead_ps):
     return hi
 
 
-def _dead_time_prune(times, dead_ps):
+def _dead_time_prune(times, dead_ps, last=None):
     """Nonparalyzable dead time over sorted times: keep t when t - last_kept >= dead_ps.
 
+    ``last`` is the kept event right before ``times``, if there is one.
     An event at least dead_ps after its predecessor (a head) is always kept,
     because the last kept event is no later than that predecessor and float
     subtraction is monotone; the event right after a head is dropped when
@@ -155,6 +159,10 @@ def _dead_time_prune(times, dead_ps):
     """
     if dead_ps <= 0 or len(times) == 0:
         return times
+    if last is not None:  # the events still dead after ``last`` lead the sorted times
+        times = times[np.count_nonzero(times - last < dead_ps):]
+        if len(times) == 0:
+            return times
     n = len(times)
     close = np.diff(times) < dead_ps
     keep = np.empty(n, dtype=bool)
@@ -170,17 +178,15 @@ def _dead_time_prune(times, dead_ps):
     return times[keep]
 
 
-def apply_detector(arrivals, det: DetectorModel, rng, duration_ps):
-    """Run the detector chain over time-sorted candidate arrivals.
+def _detector_draws(arrivals, det: DetectorModel, rng, start_ps, span_ps):
+    """Efficiency, jitter and the darks of [start_ps, start_ps + span_ps): sorted float times.
 
-    ``arrivals`` is a pair (t_ps float array, accept_prob). ``accept_prob`` is
-    a scalar when every arrival is equally likely to reach the detector (pass
-    1.0 when there is nothing to weight), or an array parallel to t_ps. Each
-    arrival survives with probability accept_prob * efficiency, is jittered by
-    a Gaussian of the configured FWHM, then merged with dark counts and pruned
-    by the nonparalyzable dead time: an event is kept when it comes at least
-    the dead time after the last kept event. Returns sorted int64 timestamps
-    (events jittered below t=0 are dropped).
+    ``arrivals`` is a pair (time-sorted t_ps float array, accept_prob).
+    ``accept_prob`` is a scalar when every arrival is equally likely to reach
+    the detector (pass 1.0 when there is nothing to weight), or an array
+    parallel to t_ps. Each arrival survives with probability accept_prob *
+    efficiency and is jittered by a Gaussian of the configured FWHM; the dark
+    counts of the span are added.
     """
     t, accept = arrivals
     t = np.asarray(t, dtype=float)
@@ -188,13 +194,30 @@ def apply_detector(arrivals, det: DetectorModel, rng, duration_ps):
     t = t[keep]
     if det.jitter_fwhm_ps > 0 and len(t):
         t = t + rng.normal(0.0, det.jitter_fwhm_ps / FWHM_PER_SIGMA, len(t))
-    n_dark = rng.poisson(det.dark_rate_hz * duration_ps / PS_PER_S)
+    n_dark = rng.poisson(det.dark_rate_hz * span_ps / PS_PER_S)
     if n_dark:
-        t = np.concatenate([t, rng.random(n_dark) * duration_ps])
+        t = np.concatenate([t, start_ps + rng.random(n_dark) * span_ps])
     t.sort(kind="stable")  # near linear here: jitter barely unsorts the arrivals
-    t = _dead_time_prune(t, det.dead_time_ns * PS_PER_NS)
-    t = np.rint(t).astype(np.int64)
-    return t[t >= 0]
+    return t
+
+
+def _tags(times):
+    """Sorted float times as int64 picosecond tags; times that round below 0 are dropped."""
+    times = times[np.searchsorted(times, -0.5, side="left"):]  # rint(-0.5) is 0
+    return np.rint(times, out=np.empty(len(times), dtype=np.int64), casting="unsafe")
+
+
+def apply_detector(arrivals, det: DetectorModel, rng, duration_ps):
+    """The detector chain over one whole run's arrivals, as a single chunk.
+
+    ``arrivals`` is as for ``_detector_draws``. The surviving, jittered
+    arrivals and the run's dark counts are pruned by the nonparalyzable dead
+    time: an event is kept when it comes at least the dead time after the
+    last kept event. Returns sorted int64 timestamps (events jittered below
+    t=0 are dropped).
+    """
+    t = _detector_draws(arrivals, det, rng, 0.0, duration_ps)
+    return _tags(_dead_time_prune(t, det.dead_time_ns * PS_PER_NS))
 
 
 def _fluorescence_batch(sample: SampleModel, n, rng):
@@ -226,21 +249,75 @@ def _check_overlap(source: SourceModel):
 def _concat(parts):
     if len(parts) == 1:
         return parts[0]
-    return np.concatenate(parts) if parts else np.empty(0)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def _concat_sorted(parts):
-    """Concatenation of sorted chunks, sorted again only if two chunks overlap."""
-    parts = [p for p in parts if len(p)]
-    t = _concat(parts)
-    if any(a[-1] > b[0] for a, b in zip(parts, parts[1:])):
-        t.sort(kind="stable")  # a fresh array: more than one part was concatenated
+def _chunk_count(rate_hz, duration_s):
+    return max(1, int(np.ceil(duration_s / CHUNK_S)),
+               int(np.ceil(rate_hz * duration_s / CHUNK_PAIRS)))
+
+
+def _source_chunk(k, n_chunks, sample, twins, run, rate_hz):
+    """Arrivals of chunk k per channel, each a (time-sorted t_ps, accept_prob) pair."""
+    from .twins import transmission as twins_transmission  # local: avoids import cycle
+
+    chunk_ps = run.duration_s * PS_PER_S / n_chunks
+    rng = _rng(run.seed, 0, k)
+    n = rng.poisson(rate_hz * run.duration_s / n_chunks)
+    birth_ps = k * chunk_ps + rng.random(n) * chunk_ps
+    birth_ps.sort()
+    if run.topology == "irf":
+        return [(birth_ps, 1.0), (birth_ps, 1.0)]
+    if run.topology == "hbt":
+        to_t = rng.random(n) < 0.5
+        return [(birth_ps, 1.0), (birth_ps[to_t], 1.0), (birth_ps[~to_t], 1.0)]
+    emitted, delay_ps, lam_nm = _fluorescence_batch(sample, n, rng)
+    t = birth_ps[emitted] + delay_ps[emitted]
+    order = np.argsort(t, kind="stable")
+    accept = 1.0
+    if twins is not None:
+        accept = twins_transmission(lam_nm[emitted], run.twins_position_um, twins)[order]
+    return [(birth_ps, 1.0), (t[order], accept)]
+
+
+def _merge_sorted(a, b):
+    """The sorted union of two sorted arrays; either one itself when the other is empty."""
+    if len(a) == 0 or len(b) == 0:
+        return b if len(a) == 0 else a
+    t = np.concatenate((a, b))
+    if a[-1] > b[0]:
+        t.sort(kind="stable")  # two sorted runs: one merge
     return t
 
 
-def simulate_channels(source: SourceModel, sample, herald_det: DetectorModel,
-                      signal_det: DetectorModel, twins, run: RunConfig):
-    """Detections per channel: a list of sorted int64 timestamp arrays, indexed by channel.
+class _DetectorChannel:
+    """One channel's detector across chunks: its rng, held-back times and last kept time."""
+
+    def __init__(self, det: DetectorModel, rng):
+        self.det, self.rng = det, rng
+        self.dead_ps = det.dead_time_ns * PS_PER_NS
+        self.held = np.empty(0)
+        self.last_kept = None
+
+    def pass_on(self, fresh, below):
+        """Tags of the held times below ``below``; the other held times wait with ``fresh``."""
+        cut = np.searchsorted(self.held, below, side="left")
+        final = _dead_time_prune(self.held[:cut], self.dead_ps, self.last_kept)
+        if len(final):
+            self.last_kept = final[-1]
+        tags = _tags(final)
+        del final  # before the merge allocates
+        self.held = _merge_sorted(self.held[cut:], fresh)
+        return tags
+
+
+def simulate_chunks(source: SourceModel, sample, herald_det: DetectorModel,
+                    signal_det: DetectorModel, twins, run: RunConfig):
+    """Detections per channel, a time chunk at a time: yields (tags, horizon).
+
+    ``tags`` holds a sorted int64 timestamp array per channel, indexed by
+    channel; concatenated over the yields, each is the channel's detections.
+    Every tag yielded later is >= ``horizon``, which is None on the last yield.
 
     Pair birth times follow a homogeneous Poisson process at the source pair
     rate, which is taken as the rate of pairs that pass the herald filter. No
@@ -249,6 +326,15 @@ def simulate_channels(source: SourceModel, sample, herald_det: DetectorModel,
     only wavelength that acts on events is the emission wavelength drawn per
     fluorescence photon, through the TWINS transmission. Externally this is a
     pure function of (configuration, seed).
+
+    Each chunk's arrivals go through each channel's detector draws
+    (efficiency, jitter, the chunk's darks). Jitter and fluorescence delays
+    carry times past the chunk's end, so a channel holds back every time at
+    or above the lowest time of the next chunk (or that chunk's start, if
+    lower), and prunes dead time over the times it passes on, from its last
+    kept time. The result equals sorting every chunk's draws together and
+    pruning the whole run at once. A draw below a horizon already yielded
+    (jitter beyond a whole chunk) raises StreamOrderError.
     """
     found = topology_violations(run.topology, sample is not None, twins is not None)
     if found:
@@ -256,82 +342,81 @@ def simulate_channels(source: SourceModel, sample, herald_det: DetectorModel,
     if twins is not None and run.twins_position_um is None:
         raise ConfigurationError("twins_position_um required when TWINS is present")
 
-    from .twins import transmission as twins_transmission  # local: avoids import cycle
-
     rate = source.pump.pair_rate_hz
-    duration_ps = run.duration_s * PS_PER_S
     if rate > 0:
         _check_overlap(source)
-
     n_channels = 3 if run.topology == "hbt" else 2
-    parts = [[] for _ in range(n_channels)]  # arrival chunks per channel
-    signal_p = []  # TWINS transmission per emitted photon; other arms accept 1.0
-
-    n_chunks = max(1, int(np.ceil(run.duration_s / CHUNK_S)))
-    chunk_ps = duration_ps / n_chunks
-
-    def draw_chunk(k):  # a function, so that the chunk's temporaries die with it
-        rng = _rng(run.seed, 0, k)
-        n = rng.poisson(rate * run.duration_s / n_chunks)
-        if n == 0:
-            return
-        birth_ps = np.sort(k * chunk_ps + rng.random(n) * chunk_ps)
-        parts[CH_HERALD].append(birth_ps)
-
-        if run.topology == "irf":
-            parts[CH_SIGNAL].append(birth_ps)
-        elif run.topology == "hbt":
-            to_t = rng.random(n) < 0.5
-            parts[CH_HBT_T].append(birth_ps[to_t])
-            parts[CH_HBT_R].append(birth_ps[~to_t])
-        else:  # fluorescence
-            emitted, delay_ps, lam_nm = _fluorescence_batch(sample, n, rng)
-            parts[CH_SIGNAL].append(birth_ps[emitted] + delay_ps[emitted])
-            if twins is not None:
-                signal_p.append(twins_transmission(lam_nm[emitted],
-                                                   run.twins_position_um, twins))
-
+    channels = [_DetectorChannel(herald_det if ch == CH_HERALD else signal_det,
+                                 _rng(run.seed, 1, ch)) for ch in range(n_channels)]
+    n_chunks = _chunk_count(rate, run.duration_s)
+    chunk_ps = run.duration_s * PS_PER_S / n_chunks
+    floor = -np.inf  # no time drawn from here on may fall below it
     for k in range(n_chunks):
-        draw_chunk(k)
-
-    # each channel's arrivals are built right before its detector pass, and
-    # its chunk list is dropped once concatenated, so at most one channel's
-    # arrivals (plus chunks another channel still shares) are alive at a time
-    detections = []
-    for ch in range(n_channels):
-        chunks, parts[ch] = parts[ch], None
-        if ch == CH_HERALD:
-            arrivals = (_concat(chunks), 1.0)
-        elif run.topology == "fluorescence":
-            t = _concat(chunks)
-            order = np.argsort(t, kind="stable")
-            accept = _concat(signal_p)[order] if twins is not None else 1.0
-            signal_p = None
-            arrivals = (t[order], accept)
-            del t, order
-        else:  # birth times: each chunk sorted, chunk k within [k, k + 1] chunk lengths
-            arrivals = (_concat_sorted(chunks), 1.0)
-        del chunks
-        det = herald_det if ch == CH_HERALD else signal_det
-        detections.append(apply_detector(arrivals, det, _rng(run.seed, 1, ch), duration_ps))
+        start_ps = k * chunk_ps
+        arrivals = _source_chunk(k, n_chunks, sample, twins, run, rate)
+        fresh = [_detector_draws(a, c.det, c.rng, start_ps, chunk_ps)
+                 for c, a in zip(channels, arrivals)]
         del arrivals
+        lowest = min([start_ps] + [t[0] for t in fresh if len(t)])
+        if lowest < floor:
+            raise StreamOrderError(
+                f"a detection at {lowest:.0f} ps falls below {floor:.0f} ps, under which "
+                f"tags were already passed on: jitter spans more than a "
+                f"{chunk_ps:.0f} ps chunk")
+        tags = [c.pass_on(t, lowest) for c, t in zip(channels, fresh)]
+        del fresh
+        if k:  # chunk 0 passes nothing on
+            floor = lowest
+            yield tags, int(np.rint(lowest))
+        del tags  # before the next chunk's draws
+    yield [c.pass_on(np.empty(0), np.inf) for c in channels], None
+
+
+def simulate_channels(source: SourceModel, sample, herald_det: DetectorModel,
+                      signal_det: DetectorModel, twins, run: RunConfig):
+    """Detections per channel: simulate_chunks' tags concatenated, one sorted int64 array each."""
+    parts = None
+    for tags, _ in simulate_chunks(source, sample, herald_det, signal_det, twins, run):
+        parts = parts or [[] for _ in tags]
+        for part, t in zip(parts, tags):
+            if len(t):
+                part.append(t)
+    detections = []
+    for ch in range(len(parts)):  # each chunk list is dropped once concatenated
+        chunks, parts[ch] = parts[ch], None
+        detections.append(_concat(chunks))
     return detections
+
+
+def _merge_channels(tags):
+    """(channel, t_ps) of per-channel sorted tags merged in (time, channel) order."""
+    channel = np.concatenate([np.full(len(t), ch, dtype=np.uint8) for ch, t in enumerate(tags)])
+    t_ps = np.concatenate(tags)
+    order = np.lexsort((channel, t_ps))
+    return channel[order], t_ps[order]
 
 
 def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
                     signal_det: DetectorModel, twins, run: RunConfig) -> EventStream:
-    """simulate_channels merged into one time-ordered EventStream.
+    """simulate_chunks' tags merged into one time-ordered EventStream.
 
-    Ties in time are ordered by channel. A run with zero pair rate and zero
-    dark rates gets an ``empty-stream`` warning.
+    Ties in time are ordered by channel. The tags below each horizon are
+    merged as they come: no later tag can precede them. A run with zero pair
+    rate and zero dark rates gets an ``empty-stream`` warning.
     """
-    detections = simulate_channels(source, sample, herald_det, signal_det, twins, run)
-    n_channels = len(detections)
-    channel = np.concatenate([np.full(len(t), ch, dtype=np.uint8)
-                              for ch, t in enumerate(detections)])
-    t_ps = np.concatenate(detections)
-    order = np.lexsort((channel, t_ps))
-    stream = EventStream(channel[order], t_ps[order], run.duration_s, n_channels)
+    channel_parts, t_parts = [], []
+    held = None
+    for tags, horizon in simulate_chunks(source, sample, herald_det, signal_det, twins, run):
+        held = tags if held is None else [_concat([h, t]) for h, t in zip(held, tags)]
+        del tags
+        cuts = [len(t) if horizon is None else np.searchsorted(t, horizon, side="left")
+                for t in held]
+        channel, t_ps = _merge_channels([t[:cut] for t, cut in zip(held, cuts)])
+        channel_parts.append(channel)
+        t_parts.append(t_ps)
+        held = [t[cut:].copy() for t, cut in zip(held, cuts)]
+    n_channels = len(held)
+    stream = EventStream(_concat(channel_parts), _concat(t_parts), run.duration_s, n_channels)
     dark_total = herald_det.dark_rate_hz + (n_channels - 1) * signal_det.dark_rate_hz
     if source.pump.pair_rate_hz == 0 and dark_total == 0:
         stream.warnings.append("empty-stream: zero pair rate and zero dark rates")

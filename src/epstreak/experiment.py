@@ -15,12 +15,12 @@ import numpy as np
 from .checks import Checked, relation, rule, rule_of
 from .errors import ConfigurationError
 from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DetectorModel,
-                     EmitterSpecies, RunConfig, SampleModel, simulate_channels,
+                     EmitterSpecies, RunConfig, SampleModel, simulate_chunks,
                      simulate_stream)
 from .fitting import FitOptions, fit_decay
 from .spdc import SourceModel, tuning_curve
-from .tcspc import (DEFAULT_BIN_WIDTH_PS, DEFAULT_WINDOW_PS, HISTOGRAM_MODES,
-                    build_histogram, start_stop_histogram, tag_g2, window_violation)
+from .tcspc import (DEFAULT_BIN_WIDTH_PS, DEFAULT_WINDOW_PS, HISTOGRAM_MODES, G2Counter,
+                    StartStopCounter, build_histogram, window_violation)
 from .twins import APODIZATIONS, TwinsSpec, acquire_cube, calibrate_delay, reconstruct_map
 
 # The TWINS calibration scans a quasi-monochromatic line of known wavelength
@@ -114,9 +114,9 @@ def tuning_summary(points):
     return summary
 
 
-def _channels(cfg):
-    return simulate_channels(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
-                             cfg.twins, cfg.run)
+def _chunks(cfg):
+    return simulate_chunks(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
+                           cfg.twins, cfg.run)
 
 
 def simulate(cfg):
@@ -126,12 +126,13 @@ def simulate(cfg):
 
 
 def histogram(cfg, stream=None):
-    """Herald-signal start-stop histogram of ``stream``, or of a fresh run's detections."""
+    """Herald-signal start-stop histogram of ``stream``, or of a fresh run streamed by chunk."""
     binning = asdict(cfg.analysis.histogram)
     if stream is not None:
         return build_histogram(stream, CH_HERALD, CH_SIGNAL, **binning)
-    tags = _channels(cfg)
-    return start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], **binning)
+    counter = StartStopCounter(**binning)
+    counter.feed_chunks(_chunks(cfg), CH_HERALD, CH_SIGNAL)
+    return counter.histogram()
 
 
 def irf(cfg):
@@ -144,10 +145,10 @@ def g2(cfg):
     """Heralded HBT correlation of the signal arm; the run must be in hbt topology."""
     if cfg.run.topology != "hbt":
         raise ConfigurationError("g2 requires run.topology = hbt")
-    tags = _channels(cfg)
     options = cfg.analysis.g2
-    return tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R],
-                  options.coincidence_window_ps, options.delay_axis_ps())
+    counter = G2Counter(options.coincidence_window_ps, options.delay_axis_ps())
+    counter.feed_chunks(_chunks(cfg), CH_HERALD, CH_HBT_T, CH_HBT_R)
+    return counter.curve()
 
 
 def _cube(cfg, sample, run):

@@ -63,6 +63,21 @@ def _merge(base, update):
     return merged
 
 
+def _record(summary, configs, **calibration_seeds):
+    """``summary`` with the configs a preset ran, by label, and every run seed it derived.
+
+    The manifest echoes both: each config as the YAML-shaped mapping it was
+    built from, and the seed of each run and of each TWINS calibration.
+    """
+    summary.setdefault("configs", {}).update(
+        (label, cfg.raw) for label, cfg in configs.items())
+    summary.setdefault("seeds", {}).update(
+        (label, cfg.run.seed) for label, cfg in configs.items()
+        if "seed" in cfg.raw.get("run", {}))
+    summary["seeds"].update(calibration_seeds)
+    return summary
+
+
 def config(*mappings):
     """ExperimentConfig from YAML-shaped mappings, each later one merged over the earlier."""
     data = {}
@@ -82,10 +97,11 @@ def heralded_source(pair_rate_hz=2.0e5, filter_center_nm=860.0):
 
 def run_fig2b_tuning(out_dir, seed=1):
     """Temperature sweep of the quasi-phase-matched signal/idler pair."""
-    points = tuning(config(), np.arange(40.0, 200.0 + 1e-9, 2.0))
+    cfg = config()
+    points = tuning(cfg, np.arange(40.0, 200.0 + 1e-9, 2.0))
     write_tuning_csv(Path(out_dir) / "tuning_curve.csv", points)
-    return {"artifacts": ["tuning_curve.csv"], "n_temperatures": len(points),
-            **tuning_summary(points)}
+    return _record({"artifacts": ["tuning_curve.csv"], "n_temperatures": len(points),
+                    **tuning_summary(points)}, {"tuning": cfg})
 
 
 def run_fig2c_g2(out_dir, seed=1):
@@ -97,13 +113,13 @@ def run_fig2c_g2(out_dir, seed=1):
     curve = g2(cfg)
     write_g2_csv(Path(out_dir) / "g2.csv", curve)
     plateau = curve.g2_values[np.abs(curve.delay_axis_ps) >= 10_000]
-    return {
+    return _record({
         "artifacts": ["g2.csv"],
         "g2_zero": curve.at_zero(),
         "plateau_mean": float(plateau.mean()),
         "pair_rate_hz": cfg.source.pump.pair_rate_hz,
         "coincidence_window_ps": cfg.analysis.g2.coincidence_window_ps,
-    }
+    }, {"g2": cfg})
 
 
 # detector pairing -> (signal detector, seconds); the herald is an mpd
@@ -116,10 +132,11 @@ def run_fig2d_irf(out_dir, seed=1):
     The mpd/mpd run is also written as an event file.
     """
     out = Path(out_dir)
-    summary = {"artifacts": []}
+    summary, configs = {"artifacts": []}, {}
     for i, (name, (signal, duration_s)) in enumerate(IRF_PAIRINGS.items()):
-        cfg = config(HERALDED, _detectors("mpd", signal),
-                     _run("irf", duration_s, derive_seed(seed, i)), _bins(4, 8000, -4000))
+        cfg = configs[name] = config(HERALDED, _detectors("mpd", signal),
+                                     _run("irf", duration_s, derive_seed(seed, i)),
+                                     _bins(4, 8000, -4000))
         stream = simulate(cfg) if name == "mpd_mpd" else None
         hist = histogram(cfg, stream)
         write_histogram_csv(out / f"irf_{name}.csv", hist)
@@ -131,7 +148,7 @@ def run_fig2d_irf(out_dir, seed=1):
             summary["artifacts"] += [f"events_{name}.bin", f"events_{name}.bin.meta.json"]
         summary[f"fwhm_ps_{name}"] = hist.fwhm_ps()
         summary[f"coincidences_{name}"] = int(hist.counts.sum())
-    return summary
+    return _record(summary, configs)
 
 
 def spectrum(sample, twins, duration_s, seed):
@@ -149,17 +166,17 @@ TWO_DYE_TWINS = {"delay_per_um_fs": 1.0, "position_min_um": 0.0, "position_max_u
 def run_fig3_two_dyes(out_dir, seed=1):
     """Interferogram cube and reconstructed map of the two-dye mixture."""
     out = Path(out_dir)
-    cube, calibration, tf_map = ft_map(
-        spectrum(TWO_DYES, TWO_DYE_TWINS, 0.5, derive_seed(seed, 1)), derive_seed(seed, 0))
+    cfg = spectrum(TWO_DYES, TWO_DYE_TWINS, 0.5, derive_seed(seed, 1))
+    cube, calibration, tf_map = ft_map(cfg, derive_seed(seed, 0))
     save_cube(out / "cube", cube)
     write_map_csv(out / "map.csv", tf_map)
     band = (tf_map.wavelength_axis_nm >= 740) & (tf_map.wavelength_axis_nm <= 980)
     spectrum_band = tf_map.intensity[band].sum(axis=1)
-    return {
+    return _record({
         "artifacts": ["cube", "map.csv"],
         "delay_per_um_fs": calibration.delay_per_um_fs,
         "spectrum_peak_nm": float(tf_map.wavelength_axis_nm[band][np.argmax(spectrum_band)]),
-    }
+    }, {"map": cfg}, calibration=derive_seed(seed, 0))
 
 
 def lifetime(species, duration_s, seed):
@@ -172,20 +189,21 @@ def run_lifetime_species(out_dir, seed, species):
     """Single-species decay (30 s) and response (10 s) histograms, and a one-component fit."""
     out = Path(out_dir)
     cfg = lifetime(species, 30.0, derive_seed(seed, 0))
+    irf_cfg = lifetime(species, 10.0, derive_seed(seed, 1))
     decay = histogram(cfg)
-    response = irf(lifetime(species, 10.0, derive_seed(seed, 1)))
+    response = irf(irf_cfg)
     write_histogram_csv(out / "decay.csv", decay)
     write_histogram_csv(out / "irf.csv", response)
     result = fit(cfg, decay, response, n_components=1)
     (out / "fit_report.txt").write_text(
         format_fit_report(result, irf_source="simulated detector pair response"))
-    return {
+    return _record({
         "artifacts": ["decay.csv", "irf.csv", "fit_report.txt"],
         "tau_ns": result.model.components[0][1],
         "tau_err_ns": result.lifetime_errors_ns()[0],
         "generator_tau_ns": cfg.sample.species[0].lifetime_ns,
         "coincidences": int(decay.counts.sum()),
-    }
+    }, {"decay": cfg, "irf": irf_cfg})
 
 
 MEMBRANE_TWINS = {"delay_per_um_fs": 1.0, "position_min_um": 0.0, "position_max_um": 160.0,
@@ -197,15 +215,15 @@ def _membrane(out_dir, seed, species):
     """Lifetime fit plus the time-integrated emission centroid of a short scan."""
     out = Path(out_dir)
     summary = run_lifetime_species(out, seed, species)
-    _, _, tf_map = ft_map(spectrum({"species": [species]}, MEMBRANE_TWINS, 0.1,
-                                   derive_seed(seed, 3)), derive_seed(seed, 2))
+    cfg = spectrum({"species": [species]}, MEMBRANE_TWINS, 0.1, derive_seed(seed, 3))
+    _, _, tf_map = ft_map(cfg, derive_seed(seed, 2))
     write_map_csv(out / "spectrum_map.csv", tf_map)
     band = (tf_map.wavelength_axis_nm >= 750) & (tf_map.wavelength_axis_nm <= 1000)
     lam = tf_map.wavelength_axis_nm[band]
     weight = tf_map.intensity[band].sum(axis=1)
     summary["spectrum_centroid_nm"] = float(np.sum(lam * weight) / np.sum(weight))
     summary["artifacts"].append("spectrum_map.csv")
-    return summary
+    return _record(summary, {"spectrum": cfg}, calibration=derive_seed(seed, 2))
 
 
 LH2_SPECIES = _species(1.13, 870.0, 30.0)
@@ -218,12 +236,14 @@ FIG5_DURATIONS_S = (50.0, 10.0, 2.0, 0.6)
 def run_fig5_integration_sweep(out_dir, seed=1):
     """Lifetime fit stability versus integration time for a fixed sample."""
     out = Path(out_dir)
-    response = irf(lifetime(FIG5_SPECIES, 10.0, derive_seed(seed, 99)))
+    configs = {"irf": lifetime(FIG5_SPECIES, 10.0, derive_seed(seed, 99))}
+    response = irf(configs["irf"])
     write_histogram_csv(out / "irf.csv", response)
     rows = ["duration_s,tau_ns,tau_err_ns,coincidences"]
     taus, errs = [], []
     for i, duration_s in enumerate(FIG5_DURATIONS_S):
-        cfg = lifetime(FIG5_SPECIES, duration_s, derive_seed(seed, i))
+        cfg = configs[f"decay_{duration_s:g}s"] = lifetime(FIG5_SPECIES, duration_s,
+                                                           derive_seed(seed, i))
         decay = histogram(cfg)
         write_histogram_csv(out / f"decay_{duration_s:g}s.csv", decay)
         result = fit(cfg, decay, response, n_components=1)
@@ -232,14 +252,14 @@ def run_fig5_integration_sweep(out_dir, seed=1):
         errs.append(err)
         rows.append(f"{duration_s:g},{tau:.6f},{err:.6f},{int(decay.counts.sum())}")
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
-    return {
+    return _record({
         "artifacts": ["irf.csv", "sweep.csv"]
                      + [f"decay_{d:g}s.csv" for d in FIG5_DURATIONS_S],
         "durations_s": list(FIG5_DURATIONS_S),
         "tau_ns": taus,
         "tau_err_ns": errs,
         "generator_tau_ns": FIG5_SPECIES["lifetime_ns"],
-    }
+    }, configs)
 
 
 # name -> runner(out_dir, seed); the README's Presets table describes each
@@ -256,7 +276,12 @@ PRESETS = {
 
 
 def run_preset(name, out_dir, seed=1):
-    """Run preset ``name`` into ``out_dir``; its summary's "artifacts" names what it wrote."""
+    """Run preset ``name`` into ``out_dir`` and return its summary.
+
+    The summary's "artifacts" names what it wrote, "configs" holds the
+    YAML-shaped mapping of every config it ran, by label, and "seeds" the
+    seed of every run and TWINS calibration it derived from ``seed``.
+    """
     if name not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")

@@ -15,6 +15,7 @@ from .units import FWHM_PER_SIGMA, PS_PER_S
 DEFAULT_BIN_WIDTH_PS = 4
 DEFAULT_WINDOW_PS = 50_000  # 5x the longest lifetime of interest plus IRF tails
 HERALD_BLOCK = 1 << 16  # heralds per tag_g2 block: 512 kB of tags
+START_BLOCK = 1 << 16  # starts per start_stop_histogram block
 HISTOGRAM_MODES = ("first", "all")  # the first is the default
 
 
@@ -84,36 +85,108 @@ def start_stop_histogram(starts, stops, bin_width_ps=DEFAULT_BIN_WIDTH_PS,
     For each start event the first stop with t0 <= dt < t0 + window
     contributes one count to bin floor((dt - t0)/bin_width); this first-stop
     behavior matches classic TCSPC hardware. ``mode="all"`` counts every stop
-    in the window instead (pile-up diagnostics).
+    in the window instead (pile-up diagnostics). StartStopCounter fed the
+    whole arrays at once.
     """
-    reason = window_violation(window_ps, bin_width_ps)
-    if reason:
-        raise ConfigurationError(f"window_ps {reason}")
-    n_bins = window_ps // bin_width_ps
-    counts = np.zeros(n_bins, dtype=np.int64)
-    if len(starts) == 0 or len(stops) == 0:
-        return Histogram(bin_width_ps, t0_ps, counts, int(len(starts)), ["empty-stream"])
+    counter = StartStopCounter(bin_width_ps, window_ps, t0_ps, mode)
+    counter.feed(starts, stops)
+    return counter.histogram()
 
-    lo = starts + t0_ps
-    if mode == "first":
-        idx = np.searchsorted(stops, lo, side="left")
-        dt = stops.take(idx, mode="clip") - lo  # dt - t0 of the first stop at or after lo
-        ok = (idx < len(stops)) & (dt < window_ps)
-        bins = dt[ok] // bin_width_ps
-    elif mode == "all":
+
+_NO_TAGS = np.empty(0, dtype=np.int64)
+
+
+def _join(held, fresh):
+    if len(held) == 0 or len(fresh) == 0:
+        return fresh if len(held) == 0 else held
+    return np.concatenate((held, fresh))
+
+
+class _Reach:
+    """Counts over sorted int64 tags fed in time order: lead tags against the follower tags.
+
+    A lead tag x reaches the follower tags in [x + reach_lo, x + reach_hi].
+    ``_count`` counts a slice of lead tags once every follower tag they reach
+    has been fed: when x + reach_hi < ``horizon``, below which no tag fed
+    later falls (None: none follows, so the last call counts everything).
+    Lead tags are counted in disjoint slices, and follower tags that no lead
+    tag held or still to come can reach are dropped, so memory is bounded
+    by the tags fed between horizons. Fed the whole arrays at once, this is
+    one ``_count`` over them.
+    """
+
+    def __init__(self, reach_lo, reach_hi, n_followers):
+        self.reach_lo, self.reach_hi = reach_lo, reach_hi
+        self.fed = [0] * (1 + n_followers)  # tags fed per stream, lead first
+        self._lead = _NO_TAGS
+        self._followers = [_NO_TAGS] * n_followers
+
+    def feed(self, lead, *followers, horizon=None):
+        for i, tags in enumerate((lead, *followers)):
+            self.fed[i] += len(tags)
+        self._lead = _join(self._lead, lead)
+        self._followers = [_join(held, f) for held, f in zip(self._followers, followers)]
+        n = len(self._lead)
+        if horizon is not None:
+            n = int(np.searchsorted(self._lead, horizon - self.reach_hi, side="left"))
+        if n:
+            self._count(self._lead[:n], *self._followers)
+        if horizon is not None:  # copies, so the tags fed are freed
+            self._lead = self._lead[n:].copy()
+            first = min(self._lead[0], horizon) if len(self._lead) else horizon
+            self._followers = [f[np.searchsorted(f, first + self.reach_lo, side="left"):].copy()
+                               for f in self._followers]
+
+    def feed_chunks(self, chunks, *channels):
+        """Feed every (tags, horizon) of a chunk stream, lead channel first."""
+        for tags, horizon in chunks:
+            self.feed(*(tags[ch] for ch in channels), horizon=horizon)
+            del tags  # before the next chunk is drawn
+
+    def _count(self, lead, *followers):
+        raise NotImplementedError
+
+
+class StartStopCounter(_Reach):
+    """start_stop_histogram's counts over starts and stops fed in time order (see _Reach)."""
+
+    def __init__(self, bin_width_ps=DEFAULT_BIN_WIDTH_PS, window_ps=DEFAULT_WINDOW_PS,
+                 t0_ps=0, mode=HISTOGRAM_MODES[0]):
+        reason = window_violation(window_ps, bin_width_ps)
+        if reason:
+            raise ConfigurationError(f"window_ps {reason}")
+        if mode not in HISTOGRAM_MODES:
+            raise ConfigurationError(f"unknown histogram mode {mode!r}")
+        super().__init__(t0_ps, t0_ps + window_ps - 1, 1)
+        self.bin_width_ps, self.window_ps, self.t0_ps, self.mode = (
+            bin_width_ps, window_ps, t0_ps, mode)
+        self.counts = np.zeros(window_ps // bin_width_ps, dtype=np.int64)
+
+    def _count(self, starts, stops):
+        if len(stops) == 0:
+            return
+        for b0 in range(0, len(starts), START_BLOCK):
+            self.counts += np.bincount(self._bins(starts[b0:b0 + START_BLOCK], stops),
+                                       minlength=len(self.counts))
+
+    def _bins(self, starts, stops):
+        """Bin index of every count the starts make against the stops."""
+        window_ps, bin_width_ps = self.window_ps, self.bin_width_ps
+        lo = starts + self.t0_ps
+        if self.mode == "first":
+            idx = np.searchsorted(stops, lo, side="left")
+            dt = stops.take(idx, mode="clip") - lo  # dt - t0 of the first stop at or after lo
+            ok = (idx < len(stops)) & (dt < window_ps)
+            return dt[ok] // bin_width_ps
         i0 = np.searchsorted(stops, lo, side="left")
         i1 = np.searchsorted(stops, lo + window_ps, side="left")
-        reps = i1 - i0
-        start_rep = np.repeat(starts, reps)
-        stop_idx = _span_indices(i0, i1)
-        dt = stops[stop_idx] - start_rep
-        bins = (dt - t0_ps) // bin_width_ps
-    else:
-        raise ConfigurationError(f"unknown histogram mode {mode!r}")
-    # accumulate into the array allocated before the large temporaries: a
-    # fresh bincount result kept alive above them would pin the heap top
-    counts += np.bincount(bins, minlength=n_bins)
-    return Histogram(bin_width_ps, t0_ps, counts, int(len(starts)))
+        dt = stops[_span_indices(i0, i1)] - np.repeat(starts, i1 - i0)
+        return (dt - self.t0_ps) // bin_width_ps
+
+    def histogram(self) -> Histogram:
+        n_starts, n_stops = self.fed
+        flags = [] if n_starts and n_stops else ["empty-stream"]
+        return Histogram(self.bin_width_ps, self.t0_ps, self.counts, n_starts, flags)
 
 
 def _span_indices(i0, i1):
@@ -206,66 +279,83 @@ def tag_g2(heralds, t_tags, r_tags, coincidence_window_ps, delay_axis_ps) -> G2C
     arm's (herald, dt) pairs inside the union of all windows are enumerated
     once; the central counts per herald and every delay bin's pair and triple
     counts are then bincounts over those pairs, so delay windows may be
-    unsorted, uneven or overlapping.
-
-    Heralds are taken ``HERALD_BLOCK`` at a time, each block with the slice
-    of each arm that can reach it, so memory is bounded by one block's pairs
-    and the herald searches stay in cache. Every count is an integer, so the
-    result does not depend on the block size.
+    unsorted, uneven or overlapping. G2Counter fed the whole arrays at once.
     """
-    if coincidence_window_ps <= 0:
-        raise ConfigurationError("coincidence window must be > 0")
-    n_h = len(heralds)
-    if n_h == 0:
-        raise UndefinedG2Error("no herald events")
-    c_lo, c_hi = _integer_window(0.0, coincidence_window_ps)
-    delay_axis_ps = np.asarray(delay_axis_ps, dtype=float)
-    lo, hi = _integer_window(delay_axis_ps, coincidence_window_ps)
-    dt_lo, dt_hi = min(c_lo, lo.min()), max(c_hi, hi.max())
-    # delay window k covers the bins k0[k] .. k1[k] - 1 of the sorted edges
-    edges = np.unique(np.concatenate((lo, hi + 1)))
-    k0, k1 = np.searchsorted(edges, lo), np.searchsorted(edges, hi + 1)
+    counter = G2Counter(coincidence_window_ps, delay_axis_ps)
+    counter.feed(heralds, t_tags, r_tags)
+    return counter.curve()
 
-    arms = {"t": t_tags, "r": r_tags}
-    pair_totals = {"t": 0, "r": 0}
-    n_bins = len(edges) + 1
-    n_pair_bins = {k: np.zeros(n_bins, dtype=np.int64) for k in arms}
-    triple_bins = {k: np.zeros(n_bins) for k in arms}
-    for b0 in range(0, n_h, HERALD_BLOCK):
-        block = heralds[b0:b0 + HERALD_BLOCK]
-        pairs, central = {}, {}
-        for k, arm in arms.items():
-            reach = arm[np.searchsorted(arm, block[0] + dt_lo, side="left"):
-                        np.searchsorted(arm, block[-1] + dt_hi, side="right")]
-            idx, dt = _arm_pairs(block, reach, dt_lo, dt_hi)
-            pairs[k] = (idx, dt)
-            central[k] = np.bincount(idx[(dt >= c_lo) & (dt <= c_hi)], minlength=len(block))
-            pair_totals[k] += int(central[k].sum())
+
+class G2Counter(_Reach):
+    """tag_g2's integer counts over herald, T and R tags fed in time order (see _Reach).
+
+    Heralds are counted ``HERALD_BLOCK`` at a time, each block with the
+    slice of each arm that can reach it, so memory is bounded by one block's
+    pairs and the herald searches stay in cache. Every count is an integer,
+    so the result does not depend on how the heralds are sliced.
+    """
+
+    def __init__(self, coincidence_window_ps, delay_axis_ps):
+        if coincidence_window_ps <= 0:
+            raise ConfigurationError("coincidence window must be > 0")
+        self.central = _integer_window(0.0, coincidence_window_ps)
+        self.delay_axis_ps = np.asarray(delay_axis_ps, dtype=float)
+        lo, hi = _integer_window(self.delay_axis_ps, coincidence_window_ps)
+        super().__init__(min(self.central[0], lo.min()), max(self.central[1], hi.max()), 2)
+        # delay window k covers the bins k0[k] .. k1[k] - 1 of the sorted edges
+        self.edges = np.unique(np.concatenate((lo, hi + 1)))
+        self.k0, self.k1 = np.searchsorted(self.edges, lo), np.searchsorted(self.edges, hi + 1)
+        n_bins = len(self.edges) + 1
+        self.pair_totals = {"t": 0, "r": 0}
+        self.n_pair_bins = {k: np.zeros(n_bins, dtype=np.int64) for k in ("t", "r")}
+        self.triple_bins = {k: np.zeros(n_bins) for k in ("t", "r")}
+
+    def _count(self, heralds, t_tags, r_tags):
+        c_lo, c_hi = self.central
+        dt_lo, dt_hi = self.reach_lo, self.reach_hi
+        arms = {"t": t_tags, "r": r_tags}
+        for b0 in range(0, len(heralds), HERALD_BLOCK):
+            block = heralds[b0:b0 + HERALD_BLOCK]
+            pairs, central = {}, {}
+            for k, arm in arms.items():
+                reach = arm[np.searchsorted(arm, block[0] + dt_lo, side="left"):
+                            np.searchsorted(arm, block[-1] + dt_hi, side="right")]
+                idx, dt = _arm_pairs(block, reach, dt_lo, dt_hi)
+                pairs[k] = (idx, dt)
+                central[k] = np.bincount(idx[(dt >= c_lo) & (dt <= c_hi)],
+                                         minlength=len(block))
+                self.pair_totals[k] += int(central[k].sum())
+            for fixed, shifted in (("t", "r"), ("r", "t")):
+                idx, dt = pairs[shifted]
+                n_pair, triples = _edge_bins(dt, central[fixed][idx], self.edges)
+                self.n_pair_bins[shifted] += n_pair
+                self.triple_bins[shifted] += triples
+
+    def curve(self) -> G2Curve:
+        n_h = self.fed[0]
+        if n_h == 0:
+            raise UndefinedG2Error("no herald events")
+        for k in ("t", "r"):
+            if self.pair_totals[k] == 0:
+                raise UndefinedG2Error(f"zero herald-{k} coincidences; normalization undefined")
+        delays = self.delay_axis_ps
+        values = np.zeros(len(delays))
+        triple_counts = np.zeros(len(delays))
         for fixed, shifted in (("t", "r"), ("r", "t")):
-            idx, dt = pairs[shifted]
-            n_pair, triples = _edge_bins(dt, central[fixed][idx], edges)
-            n_pair_bins[shifted] += n_pair
-            triple_bins[shifted] += triples
-    for k in ("t", "r"):
-        if pair_totals[k] == 0:
-            raise UndefinedG2Error(f"zero herald-{k} coincidences; normalization undefined")
-
-    values = np.zeros(len(delay_axis_ps))
-    triple_counts = np.zeros(len(delay_axis_ps))
-    for fixed, shifted in (("t", "r"), ("r", "t")):
-        below = np.cumsum(n_pair_bins[shifted])
-        below_w = np.cumsum(triple_bins[shifted])
-        n_pair_shift = below[k1] - below[k0]
-        triples = below_w[k1] - below_w[k0]
-        if np.any(n_pair_shift == 0):
-            bad = delay_axis_ps[np.argmax(n_pair_shift == 0)]
-            raise UndefinedG2Error(
-                f"zero herald-{shifted} coincidences at delay {bad:g} ps")
-        values += 0.5 * triples * n_h / (pair_totals[fixed] * n_pair_shift)
-        triple_counts += triples
-    errors = np.where(triple_counts > 0, values / np.sqrt(np.maximum(triple_counts, 1)), np.inf)
-    norm = pair_totals["t"] * pair_totals["r"] / n_h
-    return G2Curve(delay_axis_ps, values, norm, errors)
+            below = np.cumsum(self.n_pair_bins[shifted])
+            below_w = np.cumsum(self.triple_bins[shifted])
+            n_pair_shift = below[self.k1] - below[self.k0]
+            triples = below_w[self.k1] - below_w[self.k0]
+            if np.any(n_pair_shift == 0):
+                bad = delays[np.argmax(n_pair_shift == 0)]
+                raise UndefinedG2Error(
+                    f"zero herald-{shifted} coincidences at delay {bad:g} ps")
+            values += 0.5 * triples * n_h / (self.pair_totals[fixed] * n_pair_shift)
+            triple_counts += triples
+        errors = np.where(triple_counts > 0,
+                          values / np.sqrt(np.maximum(triple_counts, 1)), np.inf)
+        norm = self.pair_totals["t"] * self.pair_totals["r"] / n_h
+        return G2Curve(delays, values, norm, errors)
 
 
 def coincidence_rate(stream: EventStream, ch_a, ch_b, window_ps):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epstreak import experiment, presets
+from epstreak import cli, experiment, presets
 from epstreak.config import validate_config
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, DETECTOR_PRESETS,
                              RunConfig, simulate_stream)
@@ -42,6 +42,11 @@ def fig2b(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def fig2c(tmp_path_factory):
+    return _preset(tmp_path_factory, "fig2c-g2")
+
+
+@pytest.fixture(scope="session")
 def fig2d(tmp_path_factory):
     return _preset(tmp_path_factory, "fig2d-irf")
 
@@ -65,9 +70,9 @@ def fig5(tmp_path_factory):
 GOLDEN_PRESETS = Path(__file__).with_name("golden_presets.json")
 
 
-def test_preset_artifacts_match_golden_hashes(fig2b, fig2d, fig3, fig4, fig5):
+def test_preset_artifacts_match_golden_hashes(fig2b, fig2c, fig2d, fig3, fig4, fig5):
     """sha256 of every artifact each preset writes at seed 1."""
-    runs = {"fig2b-tuning": fig2b, "fig2d-irf": fig2d, "fig3-two-dyes": fig3,
+    runs = {"fig2b-tuning": fig2b, "fig2c-g2": fig2c, "fig2d-irf": fig2d, "fig3-two-dyes": fig3,
             "fig5-integration-sweep": fig5,
             **{f"fig4-{name}": run for name, run in fig4.items()}}
     golden = json.loads(GOLDEN_PRESETS.read_text())
@@ -77,6 +82,20 @@ def test_preset_artifacts_match_golden_hashes(fig2b, fig2d, fig3, fig4, fig5):
         changed = sorted(k for k in got.keys() | golden[name].keys()
                          if got.get(k) != golden[name].get(k))
         assert not changed, f"{name}: {changed[:5]}"
+
+
+def test_preset_run_reproduced_from_its_config_echo(fig2c, fig3, tmp_path):
+    """A preset's summary (the manifest's config echo) holds each config it ran and its seeds."""
+    out, summary, _ = fig2c
+    assert summary["seeds"] == {"g2": experiment.derive_seed(1, 0)}
+    echo = tmp_path / "g2.yaml"
+    echo.write_text(json.dumps(summary["configs"]["g2"]))  # JSON is YAML
+    assert cli.main(["g2", "--config", str(echo), "--out", str(tmp_path / "g2")]) == 0
+    assert (tmp_path / "g2" / "g2.csv").read_bytes() == (out / "g2.csv").read_bytes()
+    _, summary, _ = fig3
+    assert summary["seeds"] == {"map": experiment.derive_seed(1, 1),
+                                "calibration": experiment.derive_seed(1, 0)}
+    assert summary["configs"]["map"]["run"]["seed"] == summary["seeds"]["map"]
 
 
 def test_criterion_1_tuning_trend(fig2b):

@@ -245,6 +245,44 @@ def test_fit_manifest_records_diagnostics(tmp_path):
     assert runs[1]["diagnostics"] == diag
 
 
+def test_fit_seed_flag_sets_fit_seed(tmp_path):
+    # a noisy two-component fit, so that the multistart seed can matter
+    rng = np.random.default_rng(5)
+    irf = _gaussian_irf_hist()
+    mu = convolve_model(DecayModel([(30.0, 0.8), (10.0, 1.6)]), irf)
+    hist = Histogram(4, irf.t0_ps, rng.poisson(2e4 * mu / mu.sum()), n_starts=20_000)
+    hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
+    write_histogram_csv(hp, hist)
+    write_histogram_csv(ip, irf)
+    for seed in (5, 9):
+        flag, by_config = tmp_path / f"flag{seed}", tmp_path / f"config{seed}"
+        cfg = _write_cfg(tmp_path, f"analysis:\n  fit: {{seed: {seed}}}\n", f"fit{seed}.yaml")
+        assert cli.main(["fit", "--out", str(flag), "--hist", str(hp), "--irf", str(ip),
+                         "--n", "2", "--seed", str(seed)]) == 0
+        assert cli.main(["fit", "--out", str(by_config), "--hist", str(hp), "--irf", str(ip),
+                         "--n", "2", "--config", cfg]) == 0
+        assert json.loads((flag / "manifest.json").read_text())["seed"] == seed
+        assert ((flag / "fit_report.txt").read_text()
+                == (by_config / "fit_report.txt").read_text())
+
+
+def test_fit_negative_seed_flag_exits_2(tmp_path, capsys):
+    hp = tmp_path / "irf.csv"
+    write_histogram_csv(hp, _gaussian_irf_hist())
+    assert cli.main(["fit", "--out", str(tmp_path / "o"), "--hist", str(hp), "--irf", str(hp),
+                     "--seed", "-3"]) == 2
+    assert "command-line override" in capsys.readouterr().err
+
+
+def test_preset_manifest_echoes_configs(tmp_path):
+    out = tmp_path / "p"
+    assert cli.main(["preset", "fig2b-tuning", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"preset": "fig2b-tuning", "configs": {"tuning": {}},
+                                  "seeds": {}}
+    assert "configs" not in manifest["summary"] and "seeds" not in manifest["summary"]
+
+
 def test_irf_subcommand_reports_fwhm(tmp_path):
     cfg = _write_cfg(tmp_path, "run:\n  duration_s: 1.0\n  seed: 3\n")
     out = tmp_path / "irf"

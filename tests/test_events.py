@@ -11,7 +11,7 @@ from epstreak.eventfile import write_event_file
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
                              DETECTOR_PRESETS, DetectorModel, EmitterSpecies,
                              RunConfig, SampleModel, _check_overlap,
-                             _concat_sorted, _dead_time_prune, _fluorescence_batch,
+                             _dead_time_prune, _fluorescence_batch,
                              apply_detector, simulate_channels, simulate_stream)
 from epstreak.presets import heralded_source
 from epstreak.spdc import FilterSpec, SourceModel
@@ -324,17 +324,6 @@ def test_simulate_channels_peak_memory_bounded():
         tracemalloc.stop()
     arrivals_bytes = 8 * len(tags[CH_HERALD])
     assert peak <= 6.0 * arrivals_bytes
-
-
-@pytest.mark.parametrize("parts, want", [
-    ([], []),
-    ([[1.0, 5.0]], [1.0, 5.0]),
-    ([[1.0, 2.0], [], [2.0, 3.0]], [1.0, 2.0, 2.0, 3.0]),
-    ([[1.0, 5.0], [3.0, 7.0]], [1.0, 3.0, 5.0, 7.0]),   # overlapping chunks
-])
-def test_concat_sorted(parts, want):
-    got = _concat_sorted([np.asarray(p) for p in parts])
-    assert np.array_equal(got, want)
 
 
 def test_overlap_checked_once_per_source(monkeypatch):
