@@ -25,15 +25,23 @@ import numpy as np
 from . import experiment, presets
 from .config import load_config, validate_config
 from .errors import ConfigurationError, DomainError, EpstreakError
-from .eventfile import read_event_file, write_event_file
+from .eventfile import open_event_file, write_events
+from .events import CH_HERALD, CH_SIGNAL, split_records
 from .fitting import format_fit_report
 from .spdc import write_tuning_csv
 from .tcspc import read_histogram_csv, write_g2_csv, write_histogram_csv
 from .twins import save_cube, write_map_csv
 
 
+_HASH_BLOCK = 1 << 20  # bytes per read when hashing an artifact
+
+
 def _sha256(path: Path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _collect_artifacts(out: Path, names):
@@ -98,17 +106,23 @@ def _apply_overrides(cfg, args):
 # ``out`` and returns its summary; "artifacts" names them for the manifest.
 
 def cmd_simulate(cfg, args, out):
-    stream = experiment.simulate(cfg)
-    write_event_file(out / "events.bin", stream,
-                     {"seed": cfg.run.seed, "topology": cfg.run.topology,
-                      "config": cfg.raw})
+    meta = {"seed": cfg.run.seed, "topology": cfg.run.topology, "config": cfg.raw,
+            **experiment.stream_metadata(cfg)}
+    n_events = sum(len(t_ps) for _, t_ps in
+                   write_events(out / "events.bin", experiment.records(cfg), meta))
     return {"artifacts": ["events.bin", "events.bin.meta.json"],
-            "n_events": len(stream), "warnings": stream.warnings}
+            "n_events": n_events, "warnings": meta.get("warnings", [])}
 
 
 def cmd_histogram(cfg, args, out):
-    stream = read_event_file(args.events) if args.events else None
-    hist = experiment.histogram(cfg, stream)
+    chunks = None
+    if args.events:
+        n_channels, _, blocks = open_event_file(args.events)
+        if n_channels <= CH_SIGNAL:
+            raise ConfigurationError(f"{args.events}: {n_channels} channel(s), but a "
+                                     f"histogram needs channels {CH_HERALD} and {CH_SIGNAL}")
+        chunks = split_records(blocks, n_channels)
+    hist = experiment.histogram(cfg, chunks)
     write_histogram_csv(out / "histogram.csv", hist)
     return {"artifacts": ["histogram.csv"], "counts": int(hist.counts.sum()),
             "fwhm_ps": hist.fwhm_ps(), "peak_ps": hist.peak_ps(), "flags": hist.flags}

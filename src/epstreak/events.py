@@ -345,9 +345,9 @@ def simulate_chunks(source: SourceModel, sample, herald_det: DetectorModel,
     rate = source.pump.pair_rate_hz
     if rate > 0:
         _check_overlap(source)
-    n_channels = 3 if run.topology == "hbt" else 2
     channels = [_DetectorChannel(herald_det if ch == CH_HERALD else signal_det,
-                                 _rng(run.seed, 1, ch)) for ch in range(n_channels)]
+                                 _rng(run.seed, 1, ch))
+                for ch in range(channel_count(run.topology))]
     n_chunks = _chunk_count(rate, run.duration_s)
     chunk_ps = run.duration_s * PS_PER_S / n_chunks
     floor = -np.inf  # no time drawn from here on may fall below it
@@ -388,6 +388,21 @@ def simulate_channels(source: SourceModel, sample, herald_det: DetectorModel,
     return detections
 
 
+def channel_count(topology):
+    """Detector channels of a topology: herald and signal, or herald and two HBT arms."""
+    return 3 if topology == "hbt" else 2
+
+
+def stream_warnings(source: SourceModel, herald_det: DetectorModel,
+                    signal_det: DetectorModel, run: RunConfig):
+    """Warnings known before any draw: ``empty-stream`` for zero pair rate and no darks."""
+    dark_total = (herald_det.dark_rate_hz
+                  + (channel_count(run.topology) - 1) * signal_det.dark_rate_hz)
+    if source.pump.pair_rate_hz == 0 and dark_total == 0:
+        return ["empty-stream: zero pair rate and zero dark rates"]
+    return []
+
+
 def _merge_channels(tags):
     """(channel, t_ps) of per-channel sorted tags merged in (time, channel) order."""
     channel = np.concatenate([np.full(len(t), ch, dtype=np.uint8) for ch, t in enumerate(tags)])
@@ -396,28 +411,47 @@ def _merge_channels(tags):
     return channel[order], t_ps[order]
 
 
-def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
-                    signal_det: DetectorModel, twins, run: RunConfig) -> EventStream:
-    """simulate_chunks' tags merged into one time-ordered EventStream.
+def merge_chunks(chunks):
+    """(channel, t_ps) record blocks of a (tags, horizon) chunk stream, in (time, channel) order.
 
-    Ties in time are ordered by channel. The tags below each horizon are
-    merged as they come: no later tag can precede them. A run with zero pair
-    rate and zero dark rates gets an ``empty-stream`` warning.
+    The tags below each horizon are merged as they come: no later tag can
+    precede them. Concatenated, the blocks are the whole stream's records.
     """
-    channel_parts, t_parts = [], []
     held = None
-    for tags, horizon in simulate_chunks(source, sample, herald_det, signal_det, twins, run):
+    for tags, horizon in chunks:
         held = tags if held is None else [_concat([h, t]) for h, t in zip(held, tags)]
         del tags
         cuts = [len(t) if horizon is None else np.searchsorted(t, horizon, side="left")
                 for t in held]
-        channel, t_ps = _merge_channels([t[:cut] for t, cut in zip(held, cuts)])
+        yield _merge_channels([t[:cut] for t, cut in zip(held, cuts)])
+        held = [t[cut:].copy() for t, cut in zip(held, cuts)]
+
+
+def split_records(blocks, n_channels):
+    """(tags, horizon) chunks of (channel, t_ps) record blocks in time order; merge_chunks undone.
+
+    ``tags`` holds each channel's times of one block; ``horizon`` is the
+    block's last time, which no later record precedes. A last chunk with no
+    tags and horizon None ends the stream.
+    """
+    for channel, t_ps in blocks:
+        if len(t_ps):
+            yield [t_ps[channel == ch] for ch in range(n_channels)], int(t_ps[-1])
+    yield [np.empty(0, dtype=np.int64)] * n_channels, None
+
+
+def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
+                    signal_det: DetectorModel, twins, run: RunConfig) -> EventStream:
+    """merge_chunks of simulate_chunks, concatenated into one time-ordered EventStream.
+
+    Ties in time are ordered by channel. A run with zero pair rate and zero
+    dark rates gets an ``empty-stream`` warning.
+    """
+    channel_parts, t_parts = [], []
+    chunks = simulate_chunks(source, sample, herald_det, signal_det, twins, run)
+    for channel, t_ps in merge_chunks(chunks):
         channel_parts.append(channel)
         t_parts.append(t_ps)
-        held = [t[cut:].copy() for t, cut in zip(held, cuts)]
-    n_channels = len(held)
-    stream = EventStream(_concat(channel_parts), _concat(t_parts), run.duration_s, n_channels)
-    dark_total = herald_det.dark_rate_hz + (n_channels - 1) * signal_det.dark_rate_hz
-    if source.pump.pair_rate_hz == 0 and dark_total == 0:
-        stream.warnings.append("empty-stream: zero pair rate and zero dark rates")
-    return stream
+    return EventStream(_concat(channel_parts), _concat(t_parts), run.duration_s,
+                       channel_count(run.topology),
+                       stream_warnings(source, herald_det, signal_det, run))

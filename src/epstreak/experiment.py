@@ -15,12 +15,12 @@ import numpy as np
 from .checks import Checked, relation, rule, rule_of
 from .errors import ConfigurationError
 from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DetectorModel,
-                     EmitterSpecies, RunConfig, SampleModel, simulate_chunks,
-                     simulate_stream)
+                     EmitterSpecies, RunConfig, SampleModel, channel_count, merge_chunks,
+                     simulate_chunks, stream_warnings)
 from .fitting import FitOptions, fit_decay
 from .spdc import SourceModel, tuning_curve
 from .tcspc import (DEFAULT_BIN_WIDTH_PS, DEFAULT_WINDOW_PS, HISTOGRAM_MODES, G2Counter,
-                    StartStopCounter, build_histogram, window_violation)
+                    StartStopCounter, window_violation)
 from .twins import APODIZATIONS, TwinsSpec, acquire_cube, calibrate_delay, reconstruct_map
 
 # The TWINS calibration scans a quasi-monochromatic line of known wavelength
@@ -119,19 +119,24 @@ def _chunks(cfg):
                            cfg.twins, cfg.run)
 
 
-def simulate(cfg):
-    """The run's detections merged into one time-ordered EventStream."""
-    return simulate_stream(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
-                           cfg.twins, cfg.run)
+def records(cfg):
+    """The run's detections as (channel, t_ps) record blocks in (time, channel) order."""
+    return merge_chunks(_chunks(cfg))
 
 
-def histogram(cfg, stream=None):
-    """Herald-signal start-stop histogram of ``stream``, or of a fresh run streamed by chunk."""
-    binning = asdict(cfg.analysis.histogram)
-    if stream is not None:
-        return build_histogram(stream, CH_HERALD, CH_SIGNAL, **binning)
-    counter = StartStopCounter(**binning)
-    counter.feed_chunks(_chunks(cfg), CH_HERALD, CH_SIGNAL)
+def stream_metadata(cfg):
+    """What an event file of the run records beside its events: duration, channels, warnings."""
+    meta = {"duration_s": cfg.run.duration_s, "n_channels": channel_count(cfg.run.topology)}
+    warnings = stream_warnings(cfg.source, cfg.herald_det, cfg.signal_det, cfg.run)
+    if warnings:
+        meta["warnings"] = warnings
+    return meta
+
+
+def histogram(cfg, chunks=None):
+    """Herald-signal start-stop histogram of a (tags, horizon) chunk stream, or of a fresh run."""
+    counter = StartStopCounter(**asdict(cfg.analysis.histogram))
+    counter.feed_chunks(_chunks(cfg) if chunks is None else chunks, CH_HERALD, CH_SIGNAL)
     return counter.histogram()
 
 

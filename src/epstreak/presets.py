@@ -18,10 +18,10 @@ import numpy as np
 from .checks import violations
 from .config import validate_config
 from .errors import ConfigurationError
-from .eventfile import write_event_file
-from .events import RunConfig
-from .experiment import (derive_seed, fit, ft_map, g2, histogram, irf,
-                         simulate, tuning, tuning_summary)
+from .eventfile import write_events
+from .events import RunConfig, split_records
+from .experiment import (derive_seed, fit, ft_map, g2, histogram, irf, records,
+                         stream_metadata, tuning, tuning_summary)
 from .fitting import format_fit_report
 from .spdc import write_tuning_csv
 from .tcspc import write_g2_csv, write_histogram_csv
@@ -129,7 +129,8 @@ IRF_PAIRINGS = {"mpd_mpd": ("mpd", 42.0), "mpd_excelitas": ("excelitas", 25.0)}
 def run_fig2d_irf(out_dir, seed=1):
     """Start-stop response of two detector pairings at >= 1e6 coincidences.
 
-    The mpd/mpd run is also written as an event file.
+    The mpd/mpd run is also written as an event file, and its histogram is
+    counted from the record blocks as they are written.
     """
     out = Path(out_dir)
     summary, configs = {"artifacts": []}, {}
@@ -137,14 +138,16 @@ def run_fig2d_irf(out_dir, seed=1):
         cfg = configs[name] = config(HERALDED, _detectors("mpd", signal),
                                      _run("irf", duration_s, derive_seed(seed, i)),
                                      _bins(4, 8000, -4000))
-        stream = simulate(cfg) if name == "mpd_mpd" else None
-        hist = histogram(cfg, stream)
+        chunks = None
+        if name == "mpd_mpd":
+            meta = {"preset": "fig2d-irf", "seed": cfg.run.seed, "topology": "irf",
+                    **stream_metadata(cfg)}
+            chunks = split_records(write_events(out / f"events_{name}.bin", records(cfg), meta),
+                                   meta["n_channels"])
+        hist = histogram(cfg, chunks)
         write_histogram_csv(out / f"irf_{name}.csv", hist)
         summary["artifacts"].append(f"irf_{name}.csv")
-        if stream is not None:
-            write_event_file(out / f"events_{name}.bin", stream,
-                             {"preset": "fig2d-irf", "seed": cfg.run.seed,
-                              "topology": "irf"})
+        if chunks is not None:
             summary["artifacts"] += [f"events_{name}.bin", f"events_{name}.bin.meta.json"]
         summary[f"fwhm_ps_{name}"] = hist.fwhm_ps()
         summary[f"coincidences_{name}"] = int(hist.counts.sum())

@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epstreak import cli
+from epstreak import cli, eventfile
 from epstreak.config import load_config, validate_config
 from epstreak.errors import ConfigurationError
-from epstreak.events import EventStream
-from epstreak.eventfile import write_event_file
+from epstreak.events import EventStream, simulate_stream
+from epstreak.eventfile import sidecar_path, write_event_file
 from epstreak.fitting import DecayModel, convolve_model
 from epstreak.tcspc import Histogram, read_histogram_csv, write_histogram_csv
 from epstreak.units import FWHM_PER_SIGMA
@@ -177,6 +177,80 @@ def test_histogram_truncated_event_file_exits_2(tmp_path, capsys):
     assert cli.main(["histogram", "--out", str(tmp_path / "o"),
                      "--events", str(path)]) == 2
     assert "truncated event file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: b"NOPE" + raw[4:], "not an EPPS event file"),
+    (lambda raw: raw[:4] + b"\x63" + raw[5:], "unsupported event-file version 99"),
+    (lambda raw: raw[:6], "truncated event-file header"),
+    (lambda raw: raw[:-4], "truncated event file: 23 record bytes"),
+], ids=["magic", "version", "header", "records"])
+def test_histogram_bad_event_file_stops_before_counting(tmp_path, capsys, monkeypatch,
+                                                        edit, message):
+    def counted(*args, **kwargs):
+        raise AssertionError("counted a file that failed its checks")
+
+    monkeypatch.setattr(cli.experiment, "histogram", counted)
+    stream = EventStream(np.array([0, 1, 0], dtype=np.uint8),
+                         np.array([10, 20, 30], dtype=np.int64), 1.0, 2)
+    path = tmp_path / "events.bin"
+    write_event_file(path, stream, {})
+    path.write_bytes(edit(path.read_bytes()))
+    assert cli.main(["histogram", "--out", str(tmp_path / "o"),
+                     "--events", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_histogram_missing_event_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "absent.bin"
+    assert cli.main(["histogram", "--out", str(tmp_path / "o"), "--events", str(path)]) == 2
+    assert f"cannot read event file {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channel, t_ps, n_channels, read_block, message", [
+    ([0, 1, 0], [10, 30, 20], 2, None, "record 2: timestamp 20 ps is lower than the 30 ps"),
+    ([0, 1, 0, 1, 0], [10, 20, 15, 40, 50], 2, 2,  # the step back opens the second block
+     "record 2: timestamp 15 ps is lower than the 20 ps"),
+    ([0, 7, 1], [10, 20, 30], 2, None, "record 1: channel 7 is not below the header's 2"),
+    ([0, 1, 0], [10, 20, 2**63], 2, None,
+     "record 2: timestamp 9223372036854775808 ps is 2^63 ps or more"),
+    ([0, 0], [10, 20], 1, None, "1 channel(s), but a histogram needs channels 0 and 1"),
+], ids=["backwards", "backwards-across-blocks", "channel", "overflow", "one-channel"])
+def test_histogram_malformed_event_file_exits_2(tmp_path, capsys, monkeypatch, channel,
+                                                t_ps, n_channels, read_block, message):
+    if read_block:
+        monkeypatch.setattr(eventfile, "READ_BLOCK", read_block)
+    stream = EventStream(np.array(channel, dtype=np.uint8),
+                         np.array(t_ps, dtype=np.uint64).view(np.int64), 1.0, n_channels)
+    path = tmp_path / "events.bin"
+    write_event_file(path, stream, {})
+    assert cli.main(["histogram", "--out", str(tmp_path / "o"),
+                     "--events", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err, err
+
+
+def test_simulate_empty_stream(tmp_path):
+    cfg_path = _write_cfg(tmp_path, """
+source: {pump: {pair_rate_hz: 0.0}}
+detectors: {herald: {preset: ideal}, signal: {preset: ideal}}
+run: {topology: hbt, duration_s: 0.01, seed: 3}
+""")
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--out", str(out), "--config", cfg_path]) == 0
+    warning = "empty-stream: zero pair rate and zero dark rates"
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary == {"n_events": 0, "warnings": [warning]}
+    cfg = load_config(cfg_path)
+    stream = simulate_stream(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
+                             cfg.twins, cfg.run)
+    assert stream.warnings == [warning]
+    reference = tmp_path / "reference.bin"
+    write_event_file(reference, stream, {"seed": 3, "topology": "hbt", "config": cfg.raw})
+    for suffix in ("", ".meta.json"):
+        assert (Path(f"{out / 'events.bin'}{suffix}").read_bytes()
+                == Path(f"{reference}{suffix}").read_bytes())
+    assert json.loads(sidecar_path(out / "events.bin").read_text())["warnings"] == [warning]
 
 
 def test_fit_header_only_histogram_exits_2(tmp_path, capsys):

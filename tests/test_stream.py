@@ -1,25 +1,33 @@
-"""The chunked simulation stream and the counters it feeds.
+"""The chunked simulation stream, the counters it feeds and the event files it writes.
 
 With ``events.CHUNK_PAIRS`` patched down to a few pairs, jitter, fluorescence
 delays, dead time, histogram windows and g2 delays all reach across several
-chunks; every streamed result must equal the whole-run reference bit for bit.
+chunks; with ``eventfile.READ_BLOCK`` patched down to a few records, ties and
+histogram windows reach across read blocks. Every streamed result must equal
+the whole-run reference bit for bit.
 """
 
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epstreak import events, experiment, presets
+from epstreak import cli, eventfile, events, experiment, presets
 from epstreak.cli import main
 from epstreak.errors import StreamOrderError, UndefinedG2Error
+from epstreak.eventfile import (open_event_file, read_event_file, write_event_file,
+                                write_events)
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DetectorModel,
-                             EmitterSpecies, RunConfig, SampleModel, simulate_channels,
-                             simulate_chunks, simulate_stream)
-from epstreak.tcspc import G2Counter, StartStopCounter, start_stop_histogram, tag_g2
+                             EmitterSpecies, EventStream, RunConfig, SampleModel,
+                             channel_count, merge_chunks, simulate_channels, simulate_chunks,
+                             simulate_stream, split_records, stream_warnings)
+from epstreak.tcspc import (G2Counter, StartStopCounter, build_histogram,
+                            start_stop_histogram, tag_g2)
 from epstreak.twins import TwinsSpec
 from epstreak.units import PS_PER_NS, PS_PER_S
 
@@ -333,3 +341,109 @@ def test_irf_step_streams_its_run(monkeypatch):
     want = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], h.bin_width_ps,
                                 h.window_ps, h.t0_ps, h.mode)
     assert np.array_equal(response.counts, want.counts)
+
+
+def _counted_from_file(path, binning, mode):
+    """The histogram of an event file counted block by block, and build_histogram of its stream."""
+    n_channels, _, blocks = open_event_file(path)
+    counter = StartStopCounter(*binning, mode)
+    counter.feed_chunks(split_records(blocks, n_channels), CH_HERALD, CH_SIGNAL)
+    want = build_histogram(read_event_file(path), CH_HERALD, CH_SIGNAL, *binning, mode)
+    return counter.histogram(), want
+
+
+def _assert_same_histogram(got, want):
+    assert np.array_equal(got.counts, want.counts)
+    assert (got.n_starts, got.flags) == (want.n_starts, want.flags)
+
+
+@given(_run_args(), st.integers(2, 8), st.integers(1, 5), _binning(),
+       st.sampled_from(["first", "all"]))
+@settings(max_examples=100)
+def test_event_file_streams_at_block_boundaries(args, chunk_pairs, read_block, binning, mode):
+    source, _, herald_det, signal_det, _, run = args
+    meta = {"seed": run.seed, "duration_s": run.duration_s,
+            "n_channels": channel_count(run.topology)}
+    warnings = stream_warnings(source, herald_det, signal_det, run)
+    if warnings:
+        meta["warnings"] = warnings
+    with mock.patch.object(events, "CHUNK_PAIRS", chunk_pairs), \
+            mock.patch.object(eventfile, "READ_BLOCK", read_block), \
+            tempfile.TemporaryDirectory() as tmp:
+        whole, streamed = Path(tmp) / "whole.bin", Path(tmp) / "streamed.bin"
+        try:
+            write_event_file(whole, simulate_stream(*args), {"seed": run.seed})
+        except StreamOrderError:
+            return
+        passed = StartStopCounter(*binning, mode)  # fig2d-irf: counted as written
+        passed.feed_chunks(split_records(write_events(streamed, merge_chunks(
+            simulate_chunks(*args)), meta), meta["n_channels"]), CH_HERALD, CH_SIGNAL)
+        for suffix in ("", ".meta.json"):
+            assert (Path(f"{streamed}{suffix}").read_bytes()
+                    == Path(f"{whole}{suffix}").read_bytes())
+        got, want = _counted_from_file(streamed, binning, mode)
+    _assert_same_histogram(got, want)
+    _assert_same_histogram(passed.histogram(), want)
+
+
+@st.composite
+def _tied_records(draw):
+    """Records in (time, channel) order over a few picoseconds: ties on and across channels."""
+    n_channels = draw(st.sampled_from([2, 3]))
+    records = sorted(draw(st.lists(st.tuples(st.integers(0, 12),
+                                             st.integers(0, n_channels - 1)), max_size=40)))
+    t_ps, channel = (np.array([r[i] for r in records], dtype=dtype)
+                     for i, dtype in ((0, np.int64), (1, np.uint8)))
+    return EventStream(channel, t_ps, 1.0, n_channels)
+
+
+@given(_tied_records(), st.integers(1, 5), _binning(), st.sampled_from(["first", "all"]))
+@settings(max_examples=200)
+def test_tied_records_count_across_read_blocks(stream, read_block, binning, mode):
+    with mock.patch.object(eventfile, "READ_BLOCK", read_block), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.bin"
+        write_event_file(path, stream, {})
+        back = read_event_file(path)
+        got, want = _counted_from_file(path, binning, mode)
+    assert np.array_equal(back.t_ps, stream.t_ps)
+    assert np.array_equal(back.channel, stream.channel)
+    _assert_same_histogram(got, want)
+    reference = start_stop_histogram(stream.times(CH_HERALD), stream.times(CH_SIGNAL),
+                                     *binning, mode)
+    _assert_same_histogram(got, reference)
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["simulate", "histogram"])
+def test_event_file_memory_flat_in_run_size(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(events, "CHUNK_PAIRS", 1 << 12)
+    monkeypatch.setattr(eventfile, "READ_BLOCK", 1 << 10)
+    monkeypatch.setattr(cli, "_HASH_BLOCK", 1 << 14)
+    cfg = tmp_path / "irf.yaml"
+    cfg.write_text("source: {pump: {wavelength_nm: 414.46, pair_rate_hz: 2.0e5},\n"
+                   "         crystal: {length_mm: 0.3, temperature_C: 56.0}}\n"
+                   "run: {topology: irf, seed: 5}\n"
+                   "analysis: {histogram: {bin_width_ps: 4, window_ps: 8000, t0_ps: -4000}}\n")
+
+    def simulate(duration_s, out):
+        return ["simulate", "--config", str(cfg), "--out", str(tmp_path / out),
+                "--duration", str(duration_s)]
+
+    def histogram(duration_s, out):
+        main(simulate(duration_s, f"events-{duration_s}"))
+        return ["histogram", "--config", str(cfg), "--out", str(tmp_path / out),
+                "--events", str(tmp_path / f"events-{duration_s}" / "events.bin")]
+
+    make = simulate if command == "simulate" else histogram
+    _traced_peak(make(0.25, "warm"))  # caches the overlap check and the imports
+    peaks = [_traced_peak(make(duration_s, f"run-{duration_s}")) for duration_s in (0.25, 1.0)]
+    assert peaks[1] <= 1.25 * peaks[0], peaks
