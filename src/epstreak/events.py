@@ -221,18 +221,41 @@ def apply_detector(arrivals, det: DetectorModel, rng, duration_ps):
 
 
 def _fluorescence_batch(sample: SampleModel, n, rng):
-    """Vectorized emission draw: (emitted mask, delay_ps, emission_nm)."""
-    absorbed = rng.random(n) < sample.absorption_prob
-    weights = np.array([s.weight for s in sample.species], dtype=float)
+    """Vectorized emission draw: (emitted mask, delay_ps, emission_nm).
+
+    The draw order is a contract, all from ``rng``: absorbed (uniform),
+    species (uniform), delay (standard exponential), wavelength (standard
+    normal), quantum yield (uniform). The golden hashes depend on it. The
+    species index is the cdf threshold count that ``rng.choice(k, size=n,
+    p=w)`` computes, the delay is what ``rng.exponential(1.0, n) * tau`` gives
+    and the wavelength what ``rng.normal(center, sigma)`` gives, bit for bit.
+    """
+    species = sample.species
+    u = rng.random(n)
+    emitted = u < sample.absorption_prob
+    weights = np.array([s.weight for s in species], dtype=float)
     weights /= weights.sum()
-    idx = rng.choice(len(sample.species), size=n, p=weights)
-    tau_ps = np.array([s.lifetime_ns for s in sample.species]) * PS_PER_NS
-    delay_ps = rng.exponential(1.0, n) * tau_ps[idx]
-    center = np.array([s.emission_center_nm for s in sample.species])
-    sigma = np.array([s.emission_fwhm_nm for s in sample.species]) / FWHM_PER_SIGMA
-    lam_nm = rng.normal(center[idx], sigma[idx])
-    qy = np.array([s.quantum_yield for s in sample.species])
-    emitted = absorbed & (rng.random(n) < qy[idx])
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    rng.random(out=u)
+    idx = np.zeros(n, dtype=np.intp)
+    for c in cdf[:-1]:  # cdf.searchsorted(u, side="right"); u < 1 = cdf[-1]
+        idx += u >= c
+    delay_ps = rng.standard_exponential(out=u)  # the species draws are used up
+    tau_ps = np.array([s.lifetime_ns for s in species]) * PS_PER_NS
+    # g holds each per-pair parameter in turn; idx < k, and mode="clip" lets take
+    # write to out= unbuffered
+    g = tau_ps.take(idx, mode="clip")
+    delay_ps *= g
+    center = np.array([s.emission_center_nm for s in species])
+    sigma = np.array([s.emission_fwhm_nm for s in species]) / FWHM_PER_SIGMA
+    lam_nm = rng.standard_normal(n)  # normal(loc, scale) is loc + scale * z
+    lam_nm *= sigma.take(idx, out=g, mode="clip")
+    lam_nm += center.take(idx, out=g, mode="clip")
+    qy = np.array([s.quantum_yield for s in species])
+    qy.take(idx, out=g, mode="clip")
+    del idx  # before the last draw, which can take its memory
+    emitted &= rng.random(n) < g
     return emitted, delay_ps, lam_nm
 
 
@@ -264,19 +287,27 @@ def _source_chunk(k, n_chunks, sample, twins, run, rate_hz):
     chunk_ps = run.duration_s * PS_PER_S / n_chunks
     rng = _rng(run.seed, 0, k)
     n = rng.poisson(rate_hz * run.duration_s / n_chunks)
-    birth_ps = k * chunk_ps + rng.random(n) * chunk_ps
+    birth_ps = rng.random(n)
+    birth_ps *= chunk_ps
+    birth_ps += k * chunk_ps
     birth_ps.sort()
     if run.topology == "irf":
         return [(birth_ps, 1.0), (birth_ps, 1.0)]
     if run.topology == "hbt":
         to_t = rng.random(n) < 0.5
         return [(birth_ps, 1.0), (birth_ps[to_t], 1.0), (birth_ps[~to_t], 1.0)]
+    # each per-pair array is dropped once used, so the next one reuses its memory
     emitted, delay_ps, lam_nm = _fluorescence_batch(sample, n, rng)
-    t = birth_ps[emitted] + delay_ps[emitted]
+    delay_ps += birth_ps
+    t = delay_ps[emitted]
+    del delay_ps
     order = np.argsort(t, kind="stable")
     accept = 1.0
     if twins is not None:
-        accept = twins_transmission(lam_nm[emitted], run.twins_position_um, twins)[order]
+        lam_nm = lam_nm[emitted]
+        accept = twins_transmission(lam_nm, run.twins_position_um, twins)
+        del lam_nm
+        accept = accept[order]
     return [(birth_ps, 1.0), (t[order], accept)]
 
 
@@ -354,9 +385,9 @@ def simulate_chunks(source: SourceModel, sample, herald_det: DetectorModel,
     for k in range(n_chunks):
         start_ps = k * chunk_ps
         arrivals = _source_chunk(k, n_chunks, sample, twins, run, rate)
-        fresh = [_detector_draws(a, c.det, c.rng, start_ps, chunk_ps)
-                 for c, a in zip(channels, arrivals)]
-        del arrivals
+        fresh = []
+        for c in channels:  # each channel's arrivals are dropped once drawn
+            fresh.append(_detector_draws(arrivals.pop(0), c.det, c.rng, start_ps, chunk_ps))
         lowest = min([start_ps] + [t[0] for t in fresh if len(t)])
         if lowest < floor:
             raise StreamOrderError(

@@ -59,8 +59,11 @@ def transmission(emission_nm, position_um, spec: TwinsSpec):
             f"[{spec.position_min_um}, {spec.position_max_um}] um")
     lam = np.asarray(emission_nm, dtype=float)
     tau_fs = spec.delay_per_um_fs * (position_um - spec.x_zero_um)
-    phase = 2.0 * np.pi * C_NM_PER_FS * tau_fs / lam
-    p = spec.insertion_loss * 0.5 * (1.0 + spec.visibility * np.cos(phase))
+    p = np.divide(2.0 * np.pi * C_NM_PER_FS * tau_fs, lam, out=np.empty_like(lam))
+    np.cos(p, out=p)  # the docstring expression, in place, in its order of operations
+    p *= spec.visibility
+    p += 1.0
+    p *= spec.insertion_loss * 0.5
     return p if p.ndim else float(p)
 
 

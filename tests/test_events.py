@@ -17,6 +17,7 @@ from epstreak.presets import heralded_source
 from epstreak.spdc import FilterSpec, SourceModel
 from epstreak.tcspc import build_histogram
 from epstreak.twins import TwinsSpec
+from epstreak.units import FWHM_PER_SIGMA, PS_PER_NS
 
 IDEAL = DetectorModel()
 
@@ -145,6 +146,54 @@ def test_species_weight_fractions(rng):
     emitted, _, lam = _fluorescence_batch(sample, 90_000, rng)
     frac2 = np.mean(lam[emitted] > 800.0)
     assert frac2 == pytest.approx(2.0 / 3.0, abs=3 * np.sqrt(2 / 9 / 90_000) + 0.01)
+
+
+def _fluorescence_reference(sample, n, rng):
+    """The per-pair draw written with numpy's choice/exponential/normal forms."""
+    absorbed = rng.random(n) < sample.absorption_prob
+    weights = np.array([s.weight for s in sample.species], dtype=float)
+    weights /= weights.sum()
+    idx = rng.choice(len(sample.species), size=n, p=weights)
+    tau_ps = np.array([s.lifetime_ns for s in sample.species]) * PS_PER_NS
+    delay_ps = rng.exponential(1.0, n) * tau_ps[idx]
+    center = np.array([s.emission_center_nm for s in sample.species])
+    sigma = np.array([s.emission_fwhm_nm for s in sample.species]) / FWHM_PER_SIGMA
+    lam_nm = rng.normal(center[idx], sigma[idx])
+    qy = np.array([s.quantum_yield for s in sample.species])
+    emitted = absorbed & (rng.random(n) < qy[idx])
+    return emitted, delay_ps, lam_nm
+
+
+_SPECIES = {
+    "one": (EmitterSpecies(1.0, 0.79, 810.0, 40.0),),
+    "two": (EmitterSpecies(1.0, 0.79, 810.0, 40.0, 0.7),
+            EmitterSpecies(2.5, 1.51, 900.0, 55.0)),
+    "three-zero-weight": (EmitterSpecies(0.3, 0.25, 700.0, 20.0),
+                          EmitterSpecies(0.0, 1.0, 800.0, 30.0, 0.5),
+                          EmitterSpecies(0.7, 1.14, 950.0, 60.0, 0.9)),
+    "leading-zero-weight": (EmitterSpecies(0.0, 0.5, 750.0, 20.0),
+                            EmitterSpecies(1.0, 2.0, 850.0, 40.0)),
+}
+
+
+@pytest.mark.parametrize("species", sorted(_SPECIES))
+@pytest.mark.parametrize("absorption_prob", [1.0, 0.6])
+@pytest.mark.parametrize("n", [0, 1, 100_000])
+def test_fluorescence_batch_matches_numpy_forms(species, absorption_prob, n):
+    """Bit-equal arrays and the same generator state as the choice/exponential/normal forms.
+
+    numpy does not promise that these forms stay equal across versions, so
+    this pins the draws (and the golden hashes built on them).
+    """
+    sample = SampleModel(_SPECIES[species], absorption_prob=absorption_prob)
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _fluorescence_batch(sample, n, rng)
+        want = _fluorescence_reference(sample, n, ref_rng)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape == (n,)
+            assert g.tobytes() == w.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_topology_validation(heralded_source):

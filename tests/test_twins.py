@@ -59,6 +59,22 @@ def test_transmission_range_check():
         transmission(800.0, 500.0, _spec())
 
 
+@pytest.mark.parametrize("position_um", [0.0, 37.5, 159.0, 160.0, 160.01, 290.0, 320.0])
+def test_transmission_matches_one_expression(position_um):
+    """Bit-equal to the one-expression form; the input is left as it was; scalar in, float out."""
+    spec = _spec(visibility=0.83, insertion_loss=0.61)
+    lam = np.random.default_rng(int(position_um * 100)).uniform(650.0, 1050.0, 10_000)
+    before = lam.copy()
+    tau_fs = spec.delay_per_um_fs * (position_um - spec.x_zero_um)
+    want = spec.insertion_loss * 0.5 * (
+        1.0 + spec.visibility * np.cos(2.0 * np.pi * C_NM_PER_FS * tau_fs / lam))
+    got = transmission(lam, position_um, spec)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert lam.tobytes() == before.tobytes()
+    scalar = transmission(float(lam[0]), position_um, spec)
+    assert type(scalar) is float and scalar == want[0]
+
+
 def test_fringe_period_analytic():
     spec = _spec()
     period = fringe_period_um(800.0, spec)
@@ -281,5 +297,26 @@ def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch):
         digest.update(path.read_bytes())
     # taken from the simulate_stream + build_histogram cube this package used
     # before positions were histogrammed from their per-channel detections
+    assert digest.hexdigest() == (
+        "72e6d35a4a5db8cfc95407c38214d8ac2ebeeb7a01d3e847cadbea25ac3acf7c")
+
+
+def test_cube_bytes_do_not_depend_on_epps_threads(tmp_path, monkeypatch):
+    """test_cube_and_map_bytes_pinned's cube, simulated by two workers: the same digest."""
+    import hashlib
+    from epstreak.presets import TWO_DYE_TWINS, TWO_DYES, spectrum
+    monkeypatch.setenv("EPPS_THREADS", "2")
+    assert _max_workers() == 2
+    fig3 = spectrum(TWO_DYES, TWO_DYE_TWINS, 0.02, 7)
+    cube = acquire_cube(fig3.source, fig3.sample, IDEAL, IDEAL, fig3.twins,
+                        fig3.twins_positions_um()[100:132], fig3.run, bin_width_ps=16,
+                        window_ps=12_800, t0_ps=0)
+    save_cube(tmp_path / "cube", cube)
+    cal = TwinsCalibration(1.0, 160.0, float("nan"))
+    write_map_csv(tmp_path / "map.csv", reconstruct_map(cube, cal))
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path).as_posix().encode())
+        digest.update(path.read_bytes())
     assert digest.hexdigest() == (
         "72e6d35a4a5db8cfc95407c38214d8ac2ebeeb7a01d3e847cadbea25ac3acf7c")
