@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .events import EventStream
 
 MAGIC = b"EPPS"
 VERSION = 1
@@ -25,8 +24,6 @@ _HEADER = struct.Struct("<4sHH")
 
 _WRITE_CHUNK = 1 << 20  # records per write; bounds the writer's temporaries
 READ_BLOCK = 1 << 16  # records per read block: 576 kB of records
-
-MISSING_SIDECAR = "missing-sidecar: duration unknown"
 
 
 def sidecar_path(path):
@@ -56,16 +53,6 @@ def _write_records(fh, channel, t_ps):
         chunk["channel"] = channel[i:i + len(chunk)]
         chunk["t_ps"] = t_ps[i:i + len(chunk)]  # int64 -> <u8, same bits
         fh.write(chunk.data)
-
-
-def write_event_file(path, stream: EventStream, metadata: dict):
-    """write_events of the whole stream as one block."""
-    meta = {"duration_s": stream.duration_s, "n_channels": stream.n_channels, **metadata}
-    warnings = [w for w in stream.warnings if w != MISSING_SIDECAR]  # it gets one here
-    if warnings:
-        meta["warnings"] = warnings
-    for _ in write_events(path, [(stream.channel, stream.t_ps)], meta):
-        pass
 
 
 def open_event_file(path):
@@ -124,27 +111,3 @@ def _checked_blocks(path, n_channels, n_records):
             del previous
             before[0] = t_ps[-1]
             yield channel, t_ps
-
-
-def read_event_file(path) -> EventStream:
-    """The whole event file as one EventStream: its record blocks concatenated."""
-    path = Path(path)
-    n_channels, n_records, blocks = open_event_file(path)
-    sc = sidecar_path(path)
-    if sc.exists():
-        meta = json.loads(sc.read_text())
-    else:
-        meta = {"warnings": [MISSING_SIDECAR]}
-    stream = EventStream(
-        channel=np.empty(n_records, dtype=np.uint8),
-        t_ps=np.empty(n_records, dtype=np.int64),
-        duration_s=float(meta.get("duration_s", 0.0)),
-        n_channels=n_channels,
-        warnings=list(meta.get("warnings", [])),
-    )
-    start = 0
-    for channel, t_ps in blocks:
-        stream.channel[start:start + len(t_ps)] = channel
-        stream.t_ps[start:start + len(t_ps)] = t_ps
-        start += len(t_ps)
-    return stream

@@ -13,7 +13,7 @@ seed are bit-identical and long runs accumulate no float drift.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,21 +97,6 @@ def topology_violations(topology, has_sample, has_twins):
         return [] if has_sample else ["sample: required for fluorescence topology"]
     return [f"{name}: not allowed for {topology} topology"
             for name, present in (("sample", has_sample), ("twins", has_twins)) if present]
-
-
-@dataclass
-class EventStream:
-    channel: np.ndarray          # uint8, parallel to t_ps
-    t_ps: np.ndarray             # int64, globally nondecreasing
-    duration_s: float
-    n_channels: int
-    warnings: list = field(default_factory=list)
-
-    def times(self, ch):
-        return self.t_ps[self.channel == ch]
-
-    def __len__(self):
-        return len(self.t_ps)
 
 
 def _rng(seed, *tags):
@@ -205,19 +190,6 @@ def _tags(times):
     """Sorted float times as int64 picosecond tags; times that round below 0 are dropped."""
     times = times[np.searchsorted(times, -0.5, side="left"):]  # rint(-0.5) is 0
     return np.rint(times, out=np.empty(len(times), dtype=np.int64), casting="unsafe")
-
-
-def apply_detector(arrivals, det: DetectorModel, rng, duration_ps):
-    """The detector chain over one whole run's arrivals, as a single chunk.
-
-    ``arrivals`` is as for ``_detector_draws``. The surviving, jittered
-    arrivals and the run's dark counts are pruned by the nonparalyzable dead
-    time: an event is kept when it comes at least the dead time after the
-    last kept event. Returns sorted int64 timestamps (events jittered below
-    t=0 are dropped).
-    """
-    t = _detector_draws(arrivals, det, rng, 0.0, duration_ps)
-    return _tags(_dead_time_prune(t, det.dead_time_ns * PS_PER_NS))
 
 
 def _fluorescence_batch(sample: SampleModel, n, rng):
@@ -469,20 +441,3 @@ def split_records(blocks, n_channels):
         if len(t_ps):
             yield [t_ps[channel == ch] for ch in range(n_channels)], int(t_ps[-1])
     yield [np.empty(0, dtype=np.int64)] * n_channels, None
-
-
-def simulate_stream(source: SourceModel, sample, herald_det: DetectorModel,
-                    signal_det: DetectorModel, twins, run: RunConfig) -> EventStream:
-    """merge_chunks of simulate_chunks, concatenated into one time-ordered EventStream.
-
-    Ties in time are ordered by channel. A run with zero pair rate and zero
-    dark rates gets an ``empty-stream`` warning.
-    """
-    channel_parts, t_parts = [], []
-    chunks = simulate_chunks(source, sample, herald_det, signal_det, twins, run)
-    for channel, t_ps in merge_chunks(chunks):
-        channel_parts.append(channel)
-        t_parts.append(t_ps)
-    return EventStream(_concat(channel_parts), _concat(t_parts), run.duration_s,
-                       channel_count(run.topology),
-                       stream_warnings(source, herald_det, signal_det, run))

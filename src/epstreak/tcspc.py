@@ -8,14 +8,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UndefinedG2Error
-from .events import EventStream
 from .spdc import density_fwhm
 from .units import FWHM_PER_SIGMA, PS_PER_S
 
 DEFAULT_BIN_WIDTH_PS = 4
 DEFAULT_WINDOW_PS = 50_000  # 5x the longest lifetime of interest plus IRF tails
-HERALD_BLOCK = 1 << 16  # heralds per tag_g2 block: 512 kB of tags
-START_BLOCK = 1 << 16  # starts per start_stop_histogram block
+HERALD_BLOCK = 1 << 16  # heralds per G2Counter block: 512 kB of tags
+START_BLOCK = 1 << 16  # starts per StartStopCounter block
 HISTOGRAM_MODES = ("first", "all")  # the first is the default
 
 
@@ -60,16 +59,6 @@ class Histogram:
 
     def peak_ps(self):
         return float(self.bin_centers_ps()[np.argmax(self.counts)])
-
-
-def build_histogram(stream: EventStream, start_channel, stop_channel,
-                    bin_width_ps=DEFAULT_BIN_WIDTH_PS, window_ps=DEFAULT_WINDOW_PS,
-                    t0_ps=0, mode=HISTOGRAM_MODES[0]) -> Histogram:
-    """start_stop_histogram between two distinct channels of a stream."""
-    if start_channel == stop_channel:
-        raise ConfigurationError("start and stop channels must be distinct")
-    return start_stop_histogram(stream.times(start_channel), stream.times(stop_channel),
-                                bin_width_ps, window_ps, t0_ps, mode)
 
 
 def window_violation(window_ps, bin_width_ps):
@@ -255,15 +244,6 @@ def _edge_bins(dt, weights, edges):
             np.bincount(j, weights=weights, minlength=n_bins))
 
 
-def heralded_g2(stream: EventStream, herald_channel, t_channel, r_channel,
-                coincidence_window_ps, delay_axis_ps) -> G2Curve:
-    """tag_g2 over three distinct channels of a stream."""
-    if len({herald_channel, t_channel, r_channel}) != 3:
-        raise ConfigurationError("herald and HBT channels must be distinct")
-    return tag_g2(stream.times(herald_channel), stream.times(t_channel),
-                  stream.times(r_channel), coincidence_window_ps, delay_axis_ps)
-
-
 def tag_g2(heralds, t_tags, r_tags, coincidence_window_ps, delay_axis_ps) -> G2Curve:
     """Heralded HBT correlation g2(delta) of sorted int64 herald, T and R tags.
 
@@ -358,24 +338,16 @@ class G2Counter(_Reach):
         return G2Curve(delays, values, norm, errors)
 
 
-def coincidence_rate(stream: EventStream, ch_a, ch_b, window_ps):
-    """(rate_hz, poisson_error_hz) of a-b pairs with |dt| <= window/2.
+def coincidence_rate(a, b, window_ps, duration_s):
+    """(rate_hz, poisson_error_hz) of pairs of sorted int64 tags a, b with |b - a| <= window/2.
 
-    The window is inclusive on the int64 tags: ceil(-w/2) <= b - a <= floor(w/2).
+    The window is inclusive on the tags: ceil(-w/2) <= b - a <= floor(w/2).
     """
-    if stream.duration_s <= 0:
-        why = f" ({'; '.join(stream.warnings)})" if stream.warnings else ""
-        raise ConfigurationError(f"stream duration unknown{why}; cannot form a rate")
-    a = stream.times(ch_a)
-    b = stream.times(ch_b)
-    if len(a) == 0 or len(b) == 0:
-        return 0.0, 0.0
     lo, hi = _integer_window(0.0, window_ps)
     i0 = np.searchsorted(b, a + lo, side="left")
     i1 = np.searchsorted(b, a + hi, side="right")
     pairs = int((i1 - i0).sum())
-    rate = pairs / stream.duration_s
-    return rate, np.sqrt(pairs) / stream.duration_s
+    return pairs / duration_s, np.sqrt(pairs) / duration_s
 
 
 def accidental_rate_hz(rate_a_hz, rate_b_hz, window_ps):
@@ -409,7 +381,11 @@ def read_histogram_csv(path) -> Histogram:
         raise ConfigurationError(f"{path}: non-uniform bins")
     bw = int(widths[0]) if len(widths) else 1
     counts = np.asarray(counts)
-    if np.all(counts == np.round(counts)):
+    bad = np.flatnonzero(~((counts >= 0) & (counts < np.inf)))  # nan compares false
+    if len(bad):
+        raise ConfigurationError(f"{path}: line {bad[0] + 2}: counts must be finite and "
+                                 f">= 0, got {rows[bad[0]]!r}")
+    if np.all(counts == np.round(counts)) and counts.max() < 2.0 ** 63:  # fits int64
         counts = counts.astype(np.int64)
     return Histogram(bw, int(lefts[0]), counts, n_starts=int(counts.sum()))
 

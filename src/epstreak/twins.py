@@ -23,7 +23,7 @@ from scipy.signal import hilbert
 
 from .checks import Checked, relation, rule
 from .errors import CalibrationError, ConfigurationError, DomainError
-from .tcspc import read_histogram_csv, start_stop_histogram, write_histogram_csv
+from .tcspc import StartStopCounter, read_histogram_csv, write_histogram_csv
 from .units import C_NM_PER_FS
 
 
@@ -152,8 +152,10 @@ def acquire_cube(source, sample, herald_det, signal_det, twins: TwinsSpec,
     emission wavelength. Each position is an independent simulation with a
     seed derived from (run seed, position index), so the cube is reproducible
     and positions may be simulated concurrently (EPPS_THREADS caps workers).
+    Each position is counted chunk by chunk as it is simulated, so its memory
+    does not grow with its duration.
     """
-    from .events import CH_HERALD, CH_SIGNAL, simulate_channels
+    from .events import CH_HERALD, CH_SIGNAL, simulate_chunks
 
     positions_um = np.asarray(positions_um, dtype=float)
     if len(positions_um) < 2:
@@ -169,9 +171,10 @@ def acquire_cube(source, sample, herald_det, signal_det, twins: TwinsSpec,
     def one(i):
         sub_seed = int(np.random.SeedSequence((per_position_run.seed, 2, i)).generate_state(1)[0])
         run = replace(per_position_run, seed=sub_seed, twins_position_um=float(positions_um[i]))
-        tags = simulate_channels(source, sample, herald_det, signal_det, twins, run)
-        return start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], bin_width_ps,
-                                    window_ps, t0_ps)
+        counter = StartStopCounter(bin_width_ps, window_ps, t0_ps)
+        counter.feed_chunks(simulate_chunks(source, sample, herald_det, signal_det, twins, run),
+                            CH_HERALD, CH_SIGNAL)
+        return counter.histogram()
 
     workers = _max_workers()
     if workers > 1:

@@ -14,12 +14,12 @@ import pytest
 
 from epstreak import cli, experiment, presets
 from epstreak.config import validate_config
-from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, DETECTOR_PRESETS,
-                             RunConfig, simulate_stream)
+from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DETECTOR_PRESETS,
+                             RunConfig, simulate_channels)
 from epstreak.fitting import (DecayModel, FitOptions, convolve_model, fit_decay,
                               slice_map)
 from epstreak.spdc import conjugate_wavelength
-from epstreak.tcspc import Histogram, build_histogram, heralded_g2, rebin
+from epstreak.tcspc import Histogram, rebin, start_stop_histogram, tag_g2
 from epstreak.twins import TwinsSpec, load_cube, reconstruct_map, transmission
 from epstreak.units import FWHM_PER_SIGMA
 
@@ -152,9 +152,8 @@ def test_criterion_4_g2_dip():
     for rate, dur in ((1e5, 20.0), (5e5, 8.0), (1e6, 10.0)):
         src = presets.heralded_source(pair_rate_hz=rate)
         run = RunConfig(duration_s=dur, seed=41, topology="hbt")
-        stream = simulate_stream(src, None, det, det, None, run)
-        curve = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R,
-                            window_ps, delays)
+        tags = simulate_channels(src, None, det, det, None, run)
+        curve = tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R], window_ps, delays)
         zeros.append(curve.at_zero())
         if rate == 1e6:
             mask = np.abs(curve.delay_axis_ps) >= 20_000
@@ -259,9 +258,9 @@ def test_criterion_9_property_suite(tmp_path):
     src = presets.heralded_source()
     run = RunConfig(duration_s=1.0, seed=7, topology="irf")
     det = DETECTOR_PRESETS["mpd"]
-    stream = simulate_stream(src, None, det, det, None, run)
-    fine = build_histogram(stream, CH_HERALD, 1, 4, 8000, -4000)
-    coarse = build_histogram(stream, CH_HERALD, 1, 16, 8000, -4000)
+    tags = simulate_channels(src, None, det, det, None, run)
+    fine = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], 4, 8000, -4000)
+    coarse = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], 16, 8000, -4000)
     assert np.array_equal(rebin(fine, 4).counts, coarse.counts)
 
     # Parseval consistency of the interferogram transform

@@ -8,8 +8,8 @@ import pytest
 from epstreak import cli, eventfile
 from epstreak.config import load_config, validate_config
 from epstreak.errors import ConfigurationError
-from epstreak.events import EventStream, simulate_stream
-from epstreak.eventfile import sidecar_path, write_event_file
+from epstreak.events import stream_warnings
+from epstreak.eventfile import open_event_file, sidecar_path, write_events
 from epstreak.fitting import DecayModel, convolve_model
 from epstreak.tcspc import Histogram, read_histogram_csv, write_histogram_csv
 from epstreak.units import FWHM_PER_SIGMA
@@ -169,10 +169,9 @@ def test_g2_cli_bytes_pinned(tmp_path):
 
 
 def test_histogram_truncated_event_file_exits_2(tmp_path, capsys):
-    stream = EventStream(np.array([0, 1, 0], dtype=np.uint8),
-                         np.array([10, 20, 30], dtype=np.int64), 1.0, 2)
+    records = (np.array([0, 1, 0], dtype=np.uint8), np.array([10, 20, 30], dtype=np.int64))
     path = tmp_path / "events.bin"
-    write_event_file(path, stream, {})
+    list(write_events(path, [records], {"n_channels": 2}))
     path.write_bytes(path.read_bytes()[:-4])
     assert cli.main(["histogram", "--out", str(tmp_path / "o"),
                      "--events", str(path)]) == 2
@@ -191,10 +190,9 @@ def test_histogram_bad_event_file_stops_before_counting(tmp_path, capsys, monkey
         raise AssertionError("counted a file that failed its checks")
 
     monkeypatch.setattr(cli.experiment, "histogram", counted)
-    stream = EventStream(np.array([0, 1, 0], dtype=np.uint8),
-                         np.array([10, 20, 30], dtype=np.int64), 1.0, 2)
+    records = (np.array([0, 1, 0], dtype=np.uint8), np.array([10, 20, 30], dtype=np.int64))
     path = tmp_path / "events.bin"
-    write_event_file(path, stream, {})
+    list(write_events(path, [records], {"n_channels": 2}))
     path.write_bytes(edit(path.read_bytes()))
     assert cli.main(["histogram", "--out", str(tmp_path / "o"),
                      "--events", str(path)]) == 2
@@ -220,10 +218,10 @@ def test_histogram_malformed_event_file_exits_2(tmp_path, capsys, monkeypatch, c
                                                 t_ps, n_channels, read_block, message):
     if read_block:
         monkeypatch.setattr(eventfile, "READ_BLOCK", read_block)
-    stream = EventStream(np.array(channel, dtype=np.uint8),
-                         np.array(t_ps, dtype=np.uint64).view(np.int64), 1.0, n_channels)
+    records = (np.array(channel, dtype=np.uint8),
+               np.array(t_ps, dtype=np.uint64).view(np.int64))
     path = tmp_path / "events.bin"
-    write_event_file(path, stream, {})
+    list(write_events(path, [records], {"n_channels": n_channels}))
     assert cli.main(["histogram", "--out", str(tmp_path / "o"),
                      "--events", str(path)]) == 2
     err = capsys.readouterr().err
@@ -242,15 +240,12 @@ run: {topology: hbt, duration_s: 0.01, seed: 3}
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary == {"n_events": 0, "warnings": [warning]}
     cfg = load_config(cfg_path)
-    stream = simulate_stream(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
-                             cfg.twins, cfg.run)
-    assert stream.warnings == [warning]
-    reference = tmp_path / "reference.bin"
-    write_event_file(reference, stream, {"seed": 3, "topology": "hbt", "config": cfg.raw})
-    for suffix in ("", ".meta.json"):
-        assert (Path(f"{out / 'events.bin'}{suffix}").read_bytes()
-                == Path(f"{reference}{suffix}").read_bytes())
-    assert json.loads(sidecar_path(out / "events.bin").read_text())["warnings"] == [warning]
+    assert stream_warnings(cfg.source, cfg.herald_det, cfg.signal_det, cfg.run) == [warning]
+    n_channels, n_records, blocks = open_event_file(out / "events.bin")
+    assert (n_channels, n_records, list(blocks)) == (3, 0, [])
+    meta = json.loads(sidecar_path(out / "events.bin").read_text())
+    assert meta == {"config": cfg.raw, "duration_s": 0.01, "n_channels": 3, "seed": 3,
+                    "topology": "hbt", "warnings": [warning]}
 
 
 def test_fit_header_only_histogram_exits_2(tmp_path, capsys):
@@ -262,7 +257,7 @@ def test_fit_header_only_histogram_exits_2(tmp_path, capsys):
     assert "histogram has no bins" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_row", ["8,3,1", "8,many"])
+@pytest.mark.parametrize("bad_row", ["8,3,1", "8,many", "8,nan", "8,inf", "8,-3"])
 def test_fit_malformed_histogram_row_exits_2(tmp_path, capsys, bad_row):
     hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
     hp.write_text(f"bin_left_ps,counts\n0,5\n4,7\n{bad_row}\n12,2\n")
@@ -271,6 +266,17 @@ def test_fit_malformed_histogram_row_exits_2(tmp_path, capsys, bad_row):
                      "--irf", str(ip), "--n", "1"]) == 2
     err = capsys.readouterr().err
     assert f"{hp}: line 4" in err and bad_row in err
+
+
+def test_fit_malformed_irf_row_exits_2(tmp_path, capsys):
+    hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
+    write_histogram_csv(hp, _gaussian_irf_hist())
+    ip.write_text("bin_left_ps,counts\n0,5\n4,-inf\n8,7\n")
+    assert cli.main(["fit", "--out", str(tmp_path / "o"), "--hist", str(hp),
+                     "--irf", str(ip), "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"{ip}: line 3" in err, err
+    assert "counts must be finite and >= 0" in err
 
 
 def _gaussian_irf_hist(fwhm_ps=260.0, bin_width_ps=4, t0_ps=-1000, n_bins=3000):

@@ -1,38 +1,43 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from epstreak import eventfile
 from epstreak.errors import ConfigurationError
-from epstreak.eventfile import (MISSING_SIDECAR, read_event_file, sidecar_path,
-                                write_event_file)
-from epstreak.events import DetectorModel, EventStream, RunConfig, simulate_stream
+from epstreak.eventfile import open_event_file, sidecar_path, write_events
+from epstreak.events import DetectorModel, RunConfig, merge_chunks, simulate_chunks
 from epstreak.presets import heralded_source
-from epstreak.tcspc import coincidence_rate
+
+META = {"duration_s": 0.02, "n_channels": 3, "seed": 3}
 
 
-def _stream():
-    run = RunConfig(duration_s=0.02, seed=3, topology="hbt")
+def _records():
+    """The (channel, t_ps) record blocks of a short hbt run."""
+    run = RunConfig(duration_s=META["duration_s"], seed=META["seed"], topology="hbt")
     det = DetectorModel()
-    return simulate_stream(heralded_source(), None, det, det, None, run)
+    return list(merge_chunks(simulate_chunks(heralded_source(), None, det, det, None, run)))
 
 
 def test_roundtrip(tmp_path):
-    stream = _stream()
+    blocks = _records()
     path = tmp_path / "events.bin"
-    write_event_file(path, stream, {"seed": 3})
-    back = read_event_file(path)
-    assert np.array_equal(back.t_ps, stream.t_ps)
-    assert np.array_equal(back.channel, stream.channel)
-    assert back.duration_s == stream.duration_s
-    assert back.n_channels == stream.n_channels
+    list(write_events(path, blocks, META))
+    n_channels, n_records, back = open_event_file(path)
+    channel, t_ps = (np.concatenate(a) for a in zip(*back))
+    assert n_channels == META["n_channels"]
+    assert n_records == len(t_ps) == sum(len(t) for _, t in blocks) > 0
+    assert np.array_equal(t_ps, np.concatenate([t for _, t in blocks]))
+    assert np.array_equal(channel, np.concatenate([c for c, _ in blocks]))
+    assert json.loads(sidecar_path(path).read_text()) == META
 
 
 def test_rewrite_is_byte_identical(tmp_path):
-    stream = _stream()
+    blocks = _records()
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    write_event_file(p1, stream, {"seed": 3})
-    write_event_file(p2, stream, {"seed": 3})
+    list(write_events(p1, blocks, META))
+    list(write_events(p2, blocks, META))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -40,66 +45,57 @@ def test_bad_magic(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ConfigurationError):
-        read_event_file(p)
+        open_event_file(p)
 
 
 def test_bad_version(tmp_path):
-    stream = _stream()
     p = tmp_path / "events.bin"
-    write_event_file(p, stream, {})
+    list(write_events(p, _records(), META))
     raw = bytearray(p.read_bytes())
     raw[4] = 99
     p.write_bytes(bytes(raw))
     with pytest.raises(ConfigurationError):
-        read_event_file(p)
+        open_event_file(p)
 
 
 @pytest.mark.parametrize("keep, message", [(6, "truncated event-file header"),
                                            (-4, "truncated event file")])
 def test_truncated_file(tmp_path, keep, message):
     p = tmp_path / "events.bin"
-    write_event_file(p, _stream(), {})
+    list(write_events(p, _records(), META))
     p.write_bytes(p.read_bytes()[:keep])
     with pytest.raises(ConfigurationError, match=message):
-        read_event_file(p)
+        open_event_file(p)
 
 
-def test_missing_sidecar_is_reported(tmp_path):
-    stream = _stream()
+def test_records_read_without_sidecar(tmp_path):
+    blocks = _records()
     path = tmp_path / "events.bin"
-    write_event_file(path, stream, {})
-    with_sidecar = read_event_file(path)
-    assert with_sidecar.warnings == []
-    assert with_sidecar.duration_s == stream.duration_s
+    list(write_events(path, blocks, META))
     sidecar_path(path).unlink()
-    back = read_event_file(path)
-    assert back.warnings == [MISSING_SIDECAR]
-    assert back.duration_s == 0.0
-    assert np.array_equal(back.t_ps, stream.t_ps)
-    with pytest.raises(ConfigurationError, match="sidecar"):
-        coincidence_rate(back, 0, 1, 1000)
-    # written back, the file has a sidecar again and must not claim otherwise
-    write_event_file(path, back, {})
-    again = read_event_file(path)
-    assert again.warnings == []
-    assert again.duration_s == 0.0
-    with pytest.raises(ConfigurationError, match=r"duration unknown; cannot"):
-        coincidence_rate(again, 0, 1, 1000)
+    _, n_records, back = open_event_file(path)
+    t_ps = np.concatenate([t for _, t in back])
+    assert np.array_equal(t_ps, np.concatenate([t for _, t in blocks]))
+    assert n_records == len(t_ps)
 
 
-def test_read_peak_memory_bounded(tmp_path):
-    # the file's bytes plus the returned channel and int64 tag arrays: 2x
+def test_read_peak_memory_bounded(tmp_path, monkeypatch):
+    # blocks consumed one at a time: a few blocks' records, not the file
+    monkeypatch.setattr(eventfile, "READ_BLOCK", 1 << 12)
     rng = np.random.default_rng(5)
     n = 400_000
-    stream = EventStream(rng.integers(0, 3, n).astype(np.uint8),
-                         np.cumsum(rng.integers(1, 1000, n)), 1.0, 3)
+    channel = rng.integers(0, 3, n).astype(np.uint8)
+    t_ps = np.cumsum(rng.integers(1, 1000, n))
     path = tmp_path / "events.bin"
-    write_event_file(path, stream, {})
+    list(write_events(path, [(channel, t_ps)], {"n_channels": 3}))
     tracemalloc.start()
     try:
-        back = read_event_file(path)
+        _, _, blocks = open_event_file(path)
+        last = None
+        for _, block_t_ps in blocks:
+            last = block_t_ps[-1]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(back.t_ps, stream.t_ps)
-    assert peak <= 2.2 * path.stat().st_size
+    assert last == t_ps[-1]
+    assert peak <= 8 * eventfile.READ_BLOCK * eventfile._RECORD_DTYPE.itemsize

@@ -1,69 +1,75 @@
 import hashlib
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epstreak import events
 from epstreak.errors import ConfigurationError, EmptySupportError
-from epstreak.eventfile import write_event_file
+from epstreak.eventfile import write_events
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
                              DETECTOR_PRESETS, DetectorModel, EmitterSpecies,
                              RunConfig, SampleModel, _check_overlap,
-                             _dead_time_prune, _fluorescence_batch,
-                             apply_detector, simulate_channels, simulate_stream)
+                             _dead_time_prune, _fluorescence_batch, channel_count, merge_chunks,
+                             simulate_channels, simulate_chunks, stream_warnings)
 from epstreak.presets import heralded_source
 from epstreak.spdc import FilterSpec, SourceModel
-from epstreak.tcspc import build_histogram
+from epstreak.tcspc import start_stop_histogram
 from epstreak.twins import TwinsSpec
-from epstreak.units import FWHM_PER_SIGMA, PS_PER_NS
+from epstreak.units import FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
 
 IDEAL = DetectorModel()
 
 
+def _detected(t, det, span_ps):
+    """The herald channel's tags when a one-chunk irf run's arrivals are ``t``."""
+    run = RunConfig(duration_s=span_ps / PS_PER_S, seed=2, topology="irf")
+    with mock.patch.object(events, "_source_chunk", lambda *_: [(t, 1.0), (t, 1.0)]):
+        return simulate_channels(heralded_source(), None, det, IDEAL, None, run)[CH_HERALD]
+
+
 def test_identity_detector(rng):
     t = np.sort(rng.uniform(0, 1e9, 1000))
-    out = apply_detector((t, 1.0), IDEAL, rng, 1e9)
+    out = _detected(t, IDEAL, 1e9)
     assert np.array_equal(out, np.rint(t).astype(np.int64))
 
 
-def test_dead_time_drops_second_event(rng):
+def test_dead_time_drops_second_event():
     t = np.array([0.0, 10_000.0])  # 10 ns apart
     det = DetectorModel(dead_time_ns=50.0)
-    out = apply_detector((t, 1.0), det, rng, 1e6)
+    out = _detected(t, det, 1e6)
     assert len(out) == 1
 
 
 def test_efficiency_bernoulli(rng):
     t = np.sort(rng.uniform(0, 1e12, 100_000))
     det = DetectorModel(efficiency=0.35)
-    out = apply_detector((t, 1.0), det, rng, 1e12)
+    out = _detected(t, det, 1e12)
     assert len(out) == pytest.approx(35_000, abs=3 * np.sqrt(35_000))
 
 
 def test_irf_topology_jitterless_delay_zero(heralded_source):
     run = RunConfig(duration_s=0.01, seed=5, topology="irf")
-    stream = simulate_stream(heralded_source, None, IDEAL, IDEAL, None, run)
-    h = stream.times(CH_HERALD)
-    s = stream.times(CH_SIGNAL)
+    h, s = simulate_channels(heralded_source, None, IDEAL, IDEAL, None, run)
     assert np.array_equal(h, s)
     assert len(h) > 0
 
 
 def test_pair_rate_reproduced(heralded_source):
     run = RunConfig(duration_s=1.0, seed=6, topology="irf")
-    stream = simulate_stream(heralded_source, None, IDEAL, IDEAL, None, run)
-    n = len(stream.times(CH_HERALD))
+    tags = simulate_channels(heralded_source, None, IDEAL, IDEAL, None, run)
+    n = len(tags[CH_HERALD])
     assert n == pytest.approx(2e5, abs=3 * np.sqrt(2e5))
 
 
 def test_fluorescence_delay_mle(heralded_source):
     sample = SampleModel((EmitterSpecies(1.0, 1.51, 850.0, 40.0),))
     run = RunConfig(duration_s=2.0, seed=7, topology="fluorescence")
-    stream = simulate_stream(heralded_source, sample, IDEAL, IDEAL, None, run)
-    h = stream.times(CH_HERALD).astype(float)
-    s = stream.times(CH_SIGNAL).astype(float)
+    tags = simulate_channels(heralded_source, sample, IDEAL, IDEAL, None, run)
+    h, s = (t.astype(float) for t in tags)
     # jitterless: each signal is its herald plus the fluorescence delay
     idx = np.searchsorted(h, s, side="right") - 1
     delays_ns = (s - h[idx]) / 1000.0
@@ -75,9 +81,8 @@ def test_fluorescence_delay_mle(heralded_source):
 def test_memorylessness(heralded_source):
     sample = SampleModel((EmitterSpecies(1.0, 1.0, 850.0, 40.0),))
     run = RunConfig(duration_s=3.0, seed=8, topology="fluorescence")
-    stream = simulate_stream(heralded_source, sample, IDEAL, IDEAL, None, run)
-    h = stream.times(CH_HERALD).astype(float)
-    s = stream.times(CH_SIGNAL).astype(float)
+    tags = simulate_channels(heralded_source, sample, IDEAL, IDEAL, None, run)
+    h, s = (t.astype(float) for t in tags)
     idx = np.searchsorted(h, s, side="right") - 1
     d = (s - h[idx]) / 1000.0
     tail = d[d > 1.0] - 1.0
@@ -87,25 +92,26 @@ def test_memorylessness(heralded_source):
 
 def test_determinism(heralded_source):
     run = RunConfig(duration_s=0.5, seed=42, topology="hbt")
-    a = simulate_stream(heralded_source, None, IDEAL, IDEAL, None, run)
-    b = simulate_stream(heralded_source, None, IDEAL, IDEAL, None, run)
-    assert np.array_equal(a.t_ps, b.t_ps)
-    assert np.array_equal(a.channel, b.channel)
+    a = simulate_channels(heralded_source, None, IDEAL, IDEAL, None, run)
+    b = simulate_channels(heralded_source, None, IDEAL, IDEAL, None, run)
+    assert len(a) == len(b) == 3
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_stream_ordering(heralded_source, mpd):
     run = RunConfig(duration_s=0.2, seed=9, topology="hbt")
-    stream = simulate_stream(heralded_source, None, mpd, mpd, None, run)
-    assert np.all(np.diff(stream.t_ps) >= 0)
-    assert set(np.unique(stream.channel)) <= {CH_HERALD, CH_HBT_T, CH_HBT_R}
+    blocks = merge_chunks(simulate_chunks(heralded_source, None, mpd, mpd, None, run))
+    channel, t_ps = (np.concatenate(a) for a in zip(*blocks))
+    assert np.all(np.diff(t_ps) >= 0)
+    assert set(np.unique(channel)) <= {CH_HERALD, CH_HBT_T, CH_HBT_R}
 
 
 def test_poisson_totals(heralded_source):
     counts = []
     for seed in range(40):
         run = RunConfig(duration_s=0.02, seed=seed, topology="irf")
-        stream = simulate_stream(heralded_source, None, IDEAL, IDEAL, None, run)
-        counts.append(len(stream.times(CH_HERALD)))
+        tags = simulate_channels(heralded_source, None, IDEAL, IDEAL, None, run)
+        counts.append(len(tags[CH_HERALD]))
     counts = np.asarray(counts, dtype=float)
     mean = 2e5 * 0.02
     assert counts.mean() == pytest.approx(mean, abs=4 * np.sqrt(mean / 40))
@@ -118,8 +124,8 @@ def test_irf_quadrature_law(heralded_source, f1, f2):
     d1 = DetectorModel(jitter_fwhm_ps=f1)
     d2 = DetectorModel(jitter_fwhm_ps=f2)
     run = RunConfig(duration_s=2.0, seed=11, topology="irf")
-    stream = simulate_stream(heralded_source, None, d1, d2, None, run)
-    hist = build_histogram(stream, CH_HERALD, CH_SIGNAL, 4, 8000, -4000)
+    tags = simulate_channels(heralded_source, None, d1, d2, None, run)
+    hist = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], 4, 8000, -4000)
     expected = np.hypot(f1, f2)
     assert hist.fwhm_ps() == pytest.approx(expected, rel=0.05)
 
@@ -199,11 +205,11 @@ def test_fluorescence_batch_matches_numpy_forms(species, absorption_prob, n):
 def test_topology_validation(heralded_source):
     sample = SampleModel((EmitterSpecies(1.0, 1.0, 850.0, 40.0),))
     with pytest.raises(ConfigurationError):
-        simulate_stream(heralded_source, sample, IDEAL, IDEAL, None,
-                        RunConfig(1.0, 0, "irf"))
+        simulate_channels(heralded_source, sample, IDEAL, IDEAL, None,
+                          RunConfig(1.0, 0, "irf"))
     with pytest.raises(ConfigurationError):
-        simulate_stream(heralded_source, None, IDEAL, IDEAL, None,
-                        RunConfig(1.0, 0, "fluorescence"))
+        simulate_channels(heralded_source, None, IDEAL, IDEAL, None,
+                          RunConfig(1.0, 0, "fluorescence"))
 
 
 def test_empty_stream_warning(heralded_source):
@@ -212,9 +218,9 @@ def test_empty_stream_warning(heralded_source):
     silent = SourceModel(PumpSpec(heralded_source.pump.wavelength_nm, 0.0),
                          heralded_source.crystal, heralded_source.herald_filter)
     run = RunConfig(duration_s=0.1, seed=1, topology="irf")
-    stream = simulate_stream(silent, None, IDEAL, IDEAL, None, run)
-    assert len(stream) == 0
-    assert any("empty" in w for w in stream.warnings)
+    tags = simulate_channels(silent, None, IDEAL, IDEAL, None, run)
+    assert [len(t) for t in tags] == [0, 0]
+    assert any("empty" in w for w in stream_warnings(silent, IDEAL, IDEAL, run))
 
 
 @given(st.integers(min_value=0, max_value=2**31))
@@ -222,9 +228,9 @@ def test_empty_stream_warning(heralded_source):
 def test_determinism_any_seed(seed):
     src = heralded_source()
     run = RunConfig(duration_s=0.005, seed=seed, topology="irf")
-    a = simulate_stream(src, None, IDEAL, IDEAL, None, run)
-    b = simulate_stream(src, None, IDEAL, IDEAL, None, run)
-    assert np.array_equal(a.t_ps, b.t_ps)
+    a = simulate_channels(src, None, IDEAL, IDEAL, None, run)
+    b = simulate_channels(src, None, IDEAL, IDEAL, None, run)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def _reference_prune(times, dead_ps):
@@ -326,10 +332,11 @@ def test_detector_chain_bytes_pinned(tmp_path, topology):
         twins = TwinsSpec()
     run = RunConfig(duration_s=0.05, seed=17, topology=topology,
                     twins_position_um=150.0 if twins else None)
-    stream = simulate_stream(heralded_source(pair_rate_hz=2e6), sample, mpd,
-                             signal_det, twins, run)
+    blocks = merge_chunks(simulate_chunks(heralded_source(pair_rate_hz=2e6), sample, mpd,
+                                          signal_det, twins, run))
     path = tmp_path / "events.bin"
-    write_event_file(path, stream, {})
+    meta = {"duration_s": run.duration_s, "n_channels": channel_count(topology)}
+    list(write_events(path, blocks, meta))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_EVENT_FILES[topology]
 
 
@@ -342,6 +349,7 @@ def test_detector_chain_bytes_pinned(tmp_path, topology):
     ("fluorescence", TwinsSpec(), 0.02, 2e6),
 ])
 def test_simulate_channels_match_stream(topology, twins, duration_s, rate_hz):
+    """Each channel's tags equal that channel's records in the merged record stream."""
     mpd, excelitas = DETECTOR_PRESETS["mpd"], DETECTOR_PRESETS["excelitas"]
     sample = None
     if topology == "fluorescence":
@@ -350,11 +358,11 @@ def test_simulate_channels_match_stream(topology, twins, duration_s, rate_hz):
                     twins_position_um=150.0 if twins else None)
     args = (heralded_source(pair_rate_hz=rate_hz), sample, mpd, excelitas, twins, run)
     tags = simulate_channels(*args)
-    stream = simulate_stream(*args)
-    assert len(tags) == stream.n_channels
+    channel, t_ps = (np.concatenate(a) for a in zip(*merge_chunks(simulate_chunks(*args))))
+    assert len(tags) == channel_count(topology)
     for ch, t in enumerate(tags):
         assert t.dtype == np.int64
-        assert np.array_equal(t, stream.times(ch))
+        assert np.array_equal(t, t_ps[channel == ch])
 
 
 def test_simulate_channels_peak_memory_bounded():
@@ -387,14 +395,14 @@ def test_overlap_checked_once_per_source(monkeypatch):
     _check_overlap.cache_clear()
     source = heralded_source()
     run = RunConfig(duration_s=0.001, seed=1, topology="irf")
-    simulate_stream(source, None, IDEAL, IDEAL, None, run)
-    simulate_stream(source, None, IDEAL, IDEAL, None, run)
+    simulate_channels(source, None, IDEAL, IDEAL, None, run)
+    list(simulate_chunks(source, None, IDEAL, IDEAL, None, run))
     simulate_channels(heralded_source(), None, IDEAL, IDEAL, None, run)  # equal source
     assert len(calls) == 1
     # tophat far outside the conjugate image of the grid: zero overlap
     bad = replace(source, herald_filter=FilterSpec(2500.0, 1.0, "tophat"))
-    for simulate in (simulate_stream, simulate_channels, simulate_channels):
+    for _ in range(3):
         with pytest.raises(EmptySupportError):
-            simulate(bad, None, IDEAL, IDEAL, None, run)
+            simulate_channels(bad, None, IDEAL, IDEAL, None, run)
     assert len(calls) == 4
     _check_overlap.cache_clear()

@@ -20,15 +20,12 @@ from hypothesis import given, settings, strategies as st
 from epstreak import cli, eventfile, events, experiment, presets
 from epstreak.cli import main
 from epstreak.errors import StreamOrderError, UndefinedG2Error
-from epstreak.eventfile import (open_event_file, read_event_file, write_event_file,
-                                write_events)
+from epstreak.eventfile import open_event_file, write_events
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DetectorModel,
-                             EmitterSpecies, EventStream, RunConfig, SampleModel,
-                             channel_count, merge_chunks, simulate_channels, simulate_chunks,
-                             simulate_stream, split_records, stream_warnings)
-from epstreak.tcspc import (G2Counter, StartStopCounter, build_histogram,
-                            start_stop_histogram, tag_g2)
-from epstreak.twins import TwinsSpec
+                             EmitterSpecies, RunConfig, SampleModel, channel_count,
+                             merge_chunks, simulate_channels, simulate_chunks, split_records)
+from epstreak.tcspc import G2Counter, StartStopCounter, start_stop_histogram, tag_g2
+from epstreak.twins import TwinsSpec, acquire_cube
 from epstreak.units import PS_PER_NS, PS_PER_S
 
 SOURCE = presets.heralded_source()  # 2e5 pairs/s
@@ -128,13 +125,13 @@ def test_streamed_detections_match_whole_run_reference(args, chunk_pairs):
             return
         yields = _collected(args)
         tags = simulate_channels(*args)
-        stream = simulate_stream(*args)
-    assert len(tags) == len(want) == stream.n_channels
+    channel, t_ps = (np.concatenate(a) for a in zip(*merge_chunks(yields)))
+    assert len(tags) == len(want) == channel_count(args[-1].topology)
     for ch, t in enumerate(want):
         assert np.array_equal(np.concatenate([y[ch] for y, _ in yields]), t)
         assert tags[ch].dtype == np.int64 and np.array_equal(tags[ch], t)
-        assert np.array_equal(stream.times(ch), t)
-    assert np.all(np.diff(stream.t_ps) >= 0)
+        assert np.array_equal(t_ps[channel == ch], t)
+    assert np.all(np.diff(t_ps) >= 0)
 
 
 @st.composite
@@ -222,16 +219,16 @@ def test_integer_arrivals_stream_exactly(case, binning, mode, window_ps, delays)
                 simulate_channels(*args)
             return
         yields = _collected(args)
-        stream = simulate_stream(*args)
         counter = StartStopCounter(*binning, mode)
         counter.feed_chunks(simulate_chunks(*args), CH_HERALD, CH_SIGNAL)
         g2_counter = G2Counter(window_ps, delays)
         g2_counter.feed_chunks(simulate_chunks(*args), CH_HERALD, CH_HBT_T, CH_HBT_R % len(want))
     for ch, t in enumerate(want):
         assert np.array_equal(np.concatenate([y[ch] for y, _ in yields]), t)
-    merged = np.lexsort((stream.channel, stream.t_ps))
-    assert np.array_equal(merged, np.arange(len(stream)))  # (time, channel) order
-    assert sorted(zip(stream.t_ps.tolist(), stream.channel.tolist())) == sorted(
+    channel, t_ps = (np.concatenate(a) for a in zip(*merge_chunks(yields)))
+    merged = np.lexsort((channel, t_ps))
+    assert np.array_equal(merged, np.arange(len(t_ps)))  # (time, channel) order
+    assert sorted(zip(t_ps.tolist(), channel.tolist())) == sorted(
         (t, ch) for ch, tags in enumerate(want) for t in tags.tolist())
     hist = start_stop_histogram(want[CH_HERALD], want[CH_SIGNAL], *binning, mode)
     assert np.array_equal(counter.histogram().counts, hist.counts)
@@ -280,9 +277,11 @@ def test_stream_order_error_exits_1(tmp_path, monkeypatch, capsys):
     assert "StreamOrderError" in capsys.readouterr().err
 
 
-def _config(topology, duration_s):
+def _config(topology, duration_s, twins=None):
     mappings = [presets.HERALDED, {"run": {"topology": topology, "duration_s": duration_s,
                                            "seed": 12}}]
+    if twins:
+        mappings.append({"twins": twins})
     if topology == "hbt":  # enough accidentals for every delay of the default axis
         mappings += [{"source": {"pump": {"pair_rate_hz": 1.0e6}}},
                      {"detectors": {"herald": {"preset": "ideal"},
@@ -294,16 +293,28 @@ def _config(topology, duration_s):
     return presets.config(*mappings)
 
 
-@pytest.mark.parametrize("topology, step", [("hbt", experiment.g2),
-                                            ("fluorescence", experiment.histogram)])
-def test_peak_memory_flat_in_duration(topology, step, monkeypatch):
+def _cube(cfg):
+    """The interferogram cube of the config's TWINS scan, at acquire_cube's default binning."""
+    return acquire_cube(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det, cfg.twins,
+                        cfg.twins_positions_um(), cfg.run)
+
+
+# two wedge positions 1 um apart around zero delay
+_NARROW_SCAN = {"position_min_um": 160.0, "position_max_um": 161.0, "n_positions": 2}
+
+
+@pytest.mark.parametrize("topology, step, twins", [("hbt", experiment.g2, None),
+                                                   ("fluorescence", experiment.histogram, None),
+                                                   ("fluorescence", _cube, _NARROW_SCAN)],
+                         ids=["hbt-g2", "fluorescence-histogram", "fluorescence-cube"])
+def test_peak_memory_flat_in_duration(topology, step, twins, monkeypatch):
     monkeypatch.setattr(events, "CHUNK_PAIRS", 1 << 12)
-    step(_config(topology, 0.25))  # caches the overlap check and the imports
+    step(_config(topology, 0.25, twins))  # caches the overlap check and the imports
     peaks = []
     for duration_s in (0.25, 1.0):
         tracemalloc.start()
         try:
-            step(_config(topology, duration_s))
+            step(_config(topology, duration_s, twins))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -344,12 +355,11 @@ def test_irf_step_streams_its_run(monkeypatch):
 
 
 def _counted_from_file(path, binning, mode):
-    """The histogram of an event file counted block by block, and build_histogram of its stream."""
+    """The histogram of an event file counted block by block."""
     n_channels, _, blocks = open_event_file(path)
     counter = StartStopCounter(*binning, mode)
     counter.feed_chunks(split_records(blocks, n_channels), CH_HERALD, CH_SIGNAL)
-    want = build_histogram(read_event_file(path), CH_HERALD, CH_SIGNAL, *binning, mode)
-    return counter.histogram(), want
+    return counter.histogram()
 
 
 def _assert_same_histogram(got, want):
@@ -361,27 +371,23 @@ def _assert_same_histogram(got, want):
        st.sampled_from(["first", "all"]))
 @settings(max_examples=100)
 def test_event_file_streams_at_block_boundaries(args, chunk_pairs, read_block, binning, mode):
-    source, _, herald_det, signal_det, _, run = args
-    meta = {"seed": run.seed, "duration_s": run.duration_s,
-            "n_channels": channel_count(run.topology)}
-    warnings = stream_warnings(source, herald_det, signal_det, run)
-    if warnings:
-        meta["warnings"] = warnings
+    meta = {"seed": args[-1].seed, "n_channels": channel_count(args[-1].topology)}
     with mock.patch.object(events, "CHUNK_PAIRS", chunk_pairs), \
             mock.patch.object(eventfile, "READ_BLOCK", read_block), \
             tempfile.TemporaryDirectory() as tmp:
         whole, streamed = Path(tmp) / "whole.bin", Path(tmp) / "streamed.bin"
         try:
-            write_event_file(whole, simulate_stream(*args), {"seed": run.seed})
+            tags = simulate_channels(*args)
         except StreamOrderError:
             return
+        records = tuple(np.concatenate(a) for a in zip(*merge_chunks(simulate_chunks(*args))))
+        list(write_events(whole, [records], meta))
         passed = StartStopCounter(*binning, mode)  # fig2d-irf: counted as written
         passed.feed_chunks(split_records(write_events(streamed, merge_chunks(
             simulate_chunks(*args)), meta), meta["n_channels"]), CH_HERALD, CH_SIGNAL)
-        for suffix in ("", ".meta.json"):
-            assert (Path(f"{streamed}{suffix}").read_bytes()
-                    == Path(f"{whole}{suffix}").read_bytes())
-        got, want = _counted_from_file(streamed, binning, mode)
+        assert streamed.read_bytes() == whole.read_bytes()  # block by block as in one block
+        got = _counted_from_file(streamed, binning, mode)
+    want = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], *binning, mode)
     _assert_same_histogram(got, want)
     _assert_same_histogram(passed.histogram(), want)
 
@@ -394,22 +400,25 @@ def _tied_records(draw):
                                              st.integers(0, n_channels - 1)), max_size=40)))
     t_ps, channel = (np.array([r[i] for r in records], dtype=dtype)
                      for i, dtype in ((0, np.int64), (1, np.uint8)))
-    return EventStream(channel, t_ps, 1.0, n_channels)
+    return channel, t_ps, n_channels
 
 
 @given(_tied_records(), st.integers(1, 5), _binning(), st.sampled_from(["first", "all"]))
 @settings(max_examples=200)
-def test_tied_records_count_across_read_blocks(stream, read_block, binning, mode):
+def test_tied_records_count_across_read_blocks(records, read_block, binning, mode):
+    channel, t_ps, n_channels = records
     with mock.patch.object(eventfile, "READ_BLOCK", read_block), \
             tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.bin"
-        write_event_file(path, stream, {})
-        back = read_event_file(path)
-        got, want = _counted_from_file(path, binning, mode)
-    assert np.array_equal(back.t_ps, stream.t_ps)
-    assert np.array_equal(back.channel, stream.channel)
-    _assert_same_histogram(got, want)
-    reference = start_stop_histogram(stream.times(CH_HERALD), stream.times(CH_SIGNAL),
+        list(write_events(path, [(channel, t_ps)], {"n_channels": n_channels}))
+        _, n_records, blocks = open_event_file(path)
+        back = list(blocks)
+        got = _counted_from_file(path, binning, mode)
+    assert n_records == len(t_ps)
+    assert all(len(t) <= read_block for _, t in back)
+    assert np.array_equal(np.concatenate([t_ps[:0]] + [t for _, t in back]), t_ps)
+    assert np.array_equal(np.concatenate([channel[:0]] + [c for c, _ in back]), channel)
+    reference = start_stop_histogram(t_ps[channel == CH_HERALD], t_ps[channel == CH_SIGNAL],
                                      *binning, mode)
     _assert_same_histogram(got, reference)
 

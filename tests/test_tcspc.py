@@ -8,30 +8,22 @@ from hypothesis import given, settings, strategies as st
 from epstreak import tcspc
 from epstreak.errors import ConfigurationError, UndefinedG2Error
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
-                             DetectorModel, EventStream, RunConfig,
-                             simulate_stream)
+                             DetectorModel, RunConfig, simulate_channels)
 from epstreak.presets import heralded_source
-from epstreak.tcspc import (Histogram, accidental_rate_hz, build_histogram,
-                            coincidence_rate, heralded_g2,
+from epstreak.tcspc import (Histogram, accidental_rate_hz, coincidence_rate,
                             read_histogram_csv, rebin, start_stop_histogram,
                             tag_g2, write_g2_csv, write_histogram_csv)
 
 IDEAL = DetectorModel()
 
 
-def _make_stream(channel, t_ps, duration_s=1.0, n_channels=3):
-    order = np.lexsort((channel, t_ps))
-    return EventStream(np.asarray(channel, dtype=np.uint8)[order],
-                       np.asarray(t_ps, dtype=np.int64)[order],
-                       duration_s, n_channels)
+def _sorted_tags(values):
+    return np.sort(np.asarray(values, dtype=np.int64))
 
 
 def test_all_zero_delays_fill_bin_zero():
     starts = np.arange(0, 1_000_000, 1000, dtype=np.int64)
-    stream = _make_stream(
-        np.concatenate([np.zeros(len(starts)), np.ones(len(starts))]),
-        np.concatenate([starts, starts]))
-    hist = build_histogram(stream, 0, 1, bin_width_ps=4, window_ps=400)
+    hist = start_stop_histogram(starts, starts, bin_width_ps=4, window_ps=400)
     assert hist.counts[0] == len(starts)
     assert hist.counts[1:].sum() == 0
 
@@ -41,9 +33,8 @@ def test_exponential_log_slope(rng):
     n = 1_000_000
     starts = np.sort(rng.integers(0, 10**12, n))
     delays = rng.exponential(tau_ps, n)
-    stream = _make_stream(np.concatenate([np.zeros(n), np.ones(n)]),
-                          np.concatenate([starts, starts + delays]))
-    hist = build_histogram(stream, 0, 1, bin_width_ps=16, window_ps=8000)
+    stops = _sorted_tags(starts + delays)
+    hist = start_stop_histogram(starts, stops, bin_width_ps=16, window_ps=8000)
     centers = hist.bin_centers_ps()
     mask = hist.counts > 50
     slope = np.polyfit(centers[mask], np.log(hist.counts[mask]), 1,
@@ -54,10 +45,8 @@ def test_exponential_log_slope(rng):
 def test_count_conservation_across_bin_widths(rng):
     n = 20_000
     starts = np.sort(rng.integers(0, 10**10, n))
-    stops = starts + rng.integers(0, 4000, n)
-    stream = _make_stream(np.concatenate([np.zeros(n), np.ones(n)]),
-                          np.concatenate([starts, stops]))
-    totals = {bw: build_histogram(stream, 0, 1, bw, 4800).counts.sum()
+    stops = np.sort(starts + rng.integers(0, 4000, n))
+    totals = {bw: start_stop_histogram(starts, stops, bw, 4800).counts.sum()
               for bw in (4, 16, 48)}
     assert len(set(totals.values())) == 1
 
@@ -65,11 +54,9 @@ def test_count_conservation_across_bin_widths(rng):
 def test_rebin_equals_direct_build(rng):
     n = 30_000
     starts = np.sort(rng.integers(0, 10**10, n))
-    stops = starts + rng.integers(0, 8000, n)
-    stream = _make_stream(np.concatenate([np.zeros(n), np.ones(n)]),
-                          np.concatenate([starts, stops]))
-    fine = build_histogram(stream, 0, 1, 4, 8000)
-    coarse = build_histogram(stream, 0, 1, 16, 8000)
+    stops = np.sort(starts + rng.integers(0, 8000, n))
+    fine = start_stop_histogram(starts, stops, 4, 8000)
+    coarse = start_stop_histogram(starts, stops, 16, 8000)
     assert np.array_equal(rebin(fine, 4).counts, coarse.counts)
 
 
@@ -87,11 +74,8 @@ def test_first_stop_vs_all_stops(rng):
     # two stops per start: first-stop counts one, all-stops counts both
     starts = np.arange(0, 10**8, 100_000, dtype=np.int64)
     stops = np.sort(np.concatenate([starts + 100, starts + 200]))
-    stream = _make_stream(
-        np.concatenate([np.zeros(len(starts)), np.ones(len(stops))]),
-        np.concatenate([starts, stops]))
-    first = build_histogram(stream, 0, 1, 4, 400, mode="first")
-    every = build_histogram(stream, 0, 1, 4, 400, mode="all")
+    first = start_stop_histogram(starts, stops, 4, 400, mode="first")
+    every = start_stop_histogram(starts, stops, 4, 400, mode="all")
     assert first.counts.sum() == len(starts)
     assert every.counts.sum() == 2 * len(starts)
 
@@ -114,9 +98,9 @@ def _histogram_reference(starts, stops, bin_width_ps, window_ps, t0_ps, mode):
        st.sampled_from(["first", "all"]))
 def test_histogram_matches_per_start_reference(starts, stops, bin_width_ps,
                                                n_bins, t0_ps, mode):
-    stream = _make_stream([0] * len(starts) + [1] * len(stops), starts + stops)
     window_ps = n_bins * bin_width_ps
-    hist = build_histogram(stream, 0, 1, bin_width_ps, window_ps, t0_ps, mode)
+    hist = start_stop_histogram(_sorted_tags(starts), _sorted_tags(stops), bin_width_ps,
+                                window_ps, t0_ps, mode)
     expected = _histogram_reference(sorted(starts), sorted(stops), bin_width_ps,
                                     window_ps, t0_ps, mode)
     assert hist.counts.dtype == np.int64
@@ -124,11 +108,11 @@ def test_histogram_matches_per_start_reference(starts, stops, bin_width_ps,
 
 
 def test_histogram_validation():
-    stream = _make_stream([0, 1], [0, 10])
-    with pytest.raises(ConfigurationError):
-        build_histogram(stream, 0, 0)
-    with pytest.raises(ConfigurationError):
-        build_histogram(stream, 0, 1, bin_width_ps=6, window_ps=50_000)
+    starts, stops = _sorted_tags([0]), _sorted_tags([10])
+    with pytest.raises(ConfigurationError, match="multiple of bin_width_ps"):
+        start_stop_histogram(starts, stops, bin_width_ps=6, window_ps=50_000)
+    with pytest.raises(ConfigurationError, match="unknown histogram mode"):
+        start_stop_histogram(starts, stops, mode="last")
 
 
 def test_histogram_csv_roundtrip(tmp_path):
@@ -140,30 +124,30 @@ def test_histogram_csv_roundtrip(tmp_path):
     assert np.array_equal(back.counts, hist.counts)
 
 
+def test_histogram_csv_count_beyond_int64_stays_float(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("bin_left_ps,counts\n0,5\n4,1e30\n8,2\n")
+    back = read_histogram_csv(path)
+    assert back.counts.dtype == float
+    assert back.counts.tolist() == [5.0, 1e30, 2.0]
+
+
 def test_g2_perfect_heralded_single_photons(rng):
     # every herald has exactly one partner in exactly one arm, heralds spaced
     # far beyond the coincidence window: no triples at zero delay
     n = 200_000
     h = np.arange(n, dtype=np.int64) * 10**7
     arm = rng.random(n) < 0.5
-    ch = np.where(arm, CH_HBT_T, CH_HBT_R)
-    stream = _make_stream(np.concatenate([np.full(n, CH_HERALD), ch]),
-                          np.concatenate([h, h]))
-    curve = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, 1000,
-                        np.array([0.0]))
+    curve = tag_g2(h, h[arm], h[~arm], 1000, np.array([0.0]))
     assert curve.at_zero() == 0.0
 
 
 def test_g2_independent_poisson_is_one(rng):
     dur_ps = 10**12
-    streams = {CH_HERALD: np.sort(rng.integers(0, dur_ps, 2_000_000)),
-               CH_HBT_T: np.sort(rng.integers(0, dur_ps, 1_000_000)),
-               CH_HBT_R: np.sort(rng.integers(0, dur_ps, 1_000_000))}
-    stream = _make_stream(
-        np.concatenate([np.full(len(v), k) for k, v in streams.items()]),
-        np.concatenate(list(streams.values())))
+    heralds, t_tags, r_tags = (np.sort(rng.integers(0, dur_ps, n))
+                               for n in (2_000_000, 1_000_000, 1_000_000))
     delays = np.arange(-100_000, 100_001, 10_000, dtype=float)
-    curve = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, 20_000, delays)
+    curve = tag_g2(heralds, t_tags, r_tags, 20_000, delays)
     assert np.all(np.abs(curve.g2_values - 1.0) < 5 * curve.errors)
     assert curve.g2_values.mean() == pytest.approx(1.0, abs=0.05)
 
@@ -171,21 +155,18 @@ def test_g2_independent_poisson_is_one(rng):
 def test_g2_arm_relabel_invariance():
     src = heralded_source(pair_rate_hz=3e5)
     run = RunConfig(duration_s=2.0, seed=21, topology="hbt")
-    stream = simulate_stream(src, None, IDEAL, IDEAL, None, run)
+    tags = simulate_channels(src, None, IDEAL, IDEAL, None, run)
     delays = np.arange(-10_000, 10_001, 2000, dtype=float)
-    a = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, 1000, delays)
-    b = heralded_g2(stream, CH_HERALD, CH_HBT_R, CH_HBT_T, 1000, delays)
+    a = tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R], 1000, delays)
+    b = tag_g2(tags[CH_HERALD], tags[CH_HBT_R], tags[CH_HBT_T], 1000, delays)
     assert np.allclose(a.g2_values, b.g2_values)
 
 
 def test_g2_starved_pair_named():
     n = 1000
     h = np.arange(n, dtype=np.int64) * 10**6
-    stream = _make_stream(np.concatenate([np.full(n, CH_HERALD), [CH_HBT_T]]),
-                          np.concatenate([h, [h[0]]]))
     with pytest.raises(UndefinedG2Error, match="herald-r"):
-        heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, 1000,
-                    np.array([0.0]))
+        tag_g2(h, h[:1], h[:0], 1000, np.array([0.0]))
 
 
 def _g2_reference(h, t, r, window_ps, delays):
@@ -232,17 +213,15 @@ _delay = st.one_of(st.integers(-800, 800).map(float),
 def test_g2_matches_brute_force(h, t, r, window_ps, delays):
     # delay axes here are unsorted, uneven, overlapping and non-integer;
     # odd windows put the window edges on half picoseconds
-    stream = _make_stream([CH_HERALD] * len(h) + [CH_HBT_T] * len(t)
-                          + [CH_HBT_R] * len(r), h + t + r)
-    tags = [np.sort(np.asarray(v, dtype=np.int64)) for v in (h, t, r)]
+    tags = [_sorted_tags(v) for v in (h, t, r)]
     try:
         values, errors, norm = _g2_reference(*tags, window_ps, delays)
     except UndefinedG2Error as exc:
         with pytest.raises(UndefinedG2Error) as got:
-            heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, window_ps, delays)
+            tag_g2(*tags, window_ps, delays)
         assert str(got.value) == str(exc)
         return
-    curve = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, window_ps, delays)
+    curve = tag_g2(*tags, window_ps, delays)
     assert np.array_equal(curve.g2_values, values)
     assert np.array_equal(curve.errors, errors)
     assert curve.normalization == norm
@@ -271,9 +250,7 @@ def test_tag_g2_matches_brute_force(case):
     # per-channel int64 tags, heralds split into blocks of every size from
     # one herald up
     h, t, r, window_ps, delays, herald_block = case
-    tags = [np.sort(np.asarray(v, dtype=np.int64)) for v in (h, t, r)]
-    stream = _make_stream([CH_HERALD] * len(h) + [CH_HBT_T] * len(t)
-                          + [CH_HBT_R] * len(r), h + t + r)
+    tags = [_sorted_tags(v) for v in (h, t, r)]
     try:
         values, errors, norm = _g2_reference(*tags, window_ps, delays)
     except UndefinedG2Error as exc:
@@ -281,19 +258,12 @@ def test_tag_g2_matches_brute_force(case):
                 mock.patch.object(tcspc, "HERALD_BLOCK", herald_block):
             tag_g2(*tags, window_ps, delays)
         assert str(got.value) == str(exc)
-        with pytest.raises(UndefinedG2Error) as got:
-            heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, window_ps, delays)
-        assert str(got.value) == str(exc)
         return
     with mock.patch.object(tcspc, "HERALD_BLOCK", herald_block):
         curve = tag_g2(*tags, window_ps, delays)
     assert np.array_equal(curve.g2_values, values)
     assert np.array_equal(curve.errors, errors)
     assert curve.normalization == norm
-    wrapped = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, window_ps, delays)
-    assert np.array_equal(wrapped.g2_values, curve.g2_values)
-    assert np.array_equal(wrapped.errors, curve.errors)
-    assert wrapped.normalization == curve.normalization
 
 
 @pytest.mark.parametrize("empty, message", [
@@ -313,9 +283,9 @@ def test_g2_csv_bytes_pinned(tmp_path):
     # enumeration must reproduce its g2.csv byte for byte
     src = heralded_source(pair_rate_hz=1e6)
     run = RunConfig(duration_s=0.3, seed=11, topology="hbt")
-    stream = simulate_stream(src, None, IDEAL, IDEAL, None, run)
+    tags = simulate_channels(src, None, IDEAL, IDEAL, None, run)
     delays = np.arange(-50_000, 50_001, 2000, dtype=float)
-    curve = heralded_g2(stream, CH_HERALD, CH_HBT_T, CH_HBT_R, 1000, delays)
+    curve = tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R], 1000, delays)
     path = tmp_path / "g2.csv"
     write_g2_csv(path, curve)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
@@ -325,8 +295,8 @@ def test_g2_csv_bytes_pinned(tmp_path):
 def test_coincidence_rate_matches_source_budget():
     src = heralded_source()
     run = RunConfig(duration_s=1.0, seed=30, topology="irf")
-    stream = simulate_stream(src, None, IDEAL, IDEAL, None, run)
-    rate, err = coincidence_rate(stream, CH_HERALD, CH_SIGNAL, 1000)
+    tags = simulate_channels(src, None, IDEAL, IDEAL, None, run)
+    rate, err = coincidence_rate(tags[CH_HERALD], tags[CH_SIGNAL], 1000, run.duration_s)
     assert rate == pytest.approx(2e5, abs=3 * np.sqrt(2e5))
     assert err == pytest.approx(np.sqrt(rate), rel=0.05)
 
@@ -335,15 +305,16 @@ def test_coincidence_rate_matches_source_budget():
        st.lists(st.integers(0, 100), min_size=1, max_size=30),
        st.integers(1, 40))
 def test_coincidence_rate_matches_brute_force(a, b, window_ps):
-    stream = _make_stream([0] * len(a) + [1] * len(b), a + b)
     dt = np.subtract.outer(np.asarray(b), np.asarray(a))
     pairs = int((np.abs(dt) <= 0.5 * window_ps).sum())
-    assert coincidence_rate(stream, 0, 1, window_ps) == (pairs, np.sqrt(pairs))
+    assert (coincidence_rate(_sorted_tags(a), _sorted_tags(b), window_ps, 2.0)
+            == (pairs / 2.0, np.sqrt(pairs) / 2.0))
 
 
 def test_coincidence_rate_empty_channel():
-    stream = _make_stream([0, 0], [10, 20])
-    assert coincidence_rate(stream, 0, 1, 1000) == (0.0, 0.0)
+    tags = _sorted_tags([10, 20])
+    assert coincidence_rate(tags, tags[:0], 1000, 1.0) == (0.0, 0.0)
+    assert coincidence_rate(tags[:0], tags, 1000, 1.0) == (0.0, 0.0)
 
 
 def test_accidental_rate_formula(rng):
@@ -353,10 +324,8 @@ def test_accidental_rate_formula(rng):
     dur_ps = int(dur_s * 1e12)
     a = np.sort(rng.integers(0, dur_ps, int(r1 * dur_s)))
     b = np.sort(rng.integers(0, dur_ps, int(r2 * dur_s)))
-    stream = _make_stream(np.concatenate([np.zeros(len(a)), np.ones(len(b))]),
-                          np.concatenate([a, b]), duration_s=dur_s)
     window_ps = 10_000
-    rate, err = coincidence_rate(stream, 0, 1, window_ps)
+    rate, err = coincidence_rate(a, b, window_ps, dur_s)
     expected = accidental_rate_hz(r1, r2, window_ps)
     assert abs(rate - expected) < 3 * max(err, 1e-3)
 
