@@ -13,6 +13,6 @@ from .spdc import (CrystalSpec, FilterSpec, JointSpectralDensity, PumpSpec,
                    tuning_curve)
 from .tcspc import G2Curve, Histogram, rebin, start_stop_histogram, tag_g2
 from .twins import (InterferogramCube, TimeFrequencyMap, TwinsCalibration,
-                    TwinsSpec, acquire_cube, calibrate_delay, reconstruct_map)
+                    TwinsSpec, calibrate_delay, reconstruct_map)
 
 __version__ = "0.1.0"

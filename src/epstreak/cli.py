@@ -17,18 +17,20 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import experiment, presets
+from .checks import violations
 from .config import load_config, validate_config
 from .errors import ConfigurationError, DomainError, EpstreakError
 from .eventfile import open_event_file, write_events
 from .events import CH_HERALD, CH_SIGNAL, split_records
 from .fitting import format_fit_report
-from .spdc import write_tuning_csv
+from .spdc import CrystalSpec, write_tuning_csv
 from .tcspc import read_histogram_csv, write_g2_csv, write_histogram_csv
 from .twins import save_cube, write_map_csv
 
@@ -81,12 +83,11 @@ def _load_cfg(args):
 
 
 def _apply_overrides(cfg, args):
-    """cfg with --seed and --duration applied; a value the models reject is a usage error.
+    """cfg with --seed, --duration and --n applied; a value the models reject is a usage error.
 
-    ``--seed`` sets ``analysis.fit.seed`` for ``fit`` and ``run.seed`` for the others.
+    ``--seed`` sets ``analysis.fit.seed`` for ``fit`` and ``run.seed`` for the others;
+    ``--n`` sets ``analysis.fit.n_components``.
     """
-    from dataclasses import replace
-
     def given(**values):
         return {k: v for k, v in values.items() if v is not None}
 
@@ -96,7 +97,8 @@ def _apply_overrides(cfg, args):
         cfg.run = replace(cfg.run, **given(seed=run_seed,
                                            duration_s=getattr(args, "duration", None)))
         cfg.analysis = replace(cfg.analysis,
-                               fit=replace(cfg.analysis.fit, **given(seed=fit_seed)))
+                               fit=replace(cfg.analysis.fit, **given(
+                                   seed=fit_seed, n_components=getattr(args, "n", None))))
     except DomainError as exc:
         raise ConfigurationError(f"command-line override: {exc}") from None
     return cfg
@@ -153,8 +155,7 @@ def cmd_ft_map(cfg, args, out):
 
 
 def cmd_fit(cfg, args, out):
-    result = experiment.fit(cfg, read_histogram_csv(args.hist), read_histogram_csv(args.irf),
-                            args.n)
+    result = experiment.fit(cfg, read_histogram_csv(args.hist), read_histogram_csv(args.irf))
     report = format_fit_report(result, irf_source=str(args.irf))
     (out / "fit_report.txt").write_text(report)
     sys.stdout.write(report)
@@ -164,6 +165,13 @@ def cmd_fit(cfg, args, out):
 
 
 def cmd_tuning_curve(cfg, args, out):
+    found = [v.replace("temperature_C", f"--{flag}") for flag in ("tmin", "tmax")
+             for v in violations(CrystalSpec, {"temperature_C": getattr(args, flag),
+                                               "sellmeier_id": cfg.source.crystal.sellmeier_id})]
+    if not 0 < args.step < np.inf:
+        found.append(f"--step: must be finite and > 0 (got {args.step})")
+    if found:
+        raise ConfigurationError("command-line override: " + "; ".join(found))
     temps = np.arange(args.tmin, args.tmax + 1e-9, args.step)
     if len(temps) == 0:
         raise ConfigurationError("empty temperature range")

@@ -10,10 +10,10 @@ float fields must be finite.
 This module parses YAML, rejects unknown keys and coerces types, then runs
 the models' own rule collector with the YAML path as prefix. The only rules
 it states itself span sections: the topology against the sample and TWINS
-sections, and the Nyquist spacing of the TWINS scan for the sample's
-shortest emission wavelength. ``validate_config`` returns either a
-fully-defaulted ExperimentConfig or the complete list of violations, and
-never raises.
+sections, the Nyquist spacing of the TWINS scan for the sample's shortest
+emission wavelength, and the run's wedge position inside the TWINS scan
+range. ``validate_config`` returns either a fully-defaulted
+ExperimentConfig or the complete list of violations, and never raises.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .events import (DETECTOR_PRESETS, TOPOLOGIES, DetectorModel, EmitterSpecies
                      RunConfig, SampleModel, topology_violations)
 from .experiment import AnalysisOptions, ExperimentConfig
 from .spdc import SourceModel
-from .twins import TwinsSpec, nyquist_spacing_um
+from .twins import TwinsSpec, nyquist_violation
 
 SECTIONS = ("source", "sample", "detectors", "twins", "run", "analysis")
 DEFAULT_DETECTOR_PRESET = "mpd"
@@ -200,12 +200,14 @@ def validate_config(text_or_dict):
                                       data.get("twins") is not None)
     if twins is not None and sample is not None and n_positions is not None:
         spacing = (twins.position_max_um - twins.position_min_um) / (n_positions - 1)
-        limit = nyquist_spacing_um(sample.min_emission_nm(), twins)
-        if spacing > limit * (1 + 1e-9):
-            errors.append(
-                f"twins.n_positions: spacing {spacing:.4g} um violates Nyquist; "
-                f"required spacing <= {limit:.4g} um for the sample's shortest "
-                f"emission wavelength {sample.min_emission_nm():.4g} nm")
+        reason = nyquist_violation(spacing, sample.min_emission_nm(), twins)
+        if reason:
+            errors.append(f"twins.n_positions: {reason}")
+    if twins is not None and run is not None and run.twins_position_um is not None:
+        x, lo, hi = run.twins_position_um, twins.position_min_um, twins.position_max_um
+        if not lo <= x <= hi:
+            errors.append(f"run.twins_position_um: must lie in the scan range "
+                          f"[{lo:g}, {hi:g}] um of the twins section (got {x:g})")
 
     if errors:
         return None, sorted(set(errors))

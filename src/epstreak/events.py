@@ -20,6 +20,7 @@ import numpy as np
 from .checks import Checked, relation, rule
 from .errors import ConfigurationError, StreamOrderError
 from .spdc import SourceModel
+from .twins import transmission
 from .units import FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
 
 CH_HERALD = 0
@@ -254,8 +255,6 @@ def _chunk_count(rate_hz, duration_s):
 
 def _source_chunk(k, n_chunks, sample, twins, run, rate_hz):
     """Arrivals of chunk k per channel, each a (time-sorted t_ps, accept_prob) pair."""
-    from .twins import transmission as twins_transmission  # local: avoids import cycle
-
     chunk_ps = run.duration_s * PS_PER_S / n_chunks
     rng = _rng(run.seed, 0, k)
     n = rng.poisson(rate_hz * run.duration_s / n_chunks)
@@ -277,7 +276,7 @@ def _source_chunk(k, n_chunks, sample, twins, run, rate_hz):
     accept = 1.0
     if twins is not None:
         lam_nm = lam_nm[emitted]
-        accept = twins_transmission(lam_nm, run.twins_position_um, twins)
+        accept = transmission(lam_nm, run.twins_position_um, twins)
         del lam_nm
         accept = accept[order]
     return [(birth_ps, 1.0), (t[order], accept)]

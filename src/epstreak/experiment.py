@@ -8,6 +8,8 @@ anything; the CLI subcommands and the presets both run through them.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -21,7 +23,8 @@ from .fitting import FitOptions, fit_decay
 from .spdc import SourceModel, tuning_curve
 from .tcspc import (DEFAULT_BIN_WIDTH_PS, DEFAULT_WINDOW_PS, HISTOGRAM_MODES, G2Counter,
                     StartStopCounter, window_violation)
-from .twins import APODIZATIONS, TwinsSpec, acquire_cube, calibrate_delay, reconstruct_map
+from .twins import (APODIZATIONS, InterferogramCube, TwinsSpec, calibrate_delay,
+                    nyquist_violation, reconstruct_map)
 
 # The TWINS calibration scans a quasi-monochromatic line of known wavelength
 # with the experiment's own positions, detectors and binning.
@@ -48,6 +51,10 @@ class G2Options(Checked):
     delay_min_ps: int = -50_000
     delay_max_ps: int = 50_000
     delay_step_ps: int = rule(1000, lo=1)
+
+    @relation("delay_min_ps", "delay_max_ps")
+    def _delays_ordered(delay_min_ps, delay_max_ps):
+        return "must not exceed delay_max_ps" if delay_min_ps > delay_max_ps else None
 
     def delay_axis_ps(self):
         return np.arange(self.delay_min_ps, self.delay_max_ps + 1, self.delay_step_ps,
@@ -156,18 +163,54 @@ def g2(cfg):
     return counter.curve()
 
 
-def _cube(cfg, sample, run):
+def _max_workers():
+    """Worker count from EPPS_THREADS: unset or empty means 1."""
+    env = os.environ.get("EPPS_THREADS", "").strip()
+    try:
+        workers = int(env or 1)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"EPPS_THREADS must be a positive integer, got {env!r}")
+    return workers
+
+
+def cube(cfg, positions_um):
+    """Interferogram cube: the ``histogram`` of the run at each wedge position.
+
+    The positions must sample the sample's shortest emission wavelength at
+    Nyquist. Position i runs on the seed ``derive_seed(run.seed, 2, i)``, so
+    the cube is reproducible whatever the number of positions run at once
+    (EPPS_THREADS caps the workers).
+    """
+    positions_um = np.asarray(positions_um, dtype=float)
+    if len(positions_um) < 2:
+        raise ConfigurationError("need at least two wedge positions")
+    reason = nyquist_violation(positions_um[1] - positions_um[0], cfg.sample.min_emission_nm(),
+                               cfg.twins)
+    if reason:
+        raise ConfigurationError(f"wedge position {reason}")
+
+    def one(i):
+        return histogram(replace(cfg, run=replace(cfg.run, seed=derive_seed(cfg.run.seed, 2, i),
+                                                  twins_position_um=float(positions_um[i]))))
+
+    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+        hists = list(pool.map(one, range(len(positions_um))))
     binning = cfg.analysis.histogram
-    return acquire_cube(cfg.source, sample, cfg.herald_det, cfg.signal_det, cfg.twins,
-                        cfg.twins_positions_um(), run, bin_width_ps=binning.bin_width_ps,
-                        window_ps=binning.window_ps, t0_ps=binning.t0_ps)
+    meta = {"duration_s_per_position": cfg.run.duration_s,
+            "total_duration_s": cfg.run.duration_s * len(positions_um), "seed": cfg.run.seed,
+            "bin_width_ps": binning.bin_width_ps, "window_ps": binning.window_ps,
+            "t0_ps": binning.t0_ps}
+    return InterferogramCube(positions_um, hists, meta)
 
 
 def calibrate(cfg, reference_seed):
     """TWINS calibration from a scan of REFERENCE_LINE seeded with ``reference_seed``."""
     run = RunConfig(duration_s=REFERENCE_DURATION_S, seed=reference_seed,
                     topology="fluorescence")
-    reference = _cube(cfg, SampleModel((REFERENCE_LINE,)), run)
+    reference = cube(replace(cfg, sample=SampleModel((REFERENCE_LINE,)), run=run),
+                     cfg.twins_positions_um())
     return calibrate_delay(reference, REFERENCE_LINE.emission_center_nm)
 
 
@@ -180,14 +223,13 @@ def ft_map(cfg, reference_seed):
     if cfg.twins is None or cfg.sample is None:
         raise ConfigurationError("ft-map requires both a twins section and a sample section")
     calibration = calibrate(cfg, reference_seed)
-    cube = _cube(cfg, cfg.sample, cfg.run)
+    scan = cube(cfg, cfg.twins_positions_um())
     ft = cfg.analysis.ft
-    return cube, calibration, reconstruct_map(cube, calibration, ft.apodization, ft.dc_removal)
+    return scan, calibration, reconstruct_map(scan, calibration, ft.apodization, ft.dc_removal)
 
 
-def fit(cfg, hist, irf_hist, n_components=None):
+def fit(cfg, hist, irf_hist):
     """Reconvolution lifetime fit of ``hist`` against ``irf_hist`` with the config's fit options."""
     options = cfg.analysis.fit
-    n = options.n_components if n_components is None else n_components
-    return fit_decay(hist, irf_hist, n,
+    return fit_decay(hist, irf_hist, options.n_components,
                      FitOptions(seed=options.seed, fit_shift=options.fit_shift))

@@ -197,7 +197,7 @@ def run_lifetime_species(out_dir, seed, species):
     response = irf(irf_cfg)
     write_histogram_csv(out / "decay.csv", decay)
     write_histogram_csv(out / "irf.csv", response)
-    result = fit(cfg, decay, response, n_components=1)
+    result = fit(cfg, decay, response)
     (out / "fit_report.txt").write_text(
         format_fit_report(result, irf_source="simulated detector pair response"))
     return _record({
@@ -249,7 +249,7 @@ def run_fig5_integration_sweep(out_dir, seed=1):
                                                            derive_seed(seed, i))
         decay = histogram(cfg)
         write_histogram_csv(out / f"decay_{duration_s:g}s.csv", decay)
-        result = fit(cfg, decay, response, n_components=1)
+        result = fit(cfg, decay, response)
         tau, err = result.model.components[0][1], result.lifetime_errors_ns()[0]
         taus.append(tau)
         errs.append(err)

@@ -377,6 +377,10 @@ def read_histogram_csv(path) -> Histogram:
         raise ConfigurationError(f"{path}: histogram has no bins")
     lefts = np.asarray(lefts)
     widths = np.diff(lefts)
+    bad = np.flatnonzero(widths <= 0)
+    if len(bad):
+        raise ConfigurationError(f"{path}: line {bad[0] + 3}: bin_left_ps must rise from row "
+                                 f"to row, got {rows[bad[0] + 1]!r}")
     if len(widths) and not np.all(widths == widths[0]):
         raise ConfigurationError(f"{path}: non-uniform bins")
     bw = int(widths[0]) if len(widths) else 1

@@ -13,8 +13,7 @@ independent); the calibration step absorbs the overall scale.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from scipy.signal import hilbert
 
 from .checks import Checked, relation, rule
 from .errors import CalibrationError, ConfigurationError, DomainError
-from .tcspc import StartStopCounter, read_histogram_csv, write_histogram_csv
+from .tcspc import read_histogram_csv, write_histogram_csv
 from .units import C_NM_PER_FS
 
 
@@ -74,6 +73,15 @@ def fringe_period_um(wavelength_nm, spec: TwinsSpec):
 
 def nyquist_spacing_um(min_wavelength_nm, spec: TwinsSpec):
     return min_wavelength_nm / (2.0 * C_NM_PER_FS * abs(spec.delay_per_um_fs))
+
+
+def nyquist_violation(spacing_um, min_wavelength_nm, spec: TwinsSpec):
+    """Why a scan of ``spacing_um`` undersamples light down to ``min_wavelength_nm``, or None."""
+    limit = nyquist_spacing_um(min_wavelength_nm, spec)
+    if spacing_um > limit * (1 + 1e-9):
+        return (f"spacing {spacing_um:.4g} um violates Nyquist; required spacing <= "
+                f"{limit:.4g} um for the shortest emission wavelength {min_wavelength_nm:.4g} nm")
+    return None
 
 
 @dataclass
@@ -127,72 +135,6 @@ class TwinsCalibration:
     delay_per_um_fs: float
     x_zero_um: float
     fringe_period_um: float
-
-
-def _max_workers():
-    """Worker count from EPPS_THREADS: unset or empty means 1."""
-    env = os.environ.get("EPPS_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigurationError(f"EPPS_THREADS must be a positive integer, got {env!r}")
-    return workers
-
-
-def acquire_cube(source, sample, herald_det, signal_det, twins: TwinsSpec,
-                 positions_um, per_position_run, bin_width_ps=16,
-                 window_ps=20_000, t0_ps=-2_000) -> InterferogramCube:
-    """One simulated TCSPC histogram per wedge position.
-
-    Positions must satisfy Nyquist sampling for the sample's shortest
-    emission wavelength. Each position is an independent simulation with a
-    seed derived from (run seed, position index), so the cube is reproducible
-    and positions may be simulated concurrently (EPPS_THREADS caps workers).
-    Each position is counted chunk by chunk as it is simulated, so its memory
-    does not grow with its duration.
-    """
-    from .events import CH_HERALD, CH_SIGNAL, simulate_chunks
-
-    positions_um = np.asarray(positions_um, dtype=float)
-    if len(positions_um) < 2:
-        raise ConfigurationError("need at least two wedge positions")
-    spacing = float(np.diff(positions_um)[0])
-    limit = nyquist_spacing_um(sample.min_emission_nm(), twins)
-    if spacing > limit * (1 + 1e-9):
-        raise ConfigurationError(
-            f"position spacing {spacing:.4g} um violates Nyquist; "
-            f"required spacing <= {limit:.4g} um for "
-            f"{sample.min_emission_nm():.4g} nm emission")
-
-    def one(i):
-        sub_seed = int(np.random.SeedSequence((per_position_run.seed, 2, i)).generate_state(1)[0])
-        run = replace(per_position_run, seed=sub_seed, twins_position_um=float(positions_um[i]))
-        counter = StartStopCounter(bin_width_ps, window_ps, t0_ps)
-        counter.feed_chunks(simulate_chunks(source, sample, herald_det, signal_det, twins, run),
-                            CH_HERALD, CH_SIGNAL)
-        return counter.histogram()
-
-    workers = _max_workers()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hists = list(pool.map(one, range(len(positions_um))))
-    else:
-        hists = [one(i) for i in range(len(positions_um))]
-
-    meta = {
-        "duration_s_per_position": per_position_run.duration_s,
-        "total_duration_s": per_position_run.duration_s * len(positions_um),
-        "seed": per_position_run.seed,
-        "bin_width_ps": bin_width_ps,
-        "window_ps": window_ps,
-        "t0_ps": t0_ps,
-    }
-    return InterferogramCube(positions_um, hists, meta)
 
 
 def calibrate_delay(reference_cube: InterferogramCube, known_wavelength_nm) -> TwinsCalibration:

@@ -61,6 +61,28 @@ twins:
     assert any("Nyquist" in v and "required spacing" in v for v in violations)
 
 
+def test_g2_delay_range_must_not_fall(tmp_path, capsys):
+    text = HBT_CFG + "analysis:\n  g2: {delay_min_ps: 1000, delay_max_ps: -1000}\n"
+    _, violations = validate_config(text)
+    assert violations == ["analysis.g2.delay_min_ps: must not exceed delay_max_ps"]
+    cfg = _write_cfg(tmp_path, text)
+    assert cli.main(["g2", "--out", str(tmp_path / "o"), "--config", cfg]) == 2
+    assert "analysis.g2.delay_min_ps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", [-1.0, 320.5])
+def test_twins_position_outside_scan_range(tmp_path, capsys, x):
+    text = FLUOR_CFG.replace("  seed: 4\n", f"  seed: 4\n  twins_position_um: {x}\n") + (
+        "twins: {position_min_um: 0.0, position_max_um: 320.0, n_positions: 256}\n")
+    _, violations = validate_config(text)
+    assert violations == [f"run.twins_position_um: must lie in the scan range [0, 320] um "
+                          f"of the twins section (got {x:g})"]
+    assert validate_config(text.replace(f"{x}", "320.0"))[1] == []
+    cfg = _write_cfg(tmp_path, text)
+    assert cli.main(["histogram", "--out", str(tmp_path / "o"), "--config", cfg]) == 2
+    assert "run.twins_position_um" in capsys.readouterr().err
+
+
 def test_all_violations_collected():
     text = """
 run:
@@ -257,7 +279,8 @@ def test_fit_header_only_histogram_exits_2(tmp_path, capsys):
     assert "histogram has no bins" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_row", ["8,3,1", "8,many", "8,nan", "8,inf", "8,-3"])
+@pytest.mark.parametrize("bad_row", ["8,3,1", "8,many", "8,nan", "8,inf", "8,-3",
+                                     "4,3", "2,3"])
 def test_fit_malformed_histogram_row_exits_2(tmp_path, capsys, bad_row):
     hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
     hp.write_text(f"bin_left_ps,counts\n0,5\n4,7\n{bad_row}\n12,2\n")
@@ -266,6 +289,30 @@ def test_fit_malformed_histogram_row_exits_2(tmp_path, capsys, bad_row):
                      "--irf", str(ip), "--n", "1"]) == 2
     err = capsys.readouterr().err
     assert f"{hp}: line 4" in err and bad_row in err
+
+
+@pytest.mark.parametrize("lefts", [(8, 4, 0), (0, 0, 0)])
+def test_fit_bins_that_do_not_rise_exit_2(tmp_path, capsys, lefts):
+    hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
+    hp.write_text("bin_left_ps,counts\n" + "".join(f"{left},5\n" for left in lefts))
+    write_histogram_csv(ip, _gaussian_irf_hist())
+    assert cli.main(["fit", "--out", str(tmp_path / "o"), "--hist", str(hp),
+                     "--irf", str(ip), "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"{hp}: line 3" in err, err
+    assert "bin_left_ps must rise" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_fit_bad_component_count_exits_2(tmp_path, capsys, n):
+    hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
+    write_histogram_csv(hp, _gaussian_irf_hist())
+    write_histogram_csv(ip, _gaussian_irf_hist())
+    assert cli.main(["fit", "--out", str(tmp_path / "o"), "--hist", str(hp),
+                     "--irf", str(ip), "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: command-line override:"), err
+    assert "n_components: must be >= 1" in err
 
 
 def test_fit_malformed_irf_row_exits_2(tmp_path, capsys):
@@ -415,6 +462,18 @@ def test_tuning_curve_subcommand(tmp_path):
     rows = (out / "tuning_curve.csv").read_text().strip().splitlines()
     assert rows[0].startswith("temperature_C")
     assert len(rows) == 34
+
+
+@pytest.mark.parametrize("flags", ["--step 0", "--step -2", "--step nan", "--step inf",
+                                   "--tmin nan", "--tmax inf", "--tmin 300 --tmax 400",
+                                   "--tmin -300", "--tmax 400"])
+def test_tuning_curve_bad_flags_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "tc"
+    assert cli.main(["tuning-curve", "--out", str(out), *flags.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: command-line override:"), err
+    assert flags.split()[0] in err
+    assert not (out / "tuning_curve.csv").exists()
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -25,7 +25,7 @@ from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DetectorM
                              EmitterSpecies, RunConfig, SampleModel, channel_count,
                              merge_chunks, simulate_channels, simulate_chunks, split_records)
 from epstreak.tcspc import G2Counter, StartStopCounter, start_stop_histogram, tag_g2
-from epstreak.twins import TwinsSpec, acquire_cube
+from epstreak.twins import TwinsSpec
 from epstreak.units import PS_PER_NS, PS_PER_S
 
 SOURCE = presets.heralded_source()  # 2e5 pairs/s
@@ -294,9 +294,8 @@ def _config(topology, duration_s, twins=None):
 
 
 def _cube(cfg):
-    """The interferogram cube of the config's TWINS scan, at acquire_cube's default binning."""
-    return acquire_cube(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det, cfg.twins,
-                        cfg.twins_positions_um(), cfg.run)
+    """The interferogram cube of the config's TWINS scan."""
+    return experiment.cube(cfg, cfg.twins_positions_um())
 
 
 # two wedge positions 1 um apart around zero delay

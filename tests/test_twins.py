@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from epstreak import experiment
+from epstreak.config import validate_config
 from epstreak.errors import CalibrationError, ConfigurationError, DomainError
 from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleModel
+from epstreak.experiment import HistogramOptions, _max_workers
 from epstreak.presets import heralded_source
 from epstreak.spdc import density_fwhm
 from epstreak.tcspc import Histogram, rebin
-from epstreak.twins import (InterferogramCube, TwinsCalibration, TwinsSpec,
-                            _max_workers, acquire_cube, calibrate_delay, fringe_period_um,
-                            load_cube, nyquist_spacing_um, reconstruct_map,
-                            save_cube, transmission, write_map_csv)
+from epstreak.twins import (InterferogramCube, TwinsCalibration, TwinsSpec, calibrate_delay,
+                            fringe_period_um, load_cube, nyquist_spacing_um,
+                            nyquist_violation, reconstruct_map, save_cube, transmission,
+                            write_map_csv)
 from epstreak.units import C_NM_PER_FS
 
 IDEAL = DetectorModel()
@@ -20,6 +25,14 @@ def _spec(**kw):
                 visibility=0.9, insertion_loss=0.5, x_zero_um=160.0)
     base.update(kw)
     return TwinsSpec(**base)
+
+
+def _scan_config(sample, spec, run, source=None, **binning):
+    """A config of ``sample`` behind ``spec`` on ideal detectors, counted with ``binning``."""
+    cfg, _ = validate_config({})
+    return replace(cfg, source=source or heralded_source(), sample=sample, herald_det=IDEAL,
+                   signal_det=IDEAL, twins=spec, run=run,
+                   analysis=replace(cfg.analysis, histogram=HistogramOptions(**binning)))
 
 
 def _analytic_cube(lines, positions, spec, n_t=48, bin_width_ps=16,
@@ -92,9 +105,12 @@ def test_nyquist_guard():
     run = RunConfig(duration_s=0.01, seed=1, topology="fluorescence")
     coarse = np.linspace(0.0, 320.0, 40)  # spacing 8.2 um, limit ~1.28 um
     with pytest.raises(ConfigurationError, match="required spacing"):
-        acquire_cube(heralded_source(), sample, IDEAL, IDEAL, spec, coarse, run)
+        experiment.cube(_scan_config(sample, spec, run), coarse)
     assert nyquist_spacing_um(770.0, spec) == pytest.approx(
         770.0 / (2 * C_NM_PER_FS), rel=1e-12)
+    limit = nyquist_spacing_um(770.0, spec)
+    assert nyquist_violation(limit, 770.0, spec) is None
+    assert "violates Nyquist" in nyquist_violation(1.01 * limit, 770.0, spec)
 
 
 def test_calibration_recovers_generator():
@@ -223,8 +239,8 @@ def test_acquired_interferogram_matches_transmission():
     positions = np.linspace(140.0, 180.0, 32)
     sample = SampleModel((EmitterSpecies(1.0, 0.3, 850.0, 1.0),))
     run = RunConfig(duration_s=0.05, seed=17, topology="fluorescence")
-    cube = acquire_cube(heralded_source(), sample, IDEAL, IDEAL, spec,
-                        positions, run, bin_width_ps=16, window_ps=4000, t0_ps=0)
+    cube = experiment.cube(_scan_config(sample, spec, run, bin_width_ps=16, window_ps=4000,
+                                        t0_ps=0), positions)
     measured = cube.counts_matrix().sum(axis=1)
     expected = np.array([transmission(850.0, x, spec) for x in positions])
     r = np.corrcoef(measured, expected)[0, 1]
@@ -236,9 +252,28 @@ def test_zero_quantum_yield_gives_empty_cube():
     positions = np.linspace(150.0, 170.0, 16)
     sample = SampleModel((EmitterSpecies(1.0, 0.3, 850.0, 1.0, quantum_yield=0.0),))
     run = RunConfig(duration_s=0.01, seed=18, topology="fluorescence")
-    cube = acquire_cube(heralded_source(), sample, IDEAL, IDEAL, spec,
-                        positions, run, bin_width_ps=16, window_ps=2000, t0_ps=0)
+    cube = experiment.cube(_scan_config(sample, spec, run, bin_width_ps=16, window_ps=2000,
+                                        t0_ps=0), positions)
     assert cube.counts_matrix().sum() == 0
+
+
+def test_cube_positions_are_histogram_runs():
+    """Position i is ``histogram`` of the run at x_i on seed derive_seed(seed, 2, i), in mode all."""
+    sample = SampleModel((EmitterSpecies(1.0, 0.3, 850.0, 1.0),))
+    run = RunConfig(duration_s=0.01, seed=19, topology="fluorescence")
+    cfg = _scan_config(sample, _spec(), run, source=heralded_source(pair_rate_hz=2.0e6),
+                       bin_width_ps=16, window_ps=20_000, t0_ps=0, mode="all")
+    positions = np.linspace(159.0, 160.5, 4)
+    cube = experiment.cube(cfg, positions)
+    first = replace(cfg, analysis=replace(cfg.analysis, histogram=replace(
+        cfg.analysis.histogram, mode="first")))
+    for i, (x, hist) in enumerate(zip(positions, cube.histograms)):
+        run_i = replace(run, seed=experiment.derive_seed(run.seed, 2, i),
+                        twins_position_um=float(x))
+        want = experiment.histogram(replace(cfg, run=run_i))
+        assert np.array_equal(hist.counts, want.counts) and hist.n_starts == want.n_starts
+        # a second stop inside the window is counted, so the mode shows
+        assert hist.counts.sum() > experiment.histogram(replace(first, run=run_i)).counts.sum()
 
 
 def test_cube_save_load_roundtrip(tmp_path):
@@ -285,9 +320,7 @@ def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch):
     from epstreak.presets import TWO_DYE_TWINS, TWO_DYES, spectrum
     monkeypatch.delenv("EPPS_THREADS", raising=False)
     fig3 = spectrum(TWO_DYES, TWO_DYE_TWINS, 0.02, 7)
-    cube = acquire_cube(fig3.source, fig3.sample, IDEAL, IDEAL, fig3.twins,
-                        fig3.twins_positions_um()[100:132], fig3.run, bin_width_ps=16,
-                        window_ps=12_800, t0_ps=0)
+    cube = experiment.cube(fig3, fig3.twins_positions_um()[100:132])
     save_cube(tmp_path / "cube", cube)
     cal = TwinsCalibration(1.0, 160.0, float("nan"))
     write_map_csv(tmp_path / "map.csv", reconstruct_map(cube, cal))
@@ -308,9 +341,7 @@ def test_cube_bytes_do_not_depend_on_epps_threads(tmp_path, monkeypatch):
     monkeypatch.setenv("EPPS_THREADS", "2")
     assert _max_workers() == 2
     fig3 = spectrum(TWO_DYES, TWO_DYE_TWINS, 0.02, 7)
-    cube = acquire_cube(fig3.source, fig3.sample, IDEAL, IDEAL, fig3.twins,
-                        fig3.twins_positions_um()[100:132], fig3.run, bin_width_ps=16,
-                        window_ps=12_800, t0_ps=0)
+    cube = experiment.cube(fig3, fig3.twins_positions_um()[100:132])
     save_cube(tmp_path / "cube", cube)
     cal = TwinsCalibration(1.0, 160.0, float("nan"))
     write_map_csv(tmp_path / "map.csv", reconstruct_map(cube, cal))
