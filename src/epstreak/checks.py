@@ -21,12 +21,6 @@ def rule(default=MISSING, *, lo=None, hi=None, choices=None):
     return field(default=default, metadata={"lo": lo, "hi": hi, "choices": choices})
 
 
-def rule_of(cls, name):
-    """Field ``name`` of dataclass ``cls``, default and rule, for another model."""
-    f = next(f for f in fields(cls) if f.name == name)
-    return field(default=f.default, metadata=f.metadata)
-
-
 def relation(*names):
     """Mark a model function as a rule between its fields ``names``.
 

@@ -186,6 +186,9 @@ def _run(args):
     A preset's config echo is its name, the configs it ran and their seeds.
     """
     out = Path(args.out)
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise ConfigurationError(f"--out {out}: {blocker} is not a directory")
     if args.command == "preset":
         seed = 1 if args.seed is None else args.seed
         summary = presets.run_preset(args.name, out, seed=seed)

@@ -220,9 +220,10 @@ def validate_config(text_or_dict):
 def load_config(path) -> ExperimentConfig:
     """Load a YAML config file, raising ConfigurationError on any violation."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: "
+                                 f"{getattr(exc, 'strerror', None) or exc}") from None
     cfg, found = validate_config(text)
     if found:
         raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(found))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .checks import Checked, relation, rule, rule_of
+from .checks import Checked, relation, rule
 from .errors import ConfigurationError
 from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DetectorModel,
                      EmitterSpecies, RunConfig, SampleModel, channel_count, merge_chunks,
@@ -62,13 +62,6 @@ class G2Options(Checked):
 
 
 @dataclass(frozen=True)
-class FitSettings(Checked):
-    n_components: int = rule(1, lo=1)
-    seed: int = rule_of(FitOptions, "seed")
-    fit_shift: bool = rule_of(FitOptions, "fit_shift")
-
-
-@dataclass(frozen=True)
 class FTOptions(Checked):
     apodization: str = rule("hann", choices=APODIZATIONS)
     dc_removal: bool = True
@@ -78,7 +71,7 @@ class FTOptions(Checked):
 class AnalysisOptions:
     histogram: HistogramOptions
     g2: G2Options
-    fit: FitSettings
+    fit: FitOptions
     ft: FTOptions
 
 
@@ -230,6 +223,4 @@ def ft_map(cfg, reference_seed):
 
 def fit(cfg, hist, irf_hist):
     """Reconvolution lifetime fit of ``hist`` against ``irf_hist`` with the config's fit options."""
-    options = cfg.analysis.fit
-    return fit_decay(hist, irf_hist, options.n_components,
-                     FitOptions(seed=options.seed, fit_shift=options.fit_shift))
+    return fit_decay(hist, irf_hist, cfg.analysis.fit)

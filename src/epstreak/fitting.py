@@ -50,7 +50,7 @@ class DecayModel:
 class FitResult:
     model: DecayModel
     # inverse Fisher information over (a_1..K, tau_1..K [ns], background,
-    # shift [ps]); rows and columns of parameters not fitted are zero
+    # shift [ps]); the shift's row and column are zero when it is not fitted
     covariance: np.ndarray
     reduced_chi2: float
     n_bins_used: int
@@ -177,11 +177,12 @@ def response_derivatives(tau_ns, irf: Histogram, shift_ps=0.0, n_bins=None, t0_p
 
 @dataclass(frozen=True)
 class FitOptions(Checked):
+    n_components: int = rule(1, lo=1)
     seed: int = rule(0, lo=0)
-    n_multistart: int = 12
     fit_shift: bool = False
-    fit_background: bool = True
-    fit_range_bins: tuple | None = None  # (first, last_exclusive)
+
+
+N_MULTISTART = 12  # lifetime candidates scored before the three best are refined
 
 
 def _default_fit_range(hist: Histogram, irf: Histogram):
@@ -206,21 +207,16 @@ def _nll(y, mu):
     return float(np.sum(mu - y * np.log(mu)))
 
 
-def _solve_linear(responses, y, fit_background):
-    """Nonnegative amplitudes (and background) by variance-weighted NNLS."""
-    cols = list(responses)
-    if fit_background:
-        cols.append(np.ones_like(y))
-    a_mat = np.stack(cols, axis=1)
+def _solve_linear(responses, y):
+    """Nonnegative amplitudes and background by variance-weighted NNLS."""
+    a_mat = np.stack(list(responses) + [np.ones_like(y)], axis=1)
     w = 1.0 / np.sqrt(np.clip(y, 1.0, None))
     sol, _ = nnls(a_mat * w[:, None], y * w)
-    if fit_background:
-        return sol[:-1], sol[-1]
-    return sol, 0.0
+    return sol[:-1], sol[-1]
 
 
-def _poisson_linear(responses, y, fit_background):
-    """Nonnegative amplitudes (and background) at the Poisson NLL minimum.
+def _poisson_linear(responses, y):
+    """Nonnegative amplitudes and background at the Poisson NLL minimum.
 
     Starts from the weighted NNLS solution and takes damped Newton steps on
     the convex NLL of mu = c @ G. Variables at zero whose gradient points out
@@ -231,13 +227,9 @@ def _poisson_linear(responses, y, fit_background):
     1e-5 ends the loop: the next decrement would be of its square's order.
     Returns (amplitudes, background, mu).
     """
-    amps, bg = _solve_linear(responses, y, fit_background)
-    rows = list(responses)
-    c = np.asarray(amps, dtype=float)
-    if fit_background:
-        rows.append(np.ones_like(y))
-        c = np.append(c, bg)
-    g_mat = np.array(rows)
+    amps, bg = _solve_linear(responses, y)
+    c = np.append(amps, bg)
+    g_mat = np.array(list(responses) + [np.ones_like(y)])
     mu = np.maximum(c @ g_mat, _MU_FLOOR)
     for _ in range(50):
         w = y / mu
@@ -267,9 +259,7 @@ def _poisson_linear(responses, y, fit_background):
         c, mu = trial, mu_t
         if t == 1.0 and decrement < 1e-5:
             break
-    if fit_background:
-        return c[:-1], c[-1], mu
-    return c, 0.0, mu
+    return c[:-1], c[-1], mu
 
 
 def _deviance(y, mu, y_safe):
@@ -282,18 +272,18 @@ def _deviance(y, mu, y_safe):
     return float(np.sum(d - y * np.log1p(d / y_safe)))
 
 
-def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
-              options: FitOptions | None = None) -> FitResult:
+def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None) -> FitResult:
     """Poisson maximum-likelihood reconvolution fit by variable projection.
 
     L-BFGS-B minimizes the NLL profiled over amplitudes and background (see
     ``_poisson_linear``) in log lifetime, plus the IRF shift with
-    ``fit_shift``, from the three best of the multistart candidates. The
+    ``fit_shift``, from the three best of N_MULTISTART candidates. The
     gradient follows from the envelope theorem and ``response_derivatives``.
-    Deterministic for a given options.seed. When lifetimes end closer than
-    10% of each other, or a component ends with amplitude 0, the fit repeats
-    with one component fewer. Covariance is the inverse Fisher information
-    of the fitted parameters; reduced chi^2 uses Pearson weights.
+    The fit runs over ``_default_fit_range``. Deterministic for a given
+    options.seed. When lifetimes end closer than 10% of each other, or a
+    component ends with amplitude 0, the fit repeats with one component
+    fewer. Covariance is the inverse Fisher information of the fitted
+    parameters; reduced chi^2 uses Pearson weights.
     """
     options = options or FitOptions()
     if hist.bin_width_ps != irf.bin_width_ps:
@@ -301,16 +291,16 @@ def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
     y_full = np.asarray(hist.counts, dtype=float)
     if y_full.sum() <= 0:
         raise FitError("degenerate data: histogram is all zeros")
-    first, last = options.fit_range_bins or _default_fit_range(hist, irf)
+    first, last = _default_fit_range(hist, irf)
     y = y_full[first:last]
     t0_fit = hist.t0_ps + first * hist.bin_width_ps
     n_bins_fit = last - first
-    min_bins = 10 * n_components * 3
+    k = options.n_components
+    min_bins = 10 * k * 3
     if np.count_nonzero(y) < min_bins:
         raise FitError(
-            f"too few populated bins for {n_components} components "
+            f"too few populated bins for {k} components "
             f"({np.count_nonzero(y)} < {min_bins})")
-    k = n_components
     bw = hist.bin_width_ps
     y_safe = np.where(y > 0, y, 1.0)
     n_evals = 0
@@ -326,21 +316,20 @@ def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
     span_ps = n_bins_fit * bw
     lo = max(2.0 * bw, 1.0) / PS_PER_NS
     hi = 0.8 * span_ps / PS_PER_NS
-    base = np.geomspace(lo * 2, hi / 2, max(options.n_multistart, 4))
+    base = np.geomspace(lo * 2, hi / 2, N_MULTISTART)
     candidates = []
-    if n_components == 1:
+    if k == 1:
         candidates = [(t,) for t in base]
     else:
-        for _ in range(max(options.n_multistart, 6)):
-            pick = np.sort(np.exp(rng.uniform(np.log(lo * 2), np.log(hi / 2), n_components)))
+        for _ in range(N_MULTISTART):
+            pick = np.sort(np.exp(rng.uniform(np.log(lo * 2), np.log(hi / 2), k)))
             candidates.append(tuple(pick))
-        candidates += [tuple(np.sort(base[[i, -1 - i]])) for i in range(min(4, len(base) // 2))
-                       if n_components == 2]
+        candidates += [tuple(np.sort(base[[i, -1 - i]])) for i in range(4) if k == 2]
 
     scored = []
     for taus in candidates:
         resp = responses(np.asarray(taus), 0.0)
-        amps, bg = _solve_linear(resp, y, options.fit_background)
+        amps, bg = _solve_linear(resp, y)
         mu = sum(a * r for a, r in zip(amps, resp)) + bg
         scored.append((_nll(y, mu), np.asarray(taus)))
     scored.sort(key=lambda s: s[0])
@@ -350,7 +339,7 @@ def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
         taus = np.exp(v[:k])
         shift = float(v[k]) * bw if options.fit_shift else 0.0
         resp = responses(taus, shift)
-        amps, bg, mu = _poisson_linear(resp, y, options.fit_background)
+        amps, bg, mu = _poisson_linear(resp, y)
         derivs = [response_derivatives(tau, irf, shift, n_bins_fit, t0_fit) for tau in taus]
         return taus, shift, resp, derivs, amps, bg, mu
 
@@ -382,15 +371,13 @@ def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
 
     # merge nearly equal lifetimes, or drop a component the fit switched off
     # (amplitude exactly 0, its lifetime arbitrary), and refit with fewer
-    if n_components > 1 and (np.any(np.diff(taus) / taus[1:] < 0.10) or np.any(amps == 0)):
-        merged = fit_decay(hist, irf, n_components - 1, options)
-        return replace(merged, n_model_evals=merged.n_model_evals + n_evals,
-                       merged_from=n_components)
+    if k > 1 and (np.any(np.diff(taus) / taus[1:] < 0.10) or np.any(amps == 0)):
+        merged = fit_decay(hist, irf, replace(options, n_components=k - 1))
+        return replace(merged, n_model_evals=merged.n_model_evals + n_evals, merged_from=k)
 
     model = DecayModel(list(zip(amps, taus)), background=bg, t_shift_ps=shift)
-    cov, cond = _fisher_covariance(resp, derivs, amps, mu,
-                                   options.fit_background, options.fit_shift)
-    n_params = 2 * n_components + int(options.fit_background) + int(options.fit_shift)
+    cov, cond = _fisher_covariance(resp, derivs, amps, mu, options.fit_shift)
+    n_params = 2 * k + 1 + int(options.fit_shift)
     dof = max(n_bins_fit - n_params, 1)
     chi2 = float(np.sum((y - mu) ** 2 / mu))
     return FitResult(model=model, covariance=cov, reduced_chi2=chi2 / dof,
@@ -401,19 +388,19 @@ def fit_decay(hist: Histogram, irf: Histogram, n_components=1,
                      fisher_condition=cond)
 
 
-def _fisher_covariance(resp, derivs, amps, mu, fit_background, fit_shift):
+def _fisher_covariance(resp, derivs, amps, mu, fit_shift):
     """Inverse Fisher information J^T diag(1/mu) J over the fitted parameters.
 
     J is the analytic Jacobian of mu in the (a_1..K, tau_1..K [ns],
-    background, shift [ps]) layout; rows and columns of parameters not
-    fitted stay zero. Also returns the condition number of the Fisher matrix
-    scaled to unit diagonal (inf if a parameter carries no information).
+    background, shift [ps]) layout; the shift's row and column stay zero
+    when it is not fitted. Also returns the condition number of the Fisher
+    matrix scaled to unit diagonal (inf if a parameter carries no information).
     """
     k = len(amps)
     cols = list(resp) + [a * d_tau for a, (d_tau, _) in zip(amps, derivs)]
     cols.append(np.ones_like(mu))
     cols.append(sum(a * d_shift for a, (_, d_shift) in zip(amps, derivs)))
-    fitted = np.array([True] * (2 * k) + [fit_background, fit_shift])
+    fitted = np.array([True] * (2 * k + 1) + [fit_shift])
     jac = np.stack(cols, axis=1)[:, fitted]
     fisher = jac.T @ (jac / mu[:, None])
     cov = np.zeros((2 * k + 2, 2 * k + 2))

@@ -355,15 +355,30 @@ def accidental_rate_hz(rate_a_hz, rate_b_hz, window_ps):
     return rate_a_hz * rate_b_hz * (window_ps / PS_PER_S)
 
 
+HISTOGRAM_CSV_HEADER = "bin_left_ps,counts"
+
+
 def write_histogram_csv(path, hist: Histogram):
-    lines = ["bin_left_ps,counts"]
+    lines = [HISTOGRAM_CSV_HEADER]
     for left, c in zip(hist.bin_left_ps().tolist(), hist.counts.tolist()):
         lines.append(f"{int(left)},{c}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_histogram_csv(path) -> Histogram:
-    rows = Path(path).read_text().strip().splitlines()[1:]
+    """The histogram of a CSV file written by ``write_histogram_csv``.
+
+    An unreadable file, a first line other than HISTOGRAM_CSV_HEADER and a
+    malformed row raise ConfigurationError naming the file (and the line).
+    """
+    try:
+        head, *rows = Path(path).read_text(encoding="utf-8").strip().splitlines() or [""]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read histogram file {path}: "
+                                 f"{getattr(exc, 'strerror', None) or exc}") from None
+    if head.strip() != HISTOGRAM_CSV_HEADER:
+        raise ConfigurationError(
+            f"{path}: line 1: expected the header {HISTOGRAM_CSV_HEADER!r}, got {head!r}")
     lefts, counts = [], []
     for line, row in enumerate(rows, start=2):
         try:
@@ -372,7 +387,7 @@ def read_histogram_csv(path) -> Histogram:
             counts.append(float(c))
         except ValueError:
             raise ConfigurationError(
-                f"{path}: line {line}: expected 'bin_left_ps,counts', got {row!r}") from None
+                f"{path}: line {line}: expected {HISTOGRAM_CSV_HEADER!r}, got {row!r}") from None
     if not lefts:
         raise ConfigurationError(f"{path}: histogram has no bins")
     lefts = np.asarray(lefts)

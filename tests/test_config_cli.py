@@ -303,6 +303,29 @@ def test_fit_bins_that_do_not_rise_exit_2(tmp_path, capsys, lefts):
     assert "bin_left_ps must rise" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read histogram file"),
+    ("directory", "cannot read histogram file"),
+    (b"bin_left_ps,counts\n0,5\n4,\xff\n", "cannot read histogram file"),
+    (b"0,5\n4,6\n8,7\n12,8\n", "line 1: expected the header 'bin_left_ps,counts'"),
+], ids=["missing", "directory", "not-utf8", "no-header"])
+@pytest.mark.parametrize("flag", ["--hist", "--irf"])
+def test_fit_unreadable_histogram_exits_2(tmp_path, capsys, flag, content, message):
+    paths = {"--hist": tmp_path / "h.csv", "--irf": tmp_path / "irf.csv"}
+    for path in paths.values():
+        write_histogram_csv(path, _gaussian_irf_hist())
+    bad = paths[flag]
+    bad.unlink()
+    if content == "directory":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    assert cli.main(["fit", "--out", str(tmp_path / "o"), "--hist", str(paths["--hist"]),
+                     "--irf", str(paths["--irf"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err and str(bad) in err, err
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_fit_bad_component_count_exits_2(tmp_path, capsys, n):
     hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
@@ -450,6 +473,19 @@ def test_negative_preset_seed_exits_2(tmp_path, capsys, name, seed):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and f"got {seed}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["histogram"], ["g2"], ["irf"], ["ft-map"], ["tuning-curve"],
+    ["fit", "--hist", "h.csv", "--irf", "irf.csv"], ["preset", "fig2c-g2"],
+], ids=lambda argv: argv[0])
+def test_out_not_a_directory_exits_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: --out {out}: {blocker} is not a directory\n"
 
 
 def test_tuning_curve_subcommand(tmp_path):

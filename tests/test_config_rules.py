@@ -15,8 +15,8 @@ from epstreak.checks import Checked
 from epstreak.config import load_config, validate_config
 from epstreak.errors import ConfigurationError, DomainError
 from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleModel
-from epstreak.experiment import (AnalysisOptions, ExperimentConfig, FitSettings, FTOptions,
-                                 G2Options, HistogramOptions)
+from epstreak.experiment import (AnalysisOptions, ExperimentConfig, FTOptions, G2Options,
+                                 HistogramOptions)
 from epstreak.fitting import FitOptions
 from epstreak.spdc import CrystalSpec, FilterSpec, PumpSpec, SourceModel
 from epstreak.twins import TwinsSpec
@@ -138,7 +138,7 @@ SECTION = {
     EmitterSpecies: "sample.species[0]", SampleModel: "sample",
     DetectorModel: "detectors.signal", TwinsSpec: "twins", RunConfig: "run",
     HistogramOptions: "analysis.histogram", G2Options: "analysis.g2",
-    FitSettings: "analysis.fit", FitOptions: "analysis.fit", FTOptions: "analysis.ft",
+    FitOptions: "analysis.fit", FTOptions: "analysis.ft",
     ExperimentConfig: "twins",
 }
 YAML_KEY = {"grid_min_nm": "min_nm", "grid_max_nm": "max_nm", "grid_step_nm": "step_nm",
@@ -146,7 +146,7 @@ YAML_KEY = {"grid_min_nm": "min_nm", "grid_max_nm": "max_nm", "grid_step_nm": "s
 
 
 def _valid_kwargs(cls):
-    analysis = AnalysisOptions(HistogramOptions(), G2Options(), FitSettings(), FTOptions())
+    analysis = AnalysisOptions(HistogramOptions(), G2Options(), FitOptions(), FTOptions())
     return {
         SourceModel: dict(pump=PumpSpec(), crystal=CrystalSpec(), herald_filter=FilterSpec()),
         SampleModel: dict(species=(EmitterSpecies(),)),
@@ -275,6 +275,11 @@ def test_missing_config_file_named(tmp_path, capsys):
                      "--config", str(missing)]) == 2
     err = capsys.readouterr().err
     assert str(missing) in err and "No such file" in err
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(b"run:\n  seed: \xff\n")
+    assert cli.main(["simulate", "--out", str(tmp_path / "o"), "--config", str(binary)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config file {binary}" in err and "can't decode" in err
 
 
 def test_load_config_takes_a_path_not_text():

@@ -82,7 +82,7 @@ def test_gaussian_irf_matches_closed_form():
 def test_noiseless_single_fit_recovers_exactly():
     irf = _gaussian_irf()
     hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)]), irf)
-    res = fit_decay(hist, irf, 1, FitOptions(seed=0))
+    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
     assert res.model.components[0][1] == pytest.approx(1.13, rel=1e-6)
     assert res.reduced_chi2 < 1e-6
 
@@ -92,8 +92,8 @@ def test_count_scaling_leaves_lifetime_invariant():
     hist, counts = _noiseless_hist(DecayModel([(50.0, 1.13)]), irf)
     scaled = Histogram(irf.bin_width_ps, irf.t0_ps, counts * 3.0,
                        n_starts=hist.n_starts * 3)
-    a = fit_decay(hist, irf, 1, FitOptions(seed=0))
-    b = fit_decay(scaled, irf, 1, FitOptions(seed=0))
+    a = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
+    b = fit_decay(scaled, irf, FitOptions(n_components=1, seed=0))
     assert (b.model.components[0][1]
             == pytest.approx(a.model.components[0][1], rel=1e-6))
 
@@ -102,7 +102,7 @@ def test_noiseless_two_component_fit():
     irf = _gaussian_irf()
     hist, _ = _noiseless_hist(DecayModel([(30.0, 0.79), (20.0, 1.51)]), irf,
                               total=5e6)
-    res = fit_decay(hist, irf, 2, FitOptions(seed=1))
+    res = fit_decay(hist, irf, FitOptions(n_components=2, seed=1))
     taus = [tau for _, tau in res.model.components]
     assert taus[0] == pytest.approx(0.79, rel=0.05)
     assert taus[1] == pytest.approx(1.51, rel=0.05)
@@ -145,7 +145,7 @@ def test_poisson_bias_and_coverage():
     for _ in range(n_rep):
         y = rng.poisson(mu)
         hist = Histogram(BW_PS, irf.t0_ps, y.astype(np.int64), int(y.sum()))
-        res = fit_decay(hist, irf, 1, FitOptions(seed=0, n_multistart=4))
+        res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
         tau_hat = res.model.components[0][1]
         err = res.lifetime_errors_ns()[0]
         taus.append(tau_hat)
@@ -183,7 +183,7 @@ def test_response_derivatives_match_central_differences(shift_ps, tau_ns, irf_ki
 def test_noiseless_fit_recovers_shift():
     irf = _gaussian_irf()
     hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)], t_shift_ps=37.0), irf)
-    res = fit_decay(hist, irf, 1, FitOptions(seed=0, fit_shift=True))
+    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0, fit_shift=True))
     assert res.model.t_shift_ps == pytest.approx(37.0, abs=0.1)
     assert res.model.components[0][1] == pytest.approx(1.13, rel=1e-5)
 
@@ -200,7 +200,7 @@ def test_lifetime_errors_match_finite_difference_fisher(fit_shift):
     shift = 11.0 if fit_shift else 0.0
     hist = _poisson_hist(DecayModel([(1.0, 1.51)], background=2e-4, t_shift_ps=shift),
                          irf, 1.2e6, seed=7)
-    res = fit_decay(hist, irf, 1, FitOptions(seed=0, fit_shift=fit_shift))
+    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0, fit_shift=fit_shift))
     first, last = res.fit_range_bins
     ((a, tau),) = res.model.components
     theta = np.array([a, tau, res.model.background, res.model.t_shift_ps])
@@ -224,22 +224,12 @@ def test_lifetime_errors_match_finite_difference_fisher(fit_shift):
         assert not res.covariance[3].any() and not res.covariance[:, 3].any()
 
 
-def test_covariance_zero_for_unfitted_background():
-    irf = _gaussian_irf()
-    hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)]), irf)
-    res = fit_decay(hist, irf, 1, FitOptions(seed=0, fit_background=False))
-    assert res.model.background == 0.0
-    assert not res.covariance[2].any() and not res.covariance[:, 2].any()
-    assert not res.covariance[3].any()
-    assert res.lifetime_errors_ns()[0] > 0
-
-
 def test_two_component_poisson_fit_reaches_generator_profile():
     irf = _gaussian_irf()
     taus = (0.79, 1.51)
     hist = _poisson_hist(DecayModel([(30.0, taus[0]), (20.0, taus[1])], background=1e-3),
                          irf, 1e6, seed=11)
-    res = fit_decay(hist, irf, 2, FitOptions(seed=1))
+    res = fit_decay(hist, irf, FitOptions(n_components=2, seed=1))
     first, last = res.fit_range_bins
     y = np.asarray(hist.counts[first:last], dtype=float)
     cols = [convolve_model(DecayModel([(1.0, tau)]), irf, n_bins=last - first,
@@ -261,7 +251,7 @@ def test_two_component_poisson_fit_reaches_generator_profile():
 def test_fit_records_diagnostics():
     irf = _gaussian_irf()
     hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)]), irf)
-    res = fit_decay(hist, irf, 1, FitOptions(seed=0))
+    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
     assert res.converged and res.merged_from is None
     assert 0 < res.n_model_evals <= 140
     assert 1.0 <= res.fisher_condition < 1e3
@@ -269,7 +259,7 @@ def test_fit_records_diagnostics():
     assert res.diagnostics()["model_evaluations"] == res.n_model_evals
     # near-equal lifetimes merge into one component, and the fit says so
     hist, _ = _noiseless_hist(DecayModel([(30.0, 1.0), (20.0, 1.05)]), irf)
-    merged = fit_decay(hist, irf, 2, FitOptions(seed=0))
+    merged = fit_decay(hist, irf, FitOptions(n_components=2, seed=0))
     assert len(merged.model.components) == 1
     assert merged.merged_from == 2
     assert merged.n_model_evals > res.n_model_evals
@@ -292,13 +282,13 @@ def test_zero_amplitude_component_dropped():
     n_bg = rng.binomial(n, 0.01)
     t = rng.normal(0.0, sigma, n - n_bg) + rng.exponential(1130.0, n - n_bg)
     hist = histogram(np.concatenate([t, t0_ps + rng.random(n_bg) * BW_PS * n_bins]))
-    res = fit_decay(hist, irf, 2)
+    res = fit_decay(hist, irf, FitOptions(n_components=2))
     assert len(res.model.components) == 1
     assert res.merged_from == 2
     assert np.isfinite(res.fisher_condition)
     assert res.diagnostics()["fisher_condition"] is not None
     assert res.model.lifetimes_ns()[0] == pytest.approx(1.13, rel=0.01)
-    single = fit_decay(hist, irf, 1)
+    single = fit_decay(hist, irf, FitOptions(n_components=1))
     assert res.model == single.model
     assert res.n_model_evals > single.n_model_evals
 
@@ -307,14 +297,14 @@ def test_fit_rejects_degenerate_input():
     irf = _gaussian_irf(n_bins=200)
     empty = Histogram(BW_PS, irf.t0_ps, np.zeros(200, dtype=np.int64), 0)
     with pytest.raises(FitError):
-        fit_decay(empty, irf, 1)
+        fit_decay(empty, irf, FitOptions(n_components=1))
     sparse = np.zeros(200, dtype=np.int64)
     sparse[:5] = 100
     with pytest.raises(FitError):
-        fit_decay(Histogram(BW_PS, irf.t0_ps, sparse, 500), irf, 1)
+        fit_decay(Histogram(BW_PS, irf.t0_ps, sparse, 500), irf, FitOptions(n_components=1))
     other = Histogram(8, irf.t0_ps, np.ones(200, dtype=np.int64), 200)
     with pytest.raises(ConfigurationError):
-        fit_decay(other, irf, 1)
+        fit_decay(other, irf, FitOptions(n_components=1))
 
 
 def _toy_map():
@@ -348,7 +338,7 @@ def test_slice_map_domain_errors():
 def test_fit_report_contents():
     irf = _gaussian_irf()
     hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)], background=2.0), irf)
-    res = fit_decay(hist, irf, 1, FitOptions(seed=0))
+    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
     report = format_fit_report(res, irf_source="measured")
     assert "tau_ns = 1.13" in report
     assert "reduced_chi2" in report
