@@ -25,7 +25,7 @@ import numpy as np
 
 from . import experiment, presets
 from .checks import violations
-from .config import load_config, validate_config
+from .config import load_config, merge, validate_config
 from .errors import ConfigurationError, DomainError, EpstreakError
 from .eventfile import open_event_file, write_events
 from .events import CH_HERALD, CH_SIGNAL, split_records
@@ -36,6 +36,7 @@ from .twins import save_cube, write_map_csv
 
 
 _HASH_BLOCK = 1 << 20  # bytes per read when hashing an artifact
+MAX_TEMPERATURES = 2**16  # per tuning curve
 
 
 def _sha256(path: Path):
@@ -83,25 +84,25 @@ def _load_cfg(args):
 
 
 def _apply_overrides(cfg, args):
-    """cfg with --seed, --duration and --n applied; a value the models reject is a usage error.
+    """cfg with --seed, --duration and --n applied and merged into its YAML echo.
 
     ``--seed`` sets ``analysis.fit.seed`` for ``fit`` and ``run.seed`` for the others;
-    ``--n`` sets ``analysis.fit.n_components``.
+    ``--n`` sets ``analysis.fit.n_components``. The echo then reproduces the run
+    without the flags; a value the models reject is a usage error.
     """
     def given(**values):
-        return {k: v for k, v in values.items() if v is not None}
+        return {k: v for k, v in values.items() if v not in (None, {})}
 
     seed = getattr(args, "seed", None)
     fit_seed, run_seed = (seed, None) if args.command == "fit" else (None, seed)
+    run = given(seed=run_seed, duration_s=getattr(args, "duration", None))
+    fit = given(seed=fit_seed, n_components=getattr(args, "n", None))
     try:
-        cfg.run = replace(cfg.run, **given(seed=run_seed,
-                                           duration_s=getattr(args, "duration", None)))
-        cfg.analysis = replace(cfg.analysis,
-                               fit=replace(cfg.analysis.fit, **given(
-                                   seed=fit_seed, n_components=getattr(args, "n", None))))
+        return replace(cfg, run=replace(cfg.run, **run),
+                       analysis=replace(cfg.analysis, fit=replace(cfg.analysis.fit, **fit)),
+                       raw=merge(cfg.raw, given(run=run, analysis=given(fit=fit))))
     except DomainError as exc:
         raise ConfigurationError(f"command-line override: {exc}") from None
-    return cfg
 
 
 # Each command runs its step on the loaded config, writes its artifacts into
@@ -170,6 +171,9 @@ def cmd_tuning_curve(cfg, args, out):
                                                "sellmeier_id": cfg.source.crystal.sellmeier_id})]
     if not 0 < args.step < np.inf:
         found.append(f"--step: must be finite and > 0 (got {args.step})")
+    elif (args.tmax + 1e-9 - args.tmin) / args.step > MAX_TEMPERATURES:
+        found.append(f"--step: must give at most {MAX_TEMPERATURES} temperatures "
+                     f"from --tmin to --tmax (got {args.step})")
     if found:
         raise ConfigurationError("command-line override: " + "; ".join(found))
     temps = np.arange(args.tmin, args.tmax + 1e-9, args.step)

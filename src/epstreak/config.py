@@ -1,19 +1,20 @@
 """Experiment configuration: YAML with explicit units in every key name.
 
-Each YAML section maps onto the model dataclass that owns it, and its leaf
-keys are that dataclass's field names: ``source.pump`` is a PumpSpec,
-``detectors.signal`` a DetectorModel on top of its preset, ``run`` a
-RunConfig, ``analysis.histogram`` a HistogramOptions, and so on. Defaults,
-ranges and choice sets are stated once, on those fields (see ``checks``);
-float fields must be finite.
+The YAML tree is the model tree: each YAML path is the attribute path of the
+value it sets on ExperimentConfig (``source.grid.step_nm`` is
+``cfg.source.grid.step_nm``, ``sample.species[0]`` an EmitterSpecies). The
+one key that is not a field is ``detectors.<herald|signal>.preset``, the
+DetectorModel that the section's other keys override. Defaults, ranges and
+choice sets are stated once, on the model fields (see ``checks``); float
+fields must be finite.
 
-This module parses YAML, rejects unknown keys and coerces types, then runs
-the models' own rule collector with the YAML path as prefix. The only rules
-it states itself span sections: the topology against the sample and TWINS
-sections, the Nyquist spacing of the TWINS scan for the sample's shortest
-emission wavelength, and the run's wedge position inside the TWINS scan
-range. ``validate_config`` returns either a fully-defaulted
-ExperimentConfig or the complete list of violations, and never raises.
+One generic builder walks ExperimentConfig: it rejects unknown keys, coerces
+types and runs the models' own rule collector with the YAML path as prefix.
+The only rules stated here span sections: the topology against the sample
+and TWINS sections, the Nyquist spacing of the TWINS scan for the sample's
+shortest emission wavelength, and the run's wedge position inside the scan
+range. ``validate_config`` returns either a fully-defaulted ExperimentConfig
+or the complete list of violations, and never raises.
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ import yaml
 
 from .checks import violations
 from .errors import ConfigurationError
-from .events import (DETECTOR_PRESETS, TOPOLOGIES, DetectorModel, EmitterSpecies,
-                     RunConfig, SampleModel, topology_violations)
-from .experiment import AnalysisOptions, ExperimentConfig
-from .spdc import SourceModel
-from .twins import TwinsSpec, nyquist_violation
+from .events import DETECTOR_PRESETS, TOPOLOGIES, DetectorModel, RunConfig, topology_violations
+from .experiment import ExperimentConfig
+from .twins import nyquist_violation
 
-SECTIONS = ("source", "sample", "detectors", "twins", "run", "analysis")
 DEFAULT_DETECTOR_PRESET = "mpd"
 
 
@@ -67,12 +65,35 @@ def _coerce(value, kind, path, errors):
     return value  # a string or None: the model's choices judge it
 
 
-def _build(cls, raw, path, errors, base=None):
-    """``cls`` from the YAML mapping ``raw``, or None after appending its violations.
+def merge(base, update):
+    """The YAML mapping ``base`` with ``update`` merged over it, section by section."""
+    merged = dict(base)
+    for key, value in update.items():
+        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+            value = merge(merged[key], value)
+        merged[key] = value
+    return merged
 
-    Keys are the field names of ``cls``. A key left out takes its value from
-    ``base`` (field name -> value), else the field's default; a field typed
-    as a dataclass is built from its own sub-mapping.
+
+def _detector_preset(raw, path, errors):
+    """The detector mapping without its ``preset`` key, and that preset's field values."""
+    preset = raw.get("preset", DEFAULT_DETECTOR_PRESET)
+    if not isinstance(preset, str) or preset not in DETECTOR_PRESETS:
+        errors.append(f"{path}.preset: unknown preset {preset!r} "
+                      f"(available: {sorted(DETECTOR_PRESETS)})")
+        preset = DEFAULT_DETECTOR_PRESET  # so the other fields are still checked
+    return {k: v for k, v in raw.items() if k != "preset"}, vars(DETECTOR_PRESETS[preset])
+
+
+def _values(cls, raw, path, errors, base=None):
+    """The fields of ``cls`` that build from the YAML mapping ``raw``, by name.
+
+    Keys are the field names of ``cls``; a key left out takes its value from
+    ``base`` (field name -> value), else the field's default. A dataclass
+    field is built from its sub-mapping, an ``X | None`` one is None when
+    left out, and a tuple of dataclasses comes from a nonempty list. A field
+    marked ``yaml=False`` is not a key. Violations are appended to
+    ``errors`` and their fields left out; None when ``raw`` is no mapping.
     """
     if raw is None:
         raw = {}
@@ -80,73 +101,42 @@ def _build(cls, raw, path, errors, base=None):
         errors.append(f"{path}: expected a mapping")
         return None
     base = base or {}
+    if cls is DetectorModel:
+        raw, base = _detector_preset(raw, path, errors)
+    prefix = f"{path}." if path else ""
     hints = typing.get_type_hints(cls)
-    names = [f.name for f in fields(cls)]
-    found = [f"{path}.{key}: unknown key" for key in raw if key not in names]
+    keys = [f.name for f in fields(cls) if f.metadata.get("yaml", True)]
+    found = [f"{prefix}{key}: unknown key" for key in raw if key not in keys]
     values = {}
     for f in fields(cls):
-        kind, where, n_found = hints[f.name], f"{path}.{f.name}", len(found)
+        kind, where, n_found = hints[f.name], prefix + f.name, len(found)
+        args, value = typing.get_args(kind), raw.get(f.name)
         if is_dataclass(kind):
-            value = _build(kind, raw.get(f.name), where, found)
-        elif f.name in raw:
-            value = _coerce(raw[f.name], kind, where, found)
+            value = _build(kind, value, where, found)
+        elif typing.get_origin(kind) is tuple:
+            if isinstance(value, list) and value:
+                value = tuple(_build(args[0], item, f"{where}[{i}]", found)
+                              for i, item in enumerate(value))
+            else:
+                found.append(f"{where}: expected a nonempty list")
+        elif args and is_dataclass(args[0]):  # an optional section
+            value = None if value is None else _build(args[0], value, where, found)
+        elif f.name in raw and f.name in keys:
+            value = _coerce(value, kind, where, found)
         else:
             value = base.get(f.name, f.default)
         if value is not MISSING and len(found) == n_found:
             values[f.name] = value
-    found += violations(cls, values, f"{path}.")
+    found += violations(cls, values, prefix)
     errors += found
-    return None if found or len(values) < len(names) else cls(**values)
+    return values
 
 
-def _source(raw, errors):
-    """SourceModel from the source section; its grid mapping holds the grid_* fields."""
-    if isinstance(raw, dict):
-        grid = {} if raw.get("grid") is None else raw["grid"]
-        if not isinstance(grid, dict):
-            errors.append("source.grid: expected a mapping")
-            return None
-        errors += [f"source.{key}: unknown key" for key in raw if str(key).startswith("grid_")]
-        raw = {**{k: v for k, v in raw.items() if k != "grid"},
-               **{f"grid_{k}": v for k, v in grid.items()}}
-    found = []
-    source = _build(SourceModel, raw, "source", found)
-    errors += [e.replace("source.grid_", "source.grid.") for e in found]
-    return source
-
-
-def _sample(raw, errors):
-    if not isinstance(raw, dict):
-        errors.append("sample: expected a mapping")
-        return None
-    species_raw = raw.get("species")
-    base = {}
-    if not isinstance(species_raw, list) or not species_raw:
-        errors.append("sample.species: expected a nonempty list")
-    else:
-        found = []
-        species = tuple(_build(EmitterSpecies, sp, f"sample.species[{i}]", found)
-                        for i, sp in enumerate(species_raw))
-        errors += found
-        if not found:
-            base["species"] = species
-    return _build(SampleModel, {k: v for k, v in raw.items() if k != "species"},
-                  "sample", errors, base)
-
-
-def _detector(raw, path, errors):
-    """DetectorModel: the named preset, with any of its fields overridden."""
-    raw = {} if raw is None else raw
-    if not isinstance(raw, dict):
-        errors.append(f"{path}: expected a mapping")
-        return None
-    preset = raw.get("preset", DEFAULT_DETECTOR_PRESET)
-    if not isinstance(preset, str) or preset not in DETECTOR_PRESETS:
-        errors.append(f"{path}.preset: unknown preset {preset!r} "
-                      f"(available: {sorted(DETECTOR_PRESETS)})")
-        preset = DEFAULT_DETECTOR_PRESET  # so the other fields are still checked
-    return _build(DetectorModel, {k: v for k, v in raw.items() if k != "preset"}, path,
-                  errors, vars(DETECTOR_PRESETS[preset]))
+def _build(cls, raw, path, errors):
+    """``cls`` from the YAML mapping ``raw``, or None after appending its violations."""
+    n_errors = len(errors)
+    values = _values(cls, raw, path, errors)
+    return None if len(errors) > n_errors else cls(**values)
 
 
 def validate_config(text_or_dict):
@@ -164,42 +154,17 @@ def validate_config(text_or_dict):
         if not isinstance(data, dict):
             return None, ["<file>: top level must be a mapping"]
 
-    errors = [f"{key}: unknown key" for key in data if key not in SECTIONS]
-    source = _source(data.get("source"), errors)
-    sample = _sample(data["sample"], errors) if data.get("sample") is not None else None
-
-    detectors = data.get("detectors") or {}
-    if not isinstance(detectors, dict):
-        errors.append("detectors: expected a mapping")
-        detectors = {}
-    errors += [f"detectors.{key}: unknown key" for key in detectors
-               if key not in ("herald", "signal")]
-    herald_det = _detector(detectors.get("herald"), "detectors.herald", errors)
-    signal_det = _detector(detectors.get("signal"), "detectors.signal", errors)
-
-    twins, n_positions = None, ExperimentConfig.n_twins_positions
-    if data.get("twins") is not None:
-        raw = data["twins"]
-        if isinstance(raw, dict) and "n_positions" in raw:  # the scan's, not TwinsSpec's
-            found = []
-            n_positions = _number(raw["n_positions"], "twins.n_positions", found, integer=True)
-            found = found or violations(ExperimentConfig, {"n_twins_positions": n_positions},
-                                        "twins.")
-            errors += [e.replace("n_twins_positions", "n_positions") for e in found]
-            n_positions = None if found else n_positions
-            raw = {k: v for k, v in raw.items() if k != "n_positions"}
-        twins = _build(TwinsSpec, raw, "twins", errors)
-
-    run = _build(RunConfig, data.get("run"), "run", errors)
-    analysis = _build(AnalysisOptions, data.get("analysis"), "analysis", errors)
-
+    errors = []
+    sections = _values(ExperimentConfig, data, "", errors, {"raw": data})
+    # the cross-section rules, on every section that built
+    sample, twins, run = (sections.get(name) for name in ("sample", "twins", "run"))
     run_raw = data.get("run") if isinstance(data.get("run"), dict) else {}
     topology = run_raw.get("topology", RunConfig.topology)
     if topology in TOPOLOGIES:
         errors += topology_violations(topology, data.get("sample") is not None,
                                       data.get("twins") is not None)
-    if twins is not None and sample is not None and n_positions is not None:
-        spacing = (twins.position_max_um - twins.position_min_um) / (n_positions - 1)
+    if twins is not None and sample is not None:
+        spacing = (twins.position_max_um - twins.position_min_um) / (twins.n_positions - 1)
         reason = nyquist_violation(spacing, sample.min_emission_nm(), twins)
         if reason:
             errors.append(f"twins.n_positions: {reason}")
@@ -211,10 +176,7 @@ def validate_config(text_or_dict):
 
     if errors:
         return None, sorted(set(errors))
-    return ExperimentConfig(source=source, sample=sample, herald_det=herald_det,
-                            signal_det=signal_det, twins=twins, run=run,
-                            analysis=analysis, n_twins_positions=n_positions,
-                            raw=data), []
+    return ExperimentConfig(**sections), []
 
 
 def load_config(path) -> ExperimentConfig:

@@ -69,7 +69,7 @@ class EmitterSpecies(Checked):
 
 @dataclass(frozen=True)
 class SampleModel(Checked):
-    species: tuple
+    species: tuple[EmitterSpecies, ...]
     absorption_prob: float = rule(1.0, lo=0.0, hi=1.0)
 
     @relation("species")

@@ -1,7 +1,10 @@
 """One experiment as data, and the steps that run it.
 
-``config.validate_config`` builds an ExperimentConfig from YAML; each
-analysis section below has the fields of the YAML section of the same name.
+``config.validate_config`` builds an ExperimentConfig from YAML, and its
+attribute paths are the YAML paths: ``detectors`` is a Detectors pair,
+``analysis`` an AnalysisOptions whose sections below have the fields of the
+YAML sections of the same names. ``ExperimentConfig.raw`` is not a key: it
+holds the YAML mapping the config was built from, which manifests echo.
 Each step takes an ExperimentConfig and returns its result without writing
 anything; the CLI subcommands and the presets both run through them.
 """
@@ -32,6 +35,10 @@ REFERENCE_LINE = EmitterSpecies(weight=1.0, lifetime_ns=0.1, emission_center_nm=
                                 emission_fwhm_nm=0.5)
 REFERENCE_DURATION_S = 0.05  # per wedge position
 
+# Caps on the arrays a config sizes, checked before any is allocated.
+MAX_HISTOGRAM_BINS = 2**24
+MAX_G2_DELAYS = 2**20
+
 
 @dataclass(frozen=True)
 class HistogramOptions(Checked):
@@ -44,6 +51,12 @@ class HistogramOptions(Checked):
     def _window_whole_bins(window_ps, bin_width_ps):
         return window_violation(window_ps, bin_width_ps)
 
+    @relation("window_ps", "bin_width_ps")
+    def _bins_bounded(window_ps, bin_width_ps):
+        n = window_ps // bin_width_ps
+        return (f"must hold at most {MAX_HISTOGRAM_BINS} bins of bin_width_ps (got {n})"
+                if n > MAX_HISTOGRAM_BINS else None)
+
 
 @dataclass(frozen=True)
 class G2Options(Checked):
@@ -55,6 +68,12 @@ class G2Options(Checked):
     @relation("delay_min_ps", "delay_max_ps")
     def _delays_ordered(delay_min_ps, delay_max_ps):
         return "must not exceed delay_max_ps" if delay_min_ps > delay_max_ps else None
+
+    @relation("delay_step_ps", "delay_min_ps", "delay_max_ps")
+    def _delays_bounded(delay_step_ps, delay_min_ps, delay_max_ps):
+        n = (delay_max_ps - delay_min_ps) // delay_step_ps + 1
+        return (f"must give at most {MAX_G2_DELAYS} delays from delay_min_ps to "
+                f"delay_max_ps (got {n})" if n > MAX_G2_DELAYS else None)
 
     def delay_axis_ps(self):
         return np.arange(self.delay_min_ps, self.delay_max_ps + 1, self.delay_step_ps,
@@ -75,23 +94,21 @@ class AnalysisOptions:
     ft: FTOptions
 
 
-@dataclass
-class ExperimentConfig(Checked):
+@dataclass(frozen=True)
+class Detectors:
+    herald: DetectorModel
+    signal: DetectorModel
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
     source: SourceModel
     sample: SampleModel | None
-    herald_det: DetectorModel
-    signal_det: DetectorModel
+    detectors: Detectors
     twins: TwinsSpec | None
     run: RunConfig
     analysis: AnalysisOptions
-    n_twins_positions: int = rule(256, lo=2)
-    raw: dict = field(default_factory=dict)
-
-    def twins_positions_um(self):
-        if self.twins is None:
-            raise ConfigurationError("no TWINS configured")
-        return np.linspace(self.twins.position_min_um, self.twins.position_max_um,
-                           self.n_twins_positions)
+    raw: dict = field(default_factory=dict, metadata={"yaml": False})  # the YAML echo
 
 
 def derive_seed(base, *tags):
@@ -115,7 +132,7 @@ def tuning_summary(points):
 
 
 def _chunks(cfg):
-    return simulate_chunks(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
+    return simulate_chunks(cfg.source, cfg.sample, cfg.detectors.herald, cfg.detectors.signal,
                            cfg.twins, cfg.run)
 
 
@@ -127,7 +144,7 @@ def records(cfg):
 def stream_metadata(cfg):
     """What an event file of the run records beside its events: duration, channels, warnings."""
     meta = {"duration_s": cfg.run.duration_s, "n_channels": channel_count(cfg.run.topology)}
-    warnings = stream_warnings(cfg.source, cfg.herald_det, cfg.signal_det, cfg.run)
+    warnings = stream_warnings(cfg.source, cfg.detectors.herald, cfg.detectors.signal, cfg.run)
     if warnings:
         meta["warnings"] = warnings
     return meta
@@ -203,7 +220,7 @@ def calibrate(cfg, reference_seed):
     run = RunConfig(duration_s=REFERENCE_DURATION_S, seed=reference_seed,
                     topology="fluorescence")
     reference = cube(replace(cfg, sample=SampleModel((REFERENCE_LINE,)), run=run),
-                     cfg.twins_positions_um())
+                     cfg.twins.positions_um())
     return calibrate_delay(reference, REFERENCE_LINE.emission_center_nm)
 
 
@@ -216,7 +233,7 @@ def ft_map(cfg, reference_seed):
     if cfg.twins is None or cfg.sample is None:
         raise ConfigurationError("ft-map requires both a twins section and a sample section")
     calibration = calibrate(cfg, reference_seed)
-    scan = cube(cfg, cfg.twins_positions_um())
+    scan = cube(cfg, cfg.twins.positions_um())
     ft = cfg.analysis.ft
     return scan, calibration, reconstruct_map(scan, calibration, ft.apodization, ft.dc_removal)
 

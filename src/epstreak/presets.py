@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import violations
-from .config import validate_config
+from .config import merge, validate_config
 from .errors import ConfigurationError
 from .eventfile import write_events
 from .events import RunConfig, split_records
@@ -54,15 +54,6 @@ def _species(lifetime_ns, emission_center_nm, emission_fwhm_nm):
             "emission_center_nm": emission_center_nm, "emission_fwhm_nm": emission_fwhm_nm}
 
 
-def _merge(base, update):
-    merged = dict(base)
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            value = _merge(merged[key], value)
-        merged[key] = value
-    return merged
-
-
 def _record(summary, configs, **calibration_seeds):
     """``summary`` with the configs a preset ran, by label, and every run seed it derived.
 
@@ -82,7 +73,7 @@ def config(*mappings):
     """ExperimentConfig from YAML-shaped mappings, each later one merged over the earlier."""
     data = {}
     for mapping in mappings:
-        data = _merge(data, mapping)
+        data = merge(data, mapping)
     cfg, found = validate_config(data)
     if found:
         raise ConfigurationError("invalid preset configuration:\n  " + "\n  ".join(found))

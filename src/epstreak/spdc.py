@@ -242,26 +242,32 @@ def density_fwhm(axis_nm, density):
 
 
 @dataclass(frozen=True)
-class SourceModel(Checked):
+class GridSpec(Checked):
+    """Signal-wavelength axis on which the joint spectral density is sampled."""
+
+    min_nm: float = rule(700.0, lo=1.0)
+    max_nm: float = rule(1000.0, lo=1.0)
+    step_nm: float = rule(0.05, lo=1e-6)
+
+    @relation("max_nm", "min_nm")
+    def _ordered(max_nm, min_nm):
+        return "must exceed min_nm" if max_nm <= min_nm else None
+
+    def axis_nm(self):
+        return np.arange(self.min_nm, self.max_nm + self.step_nm / 2, self.step_nm)
+
+
+@dataclass(frozen=True)
+class SourceModel:
     """Pump + crystal + herald filter; the full photon-pair source."""
 
     pump: PumpSpec
     crystal: CrystalSpec
     herald_filter: FilterSpec
-    grid_min_nm: float = rule(700.0, lo=1.0)
-    grid_max_nm: float = rule(1000.0, lo=1.0)
-    grid_step_nm: float = rule(0.05, lo=1e-6)
-
-    @relation("grid_max_nm", "grid_min_nm")
-    def _grid_ordered(grid_max_nm, grid_min_nm):
-        return "must exceed grid_min_nm" if grid_max_nm <= grid_min_nm else None
-
-    def grid(self):
-        return np.arange(self.grid_min_nm, self.grid_max_nm + self.grid_step_nm / 2,
-                         self.grid_step_nm)
+    grid: GridSpec = GridSpec()
 
     def unconditioned_jsd(self):
-        return joint_spectral_density(self.pump, self.crystal, self.grid())
+        return joint_spectral_density(self.pump, self.crystal, self.grid.axis_nm())
 
     def conditioned_jsd(self):
         return herald_conditioned_spectrum(self.unconditioned_jsd(), self.herald_filter)

@@ -34,6 +34,7 @@ class TwinsSpec(Checked):
     delay_per_um_fs: float = 1.0
     position_min_um: float = 0.0
     position_max_um: float = 320.0
+    n_positions: int = rule(256, lo=2)
     visibility: float = rule(0.9, lo=0.0, hi=1.0)
     insertion_loss: float = rule(0.5, lo=1e-12, hi=1.0)
     x_zero_um: float = 160.0  # zero delay mid-scan so apodization keeps the fringe packet
@@ -45,6 +46,10 @@ class TwinsSpec(Checked):
     @relation("position_max_um", "position_min_um")
     def _positions_ordered(position_max_um, position_min_um):
         return "must exceed position_min_um" if position_max_um <= position_min_um else None
+
+    def positions_um(self):
+        """The scan's wedge positions, evenly spaced over its range."""
+        return np.linspace(self.position_min_um, self.position_max_um, self.n_positions)
 
 
 def transmission(emission_nm, position_um, spec: TwinsSpec):

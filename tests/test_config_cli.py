@@ -14,6 +14,8 @@ from epstreak.fitting import DecayModel, convolve_model
 from epstreak.tcspc import Histogram, read_histogram_csv, write_histogram_csv
 from epstreak.units import FWHM_PER_SIGMA
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 HBT_CFG = """
 run:
   topology: hbt
@@ -39,7 +41,7 @@ def test_empty_config_gives_defaults():
     assert cfg.source.crystal.temperature_C == 56.0
     assert cfg.source.herald_filter.center_nm == 860.0
     assert cfg.sample is None
-    assert cfg.herald_det.jitter_fwhm_ps == 184.0  # mpd preset
+    assert cfg.detectors.herald.jitter_fwhm_ps == 184.0  # mpd preset
     assert cfg.run.topology == "irf"
 
 
@@ -104,6 +106,8 @@ def test_unknown_keys_rejected():
     assert any("run.speed" in v and "unknown" in v for v in violations)
     _, violations = validate_config("flux_capacitor: 1\n")
     assert any("flux_capacitor" in v for v in violations)
+    # ExperimentConfig.raw holds the YAML echo; it is a field but no key
+    assert validate_config({"raw": {}}) == (None, ["raw: unknown key"])
 
 
 def test_load_config_raises_with_all_violations(tmp_path):
@@ -262,7 +266,8 @@ run: {topology: hbt, duration_s: 0.01, seed: 3}
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary == {"n_events": 0, "warnings": [warning]}
     cfg = load_config(cfg_path)
-    assert stream_warnings(cfg.source, cfg.herald_det, cfg.signal_det, cfg.run) == [warning]
+    dets = cfg.detectors
+    assert stream_warnings(cfg.source, dets.herald, dets.signal, cfg.run) == [warning]
     n_channels, n_records, blocks = open_event_file(out / "events.bin")
     assert (n_channels, n_records, list(blocks)) == (3, 0, [])
     meta = json.loads(sidecar_path(out / "events.bin").read_text())
@@ -528,3 +533,104 @@ def test_ft_map_bad_epps_threads_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["ft-map", "--out", str(tmp_path / "o"),
                      "--config", str(cfg)]) == 2
     assert "EPPS_THREADS" in capsys.readouterr().err
+
+
+SMALL_MAP_CFG = """
+run: {topology: fluorescence, duration_s: 0.005, seed: 11}
+sample:
+  species: [{lifetime_ns: 1.0, emission_center_nm: 880.0, emission_fwhm_nm: 30.0}]
+detectors: {herald: {preset: ideal}, signal: {preset: ideal}}
+twins: {position_min_um: 0.0, position_max_um: 80.0, n_positions: 64, x_zero_um: 40.0}
+analysis: {histogram: {bin_width_ps: 16, window_ps: 6400, t0_ps: 0}}
+"""
+
+
+def _fit_inputs(tmp_path):
+    """A noisy two-component decay and its response, as --hist and --irf arguments."""
+    irf = _gaussian_irf_hist()
+    mu = convolve_model(DecayModel([(30.0, 0.8), (10.0, 1.6)]), irf)
+    hist = Histogram(4, irf.t0_ps, np.random.default_rng(5).poisson(2e4 * mu / mu.sum()),
+                     n_starts=20_000)
+    hp, ip = tmp_path / "h.csv", tmp_path / "irf.csv"
+    write_histogram_csv(hp, hist)
+    write_histogram_csv(ip, irf)
+    return ["--hist", str(hp), "--irf", str(ip)]
+
+
+# (subcommand, config, override flags) for every subcommand that takes a flag
+ECHO_CASES = [
+    ("simulate", HBT_CFG, ["--seed", "2", "--duration", "0.01"]),
+    ("histogram", FLUOR_CFG, ["--seed", "7", "--duration", "0.02"]),
+    ("g2", (CONFIGS / "hbt.yaml").read_text(), ["--seed", "5", "--duration", "0.3"]),
+    ("irf", None, ["--duration", "0.01", "--seed", "3"]),
+    ("ft-map", SMALL_MAP_CFG, ["--seed", "4"]),
+    ("fit", None, ["--n", "2", "--seed", "9"]),
+    ("tuning-curve", None, ["--seed", "3"]),
+]
+
+
+@pytest.mark.parametrize("command,config,flags", ECHO_CASES, ids=[c[0] for c in ECHO_CASES])
+def test_manifest_echo_reruns_without_the_flags(tmp_path, command, config, flags):
+    args = [command]
+    if command == "fit":
+        args += _fit_inputs(tmp_path)
+    if command == "tuning-curve":
+        args += ["--tmin", "40", "--tmax", "60", "--step", "10"]
+    given = [] if config is None else ["--config", _write_cfg(tmp_path, config)]
+    flagged, echoed = tmp_path / "flagged", tmp_path / "echoed"
+    assert cli.main([*args, *given, *flags, "--out", str(flagged)]) == 0
+    first = json.loads((flagged / "manifest.json").read_text())
+    echo = _write_cfg(tmp_path, json.dumps(first["config"]), "echo.yaml")
+    assert cli.main([*args, "--config", echo, "--out", str(echoed)]) == 0
+    second = json.loads((echoed / "manifest.json").read_text())
+    assert second["artifacts"] == first["artifacts"]
+    assert (second["config"], second["seed"]) == (first["config"], first["seed"])
+
+
+def test_manifest_echo_without_flags_is_the_file(tmp_path):
+    out = tmp_path / "irf"
+    assert cli.main(["irf", "--out", str(out), "--config",
+                     _write_cfg(tmp_path, "run: {duration_s: 0.01}\n")]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"] == {
+        "run": {"duration_s": 0.01}}
+
+
+@pytest.mark.parametrize("analysis,path", [
+    ({"histogram": {"bin_width_ps": 1, "window_ps": 2**24 + 1}}, "analysis.histogram.window_ps"),
+    ({"histogram": {"bin_width_ps": 4, "window_ps": 4 * (2**24 + 1)}},
+     "analysis.histogram.window_ps"),
+    ({"g2": {"delay_min_ps": 0, "delay_max_ps": 2**20, "delay_step_ps": 1}},
+     "analysis.g2.delay_step_ps"),
+    ({"g2": {"delay_min_ps": -10**12, "delay_max_ps": 10**12, "delay_step_ps": 1}},
+     "analysis.g2.delay_step_ps"),
+])
+def test_array_size_bound_exits_2_before_allocating(tmp_path, capsys, analysis, path):
+    command = "g2" if "g2" in analysis else "histogram"
+    text = HBT_CFG + "analysis: " + json.dumps(analysis) + "\n"
+    _, violations = validate_config(text)
+    assert [v.split(": ")[0] for v in violations] == [path]
+    out = tmp_path / "o"
+    assert cli.main([command, "--out", str(out), "--config", _write_cfg(tmp_path, text)]) == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists()  # rejected while loading the config
+
+
+@pytest.mark.parametrize("analysis", [
+    {"histogram": {"bin_width_ps": 1, "window_ps": 2**24}},
+    {"g2": {"delay_min_ps": 0, "delay_max_ps": 2**20 - 1, "delay_step_ps": 1}},
+])
+def test_array_size_bound_itself_is_valid(analysis):
+    assert validate_config({"analysis": analysis})[1] == []
+
+
+def test_tuning_curve_temperature_count_bound_exits_2(tmp_path, capsys):
+    # 2^16 + 1 temperatures: 16 degrees in steps of 2^-12
+    out = tmp_path / "tc"
+    assert cli.main(["tuning-curve", "--out", str(out), "--tmin", "40", "--tmax", "56",
+                     "--step", str(2.0**-12)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: command-line override: --step: "), err
+    assert "at most 65536 temperatures" in err
+    assert not (out / "tuning_curve.csv").exists()
+    assert cli.main(["tuning-curve", "--out", str(out), "--step", "1e-300"]) == 2
+    assert "--step: " in capsys.readouterr().err

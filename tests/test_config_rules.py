@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import typing
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
 from epstreak import cli
@@ -15,10 +17,9 @@ from epstreak.checks import Checked
 from epstreak.config import load_config, validate_config
 from epstreak.errors import ConfigurationError, DomainError
 from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleModel
-from epstreak.experiment import (AnalysisOptions, ExperimentConfig, FTOptions, G2Options,
-                                 HistogramOptions)
+from epstreak.experiment import FTOptions, G2Options, HistogramOptions
 from epstreak.fitting import FitOptions
-from epstreak.spdc import CrystalSpec, FilterSpec, PumpSpec, SourceModel
+from epstreak.spdc import CrystalSpec, FilterSpec, GridSpec, PumpSpec
 from epstreak.twins import TwinsSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -97,31 +98,56 @@ def test_simulate_every_field_set_bytes_pinned(tmp_path):
             == "8e844cdac50687504cace1825434291cba1b8932aea8cd84352e4a5f6a40f956")
 
 
-def _model_lines(obj, path=""):
+def _leaves(node, path=""):
+    """{dotted path: value} of every leaf of a config (not its YAML echo) or a YAML tree."""
+    if dataclasses.is_dataclass(node):
+        node = {f.name: getattr(node, f.name) for f in dataclasses.fields(node) if f.name != "raw"}
+    if isinstance(node, (list, tuple)):
+        items = [(f"{path}[{i}]", child) for i, child in enumerate(node)]
+    elif isinstance(node, dict):
+        items = [(f"{path}.{key}" if path else key, child) for key, child in node.items()]
+    else:
+        return {path: node}
+    return {k: v for where, child in items for k, v in _leaves(child, where).items()}
+
+
+def _model_lines(cfg):
     """'path type repr' for every leaf value of a config, so types are pinned too."""
-    if dataclasses.is_dataclass(obj):
-        return [line for f in dataclasses.fields(obj) if f.name != "raw"
-                for line in _model_lines(getattr(obj, f.name),
-                                         f"{path}.{f.name}" if path else f.name)]
-    if isinstance(obj, tuple):
-        return [line for i, x in enumerate(obj) for line in _model_lines(x, f"{path}[{i}]")]
-    return [f"{path} {type(obj).__name__} {obj!r}"]
+    return [f"{path} {type(value).__name__} {value!r}" for path, value in _leaves(cfg).items()]
 
 
 @pytest.mark.parametrize("name,text,digest", [
-    ("defaults", "", "b6d417b4f7bfac07def922237afe96dbad0d56e93608cd1927ecdaecaf367df2"),
-    ("hbt.yaml", None, "b86274a34fd5bc6c586944a53ed67a2cf7bd686634b965e3129c765497d2c8b9"),
+    ("defaults", "", "5bc53941e2a1702c5bfb828902ecd61e1c604474e528d1ba39ffb931222a0164"),
+    ("hbt.yaml", None, "2e02b6ce1963040f8a08db3e48ad060ac50210d4841a2314d4beb1f925e74358"),
     ("two_dye_map.yaml", None,
-     "f2d5b039d38109ababc1c92e54c268cb2c2238a7623ab42c93ac95df2a2261c1"),
-    ("full", FULL_CFG, "bf033c591d45ef7ae241746db1d146ace9a26f9e941d5680f3e02bd252327205"),
+     "ac7d2c419a02ce7da6c27e0fdd5c7a09014605eac6793927cee2e455a9cec523"),
+    ("full", FULL_CFG, "742323b009ca61cd17b93983196ae81b35bb5ff5f9a3fe2d2e7bd391e964cb25"),
 ])
 def test_configs_build_pinned_models(name, text, digest):
     # digests of the sorted model lines, taken from the hand-written validation
-    # (its flat analysis fields renamed to the nested sections)
+    # (its flat analysis fields renamed to the nested sections, and its
+    # grid_*, herald_det, signal_det and n_twins_positions fields to the
+    # source.grid, detectors and twins.n_positions paths of the YAML)
     cfg, found = validate_config((CONFIGS / name).read_text() if text is None else text)
     assert found == []
     lines = "\n".join(sorted(_model_lines(cfg)))
     assert hashlib.sha256(lines.encode()).hexdigest() == digest, lines
+
+
+def test_model_tree_is_the_yaml_tree():
+    # every YAML path of FULL_CFG is the attribute path of the model value it
+    # sets, and every model leaf has its YAML key; the detector preset is
+    # the one key that is not a field
+    cfg, found = validate_config(FULL_CFG)
+    assert found == []
+    model = _leaves(cfg)
+    yaml_tree = {path: value for path, value in _leaves(yaml.safe_load(FULL_CFG)).items()
+                 if not re.fullmatch(r"detectors\.\w+\.preset", path)}
+    assert set(model) == set(yaml_tree)
+    for path, value in yaml_tree.items():
+        if isinstance(value, str) and isinstance(model[path], float):
+            value = float(value)  # YAML 1.1 reads "3.0e5" as a string
+        assert model[path] == value, path
 
 
 def test_every_shipped_config_is_valid():
@@ -134,27 +160,16 @@ def test_every_shipped_config_is_valid():
 # YAML section of each model; a model missing here fails every test below
 SECTION = {
     PumpSpec: "source.pump", CrystalSpec: "source.crystal",
-    FilterSpec: "source.herald_filter", SourceModel: "source.grid",
+    FilterSpec: "source.herald_filter", GridSpec: "source.grid",
     EmitterSpecies: "sample.species[0]", SampleModel: "sample",
     DetectorModel: "detectors.signal", TwinsSpec: "twins", RunConfig: "run",
     HistogramOptions: "analysis.histogram", G2Options: "analysis.g2",
     FitOptions: "analysis.fit", FTOptions: "analysis.ft",
-    ExperimentConfig: "twins",
 }
-YAML_KEY = {"grid_min_nm": "min_nm", "grid_max_nm": "max_nm", "grid_step_nm": "step_nm",
-            "n_twins_positions": "n_positions"}
 
 
 def _valid_kwargs(cls):
-    analysis = AnalysisOptions(HistogramOptions(), G2Options(), FitOptions(), FTOptions())
-    return {
-        SourceModel: dict(pump=PumpSpec(), crystal=CrystalSpec(), herald_filter=FilterSpec()),
-        SampleModel: dict(species=(EmitterSpecies(),)),
-        ExperimentConfig: dict(source=SourceModel(PumpSpec(), CrystalSpec(), FilterSpec()),
-                               sample=None, herald_det=DetectorModel(),
-                               signal_det=DetectorModel(), twins=None, run=RunConfig(),
-                               analysis=analysis),
-    }.get(cls, {})
+    return {SampleModel: dict(species=(EmitterSpecies(),))}.get(cls, {})
 
 
 def _bad_values():
@@ -198,8 +213,8 @@ def test_every_checked_model_has_a_section():
 def test_bound_rejected_by_model_and_by_yaml(cls, name, value):
     with pytest.raises(DomainError, match=f"{name}: "):
         cls(**{**_valid_kwargs(cls), name: value})
-    path = f"{SECTION[cls]}.{YAML_KEY.get(name, name)}"
-    cfg, found = validate_config(_yaml_with(SECTION[cls], YAML_KEY.get(name, name), value))
+    path = f"{SECTION[cls]}.{name}"
+    cfg, found = validate_config(_yaml_with(SECTION[cls], name, value))
     assert cfg is None
     assert any(v.startswith(f"{path}: ") for v in found), found
 
@@ -208,7 +223,7 @@ def test_bound_rejected_by_model_and_by_yaml(cls, name, value):
     ({"source": {"crystal": {"temperature_C": 500.0}}}, "source.crystal.temperature_C",
      lambda: CrystalSpec(temperature_C=500.0)),
     ({"source": {"grid": {"min_nm": 900.0, "max_nm": 800.0}}}, "source.grid.max_nm",
-     lambda: SourceModel(PumpSpec(), CrystalSpec(), FilterSpec(), 900.0, 800.0)),
+     lambda: GridSpec(900.0, 800.0)),
     ({"twins": {"delay_per_um_fs": 0.0}}, "twins.delay_per_um_fs",
      lambda: TwinsSpec(delay_per_um_fs=0.0)),
     ({"twins": {"position_min_um": 5.0, "position_max_um": 5.0}}, "twins.position_max_um",

@@ -295,7 +295,7 @@ def _config(topology, duration_s, twins=None):
 
 def _cube(cfg):
     """The interferogram cube of the config's TWINS scan."""
-    return experiment.cube(cfg, cfg.twins_positions_um())
+    return experiment.cube(cfg, cfg.twins.positions_um())
 
 
 # two wedge positions 1 um apart around zero delay
@@ -325,7 +325,7 @@ def test_peak_memory_flat_in_duration(topology, step, twins, monkeypatch):
 def test_experiment_steps_match_whole_array(topology, step, monkeypatch):
     cfg = _config(topology, 0.05)
     monkeypatch.setattr(events, "CHUNK_PAIRS", 1 << 10)  # 10 chunks
-    tags = simulate_channels(cfg.source, cfg.sample, cfg.herald_det, cfg.signal_det,
+    tags = simulate_channels(cfg.source, cfg.sample, cfg.detectors.herald, cfg.detectors.signal,
                              cfg.twins, cfg.run)
     got = step(cfg)
     if topology == "hbt":
@@ -346,7 +346,8 @@ def test_irf_step_streams_its_run(monkeypatch):
     monkeypatch.setattr(events, "CHUNK_PAIRS", 1 << 10)
     response = experiment.irf(cfg)
     run = replace(cfg.run, topology="irf")
-    tags = simulate_channels(cfg.source, None, cfg.herald_det, cfg.signal_det, None, run)
+    tags = simulate_channels(cfg.source, None, cfg.detectors.herald, cfg.detectors.signal,
+                             None, run)
     h = cfg.analysis.histogram
     want = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], h.bin_width_ps,
                                 h.window_ps, h.t0_ps, h.mode)

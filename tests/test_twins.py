@@ -7,7 +7,7 @@ from epstreak import experiment
 from epstreak.config import validate_config
 from epstreak.errors import CalibrationError, ConfigurationError, DomainError
 from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleModel
-from epstreak.experiment import HistogramOptions, _max_workers
+from epstreak.experiment import Detectors, HistogramOptions, _max_workers
 from epstreak.presets import heralded_source
 from epstreak.spdc import density_fwhm
 from epstreak.tcspc import Histogram, rebin
@@ -30,8 +30,8 @@ def _spec(**kw):
 def _scan_config(sample, spec, run, source=None, **binning):
     """A config of ``sample`` behind ``spec`` on ideal detectors, counted with ``binning``."""
     cfg, _ = validate_config({})
-    return replace(cfg, source=source or heralded_source(), sample=sample, herald_det=IDEAL,
-                   signal_det=IDEAL, twins=spec, run=run,
+    return replace(cfg, source=source or heralded_source(), sample=sample,
+                   detectors=Detectors(IDEAL, IDEAL), twins=spec, run=run,
                    analysis=replace(cfg.analysis, histogram=HistogramOptions(**binning)))
 
 
@@ -320,7 +320,7 @@ def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch):
     from epstreak.presets import TWO_DYE_TWINS, TWO_DYES, spectrum
     monkeypatch.delenv("EPPS_THREADS", raising=False)
     fig3 = spectrum(TWO_DYES, TWO_DYE_TWINS, 0.02, 7)
-    cube = experiment.cube(fig3, fig3.twins_positions_um()[100:132])
+    cube = experiment.cube(fig3, fig3.twins.positions_um()[100:132])
     save_cube(tmp_path / "cube", cube)
     cal = TwinsCalibration(1.0, 160.0, float("nan"))
     write_map_csv(tmp_path / "map.csv", reconstruct_map(cube, cal))
@@ -341,7 +341,7 @@ def test_cube_bytes_do_not_depend_on_epps_threads(tmp_path, monkeypatch):
     monkeypatch.setenv("EPPS_THREADS", "2")
     assert _max_workers() == 2
     fig3 = spectrum(TWO_DYES, TWO_DYE_TWINS, 0.02, 7)
-    cube = experiment.cube(fig3, fig3.twins_positions_um()[100:132])
+    cube = experiment.cube(fig3, fig3.twins.positions_um()[100:132])
     save_cube(tmp_path / "cube", cube)
     cal = TwinsCalibration(1.0, 160.0, float("nan"))
     write_map_csv(tmp_path / "map.csv", reconstruct_map(cube, cal))
