@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from . import experiment, presets
 from .checks import violations
-from .config import load_config, merge, validate_config
-from .errors import ConfigurationError, DomainError, EpstreakError
+from .config import load_config, override
+from .errors import ConfigurationError, EpstreakError
 from .eventfile import open_event_file, write_events
 from .events import CH_HERALD, CH_SIGNAL, split_records
 from .fitting import format_fit_report
@@ -76,33 +75,14 @@ def _write_manifest(out: Path, command, config_echo, seed, artifact_names,
         json.dumps(manifest, indent=2, sort_keys=True, default=float) + "\n")
 
 
-def _load_cfg(args):
-    if args.config:
-        return load_config(args.config)
-    cfg, _ = validate_config({})
-    return cfg
+# override flag -> the YAML path it sets; fit's --seed seeds the fit, not the run
+FLAG_PATHS = {"seed": "run.seed", "duration": "run.duration_s", "n": "analysis.fit.n_components"}
 
 
-def _apply_overrides(cfg, args):
-    """cfg with --seed, --duration and --n applied and merged into its YAML echo.
-
-    ``--seed`` sets ``analysis.fit.seed`` for ``fit`` and ``run.seed`` for the others;
-    ``--n`` sets ``analysis.fit.n_components``. The echo then reproduces the run
-    without the flags; a value the models reject is a usage error.
-    """
-    def given(**values):
-        return {k: v for k, v in values.items() if v not in (None, {})}
-
-    seed = getattr(args, "seed", None)
-    fit_seed, run_seed = (seed, None) if args.command == "fit" else (None, seed)
-    run = given(seed=run_seed, duration_s=getattr(args, "duration", None))
-    fit = given(seed=fit_seed, n_components=getattr(args, "n", None))
-    try:
-        return replace(cfg, run=replace(cfg.run, **run),
-                       analysis=replace(cfg.analysis, fit=replace(cfg.analysis.fit, **fit)),
-                       raw=merge(cfg.raw, given(run=run, analysis=given(fit=fit))))
-    except DomainError as exc:
-        raise ConfigurationError(f"command-line override: {exc}") from None
+def _overrides(args):
+    """Each override flag's value by the YAML path it sets (None when not given)."""
+    paths = dict(FLAG_PATHS, seed="analysis.fit.seed") if args.command == "fit" else FLAG_PATHS
+    return {path: getattr(args, flag, None) for flag, path in paths.items()}
 
 
 # Each command runs its step on the loaded config, writes its artifacts into
@@ -200,7 +180,7 @@ def _run(args):
         echo = {"preset": args.name, "configs": summary.pop("configs"),
                 "seeds": summary.pop("seeds")}
     else:
-        cfg = _apply_overrides(_load_cfg(args), args)
+        cfg = override(load_config(args.config or None), _overrides(args))
         out.mkdir(parents=True, exist_ok=True)
         summary = args.func(cfg, args, out)
         command, echo = args.command, cfg.raw

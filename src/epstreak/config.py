@@ -14,13 +14,16 @@ The only rules stated here span sections: the topology against the sample
 and TWINS sections, the Nyquist spacing of the TWINS scan for the sample's
 shortest emission wavelength, and the run's wedge position inside the scan
 range. ``validate_config`` returns either a fully-defaulted ExperimentConfig
-or the complete list of violations, and never raises.
+or the complete list of violations, and never raises. ``override`` sets YAML
+paths of a built config, as the command-line flags and the presets' derived
+seeds and durations do.
 """
 
 from __future__ import annotations
 
 import typing
 from dataclasses import MISSING, fields, is_dataclass
+from functools import cache, reduce
 from pathlib import Path
 
 import yaml
@@ -32,6 +35,7 @@ from .experiment import ExperimentConfig
 from .twins import nyquist_violation
 
 DEFAULT_DETECTOR_PRESET = "mpd"
+_type_hints = cache(typing.get_type_hints)  # per model class; each build walks every class
 
 
 def _number(value, path, errors, integer=False):
@@ -104,7 +108,7 @@ def _values(cls, raw, path, errors, base=None):
     if cls is DetectorModel:
         raw, base = _detector_preset(raw, path, errors)
     prefix = f"{path}." if path else ""
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     keys = [f.name for f in fields(cls) if f.metadata.get("yaml", True)]
     found = [f"{prefix}{key}: unknown key" for key in raw if key not in keys]
     values = {}
@@ -179,8 +183,13 @@ def validate_config(text_or_dict):
     return ExperimentConfig(**sections), []
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load a YAML config file, raising ConfigurationError on any violation."""
+def load_config(path=None) -> ExperimentConfig:
+    """Load a YAML config file, or the defaults when ``path`` is None.
+
+    Raises ConfigurationError on any violation.
+    """
+    if path is None:
+        return validate_config({})[0]
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -189,4 +198,24 @@ def load_config(path) -> ExperimentConfig:
     cfg, found = validate_config(text)
     if found:
         raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(found))
+    return cfg
+
+
+def override(cfg, values):
+    """``cfg`` with ``values`` (dotted YAML path -> value; None sets nothing) merged into its echo.
+
+    The merged echo ``cfg.raw`` is built again, so the echo of the config
+    returned reproduces its run without the overrides. A value the models
+    reject raises ConfigurationError naming its YAML path.
+    """
+    update = {}
+    for path, value in values.items():
+        if value is not None:
+            *parents, key = path.split(".")
+            reduce(lambda node, part: node.setdefault(part, {}), parents, update)[key] = value
+    if not update:
+        return cfg
+    cfg, found = validate_config(merge(cfg.raw, update))
+    if found:
+        raise ConfigurationError("command-line override: " + "; ".join(found))
     return cfg

@@ -1,22 +1,24 @@
 """Baked experiment presets.
 
-Each preset is a few YAML-shaped mappings, built into ExperimentConfigs by
-``config.validate_config`` and run through the same steps as the CLI
-subcommands (``epstreak.experiment``). It writes its artifacts into an
-output directory and returns a summary dict. Every run seed derives from the
-preset's base seed, so a rerun with the same seed reproduces its outputs
-byte for byte.
+A preset runs shipped config files (``epstreak/configs/<file>.yaml``, listed
+in ``PRESETS``) through the same steps as the CLI subcommands
+(``epstreak.experiment``), writes its artifacts into an output directory and
+returns a summary dict. Every run seed derives from the preset's base seed;
+it is set, with a lifetime run's duration, by ``config.override`` as the
+CLI's ``--seed`` and ``--duration`` flags are. A rerun with the same base
+seed reproduces the outputs byte for byte. Each file's own seed is the one
+its preset derives from base seed 1, so the file run through its subcommand
+reproduces that run.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .checks import violations
-from .config import merge, validate_config
+from .config import load_config, override
 from .errors import ConfigurationError
 from .eventfile import write_events
 from .events import RunConfig, split_records
@@ -27,38 +29,20 @@ from .spdc import write_tuning_csv
 from .tcspc import write_g2_csv, write_histogram_csv
 from .twins import save_cube, write_map_csv
 
-# Photon-budget source of the counting presets. The pump is set so the
-# conjugate of the 860 nm herald filter is exactly 800 nm, and a short
-# effective interaction length gives a smooth broadband joint spectrum for
-# herald conditioning. Phase-matching work (fig2b) keeps the default 413 nm
-# pump and 30 mm crystal.
-HERALDED = {"source": {"pump": {"wavelength_nm": 414.46, "pair_rate_hz": 2.0e5},
-                       "crystal": {"length_mm": 0.3, "temperature_C": 56.0}}}
+CONFIGS = Path(__file__).with_name("configs")
+RESPONSE_DURATION_S = 10.0  # of the lifetime presets' simulated detector response
 
 
-def _detectors(herald, signal):
-    return {"detectors": {"herald": {"preset": herald}, "signal": {"preset": signal}}}
-
-
-def _run(topology, duration_s, seed):
-    return {"run": {"topology": topology, "duration_s": duration_s, "seed": seed}}
-
-
-def _bins(bin_width_ps, window_ps, t0_ps):
-    return {"analysis": {"histogram": {"bin_width_ps": bin_width_ps, "window_ps": window_ps,
-                                       "t0_ps": t0_ps}}}
-
-
-def _species(lifetime_ns, emission_center_nm, emission_fwhm_nm):
-    return {"weight": 1.0, "lifetime_ns": lifetime_ns,
-            "emission_center_nm": emission_center_nm, "emission_fwhm_nm": emission_fwhm_nm}
+def _seeded(cfg, seed, duration_s=None):
+    """cfg with a derived run seed and duration, set as ``--seed`` and ``--duration`` are."""
+    return override(cfg, {"run.seed": seed, "run.duration_s": duration_s})
 
 
 def _record(summary, configs, **calibration_seeds):
     """``summary`` with the configs a preset ran, by label, and every run seed it derived.
 
-    The manifest echoes both: each config as the YAML-shaped mapping it was
-    built from, and the seed of each run and of each TWINS calibration.
+    The manifest echoes both: each config as its YAML-shaped mapping, and the
+    seed of each run and of each TWINS calibration.
     """
     summary.setdefault("configs", {}).update(
         (label, cfg.raw) for label, cfg in configs.items())
@@ -69,38 +53,18 @@ def _record(summary, configs, **calibration_seeds):
     return summary
 
 
-def config(*mappings):
-    """ExperimentConfig from YAML-shaped mappings, each later one merged over the earlier."""
-    data = {}
-    for mapping in mappings:
-        data = merge(data, mapping)
-    cfg, found = validate_config(data)
-    if found:
-        raise ConfigurationError("invalid preset configuration:\n  " + "\n  ".join(found))
-    return cfg
-
-
-def heralded_source(pair_rate_hz=2.0e5, filter_center_nm=860.0):
-    """The counting presets' source at another pair rate or herald filter centre."""
-    return config(HERALDED, {"source": {"pump": {"pair_rate_hz": pair_rate_hz},
-                                        "herald_filter": {"center_nm": filter_center_nm}}}).source
-
-
-def run_fig2b_tuning(out_dir, seed=1):
-    """Temperature sweep of the quasi-phase-matched signal/idler pair."""
-    cfg = config()
+def run_fig2b_tuning(out_dir, seed):
+    """Temperature sweep of the quasi-phase-matched pair on the default source."""
+    cfg = load_config()
     points = tuning(cfg, np.arange(40.0, 200.0 + 1e-9, 2.0))
     write_tuning_csv(Path(out_dir) / "tuning_curve.csv", points)
     return _record({"artifacts": ["tuning_curve.csv"], "n_temperatures": len(points),
                     **tuning_summary(points)}, {"tuning": cfg})
 
 
-def run_fig2c_g2(out_dir, seed=1):
+def run_fig2c_g2(out_dir, seed, cfg):
     """Heralded HBT correlation of the signal arm."""
-    cfg = config(HERALDED, {"source": {"pump": {"pair_rate_hz": 1.0e6}}},
-                 _detectors("ideal", "ideal"), _run("hbt", 10.0, derive_seed(seed, 0)),
-                 {"analysis": {"g2": {"coincidence_window_ps": 1000, "delay_min_ps": -50_000,
-                                      "delay_max_ps": 50_000, "delay_step_ps": 2000}}})
+    cfg = _seeded(cfg, derive_seed(seed, 0))
     curve = g2(cfg)
     write_g2_csv(Path(out_dir) / "g2.csv", curve)
     plateau = curve.g2_values[np.abs(curve.delay_axis_ps) >= 10_000]
@@ -113,22 +77,19 @@ def run_fig2c_g2(out_dir, seed=1):
     }, {"g2": cfg})
 
 
-# detector pairing -> (signal detector, seconds); the herald is an mpd
-IRF_PAIRINGS = {"mpd_mpd": ("mpd", 42.0), "mpd_excelitas": ("excelitas", 25.0)}
+IRF_PAIRINGS = ("mpd_mpd", "mpd_excelitas")  # herald/signal detectors
 
 
-def run_fig2d_irf(out_dir, seed=1):
-    """Start-stop response of two detector pairings at >= 1e6 coincidences.
+def run_fig2d_irf(out_dir, seed, *pairings):
+    """Start-stop response of each detector pairing at >= 1e6 coincidences.
 
     The mpd/mpd run is also written as an event file, and its histogram is
     counted from the record blocks as they are written.
     """
     out = Path(out_dir)
     summary, configs = {"artifacts": []}, {}
-    for i, (name, (signal, duration_s)) in enumerate(IRF_PAIRINGS.items()):
-        cfg = configs[name] = config(HERALDED, _detectors("mpd", signal),
-                                     _run("irf", duration_s, derive_seed(seed, i)),
-                                     _bins(4, 8000, -4000))
+    for i, (name, cfg) in enumerate(zip(IRF_PAIRINGS, pairings)):
+        cfg = configs[name] = _seeded(cfg, derive_seed(seed, i))
         chunks = None
         if name == "mpd_mpd":
             meta = {"preset": "fig2d-irf", "seed": cfg.run.seed, "topology": "irf",
@@ -145,22 +106,10 @@ def run_fig2d_irf(out_dir, seed=1):
     return _record(summary, configs)
 
 
-def spectrum(sample, twins, duration_s, seed):
-    """Interferometer scan of ``sample`` on ideal detectors; ft_map calibrates it."""
-    return config(HERALDED, _detectors("ideal", "ideal"), {"sample": sample, "twins": twins},
-                  _run("fluorescence", duration_s, seed), _bins(16, 12_800, 0))
-
-
-TWO_DYES = {"species": [_species(1.51, 810.0, 40.0), _species(0.79, 900.0, 40.0)]}
-TWO_DYE_TWINS = {"delay_per_um_fs": 1.0, "position_min_um": 0.0, "position_max_um": 320.0,
-                 "n_positions": 256, "x_zero_um": 160.0, "visibility": 0.9,
-                 "insertion_loss": 0.5}
-
-
-def run_fig3_two_dyes(out_dir, seed=1):
+def run_fig3_two_dyes(out_dir, seed, cfg):
     """Interferogram cube and reconstructed map of the two-dye mixture."""
     out = Path(out_dir)
-    cfg = spectrum(TWO_DYES, TWO_DYE_TWINS, 0.5, derive_seed(seed, 1))
+    cfg = _seeded(cfg, derive_seed(seed, 1))
     cube, calibration, tf_map = ft_map(cfg, derive_seed(seed, 0))
     save_cube(out / "cube", cube)
     write_map_csv(out / "map.csv", tf_map)
@@ -173,17 +122,11 @@ def run_fig3_two_dyes(out_dir, seed=1):
     }, {"map": cfg}, calibration=derive_seed(seed, 0))
 
 
-def lifetime(species, duration_s, seed):
-    """Fluorescence decay of one species on mpd detectors, on the lifetime presets' bins."""
-    return config(HERALDED, _detectors("mpd", "mpd"), {"sample": {"species": [species]}},
-                  _run("fluorescence", duration_s, seed), _bins(4, 14_000, -2_000))
-
-
-def run_lifetime_species(out_dir, seed, species):
-    """Single-species decay (30 s) and response (10 s) histograms, and a one-component fit."""
+def run_lifetime(out_dir, seed, cfg):
+    """Single-species decay at the config's duration, a response run, and a one-component fit."""
     out = Path(out_dir)
-    cfg = lifetime(species, 30.0, derive_seed(seed, 0))
-    irf_cfg = lifetime(species, 10.0, derive_seed(seed, 1))
+    cfg = _seeded(cfg, derive_seed(seed, 0))
+    irf_cfg = _seeded(cfg, derive_seed(seed, 1), RESPONSE_DURATION_S)
     decay = histogram(cfg)
     response = irf(irf_cfg)
     write_histogram_csv(out / "decay.csv", decay)
@@ -200,16 +143,11 @@ def run_lifetime_species(out_dir, seed, species):
     }, {"decay": cfg, "irf": irf_cfg})
 
 
-MEMBRANE_TWINS = {"delay_per_um_fs": 1.0, "position_min_um": 0.0, "position_max_um": 160.0,
-                  "n_positions": 128, "x_zero_um": 80.0, "visibility": 0.9,
-                  "insertion_loss": 0.5}
-
-
-def _membrane(out_dir, seed, species):
+def run_membrane(out_dir, seed, cfg, spectrum_cfg):
     """Lifetime fit plus the time-integrated emission centroid of a short scan."""
     out = Path(out_dir)
-    summary = run_lifetime_species(out, seed, species)
-    cfg = spectrum({"species": [species]}, MEMBRANE_TWINS, 0.1, derive_seed(seed, 3))
+    summary = run_lifetime(out, seed, cfg)
+    cfg = _seeded(spectrum_cfg, derive_seed(seed, 3))
     _, _, tf_map = ft_map(cfg, derive_seed(seed, 2))
     write_map_csv(out / "spectrum_map.csv", tf_map)
     band = (tf_map.wavelength_axis_nm >= 750) & (tf_map.wavelength_axis_nm <= 1000)
@@ -220,27 +158,22 @@ def _membrane(out_dir, seed, species):
     return _record(summary, {"spectrum": cfg}, calibration=derive_seed(seed, 2))
 
 
-LH2_SPECIES = _species(1.13, 870.0, 30.0)
-MEMBRANE_OPEN_SPECIES = _species(0.101, 860.0, 40.0)
-MEMBRANE_CLOSED_SPECIES = _species(0.248, 875.0, 40.0)
-FIG5_SPECIES = _species(1.14, 870.0, 30.0)
 FIG5_DURATIONS_S = (50.0, 10.0, 2.0, 0.6)
 
 
-def run_fig5_integration_sweep(out_dir, seed=1):
+def run_fig5_integration_sweep(out_dir, seed, cfg):
     """Lifetime fit stability versus integration time for a fixed sample."""
     out = Path(out_dir)
-    configs = {"irf": lifetime(FIG5_SPECIES, 10.0, derive_seed(seed, 99))}
+    configs = {"irf": _seeded(cfg, derive_seed(seed, 99), RESPONSE_DURATION_S)}
     response = irf(configs["irf"])
     write_histogram_csv(out / "irf.csv", response)
     rows = ["duration_s,tau_ns,tau_err_ns,coincidences"]
     taus, errs = [], []
     for i, duration_s in enumerate(FIG5_DURATIONS_S):
-        cfg = configs[f"decay_{duration_s:g}s"] = lifetime(FIG5_SPECIES, duration_s,
-                                                           derive_seed(seed, i))
-        decay = histogram(cfg)
+        run = configs[f"decay_{duration_s:g}s"] = _seeded(cfg, derive_seed(seed, i), duration_s)
+        decay = histogram(run)
         write_histogram_csv(out / f"decay_{duration_s:g}s.csv", decay)
-        result = fit(cfg, decay, response)
+        result = fit(run, decay, response)
         tau, err = result.model.components[0][1], result.lifetime_errors_ns()[0]
         taus.append(tau)
         errs.append(err)
@@ -252,20 +185,23 @@ def run_fig5_integration_sweep(out_dir, seed=1):
         "durations_s": list(FIG5_DURATIONS_S),
         "tau_ns": taus,
         "tau_err_ns": errs,
-        "generator_tau_ns": FIG5_SPECIES["lifetime_ns"],
+        "generator_tau_ns": cfg.sample.species[0].lifetime_ns,
     }, configs)
 
 
-# name -> runner(out_dir, seed); the README's Presets table describes each
+# name -> (runner(out_dir, seed, *configs), the shipped files loaded as its configs);
+# the README's Presets section describes each
 PRESETS = {
-    "fig2b-tuning": run_fig2b_tuning,
-    "fig2c-g2": run_fig2c_g2,
-    "fig2d-irf": run_fig2d_irf,
-    "fig3-two-dyes": run_fig3_two_dyes,
-    "fig4-lh2": partial(run_lifetime_species, species=LH2_SPECIES),
-    "fig4-membrane-open": partial(_membrane, species=MEMBRANE_OPEN_SPECIES),
-    "fig4-membrane-closed": partial(_membrane, species=MEMBRANE_CLOSED_SPECIES),
-    "fig5-integration-sweep": run_fig5_integration_sweep,
+    "fig2b-tuning": (run_fig2b_tuning, ()),
+    "fig2c-g2": (run_fig2c_g2, ("fig2c-g2",)),
+    "fig2d-irf": (run_fig2d_irf, tuple(f"fig2d-irf-{name}" for name in IRF_PAIRINGS)),
+    "fig3-two-dyes": (run_fig3_two_dyes, ("fig3-two-dyes",)),
+    "fig4-lh2": (run_lifetime, ("fig4-lh2",)),
+    "fig4-membrane-open": (run_membrane, ("fig4-membrane-open",
+                                          "fig4-membrane-open-spectrum")),
+    "fig4-membrane-closed": (run_membrane, ("fig4-membrane-closed",
+                                            "fig4-membrane-closed-spectrum")),
+    "fig5-integration-sweep": (run_fig5_integration_sweep, ("fig5-integration-sweep",)),
 }
 
 
@@ -282,5 +218,7 @@ def run_preset(name, out_dir, seed=1):
     found = violations(RunConfig, {"seed": seed}, "preset base ")
     if found:
         raise ConfigurationError("; ".join(found))
+    runner, files = PRESETS[name]
+    configs = [load_config(CONFIGS / f"{file}.yaml") for file in files]
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return PRESETS[name](out_dir, seed=seed)
+    return runner(out_dir, seed, *configs)

@@ -21,6 +21,7 @@ TWO_PI = 2.0 * np.pi
 # bracket scan / bisection resolution for tuning-curve roots (nm)
 ROOT_SCAN_STEP_NM = 1.0
 ROOT_BISECT_TOL_NM = 1e-6
+MAX_GRID_POINTS = 2**20  # per signal-wavelength axis, checked before it is allocated
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,12 @@ class GridSpec(Checked):
     @relation("max_nm", "min_nm")
     def _ordered(max_nm, min_nm):
         return "must exceed min_nm" if max_nm <= min_nm else None
+
+    @relation("step_nm", "min_nm", "max_nm")
+    def _points_bounded(step_nm, min_nm, max_nm):
+        n = (max_nm - min_nm) / step_nm + 1  # axis_nm holds n rounded; a float, so it may be inf
+        return (f"must give at most {MAX_GRID_POINTS} points from min_nm to max_nm "
+                f"(got {n:.0f})" if n >= MAX_GRID_POINTS + 0.5 else None)
 
     def axis_nm(self):
         return np.arange(self.min_nm, self.max_nm + self.step_nm / 2, self.step_nm)

@@ -27,6 +27,7 @@ from .units import C_NM_PER_FS
 
 
 APODIZATIONS = ("none", "hann")
+MAX_POSITIONS = 2**14  # per scan: each position is one histogram run and one cube row
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class TwinsSpec(Checked):
     delay_per_um_fs: float = 1.0
     position_min_um: float = 0.0
     position_max_um: float = 320.0
-    n_positions: int = rule(256, lo=2)
+    n_positions: int = rule(256, lo=2, hi=MAX_POSITIONS)
     visibility: float = rule(0.9, lo=0.0, hi=1.0)
     insertion_loss: float = rule(0.5, lo=1e-12, hi=1.0)
     x_zero_um: float = 160.0  # zero delay mid-scan so apodization keeps the fringe packet

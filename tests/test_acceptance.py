@@ -20,8 +20,10 @@ from epstreak.fitting import (DecayModel, FitOptions, convolve_model, fit_decay,
                               slice_map)
 from epstreak.spdc import conjugate_wavelength
 from epstreak.tcspc import Histogram, rebin, start_stop_histogram, tag_g2
-from epstreak.twins import TwinsSpec, load_cube, reconstruct_map, transmission
+from epstreak.twins import TwinsSpec, load_cube, reconstruct_map, transmission, write_map_csv
 from epstreak.units import FWHM_PER_SIGMA
+
+from conftest import heralded_source, shipped
 
 
 def _report(n, detail):
@@ -98,6 +100,77 @@ def test_preset_run_reproduced_from_its_config_echo(fig2c, fig3, tmp_path):
     assert summary["configs"]["map"]["run"]["seed"] == summary["seeds"]["map"]
 
 
+def _shipped_run(tmp_path, command, name, echo, *flags):
+    """Output directory of ``command`` on shipped file ``name`` with a preset run's echoed
+    seed and duration; the manifest must echo that run's config."""
+    out = tmp_path / f"{name}-{command}"
+    argv = [command, "--config", str(presets.CONFIGS / f"{name}.yaml"), "--out", str(out),
+            "--seed", str(echo["run"]["seed"]), *flags]
+    if command != "ft-map":
+        argv += ["--duration", str(echo["run"]["duration_s"])]
+    assert cli.main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"] == echo
+    return out
+
+
+def _assert_same_files(got, want):
+    """The files under ``got`` and ``want`` (two files or two directories) have equal bytes."""
+    def files(root):
+        paths = sorted(root.rglob("*")) if root.is_dir() else [root]
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in paths if p.is_file()}
+    assert files(got) == files(want), want
+
+
+def test_each_shipped_config_reproduces_its_preset(fig2b, fig2c, fig2d, fig3, fig4, fig5,
+                                                    tmp_path):
+    """Each shipped file, run through its subcommand with the preset's echoed seed (and
+    duration), writes the preset's bytes. A map's calibration seed derives from the preset's
+    base seed, which no flag sets, so the maps are compared through experiment.ft_map."""
+    out, summary, _ = fig2b
+    assert cli.main(["tuning-curve", "--out", str(tmp_path / "tc")]) == 0
+    _assert_same_files(tmp_path / "tc" / "tuning_curve.csv", out / "tuning_curve.csv")
+    assert json.loads((tmp_path / "tc" / "manifest.json").read_text())["config"] == (
+        summary["configs"]["tuning"])
+
+    out, summary, _ = fig2c
+    run = _shipped_run(tmp_path, "g2", "fig2c-g2", summary["configs"]["g2"])
+    _assert_same_files(run / "g2.csv", out / "g2.csv")
+
+    out, summary, _ = fig2d
+    echo = summary["configs"]["mpd_mpd"]
+    events = _shipped_run(tmp_path, "simulate", "fig2d-irf-mpd_mpd", echo) / "events.bin"
+    _assert_same_files(events, out / "events_mpd_mpd.bin")  # the sidecars differ by design
+    run = _shipped_run(tmp_path, "histogram", "fig2d-irf-mpd_mpd", echo, "--events", str(events))
+    _assert_same_files(run / "histogram.csv", out / "irf_mpd_mpd.csv")
+    run = _shipped_run(tmp_path, "histogram", "fig2d-irf-mpd_excelitas",
+                       summary["configs"]["mpd_excelitas"])
+    _assert_same_files(run / "histogram.csv", out / "irf_mpd_excelitas.csv")
+
+    def same_map(echo, calibration_seed, want):
+        cfg, found = validate_config(echo)
+        assert found == []
+        write_map_csv(tmp_path / want.name, experiment.ft_map(cfg, calibration_seed)[2])
+        _assert_same_files(tmp_path / want.name, want)
+
+    out, summary, _ = fig3
+    run = _shipped_run(tmp_path, "ft-map", "fig3-two-dyes", summary["configs"]["map"])
+    _assert_same_files(run / "cube", out / "cube")
+    same_map(summary["configs"]["map"], summary["seeds"]["calibration"], out / "map.csv")
+
+    for name, (out, summary, _) in fig4.items():
+        run = _shipped_run(tmp_path, "irf", f"fig4-{name}", summary["configs"]["irf"])
+        _assert_same_files(run / "irf.csv", out / "irf.csv")
+        if name != "lh2":
+            echo = summary["configs"]["spectrum"]
+            _shipped_run(tmp_path, "ft-map", f"fig4-{name}-spectrum", echo)
+            same_map(echo, summary["seeds"]["calibration"], out / "spectrum_map.csv")
+
+    out, summary, _ = fig5
+    run = _shipped_run(tmp_path, "histogram", "fig5-integration-sweep",
+                       summary["configs"]["decay_2s"])
+    _assert_same_files(run / "histogram.csv", out / "decay_2s.csv")
+
+
 def test_criterion_1_tuning_trend(fig2b):
     out, summary, elapsed = fig2b
     assert elapsed < 5.0, f"tuning sweep took {elapsed:.1f} s"
@@ -114,13 +187,13 @@ def test_criterion_1_tuning_trend(fig2b):
 
 
 def test_criterion_2_herald_conditioning():
-    cond = presets.heralded_source().conditioned_jsd()
+    cond = heralded_source().conditioned_jsd()
     peak, fwhm = cond.peak_nm(), cond.fwhm_nm()
     assert abs(peak - 800.0) <= 5.0, f"peak {peak:.2f} nm"
     assert abs(fwhm - 10.0) <= 3.0, f"fwhm {fwhm:.2f} nm"
-    pump = presets.heralded_source().pump.wavelength_nm
+    pump = heralded_source().pump.wavelength_nm
     for shift in (+10.0, -10.0):
-        moved = presets.heralded_source(
+        moved = heralded_source(
             filter_center_nm=860.0 + shift).conditioned_jsd().peak_nm()
         expected = (conjugate_wavelength(pump, 860.0 + shift)
                     - conjugate_wavelength(pump, 860.0))
@@ -150,7 +223,7 @@ def test_criterion_4_g2_dip():
     delays = np.arange(-50_000, 50_001, 5000, dtype=float)
     zeros, plateau = [], None
     for rate, dur in ((1e5, 20.0), (5e5, 8.0), (1e6, 10.0)):
-        src = presets.heralded_source(pair_rate_hz=rate)
+        src = heralded_source(pair_rate_hz=rate)
         run = RunConfig(duration_s=dur, seed=41, topology="hbt")
         tags = simulate_channels(src, None, det, det, None, run)
         curve = tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R], window_ps, delays)
@@ -170,8 +243,9 @@ def test_criterion_4_g2_dip():
 def test_criterion_5_single_dye_lifetimes(tmp_path, tau_ns, center_nm):
     species = {"weight": 1.0, "lifetime_ns": tau_ns, "emission_center_nm": center_nm,
                "emission_fwhm_nm": 40.0}
+    cfg = shipped("fig4-lh2", {"sample.species": [species]})
     t0 = time.perf_counter()
-    summary = presets.run_lifetime_species(tmp_path, 1, species)
+    summary = presets.run_lifetime(tmp_path, 1, cfg)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"run took {elapsed:.1f} s"
     tau_hat = summary["tau_ns"]
@@ -182,8 +256,8 @@ def test_criterion_5_single_dye_lifetimes(tmp_path, tau_ns, center_nm):
 def test_criterion_6_two_dye_map(fig3):
     out, _, _ = fig3
     cube = load_cube(out / "cube")
-    cfg = presets.spectrum(presets.TWO_DYES, presets.TWO_DYE_TWINS, 0.5,
-                           experiment.derive_seed(1, 1))
+    cfg = shipped("fig3-two-dyes", {"run.duration_s": 0.5,
+                                    "run.seed": experiment.derive_seed(1, 1)})
     cal = experiment.calibrate(cfg, experiment.derive_seed(1, 0))
     tf = reconstruct_map(cube, cal, apodization="hann")
     lam = tf.wavelength_axis_nm
@@ -255,7 +329,7 @@ def test_criterion_9_property_suite(tmp_path):
     assert resid < 1e-12
 
     # rebinning equivalence on simulated data
-    src = presets.heralded_source()
+    src = heralded_source()
     run = RunConfig(duration_s=1.0, seed=7, topology="irf")
     det = DETECTOR_PRESETS["mpd"]
     tags = simulate_channels(src, None, det, det, None, run)

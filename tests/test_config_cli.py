@@ -1,6 +1,5 @@
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from epstreak.fitting import DecayModel, convolve_model
 from epstreak.tcspc import Histogram, read_histogram_csv, write_histogram_csv
 from epstreak.units import FWHM_PER_SIGMA
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from conftest import HBT_YAML, TWO_DYE_MAP_YAML
 
 HBT_CFG = """
 run:
@@ -186,9 +185,9 @@ def test_histogram_from_saved_events_matches_direct(tmp_path):
 def test_g2_cli_bytes_pinned(tmp_path):
     # sha256 from the merged-stream g2 path; the per-channel path must
     # reproduce its g2.csv byte for byte
-    cfg = Path(__file__).resolve().parent.parent / "configs" / "hbt.yaml"
+    cfg = _write_cfg(tmp_path, HBT_YAML)
     out = tmp_path / "g2"
-    assert cli.main(["g2", "--out", str(out), "--config", str(cfg),
+    assert cli.main(["g2", "--out", str(out), "--config", cfg,
                      "--duration", "0.3"]) == 0
     assert (hashlib.sha256((out / "g2.csv").read_bytes()).hexdigest()
             == "64b1133f587d8af7eaec239adc639a4d9175c6fab7885eaa9ff28f7e12e683a7")
@@ -450,9 +449,9 @@ def test_irf_subcommand_reports_fwhm(tmp_path):
 
 def test_irf_subcommand_on_twins_config(tmp_path):
     # the response is measured without the sample and without the interferometer
-    cfg = Path(__file__).resolve().parent.parent / "configs" / "two_dye_map.yaml"
+    cfg = _write_cfg(tmp_path, TWO_DYE_MAP_YAML)
     out = tmp_path / "irf"
-    assert cli.main(["irf", "--out", str(out), "--config", str(cfg),
+    assert cli.main(["irf", "--out", str(out), "--config", cfg,
                      "--duration", "0.01"]) == 0
     assert read_histogram_csv(out / "irf.csv").counts.sum() > 0
 
@@ -529,9 +528,8 @@ def test_seed_override_changes_output(tmp_path):
 
 def test_ft_map_bad_epps_threads_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EPPS_THREADS", "abc")
-    cfg = Path(__file__).resolve().parent.parent / "configs" / "two_dye_map.yaml"
-    assert cli.main(["ft-map", "--out", str(tmp_path / "o"),
-                     "--config", str(cfg)]) == 2
+    cfg = _write_cfg(tmp_path, TWO_DYE_MAP_YAML)
+    assert cli.main(["ft-map", "--out", str(tmp_path / "o"), "--config", cfg]) == 2
     assert "EPPS_THREADS" in capsys.readouterr().err
 
 
@@ -561,7 +559,7 @@ def _fit_inputs(tmp_path):
 ECHO_CASES = [
     ("simulate", HBT_CFG, ["--seed", "2", "--duration", "0.01"]),
     ("histogram", FLUOR_CFG, ["--seed", "7", "--duration", "0.02"]),
-    ("g2", (CONFIGS / "hbt.yaml").read_text(), ["--seed", "5", "--duration", "0.3"]),
+    ("g2", HBT_YAML, ["--seed", "5", "--duration", "0.3"]),
     ("irf", None, ["--duration", "0.01", "--seed", "3"]),
     ("ft-map", SMALL_MAP_CFG, ["--seed", "4"]),
     ("fit", None, ["--n", "2", "--seed", "9"]),
@@ -621,6 +619,23 @@ def test_array_size_bound_exits_2_before_allocating(tmp_path, capsys, analysis, 
 ])
 def test_array_size_bound_itself_is_valid(analysis):
     assert validate_config({"analysis": analysis})[1] == []
+
+
+# 2^20 + 1 grid points: 1024 nm in steps of 2^-10 nm; 2^14 + 1 wedge positions
+@pytest.mark.parametrize("command,section,path", [
+    ("simulate", "source: {grid: {min_nm: 700.0, max_nm: 1724.0, step_nm: 0.0009765625}}",
+     "source.grid.step_nm"),
+    ("ft-map", "twins: {n_positions: 16385}", "twins.n_positions"),
+])
+def test_config_sized_allocation_bound_exits_2(tmp_path, capsys, command, section, path):
+    text = FLUOR_CFG + section + "\n"
+    assert [v.split(": ")[0] for v in validate_config(text)[1]] == [path]
+    out = tmp_path / "o"
+    assert cli.main([command, "--out", str(out), "--config", _write_cfg(tmp_path, text)]) == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists()  # rejected while loading the config
+    at_bound = text.replace("1724.0", "1723.9990234375").replace("16385", "16384")
+    assert validate_config(at_bound)[1] == []
 
 
 def test_tuning_curve_temperature_count_bound_exits_2(tmp_path, capsys):

@@ -5,7 +5,9 @@ import hashlib
 import json
 import math
 import re
+import tomllib
 import typing
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -19,10 +21,12 @@ from epstreak.errors import ConfigurationError, DomainError
 from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleModel
 from epstreak.experiment import FTOptions, G2Options, HistogramOptions
 from epstreak.fitting import FitOptions
+from epstreak.presets import CONFIGS, PRESETS
 from epstreak.spdc import CrystalSpec, FilterSpec, GridSpec, PumpSpec
 from epstreak.twins import TwinsSpec
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from conftest import HBT_YAML, TWO_DYE_MAP_YAML
+
 
 # every section and every detector and species field set to a non-default value
 FULL_CFG = """
@@ -71,7 +75,7 @@ def test_ft_map_bytes_pinned(tmp_path):
     # manifest, map.csv). The cube digest dates from the hand-written config
     # validation; map.csv and the full digest from calibrating against the
     # reference scan instead of the nominal delay slope.
-    text = (CONFIGS / "two_dye_map.yaml").read_text()
+    text = TWO_DYE_MAP_YAML
     assert "duration_s: 0.5 " in text
     cfg = tmp_path / "short.yaml"
     cfg.write_text(text.replace("duration_s: 0.5 ", "duration_s: 0.02"))
@@ -128,7 +132,8 @@ def test_configs_build_pinned_models(name, text, digest):
     # (its flat analysis fields renamed to the nested sections, and its
     # grid_*, herald_det, signal_det and n_twins_positions fields to the
     # source.grid, detectors and twins.n_positions paths of the YAML)
-    cfg, found = validate_config((CONFIGS / name).read_text() if text is None else text)
+    inline = {"hbt.yaml": HBT_YAML, "two_dye_map.yaml": TWO_DYE_MAP_YAML}
+    cfg, found = validate_config(inline[name] if text is None else text)
     assert found == []
     lines = "\n".join(sorted(_model_lines(cfg)))
     assert hashlib.sha256(lines.encode()).hexdigest() == digest, lines
@@ -154,7 +159,23 @@ def test_every_shipped_config_is_valid():
     shipped = sorted(CONFIGS.glob("*.yaml"))
     assert shipped
     for path in shipped:
-        assert validate_config(path.read_text())[1] == [], path.name
+        cfg, found = validate_config(path.read_text())
+        assert found == [], path.name
+        # every number reads back with its field's type (YAML 1.1 reads "2.0e5" as a
+        # string), so a preset's config echo holds the types of the model values
+        model = _leaves(cfg)
+        for where, value in _leaves(cfg.raw).items():
+            if not re.fullmatch(r"detectors\.\w+\.preset", where):
+                assert type(value) is type(model[where]), (path.name, where, value)
+
+
+def test_shipped_configs_are_package_data_and_each_is_run_by_a_preset():
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    patterns = pyproject["tool"]["setuptools"]["package-data"]["epstreak"]
+    shipped = {path.name for path in CONFIGS.glob("*.yaml")}
+    assert all(any(fnmatch(f"configs/{name}", p) for p in patterns) for name in shipped)
+    named = {f"{file}.yaml" for _, files in PRESETS.values() for file in files}
+    assert named == shipped  # every named file exists and no shipped file is unused
 
 
 # YAML section of each model; a model missing here fails every test below

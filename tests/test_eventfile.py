@@ -8,7 +8,8 @@ from epstreak import eventfile
 from epstreak.errors import ConfigurationError
 from epstreak.eventfile import open_event_file, sidecar_path, write_events
 from epstreak.events import DetectorModel, RunConfig, merge_chunks, simulate_chunks
-from epstreak.presets import heralded_source
+
+from conftest import heralded_source
 
 META = {"duration_s": 0.02, "n_channels": 3, "seed": 3}
 

@@ -15,11 +15,12 @@ from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
                              RunConfig, SampleModel, _check_overlap,
                              _dead_time_prune, _fluorescence_batch, channel_count, merge_chunks,
                              simulate_channels, simulate_chunks, stream_warnings)
-from epstreak.presets import heralded_source
 from epstreak.spdc import FilterSpec, SourceModel
 from epstreak.tcspc import start_stop_histogram
 from epstreak.twins import TwinsSpec
 from epstreak.units import FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
+
+from conftest import heralded_source
 
 IDEAL = DetectorModel()
 

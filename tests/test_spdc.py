@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epstreak.errors import DomainError, EmptySupportError
-from epstreak.presets import heralded_source
 from epstreak.spdc import (CrystalSpec, FilterSpec, PumpSpec, conjugate_wavelength,
                            density_fwhm, herald_conditioned_spectrum,
                            joint_spectral_density, phase_mismatch, tuning_curve)
+
+from conftest import heralded_source
 
 # the fig2b-tuning source: the default 413 nm pump and 30 mm crystal
 PUMP = PumpSpec(413.0, 2e5)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epstreak import cli, eventfile, events, experiment, presets
+from epstreak import cli, eventfile, events, experiment
 from epstreak.cli import main
 from epstreak.errors import StreamOrderError, UndefinedG2Error
 from epstreak.eventfile import open_event_file, write_events
@@ -28,7 +28,9 @@ from epstreak.tcspc import G2Counter, StartStopCounter, start_stop_histogram, ta
 from epstreak.twins import TwinsSpec
 from epstreak.units import PS_PER_NS, PS_PER_S
 
-SOURCE = presets.heralded_source()  # 2e5 pairs/s
+from conftest import heralded_config, heralded_source
+
+SOURCE = heralded_source()  # 2e5 pairs/s
 DURATION_S = 5e-4  # 100 pairs on average
 CHUNK_PS = 2e7  # with 4 pairs per chunk: 25 chunks of 20 us
 
@@ -278,8 +280,7 @@ def test_stream_order_error_exits_1(tmp_path, monkeypatch, capsys):
 
 
 def _config(topology, duration_s, twins=None):
-    mappings = [presets.HERALDED, {"run": {"topology": topology, "duration_s": duration_s,
-                                           "seed": 12}}]
+    mappings = [{"run": {"topology": topology, "duration_s": duration_s, "seed": 12}}]
     if twins:
         mappings.append({"twins": twins})
     if topology == "hbt":  # enough accidentals for every delay of the default axis
@@ -290,7 +291,7 @@ def _config(topology, duration_s, twins=None):
         mappings += [{"sample": {"species": [{"lifetime_ns": 1.2}]}},
                      {"detectors": {"herald": {"preset": "mpd"},
                                     "signal": {"preset": "excelitas"}}}]
-    return presets.config(*mappings)
+    return heralded_config(*mappings)
 
 
 def _cube(cfg):

@@ -8,7 +8,6 @@ from epstreak.config import validate_config
 from epstreak.errors import CalibrationError, ConfigurationError, DomainError
 from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleModel
 from epstreak.experiment import Detectors, HistogramOptions, _max_workers
-from epstreak.presets import heralded_source
 from epstreak.spdc import density_fwhm
 from epstreak.tcspc import Histogram, rebin
 from epstreak.twins import (InterferogramCube, TwinsCalibration, TwinsSpec, calibrate_delay,
@@ -16,6 +15,8 @@ from epstreak.twins import (InterferogramCube, TwinsCalibration, TwinsSpec, cali
                             nyquist_violation, reconstruct_map, save_cube, transmission,
                             write_map_csv)
 from epstreak.units import C_NM_PER_FS
+
+from conftest import heralded_source, shipped
 
 IDEAL = DetectorModel()
 
@@ -317,9 +318,8 @@ def test_max_workers_rejects_bad_env(monkeypatch, value):
 def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch):
     """32 fig3 positions around zero delay: save_cube files plus map.csv."""
     import hashlib
-    from epstreak.presets import TWO_DYE_TWINS, TWO_DYES, spectrum
     monkeypatch.delenv("EPPS_THREADS", raising=False)
-    fig3 = spectrum(TWO_DYES, TWO_DYE_TWINS, 0.02, 7)
+    fig3 = shipped("fig3-two-dyes", {"run.duration_s": 0.02, "run.seed": 7})
     cube = experiment.cube(fig3, fig3.twins.positions_um()[100:132])
     save_cube(tmp_path / "cube", cube)
     cal = TwinsCalibration(1.0, 160.0, float("nan"))
@@ -337,10 +337,9 @@ def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch):
 def test_cube_bytes_do_not_depend_on_epps_threads(tmp_path, monkeypatch):
     """test_cube_and_map_bytes_pinned's cube, simulated by two workers: the same digest."""
     import hashlib
-    from epstreak.presets import TWO_DYE_TWINS, TWO_DYES, spectrum
     monkeypatch.setenv("EPPS_THREADS", "2")
     assert _max_workers() == 2
-    fig3 = spectrum(TWO_DYES, TWO_DYE_TWINS, 0.02, 7)
+    fig3 = shipped("fig3-two-dyes", {"run.duration_s": 0.02, "run.seed": 7})
     cube = experiment.cube(fig3, fig3.twins.positions_um()[100:132])
     save_cube(tmp_path / "cube", cube)
     cal = TwinsCalibration(1.0, 160.0, float("nan"))
