@@ -8,6 +8,10 @@ shift) from multistart candidates, and at each of its points the
 nonnegative amplitudes and background are solved exactly. The search uses
 the analytic gradient of the single-pole recursion; the covariance is the
 inverse Fisher information.
+
+scipy supplies the recursion filter, NNLS and L-BFGS-B. Each function that
+calls one imports it, so scipy is loaded by the first lifetime fit (or
+model evaluation), not by ``import epstreak``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize, nnls
-from scipy.signal import lfilter
 
 from .checks import Checked, rule
 from .errors import ConfigurationError, DomainError, FitError
@@ -92,6 +94,8 @@ def _exp_response(irf_weights, bin_width_ps, tau_ps, shift_ps, n_out,
     (y, dy/dtau_ps, dy/dshift_ps).
     """
     from math import ceil
+
+    from scipy.signal import lfilter
     delta = float(bin_width_ps)
     r = np.exp(-delta / tau_ps)
     # m0 indexes the boundary bin; rho in [-delta/2, delta/2) is the kernel
@@ -209,6 +213,7 @@ def _nll(y, mu):
 
 def _solve_linear(responses, y):
     """Nonnegative amplitudes and background by variance-weighted NNLS."""
+    from scipy.optimize import nnls
     a_mat = np.stack(list(responses) + [np.ones_like(y)], axis=1)
     w = 1.0 / np.sqrt(np.clip(y, 1.0, None))
     sol, _ = nnls(a_mat * w[:, None], y * w)
@@ -285,6 +290,8 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
     fewer. Covariance is the inverse Fisher information of the fitted
     parameters; reduced chi^2 uses Pearson weights.
     """
+    from scipy.optimize import minimize
+
     options = options or FitOptions()
     if hist.bin_width_ps != irf.bin_width_ps:
         raise ConfigurationError("histogram and IRF must share their bin width")
@@ -409,31 +416,6 @@ def _fisher_covariance(resp, derivs, amps, mu, fit_shift):
     scale = np.sqrt(np.diag(fisher))
     cond = float(np.linalg.cond(fisher / np.outer(scale, scale))) if np.all(scale > 0) else np.inf
     return cov, cond
-
-
-def slice_map(tf_map, axis, at_value, width):
-    """Band-integrated 1-D profile of a time-frequency map.
-
-    ``axis`` names the axis being sliced at (``wavelength`` or ``time``); the
-    profile runs along the other axis. Width equal to the full axis range
-    reproduces wavelength-integrated decays or time-integrated spectra.
-    Returns (profile_axis, profile).
-    """
-    if axis == "wavelength":
-        sel_axis, other_axis = tf_map.wavelength_axis_nm, tf_map.time_axis_ps
-        data = tf_map.intensity
-    elif axis == "time":
-        sel_axis, other_axis = tf_map.time_axis_ps, tf_map.wavelength_axis_nm
-        data = tf_map.intensity.T
-    else:
-        raise ConfigurationError(f"unknown axis {axis!r}")
-    if not sel_axis[0] <= at_value <= sel_axis[-1]:
-        raise DomainError(f"{axis} value {at_value} outside axis range "
-                          f"[{sel_axis[0]:g}, {sel_axis[-1]:g}]")
-    mask = np.abs(sel_axis - at_value) <= 0.5 * width
-    if not np.any(mask):
-        raise DomainError("integration band contains no axis samples")
-    return other_axis.copy(), data[mask].sum(axis=0)
 
 
 def format_fit_report(result: FitResult, irf_source="simulated"):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, UndefinedG2Error
 from .spdc import density_fwhm
-from .units import FWHM_PER_SIGMA, PS_PER_S
+from .units import FWHM_PER_SIGMA
 
 DEFAULT_BIN_WIDTH_PS = 4
 DEFAULT_WINDOW_PS = 50_000  # 5x the longest lifetime of interest plus IRF tails
@@ -336,23 +336,6 @@ class G2Counter(_Reach):
                           values / np.sqrt(np.maximum(triple_counts, 1)), np.inf)
         norm = self.pair_totals["t"] * self.pair_totals["r"] / n_h
         return G2Curve(delays, values, norm, errors)
-
-
-def coincidence_rate(a, b, window_ps, duration_s):
-    """(rate_hz, poisson_error_hz) of pairs of sorted int64 tags a, b with |b - a| <= window/2.
-
-    The window is inclusive on the tags: ceil(-w/2) <= b - a <= floor(w/2).
-    """
-    lo, hi = _integer_window(0.0, window_ps)
-    i0 = np.searchsorted(b, a + lo, side="left")
-    i1 = np.searchsorted(b, a + hi, side="right")
-    pairs = int((i1 - i0).sum())
-    return pairs / duration_s, np.sqrt(pairs) / duration_s
-
-
-def accidental_rate_hz(rate_a_hz, rate_b_hz, window_ps):
-    """Analytic accidental-coincidence rate of two independent Poisson streams."""
-    return rate_a_hz * rate_b_hz * (window_ps / PS_PER_S)
 
 
 HISTOGRAM_CSV_HEADER = "bin_left_ps,counts"

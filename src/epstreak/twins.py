@@ -7,18 +7,19 @@ times yields an interferogram cube whose Fourier transform along x is the
 time-resolved emission spectrum.
 
 Wedge dispersion is ignored (the delay slope is taken wavelength
-independent); the calibration step absorbs the overall scale.
+independent); the calibration step absorbs the overall scale. The
+calibration is numpy-only: its bounded scalar search and analytic signal
+are private copies of scipy's, so a map run loads no scipy module.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import sqrt
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal import hilbert
 
 from .checks import Checked, relation, rule
 from .errors import CalibrationError, ConfigurationError, DomainError
@@ -143,6 +144,94 @@ class TwinsCalibration:
     fringe_period_um: float
 
 
+_BOUNDED_MAXFUN = 500
+
+
+def _minimize_bounded(func, lo, hi, xatol):
+    """(x, nfev) of Brent's bounded scalar minimization of ``func`` on [lo, hi].
+
+    The loop of ``scipy.optimize.minimize_scalar(method="bounded")`` with its
+    default 500-evaluation cap, making the same float operations in the same
+    order, so x and the evaluation count equal scipy's bit for bit.
+    """
+    sqrt_eps = sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BOUNDED_MAXFUN:
+            break
+    return xf, num
+
+
+def _analytic_signal(x):
+    """The analytic signal of real ``x``, as ``scipy.signal.hilbert`` forms it."""
+    n = len(x)
+    spectrum = np.fft.fft(x)
+    if n % 2 == 0:
+        spectrum[1:n // 2] *= 2.0
+        spectrum[n // 2 + 1:] = 0.0
+    else:
+        spectrum[1:(n + 1) // 2] *= 2.0
+        spectrum[(n + 1) // 2:] = 0.0
+    return np.fft.ifft(spectrum)
+
+
 def calibrate_delay(reference_cube: InterferogramCube, known_wavelength_nm) -> TwinsCalibration:
     """Delay slope and zero-delay position from a monochromatic reference scan.
 
@@ -170,15 +259,13 @@ def calibrate_delay(reference_cube: InterferogramCube, known_wavelength_nm) -> T
         ph = np.exp(-2j * np.pi * f * x)
         return -np.abs(np.dot(ac, ph)) ** 2
 
-    res = minimize_scalar(neg_power, bounds=(max(f0 - df, 0.5 * df), f0 + df),
-                          method="bounded", options={"xatol": df * 1e-7})
-    f_hat = float(res.x)
+    f_hat = float(_minimize_bounded(neg_power, max(f0 - df, 0.5 * df), f0 + df, df * 1e-7)[0])
     n_fringes = f_hat * (x[-1] - x[0])
     if n_fringes < 10:
         raise CalibrationError(
             f"only {n_fringes:.1f} fringes in the reference scan; need >= 10")
 
-    envelope = np.abs(hilbert(ac))
+    envelope = np.abs(_analytic_signal(ac))
     i = int(np.argmax(envelope))
     x_zero = x[i]
     if 0 < i < n - 1:  # parabolic vertex refine

@@ -16,14 +16,14 @@ from epstreak import cli, experiment, presets
 from epstreak.config import validate_config
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DETECTOR_PRESETS,
                              RunConfig, simulate_channels)
-from epstreak.fitting import (DecayModel, FitOptions, convolve_model, fit_decay,
-                              slice_map)
+from epstreak.fitting import DecayModel, FitOptions, convolve_model, fit_decay
 from epstreak.spdc import conjugate_wavelength
 from epstreak.tcspc import Histogram, rebin, start_stop_histogram, tag_g2
 from epstreak.twins import TwinsSpec, load_cube, reconstruct_map, transmission, write_map_csv
 from epstreak.units import FWHM_PER_SIGMA
 
 from conftest import heralded_source, shipped
+from reference import slice_map
 
 
 def _report(n, detail):

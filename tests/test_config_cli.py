@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,36 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--irf", str(ip), "--n", "1"]) == 1
     err = capsys.readouterr().err
     assert "FitError" in err and "epstreak" in err
+
+
+_SCIPY_GUARD = """
+import json, sys
+import epstreak, epstreak.cli
+
+def heavy():
+    prefixes = ("scipy.optimize", "scipy.signal", "scipy.stats")
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+
+rc = epstreak.cli.main(["irf", "--out", sys.argv[1], "--duration", "0.01"])
+after_irf = heavy()
+epstreak.fitting._solve_linear([[1.0, 2.0]], [1.0, 2.0])  # a fit step imports scipy.optimize
+print(json.dumps([rc, after_irf, heavy()]))
+"""
+
+
+def test_start_up_and_irf_run_load_no_scipy_submodule(tmp_path):
+    """Only lifetime fits load scipy: importing the CLI and an irf run leave it out."""
+    import epstreak
+    src = str(Path(epstreak.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path / "irf")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rc, after_irf, after_fit_step = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0 and (tmp_path / "irf" / "manifest.json").is_file()
+    assert after_irf == []
+    assert "scipy.optimize" in after_fit_step  # the guard sees a loaded module
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):

@@ -5,10 +5,12 @@ from scipy.special import erfc
 
 from epstreak.errors import ConfigurationError, DomainError, FitError
 from epstreak.fitting import (DecayModel, FitOptions, convolve_model, fit_decay,
-                              format_fit_report, response_derivatives, slice_map)
+                              format_fit_report, response_derivatives)
 from epstreak.tcspc import Histogram, rebin
 from epstreak.twins import TimeFrequencyMap
 from epstreak.units import FWHM_PER_SIGMA
+
+from reference import slice_map
 
 BW_PS = 4
 

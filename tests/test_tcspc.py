@@ -9,11 +9,11 @@ from epstreak import tcspc
 from epstreak.errors import ConfigurationError, UndefinedG2Error
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
                              DetectorModel, RunConfig, simulate_channels)
-from epstreak.tcspc import (Histogram, accidental_rate_hz, coincidence_rate,
-                            read_histogram_csv, rebin, start_stop_histogram,
+from epstreak.tcspc import (Histogram, read_histogram_csv, rebin, start_stop_histogram,
                             tag_g2, write_g2_csv, write_histogram_csv)
 
 from conftest import heralded_source
+from reference import accidental_rate_hz, coincidence_rate
 
 IDEAL = DetectorModel()
 

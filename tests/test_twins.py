@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
+from scipy.signal import hilbert
 
 from epstreak import experiment
 from epstreak.config import validate_config
@@ -10,10 +12,10 @@ from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleMode
 from epstreak.experiment import Detectors, HistogramOptions, _max_workers
 from epstreak.spdc import density_fwhm
 from epstreak.tcspc import Histogram, rebin
-from epstreak.twins import (InterferogramCube, TwinsCalibration, TwinsSpec, calibrate_delay,
-                            fringe_period_um, load_cube, nyquist_spacing_um,
-                            nyquist_violation, reconstruct_map, save_cube, transmission,
-                            write_map_csv)
+from epstreak.twins import (InterferogramCube, TwinsCalibration, TwinsSpec, _analytic_signal,
+                            _minimize_bounded, calibrate_delay, fringe_period_um, load_cube,
+                            nyquist_spacing_um, nyquist_violation, reconstruct_map, save_cube,
+                            transmission, write_map_csv)
 from epstreak.units import C_NM_PER_FS
 
 from conftest import heralded_source, shipped
@@ -145,6 +147,64 @@ def test_calibration_rejects_short_scan():
     cube = _analytic_cube([(850.0, 1.0, 0.5)], positions, spec)
     with pytest.raises(CalibrationError):
         calibrate_delay(cube, 850.0)
+
+
+def _calibration_objective(seed):
+    """Objective, bracket and tolerance of a noisy reference scan, as calibrate_delay forms them.
+
+    Seeds 1 and 2 mod 4 narrow the fringe packet, which widens the
+    periodogram peak, and move the bracket half a frequency step past that
+    peak, below or above it, so the minimum lies at a bracket edge.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(48, 400))
+    dx = rng.uniform(0.3, 2.0)
+    x = rng.uniform(0.0, 50.0) + dx * np.arange(n)
+    f_true = rng.uniform(12.0, 0.4 * n) / (n * dx)
+    width = rng.uniform(0.15, 0.6) if seed % 4 in (0, 3) else 0.1
+    envelope = np.exp(-0.5 * ((x - x[n // 2]) / (width * n * dx)) ** 2)
+    mean = 1e4 * (1.0 + 0.8 * envelope * np.cos(2 * np.pi * f_true * (x - x[n // 2])
+                                                 + rng.uniform(-0.3, 0.3)))
+    counts = rng.poisson(mean).astype(float)
+    ac = counts - counts.mean()
+    df = 1.0 / (n * dx)
+    f0 = (1 + int(np.argmax(np.abs(np.fft.rfft(ac))[1:]))) * df
+    f0 += {1: -1.5, 2: 1.5}.get(seed % 4, 0.0) * df
+
+    def neg_power(f):
+        return -np.abs(np.dot(ac, np.exp(-2j * np.pi * f * x))) ** 2
+
+    return neg_power, (max(f0 - df, 0.5 * df), f0 + df), df * 1e-7
+
+
+def _bits(x, nfev):
+    return float(x).hex(), nfev
+
+
+def _scipy_bounded(func, lo, hi, xatol):
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return _bits(res.x, res.nfev)
+
+
+def test_bounded_minimizer_matches_scipy_bit_for_bit():
+    at_edge = 0
+    for seed in range(120):
+        func, (lo, hi), xatol = _calibration_objective(seed)
+        x, nfev = _minimize_bounded(func, lo, hi, xatol)
+        assert _bits(x, nfev) == _scipy_bounded(func, lo, hi, xatol), seed
+        at_edge += min(x - lo, hi - x) < 1e-4 * (hi - lo)
+    assert at_edge == 60  # the shifted brackets really put the minimum at an edge
+    # a vertex at 0 with xatol = 0 leaves no tolerance, so the search runs to its cap
+    x, nfev = _minimize_bounded(lambda u: u * u, -1.0, 1.0, 0.0)
+    assert nfev == 500
+    assert _bits(x, nfev) == _scipy_bounded(lambda u: u * u, -1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 255, 256, 511])
+def test_analytic_signal_matches_scipy_hilbert(n):
+    signal = np.random.default_rng(n).normal(size=n)
+    want = hilbert(signal)
+    assert np.max(np.abs(_analytic_signal(signal) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_monochromatic_reconstruction_peak():
