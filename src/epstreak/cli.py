@@ -80,7 +80,16 @@ FLAG_PATHS = {"seed": "run.seed", "duration": "run.duration_s", "n": "analysis.f
 
 
 def _overrides(args):
-    """Each override flag's value by the YAML path it sets (None when not given)."""
+    """Each override flag's value by the YAML path it sets (None when not given).
+
+    ``histogram --events`` reads a stream back instead of simulating one, so
+    a run flag given with it would be echoed but not used: that is refused.
+    """
+    if args.command == "histogram" and args.events:
+        unused = [f"--{flag}" for flag in ("seed", "duration") if getattr(args, flag) is not None]
+        if unused:
+            raise ConfigurationError(f"{' and '.join(unused)} cannot be used with --events: "
+                                     f"the event file is read back, not simulated")
     paths = dict(FLAG_PATHS, seed="analysis.fit.seed") if args.command == "fit" else FLAG_PATHS
     return {path: getattr(args, flag, None) for flag, path in paths.items()}
 
@@ -97,6 +106,13 @@ def cmd_simulate(cfg, args, out):
             "n_events": n_events, "warnings": meta.get("warnings", [])}
 
 
+def _shape(hist):
+    """(FWHM, peak) of a histogram in ps; both None when it holds no counts to measure."""
+    if not hist.counts.any():
+        return None, None
+    return hist.fwhm_ps(), hist.peak_ps()
+
+
 def cmd_histogram(cfg, args, out):
     chunks = None
     if args.events:
@@ -107,17 +123,20 @@ def cmd_histogram(cfg, args, out):
         chunks = split_records(blocks, n_channels)
     hist = experiment.histogram(cfg, chunks)
     write_histogram_csv(out / "histogram.csv", hist)
+    fwhm_ps, peak_ps = _shape(hist)
     return {"artifacts": ["histogram.csv"], "counts": int(hist.counts.sum()),
-            "fwhm_ps": hist.fwhm_ps(), "peak_ps": hist.peak_ps(), "flags": hist.flags}
+            "fwhm_ps": fwhm_ps, "peak_ps": peak_ps, "flags": hist.flags}
 
 
 def cmd_irf(cfg, args, out):
     hist = experiment.irf(cfg)
     write_histogram_csv(out / "irf.csv", hist)
+    fwhm_ps, peak_ps = _shape(hist)
+    fwhm, peak = ("none" if v is None else f"{v:.2f}" for v in (fwhm_ps, peak_ps))
     (out / "irf_report.txt").write_text(f"coincidences: {int(hist.counts.sum())}\n"
-                                        f"fwhm_ps: {hist.fwhm_ps():.2f}\n"
-                                        f"peak_ps: {hist.peak_ps():.2f}\n")
-    return {"artifacts": ["irf.csv", "irf_report.txt"], "fwhm_ps": hist.fwhm_ps()}
+                                        f"fwhm_ps: {fwhm}\n"
+                                        f"peak_ps: {peak}\n")
+    return {"artifacts": ["irf.csv", "irf_report.txt"], "fwhm_ps": fwhm_ps}
 
 
 def cmd_g2(cfg, args, out):

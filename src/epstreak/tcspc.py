@@ -166,7 +166,7 @@ class StartStopCounter(_Reach):
             idx = np.searchsorted(stops, lo, side="left")
             dt = stops.take(idx, mode="clip") - lo  # dt - t0 of the first stop at or after lo
             ok = (idx < len(stops)) & (dt < window_ps)
-            return dt[ok] // bin_width_ps
+            return np.compress(ok, dt) // bin_width_ps
         i0 = np.searchsorted(stops, lo, side="left")
         i1 = np.searchsorted(stops, lo + window_ps, side="left")
         dt = stops[_span_indices(i0, i1)] - np.repeat(starts, i1 - i0)

@@ -1,14 +1,15 @@
 """Reference implementations that the package itself does not use.
 
 Each function here has no caller in ``epstreak``; the tests use them as
-known-answer helpers against the package's counting and map paths.
+known-answer helpers against the package's counting and map paths, and as
+the plain forms of the detector chain's gathers.
 """
 
 import numpy as np
 
 from epstreak.errors import ConfigurationError, DomainError
 from epstreak.tcspc import _integer_window
-from epstreak.units import PS_PER_S
+from epstreak.units import FWHM_PER_SIGMA, PS_PER_S
 
 
 def coincidence_rate(a, b, window_ps, duration_s):
@@ -51,3 +52,47 @@ def slice_map(tf_map, axis, at_value, width):
     if not np.any(mask):
         raise DomainError("integration band contains no axis samples")
     return other_axis.copy(), data[mask].sum(axis=0)
+
+
+# The gathers of the streamed detector chain in their boolean-mask forms, as
+# they were before np.compress and the stable merge replaced them. The
+# package's forms must give the same elements in the same order.
+
+def detector_draws(arrivals, det, rng, start_ps, span_ps):
+    """events._detector_draws with ``t[keep]`` at every acceptance and an unconditional sort."""
+    t, accept = arrivals
+    t = np.asarray(t, dtype=float)
+    keep = rng.random(len(t)) < np.asarray(accept, dtype=float) * det.efficiency
+    t = t[keep]
+    if det.jitter_fwhm_ps > 0 and len(t):
+        t = t + rng.normal(0.0, det.jitter_fwhm_ps / FWHM_PER_SIGMA, len(t))
+    n_dark = rng.poisson(det.dark_rate_hz * span_ps / PS_PER_S)
+    if n_dark:
+        t = np.concatenate([t, start_ps + rng.random(n_dark) * span_ps])
+    t.sort(kind="stable")
+    return t
+
+
+def merge_channels(tags):
+    """events._merge_channels as a lexsort on (time, channel)."""
+    channel = np.concatenate([np.full(len(t), ch, dtype=np.uint8) for ch, t in enumerate(tags)])
+    t_ps = np.concatenate(tags)
+    order = np.lexsort((channel, t_ps))
+    return channel[order], t_ps[order]
+
+
+def split_records(blocks, n_channels):
+    """events.split_records with ``t_ps[channel == ch]``."""
+    for channel, t_ps in blocks:
+        if len(t_ps):
+            yield [t_ps[channel == ch] for ch in range(n_channels)], int(t_ps[-1])
+    yield [np.empty(0, dtype=np.int64)] * n_channels, None
+
+
+def first_stop_bins(starts, stops, t0_ps, window_ps, bin_width_ps):
+    """StartStopCounter._bins in "first" mode with ``dt[ok]``."""
+    lo = starts + t0_ps
+    idx = np.searchsorted(stops, lo, side="left")
+    dt = stops.take(idx, mode="clip") - lo
+    ok = (idx < len(stops)) & (dt < window_ps)
+    return dt[ok] // bin_width_ps

@@ -101,12 +101,17 @@ def test_preset_run_reproduced_from_its_config_echo(fig2c, fig3, tmp_path):
 
 def _shipped_run(tmp_path, command, name, echo, *flags):
     """Output directory of ``command`` on shipped file ``name`` with a preset run's echoed
-    seed and duration; the manifest must echo that run's config."""
+    seed and duration; the manifest must echo that run's config. A read-back
+    (``--events``) simulates nothing, takes neither flag and echoes the file."""
     out = tmp_path / f"{name}-{command}"
     argv = [command, "--config", str(presets.CONFIGS / f"{name}.yaml"), "--out", str(out),
-            "--seed", str(echo["run"]["seed"]), *flags]
-    if command != "ft-map":
-        argv += ["--duration", str(echo["run"]["duration_s"])]
+            *flags]
+    if "--events" in flags:
+        echo = shipped(name).raw
+    else:
+        argv += ["--seed", str(echo["run"]["seed"])]
+        if command != "ft-map":
+            argv += ["--duration", str(echo["run"]["duration_s"])]
     assert cli.main(argv) == 0
     assert json.loads((out / "manifest.json").read_text())["config"] == echo
     return out

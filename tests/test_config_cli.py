@@ -682,3 +682,57 @@ def test_tuning_curve_temperature_count_bound_exits_2(tmp_path, capsys):
     assert not (out / "tuning_curve.csv").exists()
     assert cli.main(["tuning-curve", "--out", str(out), "--step", "1e-300"]) == 2
     assert "--step: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,named", [(["--seed", "5"], "--seed"),
+                                         (["--duration", "0.1"], "--duration"),
+                                         (["--seed", "5", "--duration", "0.1"],
+                                          "--seed and --duration")])
+def test_histogram_events_refuses_run_flags(tmp_path, capsys, flags, named):
+    """The read-back uses neither flag, so neither may be echoed into the manifest."""
+    cfg = _write_cfg(tmp_path, "run: {duration_s: 0.01, seed: 3}\n")
+    assert cli.main(["simulate", "--out", str(tmp_path / "sim"), "--config", cfg]) == 0
+    capsys.readouterr()
+    out = tmp_path / "h"
+    assert cli.main(["histogram", "--out", str(out), "--config", cfg,
+                     "--events", str(tmp_path / "sim" / "events.bin"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and f"{named} cannot be used with --events" in err
+    assert not (out / "manifest.json").exists()
+
+
+EMPTY_CFG = "source: {pump: {pair_rate_hz: 0.0}}\ndetectors: {herald: {preset: ideal}, " \
+            "signal: {preset: ideal}}\nrun: {duration_s: 0.01, seed: 3}\n"
+
+
+def test_empty_stream_reports_no_width_or_peak(tmp_path):
+    """No counts: FWHM and peak are null in the summaries and 'none' in irf_report.txt."""
+    cfg = _write_cfg(tmp_path, EMPTY_CFG)
+    assert cli.main(["simulate", "--out", str(tmp_path / "sim"), "--config", cfg]) == 0
+    for name, extra in (("h", []), ("readback", ["--events", str(tmp_path / "sim" / "events.bin")])):
+        assert cli.main(["histogram", "--out", str(tmp_path / name), "--config", cfg, *extra]) == 0
+        summary = json.loads((tmp_path / name / "manifest.json").read_text())["summary"]
+        assert summary == {"counts": 0, "flags": ["empty-stream"], "fwhm_ps": None,
+                           "peak_ps": None}
+    assert cli.main(["irf", "--out", str(tmp_path / "irf"), "--config", cfg]) == 0
+    assert (tmp_path / "irf" / "irf_report.txt").read_text() == (
+        "coincidences: 0\nfwhm_ps: none\npeak_ps: none\n")
+    assert json.loads((tmp_path / "irf" / "manifest.json").read_text())["summary"] == {
+        "fwhm_ps": None}
+
+
+def test_measured_width_and_peak_pinned(tmp_path):
+    """A run with counts reports what it did before empty histograms reported null."""
+    cfg = _write_cfg(tmp_path, "run: {duration_s: 0.2, seed: 3}\n")
+    assert cli.main(["irf", "--out", str(tmp_path / "irf"), "--config", cfg]) == 0
+    assert (tmp_path / "irf" / "irf_report.txt").read_text() == (
+        "coincidences: 4862\nfwhm_ps: 259.38\npeak_ps: -34.00\n")
+    assert cli.main(["simulate", "--out", str(tmp_path / "sim"), "--config", cfg]) == 0
+    assert cli.main(["histogram", "--out", str(tmp_path / "h"), "--config", cfg,
+                     "--events", str(tmp_path / "sim" / "events.bin")]) == 0
+    summary = json.loads((tmp_path / "h" / "manifest.json").read_text())["summary"]
+    assert summary == {"counts": 4862, "flags": [], "fwhm_ps": 259.3843214936751,
+                       "peak_ps": -34.0}
+    for path in (tmp_path / "irf" / "irf.csv", tmp_path / "h" / "histogram.csv"):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a29a310cd1c6493ed2203c35180c6e43063736ec3adba1c1a7fb6fefed6adc2c")

@@ -1,0 +1,148 @@
+"""The streamed detector chain's gathers against their boolean-mask forms.
+
+``np.compress``, the skipped gather at acceptance 1 and the stable merge
+must give the elements and the order that ``t[keep]``, ``t_ps[channel ==
+ch]``, ``dt[ok]`` and the (time, channel) lexsort give, bit for bit, so no
+event file, histogram or digest moves.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import reference
+from epstreak import eventfile, events
+from epstreak.events import DetectorModel, _detector_draws, _merge_channels, split_records
+from epstreak.tcspc import StartStopCounter
+
+SPAN_PS = 1.0e12  # one second: dark rates of tens of hertz add a few darks
+
+
+def _same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _arrivals(draw):
+    """Sorted arrival times and an acceptance: scalar 1, a scalar below 1 or an array."""
+    n = draw(st.sampled_from([0, 1, 7, 200]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    t = np.sort(gen.random(n) * SPAN_PS)
+    if draw(st.booleans()):  # repeated times
+        t = np.floor(t / 1.0e11) * 1.0e11
+    kind = draw(st.sampled_from(["one", "scalar", "array"]))
+    if kind == "one":
+        return t, 1.0
+    if kind == "scalar":
+        return t, draw(st.sampled_from([0.0, 0.35, 0.999]))
+    share = draw(st.sampled_from(["none", "all", "random"]))
+    accept = {"none": np.zeros(n), "all": np.ones(n), "random": gen.random(n)}[share]
+    return t, accept
+
+
+_DETECTORS = st.builds(DetectorModel,
+                       efficiency=st.sampled_from([0.0, 0.35, 1.0]),
+                       jitter_fwhm_ps=st.sampled_from([0.0, 184.0]),
+                       dead_time_ns=st.just(0.0),
+                       dark_rate_hz=st.sampled_from([0.0, 5.0]))
+
+
+@given(_arrivals(), _DETECTORS, st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_detector_draws_match_boolean_gather(arrivals, det, seed):
+    """Same times and the same generator state after; the caller's arrivals are left as they were."""
+    t, accept = arrivals
+    before = t.copy()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _detector_draws((t, accept), det, rng, 0.0, SPAN_PS)
+    want = reference.detector_draws((t.copy(), accept), det, ref_rng, 0.0, SPAN_PS)
+    _same(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    _same(t, before)
+
+
+def test_irf_channels_share_their_arrivals():
+    """Both irf channels draw from one birth array; neither draw sorts it in place."""
+    birth = np.sort(np.random.default_rng(0).random(1000) * SPAN_PS)
+    before = birth.copy()
+    ideal_with_darks = DetectorModel(dark_rate_hz=50.0)
+    for det in (DetectorModel(), ideal_with_darks, events.DETECTOR_PRESETS["mpd"]):
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(2):
+            _same(_detector_draws((birth, 1.0), det, rng, 0.0, SPAN_PS),
+                  reference.detector_draws((birth.copy(), 1.0), det, ref_rng, 0.0, SPAN_PS))
+        _same(birth, before)
+
+
+@st.composite
+def _channel_tags(draw):
+    """2 or 3 sorted int64 tag arrays over a few picoseconds: ties across and within channels."""
+    n_channels = draw(st.sampled_from([2, 3]))
+    return [np.array(sorted(draw(st.lists(st.integers(0, 12), max_size=30))), dtype=np.int64)
+            for _ in range(n_channels)]
+
+
+@given(_channel_tags())
+@settings(max_examples=300)
+def test_merge_matches_lexsort(tags):
+    got, want = _merge_channels(tags), reference.merge_channels(tags)
+    for g, w in zip(got, want):
+        _same(g, w)
+
+
+def _records(channel, t_ps):
+    records = np.empty(len(t_ps), dtype=eventfile._RECORD_DTYPE)
+    records["channel"], records["t_ps"] = channel, t_ps
+    return records
+
+
+@given(st.lists(_channel_tags(), max_size=4), st.booleans())
+@settings(max_examples=200)
+def test_split_matches_boolean_gather(blocks, strided):
+    """Merged blocks split back per channel; also over strided views of packed records."""
+    n_channels = max((len(tags) for tags in blocks), default=2)
+    merged = [_merge_channels(tags + [np.empty(0, dtype=np.int64)] * (n_channels - len(tags)))
+              for tags in blocks]
+    if strided:  # the views _checked_blocks yields
+        merged = [(r["channel"], r["t_ps"].view(np.int64))
+                  for r in (_records(c, t) for c, t in merged)]
+        assert all(t.strides == (eventfile._RECORD_DTYPE.itemsize,) for _, t in merged if len(t))
+    got = list(split_records(merged, n_channels))
+    want = list(reference.split_records(merged, n_channels))
+    assert len(got) == len(want)
+    for (g_tags, g_horizon), (w_tags, w_horizon) in zip(got, want):
+        assert g_horizon == w_horizon
+        for g, w in zip(g_tags, w_tags):
+            _same(g, w)
+
+
+_TAGS = st.lists(st.integers(-2_000, 60_000), max_size=60).map(
+    lambda v: np.array(sorted(v), dtype=np.int64))
+
+
+@given(_TAGS, _TAGS, st.sampled_from([(4, 8_000, -4_000), (4, 400, 0), (16, 50_000, 0),
+                                      (1, 1, 100_000)]))
+@settings(max_examples=300)
+def test_first_stop_bins_match_boolean_gather(starts, stops, binning):
+    """Windows that keep every start, some or none."""
+    bin_width_ps, window_ps, t0_ps = binning
+    counter = StartStopCounter(bin_width_ps, window_ps, t0_ps, "first")
+    if len(stops) == 0:  # _count never bins against no stops
+        stops = np.array([0], dtype=np.int64)
+    _same(counter._bins(starts, stops),
+          reference.first_stop_bins(starts, stops, t0_ps, window_ps, bin_width_ps))
+
+
+@given(st.sampled_from([0, 1, 5, 1000]), st.sampled_from(["none", "all", "random"]),
+       st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+def test_compress_is_boolean_indexing(n, share, stride, seed):
+    """The identity every rewritten gather rests on: same elements, same order, contiguous."""
+    gen = np.random.default_rng(seed)
+    base = gen.integers(-2**62, 2**62, n * stride)
+    t = base[::stride]
+    keep = {"none": np.zeros(n, bool), "all": np.ones(n, bool),
+            "random": gen.random(n) < 0.35}[share]
+    got = np.compress(keep, t)
+    _same(got, t[keep])
+    assert got.flags.c_contiguous
