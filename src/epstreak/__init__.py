@@ -12,7 +12,7 @@ from .spdc import (CrystalSpec, FilterSpec, JointSpectralDensity, PumpSpec,
                    SourceModel, conjugate_wavelength, joint_spectral_density,
                    tuning_curve)
 from .tcspc import G2Curve, Histogram, rebin, start_stop_histogram, tag_g2
-from .twins import (InterferogramCube, TimeFrequencyMap, TwinsCalibration,
-                    TwinsSpec, calibrate_delay, reconstruct_map)
+from .twins import (InterferogramCube, TimeFrequencyMap, TwinsSpec, calibrate_delay,
+                    reconstruct_map)
 
 __version__ = "0.1.0"

@@ -146,11 +146,11 @@ def cmd_g2(cfg, args, out):
 
 
 def cmd_ft_map(cfg, args, out):
-    cube, calibration, tf_map = experiment.ft_map(cfg)
+    cube, delay_per_um_fs, tf_map = experiment.ft_map(cfg)
     save_cube(out / "cube", cube)
     write_map_csv(out / "map.csv", tf_map)
     return {"artifacts": ["cube", "map.csv"], "n_positions": len(cube.positions_um),
-            "delay_per_um_fs": calibration.delay_per_um_fs}
+            "delay_per_um_fs": delay_per_um_fs}
 
 
 def cmd_fit(cfg, args, out):

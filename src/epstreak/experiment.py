@@ -216,7 +216,7 @@ def cube(cfg, positions_um):
 
 
 def calibrate(cfg):
-    """TWINS calibration from a scan of REFERENCE_LINE on the seed ``derive_seed(run.seed, 0)``."""
+    """TWINS delay slope in fs/um from a scan of REFERENCE_LINE on ``derive_seed(run.seed, 0)``."""
     run = RunConfig(duration_s=REFERENCE_DURATION_S, seed=derive_seed(cfg.run.seed, 0),
                     topology="fluorescence")
     reference = cube(replace(cfg, sample=SampleModel((REFERENCE_LINE,)), run=run),
@@ -225,7 +225,7 @@ def calibrate(cfg):
 
 
 def ft_map(cfg):
-    """(interferogram cube, calibration, wavelength-time map) of the sample.
+    """(interferogram cube, calibrated delay slope, wavelength-time map) of the sample.
 
     ``run.seed`` seeds both scans: the calibration as ``calibrate`` says and
     the sample's cube as ``cube`` says. The map's wavelength axis comes from
@@ -233,10 +233,11 @@ def ft_map(cfg):
     """
     if cfg.twins is None or cfg.sample is None:
         raise ConfigurationError("ft-map requires both a twins section and a sample section")
-    calibration = calibrate(cfg)
+    delay_per_um_fs = calibrate(cfg)
     scan = cube(cfg, cfg.twins.positions_um())
     ft = cfg.analysis.ft
-    return scan, calibration, reconstruct_map(scan, calibration, ft.apodization, ft.dc_removal)
+    return scan, delay_per_um_fs, reconstruct_map(scan, delay_per_um_fs, ft.apodization,
+                                                  ft.dc_removal)
 
 
 def fit(cfg, hist, irf_hist):

@@ -103,14 +103,14 @@ def run_fig3_two_dyes(out_dir, seed, cfg):
     """Interferogram cube and reconstructed map of the two-dye mixture."""
     out = Path(out_dir)
     cfg = _seeded(cfg, derive_seed(seed, 1))
-    cube, calibration, tf_map = ft_map(cfg)
+    cube, delay_per_um_fs, tf_map = ft_map(cfg)
     save_cube(out / "cube", cube)
     write_map_csv(out / "map.csv", tf_map)
     band = (tf_map.wavelength_axis_nm >= 740) & (tf_map.wavelength_axis_nm <= 980)
     spectrum_band = tf_map.intensity[band].sum(axis=1)
     return _record({
         "artifacts": ["cube", "map.csv"],
-        "delay_per_um_fs": calibration.delay_per_um_fs,
+        "delay_per_um_fs": delay_per_um_fs,
         "spectrum_peak_nm": float(tf_map.wavelength_axis_nm[band][np.argmax(spectrum_band)]),
     }, {"map": cfg})
 

@@ -8,8 +8,9 @@ time-resolved emission spectrum.
 
 Wedge dispersion is ignored (the delay slope is taken wavelength
 independent); the calibration step absorbs the overall scale. The
-calibration is numpy-only: its bounded scalar search and analytic signal
-are private copies of scipy's, so a map run loads no scipy module.
+calibration yields only that slope, the one value the magnitude transform
+needs. It refines the fringe frequency by golden-section search in numpy,
+so a map run loads no scipy module.
 """
 
 from __future__ import annotations
@@ -137,107 +138,34 @@ class TimeFrequencyMap:
             raise ConfigurationError("map intensity must be >= 0")
 
 
-@dataclass(frozen=True)
-class TwinsCalibration:
-    delay_per_um_fs: float
-    x_zero_um: float
-    fringe_period_um: float
+_INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 
 
-_BOUNDED_MAXFUN = 500
-
-
-def _minimize_bounded(func, lo, hi, xatol):
-    """(x, nfev) of Brent's bounded scalar minimization of ``func`` on [lo, hi].
-
-    The loop of ``scipy.optimize.minimize_scalar(method="bounded")`` with its
-    default 500-evaluation cap, making the same float operations in the same
-    order, so x and the evaluation count equal scipy's bit for bit.
-    """
-    sqrt_eps = sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+def _golden_section(func, lo, hi, xatol):
+    """The probe with the lowest ``func`` once golden-section search narrows [lo, hi] to xatol."""
     a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _BOUNDED_MAXFUN:
-            break
-    return xf, num
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = func(c), func(d)
+    while b - a > xatol:
+        if fc <= fd:  # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = func(c)
+        else:  # the minimum lies in [c, b]
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = func(d)
+    return c if fc <= fd else d
 
 
-def _analytic_signal(x):
-    """The analytic signal of real ``x``, as ``scipy.signal.hilbert`` forms it."""
-    n = len(x)
-    spectrum = np.fft.fft(x)
-    if n % 2 == 0:
-        spectrum[1:n // 2] *= 2.0
-        spectrum[n // 2 + 1:] = 0.0
-    else:
-        spectrum[1:(n + 1) // 2] *= 2.0
-        spectrum[(n + 1) // 2:] = 0.0
-    return np.fft.ifft(spectrum)
+def calibrate_delay(reference_cube: InterferogramCube, known_wavelength_nm) -> float:
+    """Delay slope in fs/um from a monochromatic reference scan.
 
-
-def calibrate_delay(reference_cube: InterferogramCube, known_wavelength_nm) -> TwinsCalibration:
-    """Delay slope and zero-delay position from a monochromatic reference scan.
-
-    Fits the fringe frequency in the position domain (FFT peak refined by
-    maximizing the periodogram) and locates the envelope maximum via the
-    analytic signal.
+    Fits the fringe frequency in the position domain: the FFT peak, refined
+    by maximizing the periodogram within one frequency step of it. No
+    zero-delay position is fitted: ``reconstruct_map`` keeps the magnitude
+    of the transform along position, and a shift of zero delay changes only
+    its phase, so that position never enters the map.
     """
     x = reference_cube.positions_um
     interferogram = reference_cube.counts_matrix().sum(axis=1)
@@ -249,7 +177,7 @@ def calibrate_delay(reference_cube: InterferogramCube, known_wavelength_nm) -> T
         raise CalibrationError("reference scan too short")
     k_peak = 1 + int(np.argmax(spectrum[1:]))
     noise = np.median(spectrum[1:])
-    if noise > 0 and spectrum[k_peak] / noise < 3.0:
+    if not spectrum[k_peak] > 3.0 * noise:  # a flat scan has peak = noise = 0
         raise CalibrationError("reference interferogram SNR < 3")
 
     df = 1.0 / (n * dx)
@@ -259,32 +187,23 @@ def calibrate_delay(reference_cube: InterferogramCube, known_wavelength_nm) -> T
         ph = np.exp(-2j * np.pi * f * x)
         return -np.abs(np.dot(ac, ph)) ** 2
 
-    f_hat = float(_minimize_bounded(neg_power, max(f0 - df, 0.5 * df), f0 + df, df * 1e-7)[0])
+    # k_peak <= n/2 puts xatol = 1e-7 df above 2e-7/(n+2) of f, far above float
+    # resolution for any cube that fits in memory, so the search needs no cap
+    f_hat = float(_golden_section(neg_power, max(f0 - df, 0.5 * df), f0 + df, df * 1e-7))
     n_fringes = f_hat * (x[-1] - x[0])
     if n_fringes < 10:
         raise CalibrationError(
             f"only {n_fringes:.1f} fringes in the reference scan; need >= 10")
-
-    envelope = np.abs(_analytic_signal(ac))
-    i = int(np.argmax(envelope))
-    x_zero = x[i]
-    if 0 < i < n - 1:  # parabolic vertex refine
-        y0, y1, y2 = envelope[i - 1], envelope[i], envelope[i + 1]
-        denom = y0 - 2 * y1 + y2
-        if denom != 0:
-            x_zero = x[i] + 0.5 * dx * (y0 - y2) / denom
-    delay = f_hat * known_wavelength_nm / C_NM_PER_FS
-    return TwinsCalibration(delay_per_um_fs=delay, x_zero_um=float(x_zero),
-                            fringe_period_um=1.0 / f_hat)
+    return f_hat * known_wavelength_nm / C_NM_PER_FS
 
 
-def reconstruct_map(cube: InterferogramCube, calibration: TwinsCalibration,
+def reconstruct_map(cube: InterferogramCube, delay_per_um_fs,
                     apodization="hann", dc_removal=True) -> TimeFrequencyMap:
     """Magnitude Fourier transform of the cube along wedge position.
 
     Per time bin: optional DC removal, apodization, real FFT along x; the
     position-frequency axis maps to wavelength via the calibrated delay
-    slope. The k=0 (DC) component is discarded.
+    slope ``delay_per_um_fs``. The k=0 (DC) component is discarded.
     """
     if apodization not in APODIZATIONS:
         raise ConfigurationError(f"unknown apodization {apodization!r}")
@@ -298,7 +217,7 @@ def reconstruct_map(cube: InterferogramCube, calibration: TwinsCalibration,
     spectrum = np.abs(np.fft.rfft(data, axis=0))  # [k, time]
     k = np.arange(1, spectrum.shape[0])
     freq_per_um = k / (n * dx)
-    wavelength_nm = C_NM_PER_FS * abs(calibration.delay_per_um_fs) / freq_per_um
+    wavelength_nm = C_NM_PER_FS * abs(delay_per_um_fs) / freq_per_um
     # k ascending means wavelength descending; flip for increasing axes
     intensity = spectrum[1:][::-1]
     return TimeFrequencyMap(wavelength_nm[::-1], cube.time_axis_ps().astype(float),

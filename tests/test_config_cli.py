@@ -155,25 +155,32 @@ def heavy():
     prefixes = ("scipy.optimize", "scipy.signal", "scipy.stats")
     return sorted(m for m in sys.modules if m.startswith(prefixes))
 
-rc = epstreak.cli.main(["irf", "--out", sys.argv[1], "--duration", "0.01"])
+rcs = [epstreak.cli.main(["irf", "--out", sys.argv[1], "--duration", "0.01"])]
 after_irf = heavy()
+# a TWINS calibration, then the map it scales
+rcs.append(epstreak.cli.main(["ft-map", "--out", sys.argv[2], "--config", sys.argv[3]]))
+after_map = heavy()
 epstreak.fitting._solve_linear([[1.0, 2.0]], [1.0, 2.0])  # a fit step imports scipy.optimize
-print(json.dumps([rc, after_irf, heavy()]))
+print(json.dumps([rcs, after_irf, after_map, heavy()]))
 """
 
 
 def test_start_up_and_irf_run_load_no_scipy_submodule(tmp_path):
-    """Only lifetime fits load scipy: importing the CLI and an irf run leave it out."""
+    """Only lifetime fits load scipy: importing the CLI, an irf run and an ft-map run
+    (its calibration included) leave it out."""
     import epstreak
     src = str(Path(epstreak.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path / "irf")],
+    argv = [str(tmp_path / "irf"), str(tmp_path / "ft"), _write_cfg(tmp_path, SMALL_MAP_CFG)]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, *argv],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rc, after_irf, after_fit_step = json.loads(proc.stdout.splitlines()[-1])
-    assert rc == 0 and (tmp_path / "irf" / "manifest.json").is_file()
-    assert after_irf == []
+    rcs, after_irf, after_map, after_fit_step = json.loads(proc.stdout.splitlines()[-1])
+    assert rcs == [0, 0]
+    assert (tmp_path / "irf" / "manifest.json").is_file()
+    assert (tmp_path / "ft" / "map.csv").is_file()
+    assert after_irf == [] and after_map == []
     assert "scipy.optimize" in after_fit_step  # the guard sees a loaded module
 
 
@@ -557,6 +564,14 @@ def test_seed_override_changes_output(tmp_path):
     assert cli.main(["simulate", "--out", str(b), "--config", cfg,
                      "--seed", "2"]) == 0
     assert (a / "events.bin").read_bytes() != (b / "events.bin").read_bytes()
+
+
+def test_ft_map_with_a_blind_signal_detector_exits_1(tmp_path, capsys):
+    # efficiency 0 leaves the reference scan empty: too weak to calibrate
+    cfg = _write_cfg(tmp_path, SMALL_MAP_CFG.replace(
+        "signal: {preset: ideal}", "signal: {preset: ideal, efficiency: 0}"))
+    assert cli.main(["ft-map", "--out", str(tmp_path / "o"), "--config", cfg]) == 1
+    assert "reference interferogram SNR < 3" in capsys.readouterr().err
 
 
 def test_ft_map_bad_epps_threads_exits_2(tmp_path, capsys, monkeypatch):

@@ -72,8 +72,9 @@ def _artifact_digest(out, skip=()):
 
 def test_ft_map_bytes_pinned(tmp_path):
     # sha256 over the manifest's artifact hashes (256 cube positions, cube
-    # manifest, map.csv). map.csv dates from calibrating against the reference
-    # scan instead of the nominal delay slope; the cube and full digests from
+    # manifest, map.csv). map.csv dates from refining the calibrated delay
+    # slope by golden-section search, which moved the slope by ~4e-9 relative
+    # and so the 4th decimal of some wavelengths; the cube digest dates from
     # the cube manifest recording the histogram mode.
     text = TWO_DYE_MAP_YAML
     assert "duration_s: 0.5 " in text
@@ -84,9 +85,9 @@ def test_ft_map_bytes_pinned(tmp_path):
     assert (_artifact_digest(out, skip=("map.csv",))
             == "b163a6ea9837b0dc5592474bcb73fab8a58e8401267c072ed1b7f6a59001a93d")
     assert (hashlib.sha256((out / "map.csv").read_bytes()).hexdigest()
-            == "3a45d57cd91146364fff72dcc90118875ea3af06324e751849b859eef3d1a8aa")
+            == "2995841d9ca36d82568b4d1b89cc4c20c82287333ec0e0b273ccee9e244a14cd")
     assert (_artifact_digest(out)
-            == "5ec6fc4843d5d610655a3f3d26b6cb45f7bf1b4927b9ffd365042cff8ea3ecf5")
+            == "1af5c15bdaf43eef972767e57d6751a32b75a631150fa654257d4dcafbaf36df")
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["delay_per_um_fs"] == pytest.approx(1.0, abs=1e-3)
 
