@@ -2,16 +2,16 @@
 
 The model is a sum of causal exponentials convolved with a measured (or
 synthetic) IRF histogram plus a flat background. Fitting minimizes the
-Poisson negative log-likelihood by variable projection: a bounded
-quasi-Newton search (L-BFGS-B) runs over the log lifetimes (and the IRF
-shift) from multistart candidates, and at each of its points the
-nonnegative amplitudes and background are solved exactly. The search uses
-the analytic gradient of the single-pole recursion; the covariance is the
-inverse Fisher information.
+Poisson negative log-likelihood by variable projection: a box-bounded
+Fisher-scoring search (Gauss-Newton with Levenberg-Marquardt damping) runs
+over the log lifetimes (and the IRF shift) from multistart candidates, and
+at each of its points the nonnegative amplitudes and background are solved
+exactly. The search uses the analytic derivatives of the single-pole
+recursion and the Fisher matrix of the profiled problem in Kaufman's
+approximation; the covariance is the inverse Fisher information.
 
-scipy supplies the recursion filter, NNLS and L-BFGS-B. Each function that
-calls one imports it, so scipy is loaded by the first lifetime fit (or
-model evaluation), not by ``import epstreak``.
+Everything is numpy: the recursion is a doubling scan and the
+nonnegative least squares is Lawson and Hanson's active-set method.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class FitResult:
     fit_range_bins: tuple
     nll: float
     n_model_evals: int  # convolve_model calls, merged attempts included
-    converged: bool  # the optimizer's own test, at the best start
+    converged: bool  # the best start's deviance decrement fell below DEVIANCE_TOL
     multistart_spread: float  # NLL of the worst start minus the best
     fisher_condition: float  # of the Fisher matrix scaled to unit diagonal
     merged_from: int | None = None  # components asked for when a merge fired
@@ -82,6 +82,21 @@ class FitResult:
                 "merged_from_components": self.merged_from}
 
 
+def _recursion(x, r):
+    """y[m] = r*y[m-1] + x[m] with y[-1] = 0, by a doubling scan.
+
+    After the pass at stride s each y[m] holds the terms r^j x[m-j] for
+    j < 2s. The passes stop once r^s underflows to 0, which leaves out only
+    terms below the smallest double, or once s reaches len(x).
+    """
+    y = np.array(x, dtype=float)
+    s, p = 1, r
+    while s < len(y) and p > 0.0:
+        y[s:] += p * y[:-s]
+        s, p = 2 * s, p * p
+    return y
+
+
 def _exp_response(irf_weights, bin_width_ps, tau_ps, shift_ps, n_out,
                   derivatives=False):
     """Bin-averaged (irf * causal exponential) on the irf's bin grid.
@@ -89,13 +104,12 @@ def _exp_response(irf_weights, bin_width_ps, tau_ps, shift_ps, n_out,
     The IRF is treated as piecewise constant over its bins, so the integral
     of the exponential kernel over each source bin is exact. Full bins share
     a geometric factor, which turns the sum into a single-pole recursion
-    y[m] = r*y[m-1] + x[m] evaluated in O(n); the partially covered boundary
+    y[m] = r*y[m-1] + x[m] (``_recursion``); the partially covered boundary
     bin gets its own exact weight. With ``derivatives`` the result is
     (y, dy/dtau_ps, dy/dshift_ps).
     """
     from math import ceil
 
-    from scipy.signal import lfilter
     delta = float(bin_width_ps)
     r = np.exp(-delta / tau_ps)
     # m0 indexes the boundary bin; rho in [-delta/2, delta/2) is the kernel
@@ -110,12 +124,12 @@ def _exp_response(irf_weights, bin_width_ps, tau_ps, shift_ps, n_out,
     a_full = tau_ps * (np.exp(delta / (2 * tau_ps)) - np.exp(-delta / (2 * tau_ps)))
     partial = tau_ps * (1.0 - np.exp(-(rho + delta / 2) / tau_ps))
     scale = a_full * np.exp(-rho / tau_ps)
-    h = lfilter([1.0], [1.0, -r], x)
+    h = _recursion(x, r)
     y = scale * h + (partial - scale) * x
     if not derivatives:
         return y / delta
     # dh/dr obeys the same recursion driven by h one bin later
-    dh_dr = lfilter([0.0, 1.0], [1.0, -r], h)
+    dh_dr = _recursion(np.concatenate(([0.0], h))[:-1], r)
     u = delta / (2 * tau_ps)
     d_full = np.exp(u) - np.exp(-u) - u * (np.exp(u) + np.exp(-u))
     d_scale = d_full * np.exp(-rho / tau_ps) + scale * rho / tau_ps ** 2
@@ -187,6 +201,10 @@ class FitOptions(Checked):
 
 
 N_MULTISTART = 12  # lifetime candidates scored before the three best are refined
+MERGE_REL = 0.10  # lifetimes closer than this, relative, are one component
+DEVIANCE_TOL = 1e-10  # a search stops once a full scoring step would gain less
+MAX_LOG_STEP = 1.0  # trust radius of one scoring step in each log lifetime
+MAX_ITERATIONS = 100  # scoring steps per start; a guard, not the stopping rule
 
 
 def _default_fit_range(hist: Histogram, irf: Histogram):
@@ -211,12 +229,60 @@ def _nll(y, mu):
     return float(np.sum(mu - y * np.log(mu)))
 
 
+def _nnls(a, b):
+    """argmin ||a x - b|| subject to x >= 0, by Lawson and Hanson's active-set method.
+
+    (*Solving Least Squares Problems*, 1974, ch. 23.) With a = QR the
+    problem has the same solutions as min ||R x - Q^T b||, so one QR of the
+    tall ``a`` leaves only square subproblems of ``a``'s few columns, each
+    solved by least squares, which keeps a's own conditioning. Variables
+    outside the passive set are exactly 0. A column that enters with a
+    nonpositive value depends on the passive ones within roundoff and is
+    skipped, as in the book.
+    """
+    m, n = a.shape
+    q, r = np.linalg.qr(a)
+    c = q.T @ b
+    # bound on the roundoff in the dual w = a^T (b - a x), by Cauchy-Schwarz
+    tol = 10 * max(m, n) * np.finfo(float).eps * np.max(np.abs(r)) * np.sqrt(b @ b)
+
+    def subproblem(passive):
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(r[:, passive], c, rcond=None)[0]
+        return z
+
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = r.T @ c
+    for _ in range(3 * n):
+        entering = ~passive & (w > tol)
+        if not entering.any():
+            break
+        j = np.argmax(np.where(entering, w, -np.inf))
+        passive[j] = True
+        z = subproblem(passive)
+        if not z[j] > 0:
+            passive[j] = False
+            w[j] = 0.0
+            continue
+        # step back to the first variable that the subproblem pushed below 0
+        while not np.all(z[passive] > 0):
+            neg = np.flatnonzero(passive & (z <= 0))
+            ratio = x[neg] / (x[neg] - z[neg])
+            x += ratio.min() * (z - x)
+            passive[neg[np.argmin(ratio)]] = False
+            passive &= x > 0
+            z = subproblem(passive)
+        x = z
+        w = r.T @ (c - r @ x)
+    return x
+
+
 def _solve_linear(responses, y):
     """Nonnegative amplitudes and background by variance-weighted NNLS."""
-    from scipy.optimize import nnls
-    a_mat = np.stack(list(responses) + [np.ones_like(y)], axis=1)
     w = 1.0 / np.sqrt(np.clip(y, 1.0, None))
-    sol, _ = nnls(a_mat * w[:, None], y * w)
+    weighted = np.stack(list(responses) + [np.ones_like(y)]) * w
+    sol = _nnls(weighted.T, y * w)
     return sol[:-1], sol[-1]
 
 
@@ -280,18 +346,17 @@ def _deviance(y, mu, y_safe):
 def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None) -> FitResult:
     """Poisson maximum-likelihood reconvolution fit by variable projection.
 
-    L-BFGS-B minimizes the NLL profiled over amplitudes and background (see
-    ``_poisson_linear``) in log lifetime, plus the IRF shift with
-    ``fit_shift``, from the three best of N_MULTISTART candidates. The
-    gradient follows from the envelope theorem and ``response_derivatives``.
-    The fit runs over ``_default_fit_range``. Deterministic for a given
-    options.seed. When lifetimes end closer than 10% of each other, or a
-    component ends with amplitude 0, the fit repeats with one component
-    fewer. Covariance is the inverse Fisher information of the fitted
-    parameters; reduced chi^2 uses Pearson weights.
+    Fisher scoring minimizes the deviance profiled over amplitudes and
+    background (see ``_poisson_linear``) in log lifetime, plus the IRF
+    shift with ``fit_shift``, from the three best of N_MULTISTART
+    candidates (see ``_scoring_search``). The gradient follows from the
+    envelope theorem and ``response_derivatives``. The fit runs over
+    ``_default_fit_range``. Deterministic for a given options.seed. When
+    lifetimes end closer than MERGE_REL of each other, or a component ends
+    with amplitude 0, the fit repeats with one component fewer. Covariance
+    is the inverse Fisher information of the fitted parameters; reduced
+    chi^2 uses Pearson weights.
     """
-    from scipy.optimize import minimize
-
     options = options or FitOptions()
     if hist.bin_width_ps != irf.bin_width_ps:
         raise ConfigurationError("histogram and IRF must share their bin width")
@@ -341,76 +406,165 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
         scored.append((_nll(y, mu), np.asarray(taus)))
     scored.sort(key=lambda s: s[0])
 
-    # outer variables: log tau [ns] per component, then shift in bins
-    def at(v):
+    # outer variables v: log tau [ns] per component, then shift in bins
+    def point(v):
         taus = np.exp(v[:k])
         shift = float(v[k]) * bw if options.fit_shift else 0.0
         resp = responses(taus, shift)
         amps, bg, mu = _poisson_linear(resp, y)
-        derivs = [response_derivatives(tau, irf, shift, n_bins_fit, t0_fit) for tau in taus]
-        return taus, shift, resp, derivs, amps, bg, mu
+        return _Point(v, _deviance(y, mu, y_safe), taus, shift, resp, amps, bg, mu)
 
-    def profile(v):
-        taus, _, _, derivs, amps, _, mu = at(v)
-        resid = 1.0 - y / mu
-        grad = [a * tau * (resid @ d_tau) for a, tau, (d_tau, _) in zip(amps, taus, derivs)]
-        if options.fit_shift:
-            grad.append(bw * sum(a * (resid @ d_shift) for a, (_, d_shift) in zip(amps, derivs)))
-        return _deviance(y, mu, y_safe), np.asarray(grad)
+    def scoring(p):
+        derivs = [response_derivatives(tau, irf, p.shift, n_bins_fit, t0_fit) for tau in p.taus]
+        jac, fisher = _fisher(p.resp, derivs, p.amps, p.mu, options.fit_shift)
+        grad = jac.T @ (1.0 - y / p.mu)
+        # lifetimes and shift in fisher's layout, and the linear variables off their bound
+        outer = np.r_[k:2 * k, 2 * k + 1:len(grad)]
+        linear = np.r_[0:k, 2 * k][np.append(p.amps, p.bg) > 0]
+        scale = np.append(p.taus, bw)[:len(outer)]  # d(tau, shift)/dv
+        f_oo = fisher[np.ix_(outer, outer)]
+        if len(linear):
+            f_lo = fisher[np.ix_(linear, outer)]
+            f_oo = f_oo - f_lo.T @ np.linalg.lstsq(fisher[np.ix_(linear, linear)], f_lo,
+                                                   rcond=None)[0]
+        return scale * grad[outer], f_oo * np.outer(scale, scale)
 
-    bounds = [(np.log(lo / 100), np.log(100 * hi))] * k
-    if options.fit_shift:
-        bounds.append((None, None))
+    n_v = k + int(options.fit_shift)
+    lower = np.append(np.full(k, np.log(lo / 100)), -np.inf)[:n_v]
+    upper = np.append(np.full(k, np.log(100 * hi)), np.inf)[:n_v]
     runs = []
     for _, taus in scored[:3]:
-        v0 = np.log(taus) if not options.fit_shift else np.append(np.log(taus), 0.0)
-        runs.append(minimize(profile, v0, jac=True, method="L-BFGS-B", bounds=bounds,
-                             options={"ftol": 1e-12, "gtol": 1e-3, "maxfun": 150}))
-    best = min(runs, key=lambda res: res.fun)
-    if not np.isfinite(best.fun):
-        raise FitError("fit did not converge", diagnostics={"best": best})
+        v0 = np.append(np.log(taus), 0.0)[:n_v]
+        runs.append(_scoring_search(point(v0), point, scoring, lower, upper, k))
+    best, converged = min(runs, key=lambda run: run[0].deviance)
+    if not np.isfinite(best.deviance):
+        raise FitError("fit did not converge",
+                       diagnostics={"model_evaluations": n_evals,
+                                    "best_deviance": str(best.deviance)})
 
-    taus, shift, resp, derivs, amps, bg, mu = at(best.x)
-    order = np.argsort(taus)
-    taus, amps = taus[order], amps[order]
-    resp = [resp[i] for i in order]
-    derivs = [derivs[i] for i in order]
+    order = np.argsort(best.taus)
+    taus, amps = best.taus[order], best.amps[order]
+    resp = [best.resp[i] for i in order]
 
     # merge nearly equal lifetimes, or drop a component the fit switched off
     # (amplitude exactly 0, its lifetime arbitrary), and refit with fewer
-    if k > 1 and (np.any(np.diff(taus) / taus[1:] < 0.10) or np.any(amps == 0)):
+    if k > 1 and (_collapsed(taus) or np.any(amps == 0)):
         merged = fit_decay(hist, irf, replace(options, n_components=k - 1))
         return replace(merged, n_model_evals=merged.n_model_evals + n_evals, merged_from=k)
 
-    model = DecayModel(list(zip(amps, taus)), background=bg, t_shift_ps=shift)
-    cov, cond = _fisher_covariance(resp, derivs, amps, mu, options.fit_shift)
+    mu = best.mu
+    derivs = [response_derivatives(tau, irf, best.shift, n_bins_fit, t0_fit) for tau in taus]
+    model = DecayModel(list(zip(amps, taus)), background=best.bg, t_shift_ps=best.shift)
+    cov, cond = _fisher_covariance(_fisher(resp, derivs, amps, mu, options.fit_shift)[1],
+                                   options.fit_shift)
     n_params = 2 * k + 1 + int(options.fit_shift)
     dof = max(n_bins_fit - n_params, 1)
     chi2 = float(np.sum((y - mu) ** 2 / mu))
     return FitResult(model=model, covariance=cov, reduced_chi2=chi2 / dof,
                      n_bins_used=n_bins_fit, fit_range_bins=(first, last),
-                     nll=_nll(y, mu), n_model_evals=n_evals,
-                     converged=bool(best.success),
-                     multistart_spread=float(max(r.fun for r in runs) - best.fun),
+                     nll=_nll(y, mu), n_model_evals=n_evals, converged=converged,
+                     multistart_spread=max(run[0].deviance for run in runs) - best.deviance,
                      fisher_condition=cond)
 
 
-def _fisher_covariance(resp, derivs, amps, mu, fit_shift):
-    """Inverse Fisher information J^T diag(1/mu) J over the fitted parameters.
+@dataclass
+class _Point:
+    """The profiled fit at outer variables v."""
+    v: np.ndarray
+    deviance: float
+    taus: np.ndarray
+    shift: float
+    resp: list
+    amps: np.ndarray
+    bg: float
+    mu: np.ndarray
 
-    J is the analytic Jacobian of mu in the (a_1..K, tau_1..K [ns],
-    background, shift [ps]) layout; the shift's row and column stay zero
-    when it is not fitted. Also returns the condition number of the Fisher
-    matrix scaled to unit diagonal (inf if a parameter carries no information).
+
+def _collapsed(taus):
+    """Whether two of the lifetimes are within MERGE_REL of each other."""
+    taus = np.sort(taus)
+    return bool(np.any(np.diff(taus) / taus[1:] < MERGE_REL))
+
+
+def _scoring_search(p, point, scoring, lower, upper, n_tau):
+    """Box-bounded Fisher scoring with Levenberg-Marquardt damping, from point p.
+
+    ``point(v)`` profiles the fit at v; ``scoring(p)`` gives the deviance
+    gradient and the Fisher matrix over v, Kaufman's approximation of the
+    variable-projection Hessian (Golub and Pereyra, Inverse Problems 19, R1
+    (2003)). The first ``n_tau`` variables are log lifetimes. A variable
+    stays where it is while it sits on a bound the gradient pushes against,
+    or carries no information (a lifetime whose amplitude is 0). Damping is
+    Marquardt's, scaled by the Fisher diagonal (More, LNM 630 (1978)), and
+    follows Nielsen's update (Madsen, Nielsen and Tingleff, *Methods for
+    non-linear least squares problems*, 2004, sec. 3.2). It also grows until
+    no log lifetime moves by more than MAX_LOG_STEP: far from the current
+    point, the quadratic model of a weak component says nothing.
+
+    The search stops as converged when the full Gauss-Newton step predicts a
+    deviance decrement below DEVIANCE_TOL. It stops unconverged when no
+    damped step lowers the deviance, or when two lifetimes collapse, since
+    the fit then refits with one component fewer. Returns (point, converged).
     """
-    k = len(amps)
+    damping, growth = 1e-3, 2.0
+    for _ in range(MAX_ITERATIONS):
+        grad, fisher = scoring(p)
+        diag = np.diag(fisher)
+        free = (diag > 0) & ~((p.v <= lower) & (grad > 0)) & ~((p.v >= upper) & (grad < 0))
+        g, f = grad[free], fisher[np.ix_(free, free)]
+        newton = np.linalg.lstsq(f, -g, rcond=None)[0]
+        if -0.5 * (g @ newton) < DEVIANCE_TOL:
+            return p, True
+        n_free_tau = np.count_nonzero(free[:n_tau])
+        while True:
+            step = np.linalg.solve(f + damping * np.diag(diag[free]), -g)
+            if np.max(np.abs(step[:n_free_tau]), initial=0.0) > MAX_LOG_STEP:
+                damping *= 2.0  # more damping gives a shorter step
+                continue
+            v = p.v.copy()
+            v[free] += step
+            trial = point(np.clip(v, lower, upper))
+            gain = p.deviance - trial.deviance
+            if gain > 0:
+                # Nielsen's update: damping follows the model's predicted gain
+                rho = gain / -(g @ step + 0.5 * step @ f @ step)
+                damping *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
+                growth = 2.0
+                break
+            damping *= growth
+            growth *= 2.0
+            if damping > 1e10:
+                return p, False
+        p = trial
+        if _collapsed(p.taus):
+            return p, False
+    return p, False
+
+
+def _fisher(resp, derivs, amps, mu, fit_shift):
+    """Jacobian J of mu and Fisher information J^T diag(1/mu) J.
+
+    Over the fitted parameters in the (a_1..K, tau_1..K [ns], background,
+    shift [ps]) layout; the shift's column is left out when it is not fitted.
+    """
     cols = list(resp) + [a * d_tau for a, (d_tau, _) in zip(amps, derivs)]
     cols.append(np.ones_like(mu))
-    cols.append(sum(a * d_shift for a, (_, d_shift) in zip(amps, derivs)))
-    fitted = np.array([True] * (2 * k + 1) + [fit_shift])
-    jac = np.stack(cols, axis=1)[:, fitted]
-    fisher = jac.T @ (jac / mu[:, None])
-    cov = np.zeros((2 * k + 2, 2 * k + 2))
+    if fit_shift:
+        cols.append(sum(a * d_shift for a, (_, d_shift) in zip(amps, derivs)))
+    jac = np.stack(cols, axis=1)
+    return jac, jac.T @ (jac / mu[:, None])
+
+
+def _fisher_covariance(fisher, fit_shift):
+    """Inverse of ``_fisher``'s matrix, in the layout with the shift's row and column.
+
+    The shift's row and column stay zero when it is not fitted. Also returns
+    the condition number of the Fisher matrix scaled to unit diagonal (inf
+    if a parameter carries no information).
+    """
+    n = len(fisher) + int(not fit_shift)
+    fitted = np.arange(n) < len(fisher)
+    cov = np.zeros((n, n))
     cov[np.ix_(fitted, fitted)] = np.linalg.pinv(fisher, hermitian=True)
     cov = 0.5 * (cov + cov.T)
     scale = np.sqrt(np.diag(fisher))

@@ -74,11 +74,6 @@ def transmission(emission_nm, position_um, spec: TwinsSpec):
     return p if p.ndim else float(p)
 
 
-def fringe_period_um(wavelength_nm, spec: TwinsSpec):
-    """Interferogram period in wedge position for a monochromatic input."""
-    return wavelength_nm / (C_NM_PER_FS * abs(spec.delay_per_um_fs))
-
-
 def nyquist_spacing_um(min_wavelength_nm, spec: TwinsSpec):
     return min_wavelength_nm / (2.0 * C_NM_PER_FS * abs(spec.delay_per_um_fs))
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from epstreak.errors import ConfigurationError, DomainError
 from epstreak.tcspc import _integer_window
-from epstreak.units import FWHM_PER_SIGMA, PS_PER_S
+from epstreak.units import C_NM_PER_FS, FWHM_PER_SIGMA, PS_PER_S
 
 
 def coincidence_rate(a, b, window_ps, duration_s):
@@ -27,6 +27,11 @@ def coincidence_rate(a, b, window_ps, duration_s):
 def accidental_rate_hz(rate_a_hz, rate_b_hz, window_ps):
     """Analytic accidental-coincidence rate of two independent Poisson streams."""
     return rate_a_hz * rate_b_hz * (window_ps / PS_PER_S)
+
+
+def fringe_period_um(wavelength_nm, spec):
+    """Interferogram period in wedge position for a monochromatic input to a TwinsSpec."""
+    return wavelength_nm / (C_NM_PER_FS * abs(spec.delay_per_um_fs))
 
 
 def slice_map(tf_map, axis, at_value, width):

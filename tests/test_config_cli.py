@@ -149,39 +149,52 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 _SCIPY_GUARD = """
 import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"{name} is blocked")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, BlockScipy())
 import epstreak, epstreak.cli
 
-def heavy():
-    prefixes = ("scipy.optimize", "scipy.signal", "scipy.stats")
-    return sorted(m for m in sys.modules if m.startswith(prefixes))
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
 
-rcs = [epstreak.cli.main(["irf", "--out", sys.argv[1], "--duration", "0.01"])]
-after_irf = heavy()
+irf, ft, cfg, fit = sys.argv[2:]
+rcs = [epstreak.cli.main(["irf", "--out", irf, "--duration", "0.01"])]
+after_irf = loaded()
 # a TWINS calibration, then the map it scales
-rcs.append(epstreak.cli.main(["ft-map", "--out", sys.argv[2], "--config", sys.argv[3]]))
-after_map = heavy()
-epstreak.fitting._solve_linear([[1.0, 2.0]], [1.0, 2.0])  # a fit step imports scipy.optimize
-print(json.dumps([rcs, after_irf, after_map, heavy()]))
+rcs.append(epstreak.cli.main(["ft-map", "--out", ft, "--config", cfg]))
+after_map = loaded()
+irf_csv = f"{irf}/irf.csv"
+rcs.append(epstreak.cli.main(["fit", "--out", fit, "--hist", irf_csv, "--irf", irf_csv]))
+print(json.dumps([rcs, after_irf, after_map, loaded()]))
 """
 
 
 def test_start_up_and_irf_run_load_no_scipy_submodule(tmp_path):
-    """Only lifetime fits load scipy: importing the CLI, an irf run and an ft-map run
-    (its calibration included) leave it out."""
+    """Importing the CLI, an irf run, an ft-map run (its calibration included) and a
+    lifetime fit on the irf run's output load no scipy module, and all of them run
+    with scipy's import blocked."""
     import epstreak
     src = str(Path(epstreak.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    argv = [str(tmp_path / "irf"), str(tmp_path / "ft"), _write_cfg(tmp_path, SMALL_MAP_CFG)]
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, *argv],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    rcs, after_irf, after_map, after_fit_step = json.loads(proc.stdout.splitlines()[-1])
-    assert rcs == [0, 0]
-    assert (tmp_path / "irf" / "manifest.json").is_file()
-    assert (tmp_path / "ft" / "map.csv").is_file()
-    assert after_irf == [] and after_map == []
-    assert "scipy.optimize" in after_fit_step  # the guard sees a loaded module
+    cfg = _write_cfg(tmp_path, SMALL_MAP_CFG)
+    for mode in ("watch", "block"):
+        out = tmp_path / mode
+        argv = [mode, str(out / "irf"), str(out / "ft"), cfg, str(out / "fit")]
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rcs, after_irf, after_map, after_fit = json.loads(proc.stdout.splitlines()[-1])
+        assert rcs == [0, 0, 0], mode
+        assert (out / "irf" / "manifest.json").is_file()
+        assert (out / "ft" / "map.csv").is_file()
+        assert (out / "fit" / "fit_report.txt").is_file()
+        assert after_irf == [] and after_map == [] and after_fit == [], mode
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):

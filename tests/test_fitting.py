@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize, nnls
+from scipy.signal import lfilter
 from scipy.special import erfc
 
 from epstreak.errors import ConfigurationError, DomainError, FitError
-from epstreak.fitting import (DecayModel, FitOptions, convolve_model, fit_decay,
-                              format_fit_report, response_derivatives)
+from epstreak.fitting import (DecayModel, FitOptions, _nnls, _recursion, convolve_model,
+                              fit_decay, format_fit_report, response_derivatives)
 from epstreak.tcspc import Histogram, rebin
 from epstreak.twins import TimeFrequencyMap
 from epstreak.units import FWHM_PER_SIGMA
@@ -48,6 +50,40 @@ def test_delta_irf_gives_bin_averaged_exponential():
     assert mu[0] == pytest.approx(tau_ps / d * (1 - np.exp(-d / (2 * tau_ps))),
                                   rel=1e-12)
     assert np.allclose(mu[1:], full * np.exp(-m * d / tau_ps), rtol=1e-12)
+
+
+@given(st.sampled_from([800, 3500]), st.floats(1e-20, 0.9999), st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_recursion_matches_lfilter(n, r, seed):
+    # an IRF-like drive: a block of weights in [0, 1) between stretches of zeros
+    rng = np.random.default_rng(seed)
+    x = np.zeros(n)
+    start = int(rng.integers(0, n))
+    x[start:start + 300] = rng.random(len(x[start:start + 300]))
+    h_ref = lfilter([1.0], [1.0, -r], x)
+    h = _recursion(x, r)
+    # dh/dr is the same recursion driven by h one bin later
+    dh_dr = _recursion(np.concatenate(([0.0], h))[:-1], r)
+    # below 1e-300 lfilter itself works in subnormals, with few significant bits
+    for got, want in ((h, h_ref), (dh_dr, lfilter([0.0, 1.0], [1.0, -r], h_ref))):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-300)
+
+
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=200)
+def test_nnls_matches_scipy(n, seed, collinear, zero_optimum):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(n + 1, 400))
+    a = rng.random((m, n))
+    if collinear and n > 1:
+        a[:, -1] = a[:, 0] * rng.uniform(0.5, 2.0)
+    x_true = rng.uniform(0.5, 2.0, n)
+    if zero_optimum:  # negative generators put their variables on the zero bound
+        x_true[rng.random(n) < 0.5] *= -1.0
+    b = a @ x_true + 0.01 * rng.normal(size=m)
+    got, (want, _) = _nnls(a, b), nnls(a, b)
+    assert np.array_equal(got == 0, want == 0)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
 
 
 def test_background_only_constant():
@@ -265,6 +301,7 @@ def test_fit_records_diagnostics():
     assert len(merged.model.components) == 1
     assert merged.merged_from == 2
     assert merged.n_model_evals > res.n_model_evals
+    assert merged.n_model_evals <= 367  # a collapsing pair ends its search early
 
 
 def test_zero_amplitude_component_dropped():

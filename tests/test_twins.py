@@ -12,11 +12,12 @@ from epstreak.experiment import Detectors, HistogramOptions, _max_workers
 from epstreak.spdc import density_fwhm
 from epstreak.tcspc import Histogram, rebin
 from epstreak.twins import (InterferogramCube, TwinsSpec, _golden_section, calibrate_delay,
-                            fringe_period_um, load_cube, nyquist_spacing_um, nyquist_violation,
-                            reconstruct_map, save_cube, transmission, write_map_csv)
+                            load_cube, nyquist_spacing_um, nyquist_violation, reconstruct_map,
+                            save_cube, transmission, write_map_csv)
 from epstreak.units import C_NM_PER_FS
 
 from conftest import heralded_source, shipped
+from reference import fringe_period_um
 
 IDEAL = DetectorModel()
 
