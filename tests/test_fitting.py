@@ -5,6 +5,7 @@ from scipy.optimize import minimize, nnls
 from scipy.signal import lfilter
 from scipy.special import erfc
 
+from epstreak import fitting
 from epstreak.errors import ConfigurationError, DomainError, FitError
 from epstreak.fitting import (DecayModel, FitOptions, _nnls, _recursion, convolve_model,
                               fit_decay, format_fit_report, response_derivatives)
@@ -302,6 +303,24 @@ def test_fit_records_diagnostics():
     assert merged.merged_from == 2
     assert merged.n_model_evals > res.n_model_evals
     assert merged.n_model_evals <= 367  # a collapsing pair ends its search early
+
+
+def test_search_stops_when_lifetimes_collapse(monkeypatch):
+    # on noiseless 1.0/1.05 ns data each two-component start closes in on the
+    # merge threshold; its search ends there, unconverged, and the fit merges
+    irf = _gaussian_irf()
+    hist, _ = _noiseless_hist(DecayModel([(30.0, 1.0), (20.0, 1.05)]), irf)
+    ends, search = [], fitting._scoring_search
+
+    def recorded(p, *args):
+        ends.append(search(p, *args))
+        return ends[-1]
+
+    monkeypatch.setattr(fitting, "_scoring_search", recorded)
+    merged = fit_decay(hist, irf, FitOptions(n_components=2, seed=0))
+    pairs = [(end, converged) for end, converged in ends if len(end.taus) == 2]
+    assert merged.merged_from == 2 and len(pairs) == 3
+    assert all(fitting._collapsed(end.taus) and not converged for end, converged in pairs)
 
 
 def test_zero_amplitude_component_dropped():
