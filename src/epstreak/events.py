@@ -104,32 +104,6 @@ def _rng(seed, *tags):
     return np.random.default_rng(np.random.SeedSequence((seed,) + tags))
 
 
-def _next_outside(times, i, dead_ps):
-    """Per index in ``i``: the first j > i with times[j] - times[i] >= dead_ps, else len(times).
-
-    A galloping search, then a bisection, on that float subtraction itself,
-    which is monotone in j because times is sorted.
-    """
-    n = len(times)
-    lo, hi = i.copy(), np.minimum(i + 1, n)  # times[lo] is too close
-    active = np.arange(len(i))
-    while len(active):
-        h = hi[active]
-        short = h < n
-        short[short] = times[h[short]] - times[i[active[short]]] < dead_ps
-        active = active[short]
-        lo[active] = hi[active]
-        hi[active] = np.minimum(2 * hi[active] - i[active], n)
-    active = np.flatnonzero(hi - lo > 1)
-    while len(active):
-        mid = (lo[active] + hi[active]) // 2
-        far = times[mid] - times[i[active]] >= dead_ps
-        hi[active[far]] = mid[far]
-        lo[active[~far]] = mid[~far]
-        active = active[hi[active] - lo[active] > 1]
-    return hi
-
-
 def _dead_time_prune(times, dead_ps, last=None):
     """Nonparalyzable dead time over sorted times: keep t when t - last_kept >= dead_ps.
 
@@ -137,11 +111,10 @@ def _dead_time_prune(times, dead_ps, last=None):
     An event at least dead_ps after its predecessor (a head) is always kept,
     because the last kept event is no later than that predecessor and float
     subtraction is monotone; the event right after a head is dropped when
-    closer than dead_ps. So only bursts of three or more events need their
-    kept events followed from the head: all such bursts at once, one numpy
-    search per kept event of the longest. A stream with almost no gap of
-    dead_ps or more (count rates many times 1/dead_ps) is one long burst and
-    costs one such round per kept event.
+    closer than dead_ps. So only bursts of three or more events are left,
+    and each is walked from its head with that same float test, a few scalar
+    steps per burst event. A stream with almost no gap of dead_ps is one
+    long burst, walked once.
     """
     if dead_ps <= 0 or len(times) == 0:
         return times
@@ -154,13 +127,15 @@ def _dead_time_prune(times, dead_ps, last=None):
     keep = np.empty(n, dtype=bool)
     keep[0] = True
     keep[1:] = ~close
-    # heads of bursts of three or more events, then the last kept event of each
-    chain = np.flatnonzero(keep[:-2] & close[:-1] & close[1:])
-    while len(chain):
-        chain = _next_outside(times, chain, dead_ps)
-        chain = chain[chain < n]
-        chain = chain[~keep[chain]]  # reaching the next head ends the burst
-        keep[chain] = True
+    # each head of a burst of three or more events; the event after it is dropped
+    for h in np.flatnonzero(keep[:-2] & close[:-1] & close[1:]).tolist():
+        kept = times[h]
+        j = h + 2
+        while j < n and close[j - 1]:
+            if times[j] - kept >= dead_ps:
+                keep[j] = True
+                kept = times[j]
+            j += 1
     return times[keep]
 
 

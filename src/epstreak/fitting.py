@@ -17,6 +17,7 @@ nonnegative least squares is Lawson and Hanson's active-set method.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import ceil
 
 import numpy as np
 
@@ -108,8 +109,6 @@ def _exp_response(irf_weights, bin_width_ps, tau_ps, shift_ps, n_out,
     bin gets its own exact weight. With ``derivatives`` the result is
     (y, dy/dtau_ps, dy/dshift_ps).
     """
-    from math import ceil
-
     delta = float(bin_width_ps)
     r = np.exp(-delta / tau_ps)
     # m0 indexes the boundary bin; rho in [-delta/2, delta/2) is the kernel

@@ -7,7 +7,7 @@ along the signal axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ import numpy as np
 from .checks import Checked, relation, rule
 from .errors import DomainError, EmptySupportError
 from .sellmeier import TABLES, get_table, refractive_index
+from .units import FWHM_PER_SIGMA
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,7 +56,7 @@ class FilterSpec(Checked):
     def transmission(self, wavelength_nm):
         lam = np.asarray(wavelength_nm, dtype=float)
         if self.shape == "gaussian":
-            sigma = self.fwhm_nm / 2.3548200450309493
+            sigma = self.fwhm_nm / FWHM_PER_SIGMA
             t = np.exp(-0.5 * ((lam - self.center_nm) / sigma) ** 2)
         else:
             t = (np.abs(lam - self.center_nm) <= 0.5 * self.fwhm_nm).astype(float)
@@ -162,13 +163,7 @@ def tuning_curve(pump: PumpSpec, crystal_template: CrystalSpec, temperatures):
         raise DomainError("temperature list must be nonempty")
     points = []
     for T in temperatures:
-        crystal = CrystalSpec(
-            poling_period_um=crystal_template.poling_period_um,
-            length_mm=crystal_template.length_mm,
-            temperature_C=T,
-            sellmeier_id=crystal_template.sellmeier_id,
-        )
-        root = _find_root(pump, crystal)
+        root = _find_root(pump, replace(crystal_template, temperature_C=T))
         if root is None:
             points.append(TuningPoint(T, None, None, False))
         else:

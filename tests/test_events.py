@@ -234,13 +234,13 @@ def test_determinism_any_seed(seed):
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def _reference_prune(times, dead_ps):
-    """The per-event nonparalyzable dead-time loop the fast prune must match."""
+def _reference_prune(times, dead_ps, last=None):
+    """The per-event nonparalyzable dead-time loop the fast prune must match, from ``last``."""
     if dead_ps <= 0 or len(times) == 0:
         return times
     kept = np.empty(len(times))
     n = 0
-    last = -np.inf
+    last = -np.inf if last is None else last
     for t in times.tolist():
         if t - last >= dead_ps:
             kept[n] = t
@@ -249,9 +249,9 @@ def _reference_prune(times, dead_ps):
     return kept[:n]
 
 
-def _assert_prune_matches(times, dead_ps):
-    got = _dead_time_prune(times, dead_ps)
-    want = _reference_prune(times, dead_ps)
+def _assert_prune_matches(times, dead_ps, last=None):
+    got = _dead_time_prune(times, dead_ps, last)
+    want = _reference_prune(times, dead_ps, last)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -282,7 +282,12 @@ def _sorted_times(draw, dead_ps):
 def test_dead_time_prune_matches_reference_loop(data):
     dead_ps = data.draw(_DEAD_TIMES)
     times = data.draw(_sorted_times(dead_ps))
-    _assert_prune_matches(times, dead_ps)
+    # the kept time carried over from an earlier chunk: none, or less than,
+    # exactly or more than dead_ps before the first time
+    before = data.draw(st.one_of(st.none(), st.just(dead_ps),
+                                 st.floats(0.0, 3 * max(dead_ps, 1.0), allow_nan=False)))
+    last = None if before is None else times[0] - before
+    _assert_prune_matches(times, dead_ps, last)
 
 
 @pytest.mark.parametrize("times", [
