@@ -10,8 +10,9 @@ exactly. The search uses the analytic derivatives of the single-pole
 recursion and the Fisher matrix of the profiled problem in Kaufman's
 approximation; the covariance is the inverse Fisher information.
 
-Everything is numpy: the recursion is a doubling scan and the
-nonnegative least squares is Lawson and Hanson's active-set method.
+Everything is numpy: the recursion is a doubling scan, and one bounded
+Newton solve (``_poisson_linear``) gives the amplitudes and background
+wherever the fit needs them, the multistart ranking included.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class FitOptions(Checked):
     fit_shift: bool = False
 
 
-N_MULTISTART = 12  # lifetime candidates scored before the three best are refined
+N_MULTISTART = 12  # lifetime candidates ranked before the three best are refined
 MERGE_REL = 0.10  # lifetimes closer than this, relative, are one component
 DEVIANCE_TOL = 1e-10  # a search stops once a full scoring step would gain less
 MAX_LOG_STEP = 1.0  # trust radius of one scoring step in each log lifetime
@@ -228,97 +229,38 @@ def _nll(y, mu):
     return float(np.sum(mu - y * np.log(mu)))
 
 
-def _nnls(a, b):
-    """argmin ||a x - b|| subject to x >= 0, by Lawson and Hanson's active-set method.
-
-    (*Solving Least Squares Problems*, 1974, ch. 23.) With a = QR the
-    problem has the same solutions as min ||R x - Q^T b||, so one QR of the
-    tall ``a`` leaves only square subproblems of ``a``'s few columns, each
-    solved by least squares, which keeps a's own conditioning. Variables
-    outside the passive set are exactly 0. A column that enters with a
-    nonpositive value depends on the passive ones within roundoff and is
-    skipped, as in the book.
-    """
-    m, n = a.shape
-    q, r = np.linalg.qr(a)
-    c = q.T @ b
-    # bound on the roundoff in the dual w = a^T (b - a x), by Cauchy-Schwarz
-    tol = 10 * max(m, n) * np.finfo(float).eps * np.max(np.abs(r)) * np.sqrt(b @ b)
-
-    def subproblem(passive):
-        z = np.zeros(n)
-        z[passive] = np.linalg.lstsq(r[:, passive], c, rcond=None)[0]
-        return z
-
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    w = r.T @ c
-    for _ in range(3 * n):
-        entering = ~passive & (w > tol)
-        if not entering.any():
-            break
-        j = np.argmax(np.where(entering, w, -np.inf))
-        passive[j] = True
-        z = subproblem(passive)
-        if not z[j] > 0:
-            passive[j] = False
-            w[j] = 0.0
-            continue
-        # step back to the first variable that the subproblem pushed below 0
-        while not np.all(z[passive] > 0):
-            neg = np.flatnonzero(passive & (z <= 0))
-            ratio = x[neg] / (x[neg] - z[neg])
-            x += ratio.min() * (z - x)
-            passive[neg[np.argmin(ratio)]] = False
-            passive &= x > 0
-            z = subproblem(passive)
-        x = z
-        w = r.T @ (c - r @ x)
-    return x
-
-
-def _solve_linear(responses, y):
-    """Nonnegative amplitudes and background by variance-weighted NNLS."""
-    w = 1.0 / np.sqrt(np.clip(y, 1.0, None))
-    weighted = np.stack(list(responses) + [np.ones_like(y)]) * w
-    sol = _nnls(weighted.T, y * w)
-    return sol[:-1], sol[-1]
-
-
 def _poisson_linear(responses, y):
     """Nonnegative amplitudes and background at the Poisson NLL minimum.
 
-    Starts from the weighted NNLS solution and takes damped Newton steps on
-    the convex NLL of mu = c @ G. Variables at zero whose gradient points out
-    of the feasible set stay there; a step stops short of zero for the
-    others (those already at zero are clipped) and is halved until the NLL
-    falls. The NLL change is summed bin by bin, so it resolves steps far
-    below the NLL's roundoff. A full step with a Newton decrement below
-    1e-5 ends the loop: the next decrement would be of its square's order.
+    Starts from the variance-weighted least-squares solution, each bin's
+    variance taken from the counts' 5-bin running mean, projected onto
+    c >= 0 with the background kept above 0 so that mu > 0, and scaled so
+    that the model holds the observed counts. Then takes Newton steps on
+    the convex NLL of mu = c @ G, each to where ``_bounded_newton`` leads
+    on the quadratic model, halved until the NLL falls. The NLL change is
+    summed bin by bin, so it resolves steps far below the NLL's roundoff.
+    A full step with a Newton decrement below 1e-5 ends the loop: the next
+    decrement would be of its square's order.
     Returns (amplitudes, background, mu).
     """
-    amps, bg = _solve_linear(responses, y)
-    c = np.append(amps, bg)
     g_mat = np.array(list(responses) + [np.ones_like(y)])
+    g_sum = g_mat.sum(axis=1)
+    v = 1.0 / np.clip(np.convolve(y, np.ones(5) / 5.0, mode="same"), 1.0, None)
+    c = np.maximum(np.linalg.lstsq((g_mat * v) @ g_mat.T, g_mat @ (v * y), rcond=None)[0], 0.0)
+    c[-1] = max(c[-1], y.mean() / len(y))
+    c *= y.sum() / (c @ g_sum)
     mu = np.maximum(c @ g_mat, _MU_FLOOR)
     for _ in range(50):
         w = y / mu
-        grad = g_mat @ (1.0 - w)
-        free = (c > 0) | (grad < 0)
-        g_free = g_mat if free.all() else g_mat[free]
-        try:
-            step = np.linalg.solve((g_free * (w / mu)) @ g_free.T, -grad[free])
-        except np.linalg.LinAlgError:
-            break
-        decrement = -grad[free] @ step
+        grad = g_sum - g_mat @ w
+        hess = (g_mat * (w / mu)) @ g_mat.T
+        target = _bounded_newton(hess, grad, c)
+        decrement = grad @ (c - target)
         if not decrement > 1e-12:
             break
-        c_free = c[free]
-        shrink = (step < 0) & (c_free > 0)
-        t = min(1.0, 0.99 * float(np.min(-c_free[shrink] / step[shrink]))) if shrink.any() else 1.0
+        t = 1.0
         while t > 1e-10:
-            trial = c.copy()
-            trial[free] = np.maximum(c_free + t * step, 0.0)
+            trial = target if t == 1.0 else c + t * (target - c)
             mu_t = np.maximum(trial @ g_mat, _MU_FLOOR)
             d_mu = mu_t - mu
             if np.sum(d_mu - y * np.log1p(d_mu / mu)) < 0:
@@ -330,6 +272,47 @@ def _poisson_linear(responses, y):
         if t == 1.0 and decrement < 1e-5:
             break
     return c[:-1], c[-1], mu
+
+
+def _bounded_newton(hess, grad, c):
+    """c + d at the minimum of the quadratic model grad @ d + d @ hess @ d / 2 over c + d >= 0.
+
+    Lawson and Hanson's active-set method (*Solving Least Squares Problems*,
+    1974, ch. 23) on the model, from c. The free variables take their
+    Newton step; a step that would take some below zero stops where the
+    first reaches zero, which is put exactly on 0 and fixed. Once a step
+    ends inside, the fixed variable whose model gradient is most negative
+    joins, until none has a negative gradient, or until the one that joins
+    would leave at once (within roundoff, on a near-singular model). The
+    model is taken in units that give hess a unit diagonal (a variable
+    without curvature keeps its own) with a ridge of 1e-12 added, so that
+    along a direction without curvature, which near-collinear columns or
+    bins without counts leave, the step runs on to the nearest bound.
+    """
+    diag = np.diag(hess)
+    scale = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    h = hess * scale * scale[:, None] + 1e-12 * np.eye(len(c))
+    g, x0 = grad * scale, c / scale
+    x, g_x = x0.copy(), g
+    free = x > 0
+    for _ in range(3 * len(x)):
+        if free.any():
+            step = np.linalg.solve(h[free][:, free], -g_x[free])
+            x_free = x[free]
+            ratio = np.divide(-x_free, step, out=np.full(len(step), np.inf), where=step < 0)
+            t = min(1.0, ratio.min())
+            if t == 0.0:
+                break
+            x[free] = np.where(ratio <= t, 0.0, x_free + t * step)
+            g_x = g + h @ (x - x0)
+            if t < 1.0:
+                free[free] = ratio > t
+                continue
+        fixed = ~free & (g_x < 0)
+        if not fixed.any():
+            break
+        free[np.argmin(np.where(fixed, g_x, np.inf))] = True
+    return x * scale
 
 
 def _deviance(y, mu, y_safe):
@@ -347,8 +330,9 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
 
     Fisher scoring minimizes the deviance profiled over amplitudes and
     background (see ``_poisson_linear``) in log lifetime, plus the IRF
-    shift with ``fit_shift``, from the three best of N_MULTISTART
-    candidates (see ``_scoring_search``). The gradient follows from the
+    shift with ``fit_shift``. The N_MULTISTART lifetime candidates are
+    ranked on that same profiled deviance, and the three best start the
+    searches (see ``_scoring_search``). The gradient follows from the
     envelope theorem and ``response_derivatives``. The fit runs over
     ``_default_fit_range``. Deterministic for a given options.seed. When
     lifetimes end closer than MERGE_REL of each other, or a component ends
@@ -397,14 +381,6 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
             candidates.append(tuple(pick))
         candidates += [tuple(np.sort(base[[i, -1 - i]])) for i in range(4) if k == 2]
 
-    scored = []
-    for taus in candidates:
-        resp = responses(np.asarray(taus), 0.0)
-        amps, bg = _solve_linear(resp, y)
-        mu = sum(a * r for a, r in zip(amps, resp)) + bg
-        scored.append((_nll(y, mu), np.asarray(taus)))
-    scored.sort(key=lambda s: s[0])
-
     # outer variables v: log tau [ns] per component, then shift in bins
     def point(v):
         taus = np.exp(v[:k])
@@ -412,6 +388,10 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
         resp = responses(taus, shift)
         amps, bg, mu = _poisson_linear(resp, y)
         return _Point(v, _deviance(y, mu, y_safe), taus, shift, resp, amps, bg, mu)
+
+    n_v = k + int(options.fit_shift)
+    starts = sorted((point(np.append(np.log(taus), 0.0)[:n_v]) for taus in candidates),
+                    key=lambda p: p.deviance)
 
     def scoring(p):
         derivs = [response_derivatives(tau, irf, p.shift, n_bins_fit, t0_fit) for tau in p.taus]
@@ -428,13 +408,9 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
                                                    rcond=None)[0]
         return scale * grad[outer], f_oo * np.outer(scale, scale)
 
-    n_v = k + int(options.fit_shift)
     lower = np.append(np.full(k, np.log(lo / 100)), -np.inf)[:n_v]
     upper = np.append(np.full(k, np.log(100 * hi)), np.inf)[:n_v]
-    runs = []
-    for _, taus in scored[:3]:
-        v0 = np.append(np.log(taus), 0.0)[:n_v]
-        runs.append(_scoring_search(point(v0), point, scoring, lower, upper, k))
+    runs = [_scoring_search(p, point, scoring, lower, upper, k) for p in starts[:3]]
     best, converged = min(runs, key=lambda run: run[0].deviance)
     if not np.isfinite(best.deviance):
         raise FitError("fit did not converge",

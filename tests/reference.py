@@ -59,6 +59,25 @@ def slice_map(tf_map, axis, at_value, width):
     return other_axis.copy(), data[mask].sum(axis=0)
 
 
+def dead_time_prune(times, dead_ps, last=None):
+    """The per-event nonparalyzable dead-time loop over sorted times, from the kept time ``last``.
+
+    An event is kept when it comes at least ``dead_ps`` after the last kept
+    one; ``dead_ps <= 0`` keeps every event.
+    """
+    if dead_ps <= 0 or len(times) == 0:
+        return times
+    kept = np.empty(len(times))
+    n = 0
+    last = -np.inf if last is None else last
+    for t in times.tolist():
+        if t - last >= dead_ps:
+            kept[n] = t
+            n += 1
+            last = t
+    return kept[:n]
+
+
 # The gathers of the streamed detector chain in their boolean-mask forms, as
 # they were before np.compress and the stable merge replaced them. The
 # package's forms must give the same elements in the same order.

@@ -21,6 +21,7 @@ from epstreak.twins import TwinsSpec
 from epstreak.units import FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
 
 from conftest import heralded_source
+from reference import dead_time_prune
 
 IDEAL = DetectorModel()
 
@@ -234,24 +235,9 @@ def test_determinism_any_seed(seed):
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def _reference_prune(times, dead_ps, last=None):
-    """The per-event nonparalyzable dead-time loop the fast prune must match, from ``last``."""
-    if dead_ps <= 0 or len(times) == 0:
-        return times
-    kept = np.empty(len(times))
-    n = 0
-    last = -np.inf if last is None else last
-    for t in times.tolist():
-        if t - last >= dead_ps:
-            kept[n] = t
-            n += 1
-            last = t
-    return kept[:n]
-
-
 def _assert_prune_matches(times, dead_ps, last=None):
     got = _dead_time_prune(times, dead_ps, last)
-    want = _reference_prune(times, dead_ps, last)
+    want = dead_time_prune(times, dead_ps, last)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 

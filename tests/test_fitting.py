@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize, nnls
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import minimize
 from scipy.signal import lfilter
 from scipy.special import erfc
 
 from epstreak import fitting
 from epstreak.errors import ConfigurationError, DomainError, FitError
-from epstreak.fitting import (DecayModel, FitOptions, _nnls, _recursion, convolve_model,
+from epstreak.fitting import (DecayModel, FitOptions, _recursion, convolve_model,
                               fit_decay, format_fit_report, response_derivatives)
 from epstreak.tcspc import Histogram, rebin
 from epstreak.twins import TimeFrequencyMap
@@ -70,21 +70,44 @@ def test_recursion_matches_lfilter(n, r, seed):
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-300)
 
 
-@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-@settings(max_examples=200)
-def test_nnls_matches_scipy(n, seed, collinear, zero_optimum):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(n + 1, 400))
-    a = rng.random((m, n))
-    if collinear and n > 1:
-        a[:, -1] = a[:, 0] * rng.uniform(0.5, 2.0)
-    x_true = rng.uniform(0.5, 2.0, n)
-    if zero_optimum:  # negative generators put their variables on the zero bound
-        x_true[rng.random(n) < 0.5] *= -1.0
-    b = a @ x_true + 0.01 * rng.normal(size=m)
-    got, (want, _) = _nnls(a, b), nnls(a, b)
-    assert np.array_equal(got == 0, want == 0)
-    assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+@st.composite
+def _near_equal_lifetimes(draw):
+    """One to three lifetimes, each 1e-5 to 1e-2 (relative) above the one before."""
+    gaps = draw(st.lists(st.floats(1e-5, 1e-2), max_size=2))
+    return tuple(draw(st.floats(0.2, 2.0)) * np.cumprod([1.0] + [1.0 + g for g in gaps]))
+
+
+# two columns 1e-4 apart, whose optimum puts one amplitude exactly on zero
+@example(taus=(1.1293, 1.12941), amps=[1000.0, 0.0, 0.0], background=0.01, seed=0)
+@given(taus=_near_equal_lifetimes(),
+       amps=st.lists(st.one_of(st.just(0.0), st.floats(10.0, 5000.0)), min_size=3, max_size=3),
+       background=st.floats(0.01, 10.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150)
+def test_poisson_linear_matches_scipy(taus, amps, background, seed):
+    irf = _gaussian_irf(n_bins=800)
+    cols = [convolve_model(DecayModel([(1.0, tau)]), irf) for tau in taus]
+    g = np.stack(cols + [np.ones(len(cols[0]))])
+    truth = np.append(amps[:len(taus)], background)
+    y = np.random.default_rng(seed).poisson(truth @ g).astype(float)
+    assume(y.any())
+    got_amps, got_bg, mu = fitting._poisson_linear(cols, y)
+    assert np.all(got_amps >= 0) and got_bg >= 0
+    y_safe = np.where(y > 0, y, 1.0)
+    deviance = fitting._deviance(y, mu, y_safe)
+    # L-BFGS-B over c >= 0, in units that give every variable a comparable scale
+    scale = np.append([y.sum() / col.sum() for col in cols], 1.0)
+
+    def objective(x):
+        m = (x * scale) @ g
+        d = m - y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.sum(d - y * np.log1p(d / y_safe)), scale * (g @ (1.0 - y / m))
+
+    for start in (np.append(got_amps, got_bg), truth):
+        opt = minimize(objective, start / scale, jac=True, method="L-BFGS-B",
+                       bounds=[(0.0, None)] * len(start),
+                       options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 10_000})
+        assert deviance <= opt.fun + 1e-6 * abs(opt.fun)
 
 
 def test_background_only_constant():

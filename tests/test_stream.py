@@ -29,20 +29,11 @@ from epstreak.twins import TwinsSpec
 from epstreak.units import PS_PER_NS, PS_PER_S
 
 from conftest import heralded_config, heralded_source
+from reference import dead_time_prune
 
 SOURCE = heralded_source()  # 2e5 pairs/s
 DURATION_S = 5e-4  # 100 pairs on average
 CHUNK_PS = 2e7  # with 4 pairs per chunk: 25 chunks of 20 us
-
-
-def _reference_prune(times, dead_ps):
-    """The per-event nonparalyzable dead-time loop."""
-    kept, last = [], -np.inf
-    for t in times.tolist():
-        if dead_ps <= 0 or t - last >= dead_ps:
-            kept.append(t)
-            last = t
-    return np.asarray(kept, dtype=float)
 
 
 def _reference(args):
@@ -71,7 +62,7 @@ def _reference(args):
     refuse = any(lowest[k] < lowest[k - 1] for k in range(2, n_chunks))
     tags = []
     for ch, det in enumerate(dets):
-        t = _reference_prune(np.sort(np.concatenate(draws[ch])), det.dead_time_ns * PS_PER_NS)
+        t = dead_time_prune(np.sort(np.concatenate(draws[ch])), det.dead_time_ns * PS_PER_NS)
         t = np.rint(t).astype(np.int64)
         tags.append(t[t >= 0])
     return tags, refuse
