@@ -75,7 +75,7 @@ def _write_manifest(out: Path, command, config_echo, seed, artifact_names,
         json.dumps(manifest, indent=2, sort_keys=True, default=float) + "\n")
 
 
-# override flag -> the YAML path it sets; fit's --seed seeds the fit, not the run
+# override flag -> the YAML path it sets
 FLAG_PATHS = {"seed": "run.seed", "duration": "run.duration_s", "n": "analysis.fit.n_components"}
 
 
@@ -90,8 +90,7 @@ def _overrides(args):
         if unused:
             raise ConfigurationError(f"{' and '.join(unused)} cannot be used with --events: "
                                      f"the event file is read back, not simulated")
-    paths = dict(FLAG_PATHS, seed="analysis.fit.seed") if args.command == "fit" else FLAG_PATHS
-    return {path: getattr(args, flag, None) for flag, path in paths.items()}
+    return {path: getattr(args, flag, None) for flag, path in FLAG_PATHS.items()}
 
 
 # Each command runs its step on the loaded config, writes its artifacts into
@@ -201,8 +200,7 @@ def _run(args):
         cfg = override(load_config(args.config or None), _overrides(args))
         out.mkdir(parents=True, exist_ok=True)
         summary = args.func(cfg, args, out)
-        command, echo = args.command, cfg.raw
-        seed = cfg.analysis.fit.seed if args.command == "fit" else cfg.run.seed
+        command, echo, seed = args.command, cfg.raw, cfg.run.seed
     artifacts = summary.pop("artifacts")
     diagnostics = summary.pop("diagnostics", None)
     _write_manifest(out, command, echo, seed, artifacts, summary, diagnostics)
@@ -216,11 +214,12 @@ def build_parser():
                     "fluorescence: simulation and analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, seed_help="override run.seed"):
+    def common(p, config=True, seed=True):
         p.add_argument("--out", required=True, help="output directory")
         if config:
             p.add_argument("--config", help="YAML configuration file")
-            p.add_argument("--seed", type=int, help=seed_help)
+        if config and seed:
+            p.add_argument("--seed", type=int, help="override run.seed")
 
     p = sub.add_parser("simulate", help="write a raw event file")
     common(p)
@@ -248,7 +247,7 @@ def build_parser():
     p.set_defaults(func=cmd_ft_map)
 
     p = sub.add_parser("fit", help="reconvolution lifetime fit of a histogram")
-    common(p, seed_help="override analysis.fit.seed")
+    common(p, seed=False)  # a fit draws no random numbers
     p.add_argument("--hist", required=True, help="decay histogram CSV")
     p.add_argument("--irf", required=True, help="response histogram CSV")
     p.add_argument("--n", type=int, help="number of exponential components")

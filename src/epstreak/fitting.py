@@ -4,8 +4,8 @@ The model is a sum of causal exponentials convolved with a measured (or
 synthetic) IRF histogram plus a flat background. Fitting minimizes the
 Poisson negative log-likelihood by variable projection: a box-bounded
 Fisher-scoring search (Gauss-Newton with Levenberg-Marquardt damping) runs
-over the log lifetimes (and the IRF shift) from multistart candidates, and
-at each of its points the nonnegative amplitudes and background are solved
+over the log lifetimes (and the IRF shift) from fixed multistart candidates,
+and at each of its points the nonnegative amplitudes and background are solved
 exactly. The search uses the analytic derivatives of the single-pole
 recursion and the Fisher matrix of the profiled problem in Kaufman's
 approximation; the covariance is the inverse Fisher information.
@@ -18,7 +18,8 @@ wherever the fit needs them, the multistart ranking included.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil
+from itertools import combinations, count
+from math import ceil, comb
 
 import numpy as np
 
@@ -37,11 +38,11 @@ class DecayModel:
     def __post_init__(self):
         if len(self.components) == 0:
             raise DomainError("need at least one decay component")
-        for a, tau in self.components:
-            if a < 0 or tau <= 0:
-                raise DomainError("amplitudes must be >= 0 and lifetimes > 0")
-        if self.background < 0:
-            raise DomainError("background must be >= 0")
+        for a, tau in self.components:  # each comparison is False on nan
+            if not (0 <= a < np.inf and 0 < tau < np.inf):
+                raise DomainError("amplitudes must be finite and >= 0, lifetimes finite and > 0")
+        if not (0 <= self.background < np.inf and np.isfinite(self.t_shift_ps)):
+            raise DomainError("background must be finite and >= 0, t_shift_ps finite")
 
     def lifetimes_ns(self):
         return np.array([tau for _, tau in self.components])
@@ -61,7 +62,7 @@ class FitResult:
     fit_range_bins: tuple
     nll: float
     n_model_evals: int  # convolve_model calls, merged attempts included
-    converged: bool  # the best start's deviance decrement fell below DEVIANCE_TOL
+    converged: bool  # the best search met DEVIANCE_TOL, its lifetimes off their bounds
     multistart_spread: float  # NLL of the worst start minus the best
     fisher_condition: float  # of the Fisher matrix scaled to unit diagonal
     merged_from: int | None = None  # components asked for when a merge fired
@@ -149,13 +150,13 @@ def _target_grid(irf: Histogram, n_bins, t0_ps):
         n_bins = len(irf.counts)
     if t0_ps is None:
         t0_ps = irf.t0_ps
-    offset, rem = divmod(int(t0_ps - irf.t0_ps), irf.bin_width_ps)
+    offset, rem = divmod(t0_ps - irf.t0_ps, irf.bin_width_ps)
     if rem:
         raise ConfigurationError("target grid origin must align with the IRF bin grid")
     total = irf.counts.sum()
     if total <= 0:
         raise ConfigurationError("IRF histogram is empty")
-    return irf.counts.astype(float) / total, offset, n_bins
+    return irf.counts.astype(float) / total, int(offset), n_bins
 
 
 def convolve_model(model: DecayModel, irf: Histogram, n_bins=None, t0_ps=None):
@@ -196,11 +197,10 @@ def response_derivatives(tau_ns, irf: Histogram, shift_ps=0.0, n_bins=None, t0_p
 @dataclass(frozen=True)
 class FitOptions(Checked):
     n_components: int = rule(1, lo=1)
-    seed: int = rule(0, lo=0)
     fit_shift: bool = False
 
 
-N_MULTISTART = 12  # lifetime candidates ranked before the three best are refined
+N_MULTISTART = 12  # least number of lifetime candidates ranked before the three best are refined
 MERGE_REL = 0.10  # lifetimes closer than this, relative, are one component
 DEVIANCE_TOL = 1e-10  # a search stops once a full scoring step would gain less
 MAX_LOG_STEP = 1.0  # trust radius of one scoring step in each log lifetime
@@ -330,15 +330,15 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
 
     Fisher scoring minimizes the deviance profiled over amplitudes and
     background (see ``_poisson_linear``) in log lifetime, plus the IRF
-    shift with ``fit_shift``. The N_MULTISTART lifetime candidates are
+    shift with ``fit_shift``. The lifetime candidates (``_candidates``) are
     ranked on that same profiled deviance, and the three best start the
     searches (see ``_scoring_search``). The gradient follows from the
     envelope theorem and ``response_derivatives``. The fit runs over
-    ``_default_fit_range``. Deterministic for a given options.seed. When
-    lifetimes end closer than MERGE_REL of each other, or a component ends
-    with amplitude 0, the fit repeats with one component fewer. Covariance
-    is the inverse Fisher information of the fitted parameters; reduced
-    chi^2 uses Pearson weights.
+    ``_default_fit_range`` and draws no random numbers. When lifetimes end
+    closer than MERGE_REL of each other, or a component ends with amplitude
+    0, the fit repeats with one component fewer. Covariance is the inverse
+    Fisher information of the fitted parameters; reduced chi^2 uses Pearson
+    weights.
     """
     options = options or FitOptions()
     if hist.bin_width_ps != irf.bin_width_ps:
@@ -366,20 +366,8 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
         return [convolve_model(DecayModel([(1.0, tau)], 0.0, shift), irf,
                                n_bins=n_bins_fit, t0_ps=t0_fit) for tau in taus_ns]
 
-    # multistart over log-spaced lifetime candidates
-    rng = np.random.default_rng(options.seed)
-    span_ps = n_bins_fit * bw
     lo = max(2.0 * bw, 1.0) / PS_PER_NS
-    hi = 0.8 * span_ps / PS_PER_NS
-    base = np.geomspace(lo * 2, hi / 2, N_MULTISTART)
-    candidates = []
-    if k == 1:
-        candidates = [(t,) for t in base]
-    else:
-        for _ in range(N_MULTISTART):
-            pick = np.sort(np.exp(rng.uniform(np.log(lo * 2), np.log(hi / 2), k)))
-            candidates.append(tuple(pick))
-        candidates += [tuple(np.sort(base[[i, -1 - i]])) for i in range(4) if k == 2]
+    hi = 0.8 * (n_bins_fit * bw) / PS_PER_NS
 
     # outer variables v: log tau [ns] per component, then shift in bins
     def point(v):
@@ -390,8 +378,8 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
         return _Point(v, _deviance(y, mu, y_safe), taus, shift, resp, amps, bg, mu)
 
     n_v = k + int(options.fit_shift)
-    starts = sorted((point(np.append(np.log(taus), 0.0)[:n_v]) for taus in candidates),
-                    key=lambda p: p.deviance)
+    starts = sorted((point(np.append(np.log(taus), 0.0)[:n_v])
+                     for taus in _candidates(lo, hi, k)), key=lambda p: p.deviance)
 
     def scoring(p):
         derivs = [response_derivatives(tau, irf, p.shift, n_bins_fit, t0_fit) for tau in p.taus]
@@ -455,6 +443,12 @@ class _Point:
     mu: np.ndarray
 
 
+def _candidates(lo, hi, k):
+    """Every k-subset of the coarsest geometric grid on [2 lo, hi / 2] with N_MULTISTART or more."""
+    n = next(n for n in count(k) if comb(n, k) >= N_MULTISTART)
+    return list(combinations(np.geomspace(2 * lo, hi / 2, n), k))
+
+
 def _collapsed(taus):
     """Whether two of the lifetimes are within MERGE_REL of each other."""
     taus = np.sort(taus)
@@ -476,10 +470,12 @@ def _scoring_search(p, point, scoring, lower, upper, n_tau):
     no log lifetime moves by more than MAX_LOG_STEP: far from the current
     point, the quadratic model of a weak component says nothing.
 
-    The search stops as converged when the full Gauss-Newton step predicts a
-    deviance decrement below DEVIANCE_TOL. It stops unconverged when no
-    damped step lowers the deviance, or when two lifetimes collapse, since
-    the fit then refits with one component fewer. Returns (point, converged).
+    The search stops when the full Gauss-Newton step predicts a deviance
+    decrement below DEVIANCE_TOL: converged, unless that step would end a
+    log lifetime on or past its bound, where the box, not the data, stops
+    it. It stops unconverged when no damped step lowers the deviance, or
+    when two lifetimes collapse, since the fit then refits with one
+    component fewer. Returns (point, converged).
     """
     damping, growth = 1e-3, 2.0
     for _ in range(MAX_ITERATIONS):
@@ -489,7 +485,9 @@ def _scoring_search(p, point, scoring, lower, upper, n_tau):
         g, f = grad[free], fisher[np.ix_(free, free)]
         newton = np.linalg.lstsq(f, -g, rcond=None)[0]
         if -0.5 * (g @ newton) < DEVIANCE_TOL:
-            return p, True
+            end = p.v.copy()
+            end[free] += newton  # the shift's bounds are infinite
+            return p, bool(np.all((lower < end) & (end < upper)))
         n_free_tau = np.count_nonzero(free[:n_tau])
         while True:
             step = np.linalg.solve(f + damping * np.diag(diag[free]), -g)

@@ -276,7 +276,7 @@ def test_criterion_6_two_dye_map(fig3):
         _, decay = slice_map(tf, "wavelength", peak_nm, width=20.0)
         scale = 2e5 / decay.sum()
         hist = Histogram(bw, 0, decay * scale, n_starts=int(2e5))
-        res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
+        res = fit_decay(hist, irf, FitOptions(n_components=1))
         tau_hat = res.model.components[0][1]
         assert abs(tau_hat - tau_true) / tau_true <= 0.05, (
             f"{peak_nm:.0f} nm slice: {tau_hat:.3f} vs {tau_true} ns")
@@ -366,7 +366,7 @@ def test_criterion_9_property_suite(tmp_path):
     model = DecayModel([(40.0, 1.13)])
     mu = convolve_model(model, irf)
     hist = Histogram(bw, t0, 2e6 * mu / mu.sum(), n_starts=2_000_000)
-    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
+    res = fit_decay(hist, irf, FitOptions(n_components=1))
     assert res.model.components[0][1] == pytest.approx(1.13, rel=1e-6)
     assert res.reduced_chi2 < 1e-6
 

@@ -59,7 +59,7 @@ run:
 analysis:
   histogram: {bin_width_ps: 8, window_ps: 16000, t0_ps: -1000, mode: all}
   g2: {coincidence_window_ps: 500, delay_min_ps: -20000, delay_max_ps: 20000, delay_step_ps: 500}
-  fit: {n_components: 2, seed: 3, fit_shift: true}
+  fit: {n_components: 2, fit_shift: true}
   ft: {apodization: none, dc_removal: false}
 """
 
@@ -93,6 +93,7 @@ def test_ft_map_bytes_pinned(tmp_path):
 
 
 def test_simulate_every_field_set_bytes_pinned(tmp_path):
+    # the sidecar's digest dates from the config echo losing analysis.fit.seed
     cfg = tmp_path / "full.yaml"
     cfg.write_text(FULL_CFG)
     out = tmp_path / "sim"
@@ -100,7 +101,7 @@ def test_simulate_every_field_set_bytes_pinned(tmp_path):
     assert (hashlib.sha256((out / "events.bin").read_bytes()).hexdigest()
             == "aee06b7998194fc07241523cb67e39d6d10f0d60998c54885dc23a1e5bcaec5f")
     assert (hashlib.sha256((out / "events.bin.meta.json").read_bytes()).hexdigest()
-            == "8e844cdac50687504cace1825434291cba1b8932aea8cd84352e4a5f6a40f956")
+            == "2948e3ebc6b021464ef552bfc38226fa5e4427a855cff17ead21f43d421ddc80")
 
 
 def _leaves(node, path=""):
@@ -121,18 +122,23 @@ def _model_lines(cfg):
     return [f"{path} {type(value).__name__} {value!r}" for path, value in _leaves(cfg).items()]
 
 
-@pytest.mark.parametrize("name,text,digest", [
-    ("defaults", "", "5bc53941e2a1702c5bfb828902ecd61e1c604474e528d1ba39ffb931222a0164"),
-    ("hbt.yaml", None, "2e02b6ce1963040f8a08db3e48ad060ac50210d4841a2314d4beb1f925e74358"),
+# (name, config text or None for the inline fixture, digest of its model lines)
+PINNED_MODELS = [
+    ("defaults", "", "917d5b8812392492e4628e3b43b58d6b4b4fb888ab31cedf22825029f5cbef76"),
+    ("hbt.yaml", None, "299829cbf8b15822efde4d6589e641a58bdae932d6b51efe3218a0a3460ce85b"),
     ("two_dye_map.yaml", None,
-     "ac7d2c419a02ce7da6c27e0fdd5c7a09014605eac6793927cee2e455a9cec523"),
-    ("full", FULL_CFG, "742323b009ca61cd17b93983196ae81b35bb5ff5f9a3fe2d2e7bd391e964cb25"),
-])
+     "4b47fa45180cfd26470d2d726e24ca79faefcb30dd686d993f5f8fa55e742bb1"),
+    ("full", FULL_CFG, "96e0ca5a4c7be65582c04acdc6236f427dc37d29b2a115589020ea70ecee95be"),
+]
+
+
+@pytest.mark.parametrize("name,text,digest", PINNED_MODELS, ids=[c[0] for c in PINNED_MODELS])
 def test_configs_build_pinned_models(name, text, digest):
     # digests of the sorted model lines, taken from the hand-written validation
     # (its flat analysis fields renamed to the nested sections, and its
     # grid_*, herald_det, signal_det and n_twins_positions fields to the
-    # source.grid, detectors and twins.n_positions paths of the YAML)
+    # source.grid, detectors and twins.n_positions paths of the YAML), then
+    # retaken when the analysis.fit.seed line went with the fit's seed
     inline = {"hbt.yaml": HBT_YAML, "two_dye_map.yaml": TWO_DYE_MAP_YAML}
     cfg, found = validate_config(inline[name] if text is None else text)
     assert found == []

@@ -5,7 +5,8 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 from scipy.special import erfc
 
-from epstreak import fitting
+from epstreak import experiment, fitting
+from epstreak.config import load_config, override
 from epstreak.errors import ConfigurationError, DomainError, FitError
 from epstreak.fitting import (DecayModel, FitOptions, _recursion, convolve_model,
                               fit_decay, format_fit_report, response_derivatives)
@@ -144,7 +145,7 @@ def test_gaussian_irf_matches_closed_form():
 def test_noiseless_single_fit_recovers_exactly():
     irf = _gaussian_irf()
     hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)]), irf)
-    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
+    res = fit_decay(hist, irf, FitOptions(n_components=1))
     assert res.model.components[0][1] == pytest.approx(1.13, rel=1e-6)
     assert res.reduced_chi2 < 1e-6
 
@@ -154,8 +155,8 @@ def test_count_scaling_leaves_lifetime_invariant():
     hist, counts = _noiseless_hist(DecayModel([(50.0, 1.13)]), irf)
     scaled = Histogram(irf.bin_width_ps, irf.t0_ps, counts * 3.0,
                        n_starts=hist.n_starts * 3)
-    a = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
-    b = fit_decay(scaled, irf, FitOptions(n_components=1, seed=0))
+    a = fit_decay(hist, irf, FitOptions(n_components=1))
+    b = fit_decay(scaled, irf, FitOptions(n_components=1))
     assert (b.model.components[0][1]
             == pytest.approx(a.model.components[0][1], rel=1e-6))
 
@@ -164,7 +165,7 @@ def test_noiseless_two_component_fit():
     irf = _gaussian_irf()
     hist, _ = _noiseless_hist(DecayModel([(30.0, 0.79), (20.0, 1.51)]), irf,
                               total=5e6)
-    res = fit_decay(hist, irf, FitOptions(n_components=2, seed=1))
+    res = fit_decay(hist, irf, FitOptions(n_components=2))
     taus = [tau for _, tau in res.model.components]
     assert taus[0] == pytest.approx(0.79, rel=0.05)
     assert taus[1] == pytest.approx(1.51, rel=0.05)
@@ -177,8 +178,36 @@ def test_grid_offset_matches_shifted_window():
     offset = convolve_model(model, irf, n_bins=900,
                             t0_ps=irf.t0_ps + 100 * BW_PS)
     assert np.allclose(offset, full[100:], rtol=1e-12)
-    with pytest.raises(ConfigurationError):
-        convolve_model(model, irf, t0_ps=irf.t0_ps + 3)
+    for misaligned_ps in (3, 0.5, 4.5):
+        with pytest.raises(ConfigurationError):
+            convolve_model(model, irf, n_bins=50, t0_ps=irf.t0_ps + misaligned_ps)
+
+
+@pytest.mark.parametrize("components,background,t_shift_ps", [
+    ([(1.0, np.nan)], 0.0, 0.0),
+    ([(np.nan, 1.0)], 0.0, 0.0),
+    ([(np.inf, 1.0)], 0.0, 0.0),
+    ([(1.0, np.inf)], 0.0, 0.0),
+    ([(1.0, 1.0)], np.nan, 0.0),
+    ([(1.0, 1.0)], np.inf, 0.0),
+    ([(1.0, 1.0)], 0.0, np.nan),
+    ([(1.0, 1.0)], 0.0, -np.inf),
+])
+def test_decay_model_rejects_non_finite(components, background, t_shift_ps):
+    with pytest.raises(DomainError):
+        DecayModel(components, background=background, t_shift_ps=t_shift_ps)
+
+
+def test_multistart_candidates():
+    lo, hi = 0.008, 11.2
+    assert np.array_equal(np.ravel(fitting._candidates(lo, hi, 1)),
+                          np.geomspace(2 * lo, hi / 2, fitting.N_MULTISTART))
+    for k in (2, 3, 4):
+        candidates = fitting._candidates(lo, hi, k)
+        assert len(set(candidates)) == len(candidates) >= fitting.N_MULTISTART
+        grid = np.unique(candidates)
+        assert np.array_equal(grid, np.geomspace(2 * lo, hi / 2, len(grid)))
+        assert all(len(c) == k and np.all(np.diff(c) > 0) for c in candidates)
 
 
 def test_convolution_commutes_with_rebin():
@@ -207,7 +236,7 @@ def test_poisson_bias_and_coverage():
     for _ in range(n_rep):
         y = rng.poisson(mu)
         hist = Histogram(BW_PS, irf.t0_ps, y.astype(np.int64), int(y.sum()))
-        res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
+        res = fit_decay(hist, irf, FitOptions(n_components=1))
         tau_hat = res.model.components[0][1]
         err = res.lifetime_errors_ns()[0]
         taus.append(tau_hat)
@@ -245,7 +274,7 @@ def test_response_derivatives_match_central_differences(shift_ps, tau_ns, irf_ki
 def test_noiseless_fit_recovers_shift():
     irf = _gaussian_irf()
     hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)], t_shift_ps=37.0), irf)
-    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0, fit_shift=True))
+    res = fit_decay(hist, irf, FitOptions(n_components=1, fit_shift=True))
     assert res.model.t_shift_ps == pytest.approx(37.0, abs=0.1)
     assert res.model.components[0][1] == pytest.approx(1.13, rel=1e-5)
 
@@ -262,7 +291,7 @@ def test_lifetime_errors_match_finite_difference_fisher(fit_shift):
     shift = 11.0 if fit_shift else 0.0
     hist = _poisson_hist(DecayModel([(1.0, 1.51)], background=2e-4, t_shift_ps=shift),
                          irf, 1.2e6, seed=7)
-    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0, fit_shift=fit_shift))
+    res = fit_decay(hist, irf, FitOptions(n_components=1, fit_shift=fit_shift))
     first, last = res.fit_range_bins
     ((a, tau),) = res.model.components
     theta = np.array([a, tau, res.model.background, res.model.t_shift_ps])
@@ -291,7 +320,7 @@ def test_two_component_poisson_fit_reaches_generator_profile():
     taus = (0.79, 1.51)
     hist = _poisson_hist(DecayModel([(30.0, taus[0]), (20.0, taus[1])], background=1e-3),
                          irf, 1e6, seed=11)
-    res = fit_decay(hist, irf, FitOptions(n_components=2, seed=1))
+    res = fit_decay(hist, irf, FitOptions(n_components=2))
     first, last = res.fit_range_bins
     y = np.asarray(hist.counts[first:last], dtype=float)
     cols = [convolve_model(DecayModel([(1.0, tau)]), irf, n_bins=last - first,
@@ -313,7 +342,7 @@ def test_two_component_poisson_fit_reaches_generator_profile():
 def test_fit_records_diagnostics():
     irf = _gaussian_irf()
     hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)]), irf)
-    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
+    res = fit_decay(hist, irf, FitOptions(n_components=1))
     assert res.converged and res.merged_from is None
     assert 0 < res.n_model_evals <= 140
     assert 1.0 <= res.fisher_condition < 1e3
@@ -321,11 +350,21 @@ def test_fit_records_diagnostics():
     assert res.diagnostics()["model_evaluations"] == res.n_model_evals
     # near-equal lifetimes merge into one component, and the fit says so
     hist, _ = _noiseless_hist(DecayModel([(30.0, 1.0), (20.0, 1.05)]), irf)
-    merged = fit_decay(hist, irf, FitOptions(n_components=2, seed=0))
+    merged = fit_decay(hist, irf, FitOptions(n_components=2))
     assert len(merged.model.components) == 1
     assert merged.merged_from == 2
     assert merged.n_model_evals > res.n_model_evals
     assert merged.n_model_evals <= 367  # a collapsing pair ends its search early
+
+
+def test_lifetime_driven_to_its_bound_is_not_converged():
+    # a short irf run's histogram fitted against itself wants a lifetime of
+    # 0: the search stops 0.8% above the lower bound of its box, lo / 100 =
+    # 0.08 ps on 4 ps bins, where its full scoring step would pass the bound
+    hist = experiment.irf(override(load_config(), {"run.duration_s": 0.01}))
+    res = fit_decay(hist, hist)
+    assert res.model.lifetimes_ns()[0] == pytest.approx(8e-5, rel=0.01)
+    assert not res.converged and res.diagnostics()["converged"] is False
 
 
 def test_search_stops_when_lifetimes_collapse(monkeypatch):
@@ -340,7 +379,7 @@ def test_search_stops_when_lifetimes_collapse(monkeypatch):
         return ends[-1]
 
     monkeypatch.setattr(fitting, "_scoring_search", recorded)
-    merged = fit_decay(hist, irf, FitOptions(n_components=2, seed=0))
+    merged = fit_decay(hist, irf, FitOptions(n_components=2))
     pairs = [(end, converged) for end, converged in ends if len(end.taus) == 2]
     assert merged.merged_from == 2 and len(pairs) == 3
     assert all(fitting._collapsed(end.taus) and not converged for end, converged in pairs)
@@ -419,7 +458,7 @@ def test_slice_map_domain_errors():
 def test_fit_report_contents():
     irf = _gaussian_irf()
     hist, _ = _noiseless_hist(DecayModel([(50.0, 1.13)], background=2.0), irf)
-    res = fit_decay(hist, irf, FitOptions(n_components=1, seed=0))
+    res = fit_decay(hist, irf, FitOptions(n_components=1))
     report = format_fit_report(res, irf_source="measured")
     assert "tau_ns = 1.13" in report
     assert "reduced_chi2" in report
