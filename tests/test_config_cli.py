@@ -458,17 +458,23 @@ def test_fit_manifest_records_diagnostics(tmp_path):
     assert runs[1]["diagnostics"] == diag
 
 
-def test_fit_takes_no_seed_and_reruns_byte_identical(tmp_path, capsys):
-    # a noisy two-component fit: its multistart draws no random numbers, so
-    # no seed is taken and two runs write the same report
+def test_fit_negative_seed_flag_exits_2(tmp_path, capsys):
+    # fit takes no seed, by flag or by config, negative or not
     inputs = _fit_inputs(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["fit", "--out", str(tmp_path / "s"), *inputs, "--seed", "3"])
-    assert exc.value.code == 2
+    for seed in ("-3", "3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--out", str(tmp_path / "s"), *inputs, "--seed", seed])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --seed {seed}" in capsys.readouterr().err
     cfg = _write_cfg(tmp_path, "analysis: {fit: {seed: 3}}\n")
-    capsys.readouterr()
     assert cli.main(["fit", "--out", str(tmp_path / "c"), *inputs, "--config", cfg]) == 2
     assert "analysis.fit.seed: unknown key" in capsys.readouterr().err
+
+
+def test_fit_takes_no_seed_and_reruns_byte_identical(tmp_path):
+    # a noisy two-component fit: its multistart draws no random numbers, so
+    # two runs write the same report
+    inputs = _fit_inputs(tmp_path)
     reports = []
     for name in ("a", "b"):
         assert cli.main(["fit", "--out", str(tmp_path / name), *inputs, "--n", "2"]) == 0
