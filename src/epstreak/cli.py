@@ -27,7 +27,7 @@ from .checks import violations
 from .config import load_config, override
 from .errors import ConfigurationError, EpstreakError
 from .eventfile import open_event_file, write_events
-from .events import CH_HERALD, CH_SIGNAL, split_records
+from .events import CH_HERALD, CH_SIGNAL
 from .fitting import format_fit_report
 from .spdc import CrystalSpec, write_tuning_csv
 from .tcspc import read_histogram_csv, write_g2_csv, write_histogram_csv
@@ -99,8 +99,10 @@ def _overrides(args):
 def cmd_simulate(cfg, args, out):
     meta = {"seed": cfg.run.seed, "topology": cfg.run.topology, "config": cfg.raw,
             **experiment.stream_metadata(cfg)}
-    n_events = sum(len(t_ps) for _, t_ps in
-                   write_events(out / "events.bin", experiment.records(cfg), meta))
+    n_events = 0
+    for tags, _ in write_events(out / "events.bin", experiment.stream(cfg), meta):
+        n_events += sum(map(len, tags))
+        del tags  # before the next chunk is drawn
     return {"artifacts": ["events.bin", "events.bin.meta.json"],
             "n_events": n_events, "warnings": meta.get("warnings", [])}
 
@@ -115,11 +117,10 @@ def _shape(hist):
 def cmd_histogram(cfg, args, out):
     chunks = None
     if args.events:
-        n_channels, _, blocks = open_event_file(args.events)
+        n_channels, _, chunks = open_event_file(args.events)
         if n_channels <= CH_SIGNAL:
             raise ConfigurationError(f"{args.events}: {n_channels} channel(s), but a "
                                      f"histogram needs channels {CH_HERALD} and {CH_SIGNAL}")
-        chunks = split_records(blocks, n_channels)
     hist = experiment.histogram(cfg, chunks)
     write_histogram_csv(out / "histogram.csv", hist)
     fwhm_ps, peak_ps = _shape(hist)

@@ -1,8 +1,12 @@
-"""Binary event-file I/O, written and read in bounded record blocks.
+"""Binary event files: a (tags, horizon) chunk stream written and read in bounded blocks.
 
 Layout (little-endian): header ``EPPS`` magic, u16 version, u16 channel
-count, then one record per event: u8 channel, u64 timestamp in ps. A sidecar
-JSON file ``<path>.meta.json`` echoes the full run configuration and seed.
+count, then one record per event: u8 channel, u64 timestamp in ps, in
+(time, channel) order. A sidecar JSON file ``<path>.meta.json`` echoes the
+full run configuration and seed. This module is the only one that knows the
+records: a run goes in, and comes back out, as the chunks that
+``events.simulate_chunks`` yields and the counters consume, a sorted int64
+tag array per channel and a horizon below which no later tag falls.
 """
 
 from __future__ import annotations
@@ -30,20 +34,39 @@ def sidecar_path(path):
     return Path(str(path) + ".meta.json")
 
 
-def write_events(path, blocks, metadata: dict):
-    """Write (channel, t_ps) record blocks to an event file as they come, passing each on.
+def write_events(path, chunks, metadata: dict):
+    """Write a (tags, horizon) chunk stream to an event file as it comes, passing each chunk on.
 
     A generator: the header, with ``metadata["n_channels"]`` channels, is
-    written before the first block, and ``metadata`` goes to the sidecar
-    after the last one. Each block is yielded once it is written.
+    written before the first chunk, and ``metadata`` goes to the sidecar
+    after the last one. Each channel's tags below a chunk's horizon are
+    merged into records and written; a tag at or above it waits for the next
+    chunk, which may tie it on a lower channel. Each chunk is yielded
+    unchanged once its records are written. The file is the one a single
+    chunk of the whole run writes.
     """
     path = Path(path)
+    held = None
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, metadata["n_channels"]))
-        for channel, t_ps in blocks:
-            _write_records(fh, channel, t_ps)
-            yield channel, t_ps
+        for tags, horizon in chunks:
+            held = tags if held is None else [np.concatenate((h, t)) for h, t in zip(held, tags)]
+            cuts = [len(t) if horizon is None else np.searchsorted(t, horizon, side="left")
+                    for t in held]
+            _write_records(fh, *_merge_channels([t[:cut] for t, cut in zip(held, cuts)]))
+            held = [t[cut:].copy() for t, cut in zip(held, cuts)]
+            yield tags, horizon
+            del tags  # before the next chunk is drawn
     sidecar_path(path).write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
+
+
+def _merge_channels(tags):
+    """(channel, t_ps) of per-channel sorted tags merged in (time, channel) order."""
+    channel = np.concatenate([np.full(len(t), ch, dtype=np.uint8) for ch, t in enumerate(tags)])
+    t_ps = np.concatenate(tags)
+    # a stable sort of the channel-ordered concatenation leaves ties in channel order
+    order = np.argsort(t_ps, kind="stable")
+    return channel.take(order), t_ps.take(order)
 
 
 def _write_records(fh, channel, t_ps):
@@ -56,14 +79,16 @@ def _write_records(fh, channel, t_ps):
 
 
 def open_event_file(path):
-    """(channel count, record count, record blocks) of an event file.
+    """(channel count, record count, (tags, horizon) chunks) of an event file.
 
     That the file can be read, its header and its whole-record length are
-    checked here. The blocks, (channel, t_ps) arrays of at most READ_BLOCK
-    records, are read as they are consumed, and each is checked before it is
-    yielded: the first record whose channel is not below the channel count,
-    whose timestamp is 2^63 ps or more, or whose timestamp is lower than the
-    one before it raises ConfigurationError with its index.
+    checked here. The chunks are read as they are consumed: each is a block
+    of at most READ_BLOCK records split per channel, with the block's last
+    time as its horizon, and a last chunk of empty arrays with horizon None
+    ends the stream. Each block is checked before it is yielded: the first
+    record whose channel is not below the channel count, whose timestamp is
+    2^63 ps or more, or whose timestamp is lower than the one before it
+    raises ConfigurationError with its index.
     """
     path = Path(path)
     try:
@@ -85,10 +110,10 @@ def open_event_file(path):
             f"{path}: truncated event file: {body} record bytes is not a whole "
             f"number of {_RECORD_DTYPE.itemsize}-byte records")
     n_records = body // _RECORD_DTYPE.itemsize
-    return n_channels, n_records, _checked_blocks(path, n_channels, n_records)
+    return n_channels, n_records, _checked_chunks(path, n_channels, n_records)
 
 
-def _checked_blocks(path, n_channels, n_records):
+def _checked_chunks(path, n_channels, n_records):
     before = np.zeros(1, dtype=np.int64)  # the time before each block's first record
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
@@ -110,4 +135,5 @@ def _checked_blocks(path, n_channels, n_records):
                 raise ConfigurationError(f"{path}: record {start + i}: {why}")
             del previous
             before[0] = t_ps[-1]
-            yield channel, t_ps
+            yield [np.compress(channel == ch, t_ps) for ch in range(n_channels)], int(t_ps[-1])
+    yield [np.empty(0, dtype=np.int64)] * n_channels, None

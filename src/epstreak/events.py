@@ -393,40 +393,3 @@ def stream_warnings(source: SourceModel, herald_det: DetectorModel,
         return ["empty-stream: zero pair rate and zero dark rates"]
     return []
 
-
-def _merge_channels(tags):
-    """(channel, t_ps) of per-channel sorted tags merged in (time, channel) order."""
-    channel = np.concatenate([np.full(len(t), ch, dtype=np.uint8) for ch, t in enumerate(tags)])
-    t_ps = np.concatenate(tags)
-    # a stable sort of the channel-ordered concatenation leaves ties in channel order
-    order = np.argsort(t_ps, kind="stable")
-    return channel.take(order), t_ps.take(order)
-
-
-def merge_chunks(chunks):
-    """(channel, t_ps) record blocks of a (tags, horizon) chunk stream, in (time, channel) order.
-
-    The tags below each horizon are merged as they come: no later tag can
-    precede them. Concatenated, the blocks are the whole stream's records.
-    """
-    held = None
-    for tags, horizon in chunks:
-        held = tags if held is None else [_concat([h, t]) for h, t in zip(held, tags)]
-        del tags
-        cuts = [len(t) if horizon is None else np.searchsorted(t, horizon, side="left")
-                for t in held]
-        yield _merge_channels([t[:cut] for t, cut in zip(held, cuts)])
-        held = [t[cut:].copy() for t, cut in zip(held, cuts)]
-
-
-def split_records(blocks, n_channels):
-    """(tags, horizon) chunks of (channel, t_ps) record blocks in time order; merge_chunks undone.
-
-    ``tags`` holds each channel's times of one block; ``horizon`` is the
-    block's last time, which no later record precedes. A last chunk with no
-    tags and horizon None ends the stream.
-    """
-    for channel, t_ps in blocks:
-        if len(t_ps):
-            yield [np.compress(channel == ch, t_ps) for ch in range(n_channels)], int(t_ps[-1])
-    yield [np.empty(0, dtype=np.int64)] * n_channels, None

@@ -20,8 +20,8 @@ import numpy as np
 from .checks import Checked, relation, rule
 from .errors import ConfigurationError
 from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DetectorModel,
-                     EmitterSpecies, RunConfig, SampleModel, channel_count, merge_chunks,
-                     simulate_chunks, stream_warnings)
+                     EmitterSpecies, RunConfig, SampleModel, channel_count, simulate_chunks,
+                     stream_warnings)
 from .fitting import FitOptions, fit_decay
 from .spdc import SourceModel, tuning_curve
 from .tcspc import (DEFAULT_BIN_WIDTH_PS, DEFAULT_WINDOW_PS, HISTOGRAM_MODES, G2Counter,
@@ -131,14 +131,10 @@ def tuning_summary(points):
     return summary
 
 
-def _chunks(cfg):
+def stream(cfg):
+    """The run's detections as simulate_chunks' (tags, horizon) chunk stream."""
     return simulate_chunks(cfg.source, cfg.sample, cfg.detectors.herald, cfg.detectors.signal,
                            cfg.twins, cfg.run)
-
-
-def records(cfg):
-    """The run's detections as (channel, t_ps) record blocks in (time, channel) order."""
-    return merge_chunks(_chunks(cfg))
 
 
 def stream_metadata(cfg):
@@ -153,7 +149,7 @@ def stream_metadata(cfg):
 def histogram(cfg, chunks=None):
     """Herald-signal start-stop histogram of a (tags, horizon) chunk stream, or of a fresh run."""
     counter = StartStopCounter(**asdict(cfg.analysis.histogram))
-    counter.feed_chunks(_chunks(cfg) if chunks is None else chunks, CH_HERALD, CH_SIGNAL)
+    counter.feed_chunks(stream(cfg) if chunks is None else chunks, CH_HERALD, CH_SIGNAL)
     return counter.histogram()
 
 
@@ -169,7 +165,7 @@ def g2(cfg):
         raise ConfigurationError("g2 requires run.topology = hbt")
     options = cfg.analysis.g2
     counter = G2Counter(options.coincidence_window_ps, options.delay_axis_ps())
-    counter.feed_chunks(_chunks(cfg), CH_HERALD, CH_HBT_T, CH_HBT_R)
+    counter.feed_chunks(stream(cfg), CH_HERALD, CH_HBT_T, CH_HBT_R)
     return counter.curve()
 
 

@@ -396,7 +396,8 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
                                                    rcond=None)[0]
         return scale * grad[outer], f_oo * np.outer(scale, scale)
 
-    lower = np.append(np.full(k, np.log(lo / 100)), -np.inf)[:n_v]
+    # no lifetime below two bins: the data cannot tell it from the response itself
+    lower = np.append(np.full(k, np.log(lo)), -np.inf)[:n_v]
     upper = np.append(np.full(k, np.log(100 * hi)), np.inf)[:n_v]
     runs = [_scoring_search(p, point, scoring, lower, upper, k) for p in starts[:3]]
     best, converged = min(runs, key=lambda run: run[0].deviance)

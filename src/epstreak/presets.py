@@ -22,8 +22,8 @@ from .checks import violations
 from .config import load_config, override
 from .errors import ConfigurationError
 from .eventfile import write_events
-from .events import RunConfig, split_records
-from .experiment import (derive_seed, fit, ft_map, g2, histogram, irf, records,
+from .events import RunConfig
+from .experiment import (derive_seed, fit, ft_map, g2, histogram, irf, stream,
                          stream_metadata, tuning, tuning_summary)
 from .fitting import format_fit_report
 from .spdc import write_tuning_csv
@@ -77,7 +77,7 @@ def run_fig2d_irf(out_dir, seed, *pairings):
     """Start-stop response of each detector pairing at >= 1e6 coincidences.
 
     The mpd/mpd run is also written as an event file, and its histogram is
-    counted from the record blocks as they are written.
+    counted from the chunks as they are written.
     """
     out = Path(out_dir)
     summary, configs = {"artifacts": []}, {}
@@ -87,8 +87,7 @@ def run_fig2d_irf(out_dir, seed, *pairings):
         if name == "mpd_mpd":
             meta = {"preset": "fig2d-irf", "seed": cfg.run.seed, "topology": "irf",
                     **stream_metadata(cfg)}
-            chunks = split_records(write_events(out / f"events_{name}.bin", records(cfg), meta),
-                                   meta["n_channels"])
+            chunks = write_events(out / f"events_{name}.bin", stream(cfg), meta)
         hist = histogram(cfg, chunks)
         write_histogram_csv(out / f"irf_{name}.csv", hist)
         summary["artifacts"].append(f"irf_{name}.csv")

@@ -23,7 +23,6 @@ class Histogram:
     bin_width_ps: int
     t0_ps: int
     counts: np.ndarray  # int64 (or float for derived data)
-    n_starts: int
     flags: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -175,7 +174,7 @@ class StartStopCounter(_Reach):
     def histogram(self) -> Histogram:
         n_starts, n_stops = self.fed
         flags = [] if n_starts and n_stops else ["empty-stream"]
-        return Histogram(self.bin_width_ps, self.t0_ps, self.counts, n_starts, flags)
+        return Histogram(self.bin_width_ps, self.t0_ps, self.counts, flags)
 
 
 def _span_indices(i0, i1):
@@ -192,8 +191,7 @@ def rebin(hist: Histogram, factor: int) -> Histogram:
     if len(hist.counts) % factor != 0:
         raise ConfigurationError("bin count not divisible by rebin factor")
     counts = hist.counts.reshape(-1, factor).sum(axis=1)
-    return Histogram(hist.bin_width_ps * factor, hist.t0_ps, counts,
-                     hist.n_starts, list(hist.flags))
+    return Histogram(hist.bin_width_ps * factor, hist.t0_ps, counts, list(hist.flags))
 
 
 @dataclass
@@ -389,7 +387,7 @@ def read_histogram_csv(path) -> Histogram:
                                  f">= 0, got {rows[bad[0]]!r}")
     if np.all(counts == np.round(counts)) and counts.max() < 2.0 ** 63:  # fits int64
         counts = counts.astype(np.int64)
-    return Histogram(bw, int(lefts[0]), counts, n_starts=int(counts.sum()))
+    return Histogram(bw, int(lefts[0]), counts)
 
 
 def write_g2_csv(path, curve: G2Curve):

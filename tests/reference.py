@@ -1,9 +1,12 @@
 """Reference implementations that the package itself does not use.
 
 Each function here has no caller in ``epstreak``; the tests use them as
-known-answer helpers against the package's counting and map paths, and as
-the plain forms of the detector chain's gathers.
+known-answer helpers against the package's counting and map paths, as
+the plain forms of the detector chain's gathers, and to write and read
+event files byte by byte from their layout.
 """
+
+import struct
 
 import numpy as np
 
@@ -98,7 +101,7 @@ def detector_draws(arrivals, det, rng, start_ps, span_ps):
 
 
 def merge_channels(tags):
-    """events._merge_channels as a lexsort on (time, channel)."""
+    """eventfile._merge_channels as a lexsort on (time, channel)."""
     channel = np.concatenate([np.full(len(t), ch, dtype=np.uint8) for ch, t in enumerate(tags)])
     t_ps = np.concatenate(tags)
     order = np.lexsort((channel, t_ps))
@@ -106,7 +109,7 @@ def merge_channels(tags):
 
 
 def split_records(blocks, n_channels):
-    """events.split_records with ``t_ps[channel == ch]``."""
+    """The (tags, horizon) chunks eventfile reads of record blocks, by ``t_ps[channel == ch]``."""
     for channel, t_ps in blocks:
         if len(t_ps):
             yield [t_ps[channel == ch] for ch in range(n_channels)], int(t_ps[-1])
@@ -120,3 +123,27 @@ def first_stop_bins(starts, stops, t0_ps, window_ps, bin_width_ps):
     dt = stops.take(idx, mode="clip") - lo
     ok = (idx < len(stops)) & (dt < window_ps)
     return dt[ok] // bin_width_ps
+
+
+# An event file written and read byte by byte from its layout: the header
+# (magic, u16 version 1, u16 channel count), then u8 channel and u64 t_ps
+# records. It writes the malformed files that eventfile never writes.
+RECORD = np.dtype([("channel", "<u1"), ("t_ps", "<u8")])
+
+
+def write_records(path, channel, t_ps, n_channels):
+    """An event file of the records (channel[i], t_ps[i]) as given; t_ps may reach 2^64 - 1."""
+    records = np.empty(len(t_ps), dtype=RECORD)
+    records["channel"] = np.asarray(channel, dtype=np.uint8)
+    records["t_ps"] = np.asarray(t_ps, dtype=np.uint64)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sHH", b"EPPS", 1, n_channels))
+        fh.write(records.tobytes())
+
+
+def read_records(path):
+    """(channel, t_ps) of every record of an event file, in file order."""
+    with open(path, "rb") as fh:
+        fh.seek(8)
+        records = np.fromfile(fh, dtype=RECORD)
+    return records["channel"], records["t_ps"].astype(np.int64)

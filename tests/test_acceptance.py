@@ -271,11 +271,11 @@ def test_criterion_6_two_dye_map(fig3):
     bw = int(tf.time_axis_ps[1] - tf.time_axis_ps[0])
     delta = np.zeros(len(tf.time_axis_ps))
     delta[0] = 1e6
-    irf = Histogram(bw, 0, delta, n_starts=1_000_000)
+    irf = Histogram(bw, 0, delta)
     for peak_nm, tau_true in ((p1, 1.51), (p2, 0.79)):
         _, decay = slice_map(tf, "wavelength", peak_nm, width=20.0)
         scale = 2e5 / decay.sum()
-        hist = Histogram(bw, 0, decay * scale, n_starts=int(2e5))
+        hist = Histogram(bw, 0, decay * scale)
         res = fit_decay(hist, irf, FitOptions(n_components=1))
         tau_hat = res.model.components[0][1]
         assert abs(tau_hat - tau_true) / tau_true <= 0.05, (
@@ -339,7 +339,7 @@ def test_criterion_9_property_suite(tmp_path):
     twins = TwinsSpec(delay_per_um_fs=1.0, position_min_um=0.0, position_max_um=320.0,
                       visibility=0.9, insertion_loss=0.5, x_zero_um=160.0)
     inter = np.array([transmission(850.0, x, twins) for x in positions])
-    hists = [Histogram(16, 0, np.array([1e5 * p]), n_starts=100_000)
+    hists = [Histogram(16, 0, np.array([1e5 * p]))
              for p in inter]
     from epstreak.twins import InterferogramCube
     cube = InterferogramCube(positions, hists)
@@ -355,7 +355,7 @@ def test_criterion_9_property_suite(tmp_path):
     t0, bw, n = -1000, 4, 3500
     t = t0 + (np.arange(n) + 0.5) * bw
     g = np.exp(-0.5 * (t / sigma) ** 2)
-    irf = Histogram(bw, t0, 1e6 * g / g.sum(), n_starts=1_000_000)
+    irf = Histogram(bw, t0, 1e6 * g / g.sum())
     mu = convolve_model(DecayModel([(1.0, 1.13)]), irf)
     tau = 1130.0
     h = np.exp(sigma ** 2 / (2 * tau ** 2) - t / tau) * erfc(
@@ -365,7 +365,7 @@ def test_criterion_9_property_suite(tmp_path):
     # noiseless fit self-consistency to 1e-6
     model = DecayModel([(40.0, 1.13)])
     mu = convolve_model(model, irf)
-    hist = Histogram(bw, t0, 2e6 * mu / mu.sum(), n_starts=2_000_000)
+    hist = Histogram(bw, t0, 2e6 * mu / mu.sum())
     res = fit_decay(hist, irf, FitOptions(n_components=1))
     assert res.model.components[0][1] == pytest.approx(1.13, rel=1e-6)
     assert res.reduced_chi2 < 1e-6

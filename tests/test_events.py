@@ -13,13 +13,14 @@ from epstreak.eventfile import write_events
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
                              DETECTOR_PRESETS, DetectorModel, EmitterSpecies,
                              RunConfig, SampleModel, _check_overlap,
-                             _dead_time_prune, _fluorescence_batch, channel_count, merge_chunks,
+                             _dead_time_prune, _fluorescence_batch, channel_count,
                              simulate_channels, simulate_chunks, stream_warnings)
 from epstreak.spdc import FilterSpec, SourceModel
 from epstreak.tcspc import start_stop_histogram
 from epstreak.twins import TwinsSpec
 from epstreak.units import FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
 
+import reference
 from conftest import heralded_source
 from reference import dead_time_prune
 
@@ -100,10 +101,12 @@ def test_determinism(heralded_source):
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def test_stream_ordering(heralded_source, mpd):
+def test_stream_ordering(heralded_source, mpd, tmp_path):
     run = RunConfig(duration_s=0.2, seed=9, topology="hbt")
-    blocks = merge_chunks(simulate_chunks(heralded_source, None, mpd, mpd, None, run))
-    channel, t_ps = (np.concatenate(a) for a in zip(*blocks))
+    path = tmp_path / "events.bin"
+    list(write_events(path, simulate_chunks(heralded_source, None, mpd, mpd, None, run),
+                      {"n_channels": 3}))
+    channel, t_ps = reference.read_records(path)
     assert np.all(np.diff(t_ps) >= 0)
     assert set(np.unique(channel)) <= {CH_HERALD, CH_HBT_T, CH_HBT_R}
 
@@ -324,11 +327,11 @@ def test_detector_chain_bytes_pinned(tmp_path, topology):
         twins = TwinsSpec()
     run = RunConfig(duration_s=0.05, seed=17, topology=topology,
                     twins_position_um=150.0 if twins else None)
-    blocks = merge_chunks(simulate_chunks(heralded_source(pair_rate_hz=2e6), sample, mpd,
-                                          signal_det, twins, run))
+    chunks = simulate_chunks(heralded_source(pair_rate_hz=2e6), sample, mpd, signal_det, twins,
+                             run)
     path = tmp_path / "events.bin"
     meta = {"duration_s": run.duration_s, "n_channels": channel_count(topology)}
-    list(write_events(path, blocks, meta))
+    list(write_events(path, chunks, meta))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_EVENT_FILES[topology]
 
 
@@ -340,8 +343,8 @@ def test_detector_chain_bytes_pinned(tmp_path, topology):
     ("fluorescence", None, 0.02, 2e6),
     ("fluorescence", TwinsSpec(), 0.02, 2e6),
 ])
-def test_simulate_channels_match_stream(topology, twins, duration_s, rate_hz):
-    """Each channel's tags equal that channel's records in the merged record stream."""
+def test_simulate_channels_match_stream(topology, twins, duration_s, rate_hz, tmp_path):
+    """Each channel's tags equal that channel's records in the event file of the stream."""
     mpd, excelitas = DETECTOR_PRESETS["mpd"], DETECTOR_PRESETS["excelitas"]
     sample = None
     if topology == "fluorescence":
@@ -350,7 +353,9 @@ def test_simulate_channels_match_stream(topology, twins, duration_s, rate_hz):
                     twins_position_um=150.0 if twins else None)
     args = (heralded_source(pair_rate_hz=rate_hz), sample, mpd, excelitas, twins, run)
     tags = simulate_channels(*args)
-    channel, t_ps = (np.concatenate(a) for a in zip(*merge_chunks(simulate_chunks(*args))))
+    path = tmp_path / "events.bin"
+    list(write_events(path, simulate_chunks(*args), {"n_channels": channel_count(topology)}))
+    channel, t_ps = reference.read_records(path)
     assert len(tags) == channel_count(topology)
     for ch, t in enumerate(tags):
         assert t.dtype == np.int64

@@ -25,19 +25,19 @@ def _gaussian_irf(fwhm_ps=260.0, bin_width_ps=BW_PS, t0_ps=-1000, n_bins=3500,
     t = t0_ps + (np.arange(n_bins) + 0.5) * bin_width_ps
     w = np.exp(-0.5 * (t / sigma) ** 2)
     counts = total * w / w.sum()
-    return Histogram(bin_width_ps, t0_ps, counts, n_starts=int(total))
+    return Histogram(bin_width_ps, t0_ps, counts)
 
 
 def _delta_irf(n_bins=400, total=100_000, index=0):
     counts = np.zeros(n_bins)
     counts[index] = total
-    return Histogram(BW_PS, 0, counts, n_starts=total)
+    return Histogram(BW_PS, 0, counts)
 
 
 def _noiseless_hist(model, irf, total=2e6):
     mu = convolve_model(model, irf)
     counts = total * mu / mu.sum()
-    return Histogram(irf.bin_width_ps, irf.t0_ps, counts, n_starts=int(total)), counts
+    return Histogram(irf.bin_width_ps, irf.t0_ps, counts), counts
 
 
 def test_delta_irf_gives_bin_averaged_exponential():
@@ -153,8 +153,7 @@ def test_noiseless_single_fit_recovers_exactly():
 def test_count_scaling_leaves_lifetime_invariant():
     irf = _gaussian_irf()
     hist, counts = _noiseless_hist(DecayModel([(50.0, 1.13)]), irf)
-    scaled = Histogram(irf.bin_width_ps, irf.t0_ps, counts * 3.0,
-                       n_starts=hist.n_starts * 3)
+    scaled = Histogram(irf.bin_width_ps, irf.t0_ps, counts * 3.0)
     a = fit_decay(hist, irf, FitOptions(n_components=1))
     b = fit_decay(scaled, irf, FitOptions(n_components=1))
     assert (b.model.components[0][1]
@@ -282,7 +281,7 @@ def test_noiseless_fit_recovers_shift():
 def _poisson_hist(model, irf, total, seed):
     mu = convolve_model(model, irf)
     y = np.random.default_rng(seed).poisson(total * mu / mu.sum())
-    return Histogram(irf.bin_width_ps, irf.t0_ps, y, n_starts=int(y.sum()))
+    return Histogram(irf.bin_width_ps, irf.t0_ps, y)
 
 
 @pytest.mark.parametrize("fit_shift", [False, True])
@@ -359,12 +358,27 @@ def test_fit_records_diagnostics():
 
 def test_lifetime_driven_to_its_bound_is_not_converged():
     # a short irf run's histogram fitted against itself wants a lifetime of
-    # 0: the search stops 0.8% above the lower bound of its box, lo / 100 =
-    # 0.08 ps on 4 ps bins, where its full scoring step would pass the bound
+    # 0: the search ends on the lower bound of its box, lo = two 4 ps bins
+    # = 8 ps, and the box, not the data, stops it
     hist = experiment.irf(override(load_config(), {"run.duration_s": 0.01}))
     res = fit_decay(hist, hist)
-    assert res.model.lifetimes_ns()[0] == pytest.approx(8e-5, rel=0.01)
+    assert res.model.lifetimes_ns()[0] == pytest.approx(8e-3, rel=0.01)
     assert not res.converged and res.diagnostics()["converged"] is False
+
+
+@pytest.mark.parametrize("fwhm_ps", [120.0, 260.0])
+@pytest.mark.parametrize("total", [1e4, 1e5, 1e6])
+def test_response_fitted_against_itself_is_not_converged(fwhm_ps, total):
+    # below two bins the profiled deviance is flat within the amplitude
+    # solver's tolerance, so a search there saw a stationary point inside
+    # its box and read converged: the lifetime floor is two bins
+    expected = _gaussian_irf(fwhm_ps, total=total).counts
+    for seed in range(3):
+        counts = np.random.default_rng(seed).poisson(expected)
+        hist = Histogram(BW_PS, -1000, counts)
+        res = fit_decay(hist, hist)
+        assert not res.converged, seed
+        assert res.model.lifetimes_ns()[0] == pytest.approx(2 * BW_PS / 1000, rel=1e-9)
 
 
 def test_search_stops_when_lifetimes_collapse(monkeypatch):
@@ -396,7 +410,7 @@ def test_zero_amplitude_component_dropped():
     def histogram(t):
         idx = np.floor((t - t0_ps) / BW_PS).astype(np.int64)
         counts = np.bincount(idx[(idx >= 0) & (idx < n_bins)], minlength=n_bins)
-        return Histogram(BW_PS, t0_ps, counts, n_starts=len(t))
+        return Histogram(BW_PS, t0_ps, counts)
 
     irf = histogram(rng.normal(0.0, sigma, 240_000))
     n_bg = rng.binomial(n, 0.01)

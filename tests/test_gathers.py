@@ -6,12 +6,17 @@ ch]``, ``dt[ok]`` and the (time, channel) lexsort give, bit for bit, so no
 event file, histogram or digest moves.
 """
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference
 from epstreak import eventfile, events
-from epstreak.events import DetectorModel, _detector_draws, _merge_channels, split_records
+from epstreak.eventfile import _merge_channels, open_event_file
+from epstreak.events import DetectorModel, _detector_draws
 from epstreak.tcspc import StartStopCounter
 
 SPAN_PS = 1.0e12  # one second: dark rates of tens of hertz add a few darks
@@ -91,25 +96,24 @@ def test_merge_matches_lexsort(tags):
         _same(g, w)
 
 
-def _records(channel, t_ps):
-    records = np.empty(len(t_ps), dtype=eventfile._RECORD_DTYPE)
-    records["channel"], records["t_ps"] = channel, t_ps
-    return records
-
-
-@given(st.lists(_channel_tags(), max_size=4), st.booleans())
+@given(st.lists(_channel_tags(), max_size=4), st.integers(1, 40))
 @settings(max_examples=200)
-def test_split_matches_boolean_gather(blocks, strided):
-    """Merged blocks split back per channel; also over strided views of packed records."""
+def test_split_matches_boolean_gather(blocks, read_block):
+    """Merged records read back in blocks of strided record views and split per channel."""
     n_channels = max((len(tags) for tags in blocks), default=2)
-    merged = [_merge_channels(tags + [np.empty(0, dtype=np.int64)] * (n_channels - len(tags)))
-              for tags in blocks]
-    if strided:  # the views _checked_blocks yields
-        merged = [(r["channel"], r["t_ps"].view(np.int64))
-                  for r in (_records(c, t) for c, t in merged)]
-        assert all(t.strides == (eventfile._RECORD_DTYPE.itemsize,) for _, t in merged if len(t))
-    got = list(split_records(merged, n_channels))
-    want = list(reference.split_records(merged, n_channels))
+    none = [np.empty(0, dtype=np.int64)]
+    merged = [_merge_channels([t + 13 * k for t in tags] + none * (n_channels - len(tags)))
+              for k, tags in enumerate(blocks)]  # block k in [13 k, 13 k + 12]
+    channel = np.concatenate([np.empty(0, dtype=np.uint8)] + [c for c, _ in merged])
+    t_ps = np.concatenate(none + [t for _, t in merged])
+    with mock.patch.object(eventfile, "READ_BLOCK", read_block), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.bin"
+        reference.write_records(path, channel, t_ps, n_channels)
+        got = list(open_event_file(path)[2])
+    read = [(channel[i:i + read_block], t_ps[i:i + read_block])
+            for i in range(0, len(t_ps), read_block)]
+    want = list(reference.split_records(read, n_channels))
     assert len(got) == len(want)
     for (g_tags, g_horizon), (w_tags, w_horizon) in zip(got, want):
         assert g_horizon == w_horizon

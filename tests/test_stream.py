@@ -23,11 +23,12 @@ from epstreak.errors import StreamOrderError, UndefinedG2Error
 from epstreak.eventfile import open_event_file, write_events
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DetectorModel,
                              EmitterSpecies, RunConfig, SampleModel, channel_count,
-                             merge_chunks, simulate_channels, simulate_chunks, split_records)
+                             simulate_channels, simulate_chunks)
 from epstreak.tcspc import G2Counter, StartStopCounter, start_stop_histogram, tag_g2
 from epstreak.twins import TwinsSpec
 from epstreak.units import PS_PER_NS, PS_PER_S
 
+import reference
 from conftest import heralded_config, heralded_source
 from reference import dead_time_prune
 
@@ -95,6 +96,14 @@ def _run_args(draw, topologies=("irf", "hbt", "fluorescence")):
     return SOURCE, sample, draw(_detector()), draw(_detector()), twins, run
 
 
+def _written(chunks, n_channels):
+    """(channel, t_ps) of every record of the event file that write_events makes of the chunks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.bin"
+        list(write_events(path, chunks, {"n_channels": n_channels}))
+        return reference.read_records(path)
+
+
 def _collected(args):
     """simulate_chunks' yields, checked against its horizon promise as they come."""
     yields = list(simulate_chunks(*args))
@@ -118,7 +127,7 @@ def test_streamed_detections_match_whole_run_reference(args, chunk_pairs):
             return
         yields = _collected(args)
         tags = simulate_channels(*args)
-    channel, t_ps = (np.concatenate(a) for a in zip(*merge_chunks(yields)))
+    channel, t_ps = _written(yields, len(want))
     assert len(tags) == len(want) == channel_count(args[-1].topology)
     for ch, t in enumerate(want):
         assert np.array_equal(np.concatenate([y[ch] for y, _ in yields]), t)
@@ -149,7 +158,7 @@ def test_streamed_histogram_matches_whole_array(args, chunk_pairs, binning, mode
     got = counter.histogram()
     want = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], *binning, mode)
     assert np.array_equal(got.counts, want.counts)
-    assert (got.n_starts, got.flags) == (want.n_starts, want.flags)
+    assert got.flags == want.flags
 
 
 @given(_run_args(("hbt",)), st.integers(2, 8),
@@ -195,17 +204,20 @@ def _integer_arrivals(draw):
     return table, (SOURCE, None, dead[0], dead[1], None, run)
 
 
+def _table_patches(table):
+    """The events patches that make simulate_chunks draw the table's arrivals in 10 ps chunks."""
+    def source_chunk(k, n_chunks, sample, twins, run, rate_hz):
+        return [(np.asarray(t, dtype=float), 1.0) for t in table[k]]
+
+    return {"_source_chunk": source_chunk, "CHUNK_S": 1e-11}
+
+
 @given(_integer_arrivals(), _binning(), st.sampled_from(["first", "all"]),
        st.integers(1, 30), st.lists(st.integers(-40, 40).map(float), min_size=1, max_size=4))
 @settings(max_examples=300)
 def test_integer_arrivals_stream_exactly(case, binning, mode, window_ps, delays):
     table, args = case
-
-    def source_chunk(k, n_chunks, sample, twins, run, rate_hz):
-        return [(np.asarray(t, dtype=float), 1.0) for t in table[k]]
-
-    with mock.patch.object(events, "_source_chunk", source_chunk), \
-            mock.patch.object(events, "CHUNK_S", 1e-11):  # chunks of 10 ps
+    with mock.patch.multiple(events, **_table_patches(table)):
         want, refuse = _reference(args)
         if refuse:
             with pytest.raises(StreamOrderError):
@@ -218,7 +230,7 @@ def test_integer_arrivals_stream_exactly(case, binning, mode, window_ps, delays)
         g2_counter.feed_chunks(simulate_chunks(*args), CH_HERALD, CH_HBT_T, CH_HBT_R % len(want))
     for ch, t in enumerate(want):
         assert np.array_equal(np.concatenate([y[ch] for y, _ in yields]), t)
-    channel, t_ps = (np.concatenate(a) for a in zip(*merge_chunks(yields)))
+    channel, t_ps = _written(yields, len(want))
     merged = np.lexsort((channel, t_ps))
     assert np.array_equal(merged, np.arange(len(t_ps)))  # (time, channel) order
     assert sorted(zip(t_ps.tolist(), channel.tolist())) == sorted(
@@ -347,24 +359,42 @@ def test_irf_step_streams_its_run(monkeypatch):
 
 
 def _counted_from_file(path, binning, mode):
-    """The histogram of an event file counted block by block."""
-    n_channels, _, blocks = open_event_file(path)
+    """The histogram of an event file counted chunk by chunk as it is read."""
     counter = StartStopCounter(*binning, mode)
-    counter.feed_chunks(split_records(blocks, n_channels), CH_HERALD, CH_SIGNAL)
+    counter.feed_chunks(open_event_file(path)[2], CH_HERALD, CH_SIGNAL)
     return counter.histogram()
 
 
 def _assert_same_histogram(got, want):
     assert np.array_equal(got.counts, want.counts)
-    assert (got.n_starts, got.flags) == (want.n_starts, want.flags)
+    assert got.flags == want.flags
 
 
-@given(_run_args(), st.integers(2, 8), st.integers(1, 5), _binning(),
-       st.sampled_from(["first", "all"]))
-@settings(max_examples=100)
-def test_event_file_streams_at_block_boundaries(args, chunk_pairs, read_block, binning, mode):
-    meta = {"seed": args[-1].seed, "n_channels": channel_count(args[-1].topology)}
-    with mock.patch.object(events, "CHUNK_PAIRS", chunk_pairs), \
+def _joined(chunks, n_channels):
+    """Each channel's tags of a (tags, horizon) chunk stream, concatenated."""
+    return [np.concatenate([np.empty(0, dtype=np.int64)] + [tags[ch] for tags, _ in chunks])
+            for ch in range(n_channels)]
+
+
+@st.composite
+def _stream_case(draw):
+    """(events patches, run args): a run in chunks of a few pairs, or one drawing
+    _integer_arrivals, whose tags tie on chunk horizons across channels."""
+    if draw(st.booleans()):
+        return {"CHUNK_PAIRS": draw(st.integers(2, 8))}, draw(_run_args())
+    table, args = draw(_integer_arrivals())
+    return _table_patches(table), args
+
+
+@given(_stream_case(), st.integers(1, 5), _binning(), st.sampled_from(["first", "all"]))
+@settings(max_examples=150)
+def test_event_file_streams_at_block_boundaries(case, read_block, binning, mode):
+    """write_events passes its chunks on unchanged and writes the file of the whole run in one
+    chunk; the file reads back as the run's tags, and both streams count as the whole arrays."""
+    patches, args = case
+    n_channels = channel_count(args[-1].topology)
+    meta = {"seed": args[-1].seed, "n_channels": n_channels}
+    with mock.patch.multiple(events, **patches), \
             mock.patch.object(eventfile, "READ_BLOCK", read_block), \
             tempfile.TemporaryDirectory() as tmp:
         whole, streamed = Path(tmp) / "whole.bin", Path(tmp) / "streamed.bin"
@@ -372,16 +402,28 @@ def test_event_file_streams_at_block_boundaries(args, chunk_pairs, read_block, b
             tags = simulate_channels(*args)
         except StreamOrderError:
             return
-        records = tuple(np.concatenate(a) for a in zip(*merge_chunks(simulate_chunks(*args))))
-        list(write_events(whole, [records], meta))
-        passed = StartStopCounter(*binning, mode)  # fig2d-irf: counted as written
-        passed.feed_chunks(split_records(write_events(streamed, merge_chunks(
-            simulate_chunks(*args)), meta), meta["n_channels"]), CH_HERALD, CH_SIGNAL)
-        assert streamed.read_bytes() == whole.read_bytes()  # block by block as in one block
+        given_chunks = list(simulate_chunks(*args))
+        passed = list(write_events(streamed, iter(given_chunks), meta))
+        assert len(passed) == len(given_chunks)
+        for (p_tags, p_horizon), (g_tags, g_horizon) in zip(passed, given_chunks):
+            assert p_horizon == g_horizon and len(p_tags) == len(g_tags)
+            assert all(p is g for p, g in zip(p_tags, g_tags))
+        assert all(np.array_equal(a, b) for (a_tags, _), (b_tags, _) in
+                   zip(given_chunks, simulate_chunks(*args)) for a, b in zip(a_tags, b_tags))
+        list(write_events(whole, [(tags, None)], meta))
+        assert streamed.read_bytes() == whole.read_bytes()  # chunk by chunk as in one chunk
+        counted = StartStopCounter(*binning, mode)  # fig2d-irf: counted as written
+        counted.feed_chunks(write_events(streamed, simulate_chunks(*args), meta),
+                            CH_HERALD, CH_SIGNAL)
+        assert streamed.read_bytes() == whole.read_bytes()
+        back = list(open_event_file(streamed)[2])
         got = _counted_from_file(streamed, binning, mode)
+    assert back[-1][1] is None
+    for got_tags, t in zip(_joined(back, n_channels), tags):
+        assert np.array_equal(got_tags, t)
     want = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], *binning, mode)
     _assert_same_histogram(got, want)
-    _assert_same_histogram(passed.histogram(), want)
+    _assert_same_histogram(counted.histogram(), want)
 
 
 @st.composite
@@ -399,20 +441,24 @@ def _tied_records(draw):
 @settings(max_examples=200)
 def test_tied_records_count_across_read_blocks(records, read_block, binning, mode):
     channel, t_ps, n_channels = records
+    tags = [t_ps[channel == ch] for ch in range(n_channels)]
     with mock.patch.object(eventfile, "READ_BLOCK", read_block), \
             tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "events.bin"
-        list(write_events(path, [(channel, t_ps)], {"n_channels": n_channels}))
-        _, n_records, blocks = open_event_file(path)
-        back = list(blocks)
+        path, raw = Path(tmp) / "events.bin", Path(tmp) / "raw.bin"
+        list(write_events(path, [(tags, None)], {"n_channels": n_channels}))
+        reference.write_records(raw, channel, t_ps, n_channels)
+        assert path.read_bytes() == raw.read_bytes()
+        _, n_records, chunks = open_event_file(path)
+        back = list(chunks)
         got = _counted_from_file(path, binning, mode)
     assert n_records == len(t_ps)
-    assert all(len(t) <= read_block for _, t in back)
-    assert np.array_equal(np.concatenate([t_ps[:0]] + [t for _, t in back]), t_ps)
-    assert np.array_equal(np.concatenate([channel[:0]] + [c for c, _ in back]), channel)
-    reference = start_stop_histogram(t_ps[channel == CH_HERALD], t_ps[channel == CH_SIGNAL],
-                                     *binning, mode)
-    _assert_same_histogram(got, reference)
+    ends = range(read_block, len(t_ps) + read_block, read_block)
+    assert [h for _, h in back] == [int(t_ps[min(e, len(t_ps)) - 1]) for e in ends] + [None]
+    assert all(sum(map(len, chunk)) <= read_block for chunk, _ in back)
+    for got_tags, t in zip(_joined(back, n_channels), tags):
+        assert np.array_equal(got_tags, t)
+    want = start_stop_histogram(tags[CH_HERALD], tags[CH_SIGNAL], *binning, mode)
+    _assert_same_histogram(got, want)
 
 
 def _traced_peak(argv):

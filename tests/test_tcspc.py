@@ -67,7 +67,7 @@ def test_rebin_preserves_counts(counts, factor):
     counts = counts[:len(counts) - len(counts) % factor]
     if not counts:
         return
-    hist = Histogram(4, 0, np.asarray(counts, dtype=np.int64), n_starts=1)
+    hist = Histogram(4, 0, np.asarray(counts, dtype=np.int64))
     assert rebin(hist, factor).counts.sum() == hist.counts.sum()
 
 
@@ -117,7 +117,7 @@ def test_histogram_validation():
 
 
 def test_histogram_csv_roundtrip(tmp_path):
-    hist = Histogram(4, -2000, np.arange(100, dtype=np.int64), n_starts=99)
+    hist = Histogram(4, -2000, np.arange(100, dtype=np.int64))
     path = tmp_path / "h.csv"
     write_histogram_csv(path, hist)
     back = read_histogram_csv(path)
@@ -357,5 +357,4 @@ def test_start_stop_histogram_matches_per_start_reference(case):
                                     window_ps, t0_ps, mode)
     assert hist.counts.dtype == np.int64
     assert np.array_equal(hist.counts, expected)
-    assert hist.n_starts == len(starts)
     assert hist.flags == ([] if len(starts) and len(stops) else ["empty-stream"])

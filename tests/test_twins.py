@@ -52,7 +52,7 @@ def _analytic_cube(lines, positions, spec, n_t=48, bin_width_ps=16,
                 p = spec.insertion_loss / 2.0 + ac * env
             decay = np.exp(-t / (tau_ns * 1000.0))
             counts += total * w * p * decay / decay.sum()
-        hists.append(Histogram(bin_width_ps, 0, counts, n_starts=int(total)))
+        hists.append(Histogram(bin_width_ps, 0, counts))
     return InterferogramCube(np.asarray(positions, dtype=float), hists)
 
 
@@ -309,7 +309,7 @@ def test_cube_positions_are_histogram_runs():
         run_i = replace(run, seed=experiment.derive_seed(run.seed, 2, i),
                         twins_position_um=float(x))
         want = experiment.histogram(replace(cfg, run=run_i))
-        assert np.array_equal(hist.counts, want.counts) and hist.n_starts == want.n_starts
+        assert np.array_equal(hist.counts, want.counts) and hist.flags == want.flags
         # a second stop inside the window is counted, so the mode shows
         assert hist.counts.sum() > experiment.histogram(replace(first, run=run_i)).counts.sum()
 
