@@ -149,20 +149,23 @@ def _detector_draws(arrivals, det: DetectorModel, rng, start_ps, span_ps):
     efficiency and is jittered by a Gaussian of the configured FWHM; the dark
     counts of the span are added.
 
-    The survivors are gathered with ``np.compress``, which keeps the elements
-    ``t[keep]`` keeps, in the same order, several times faster at a partial
-    mask. A probability of scalar 1 keeps every arrival (each uniform is < 1),
-    so nothing is gathered, but the uniforms are still drawn. Without jitter
-    and darks the survivors are still sorted, and may be ``t`` itself, which
-    is never written to.
+    The draws from ``rng`` are a contract: one uniform per arrival, then a
+    normal per survivor when there is jitter, then the Poisson dark count and
+    a uniform per dark. The survivors are gathered with ``np.compress``,
+    which keeps the elements ``t[keep]`` keeps, in the same order, several
+    times faster at a partial mask. A probability of scalar 1 keeps every
+    arrival (each uniform is < 1), so nothing is gathered and the uniforms
+    are not drawn: the generator is advanced past them, which leaves it in
+    the state that drawing them would. Without jitter and darks the survivors
+    are still sorted, and may be ``t`` itself, which is never written to.
     """
     t, accept = arrivals
     t = np.asarray(t, dtype=float)
     p = np.asarray(accept, dtype=float) * det.efficiency
-    u = rng.random(len(t))
     if p.ndim or p < 1.0:
-        t = np.compress(u < p, t)
-    del u
+        t = np.compress(rng.random(len(t)) < p, t)
+    else:  # a uniform double is one 64-bit step; these generators buffer no 32-bit half
+        rng.bit_generator.advance(len(t))
     jitter = det.jitter_fwhm_ps > 0 and len(t) > 0
     if jitter:  # noise + t is t + noise, bit for bit
         noise = rng.normal(0.0, det.jitter_fwhm_ps / FWHM_PER_SIGMA, len(t))

@@ -11,8 +11,10 @@ recursion and the Fisher matrix of the profiled problem in Kaufman's
 approximation; the covariance is the inverse Fisher information.
 
 Everything is numpy: the recursion is a doubling scan, and one bounded
-Newton solve (``_poisson_linear``) gives the amplitudes and background
-wherever the fit needs them, the multistart ranking included.
+Newton solve (``_poisson_newton``, from the weighted least-squares start of
+``_poisson_start``) gives the amplitudes and background wherever the fit
+needs them. The multistart ranking stops a candidate's solve once a dual
+lower bound (``_nll_floor``) shows that it cannot be among the best.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ class FitOptions(Checked):
     fit_shift: bool = False
 
 
-N_MULTISTART = 12  # least number of lifetime candidates ranked before the three best are refined
+N_MULTISTART = 12  # least number of lifetime candidates ranked for the searches' starts
+N_SEARCHES = 3  # scoring searches per fit, from the best-ranked candidates
 MERGE_REL = 0.10  # lifetimes closer than this, relative, are one component
 DEVIANCE_TOL = 1e-10  # a search stops once a full scoring step would gain less
 MAX_LOG_STEP = 1.0  # trust radius of one scoring step in each log lifetime
@@ -232,27 +235,57 @@ def _nll(y, mu):
 def _poisson_linear(responses, y):
     """Nonnegative amplitudes and background at the Poisson NLL minimum.
 
-    Starts from the variance-weighted least-squares solution, each bin's
-    variance taken from the counts' 5-bin running mean, projected onto
-    c >= 0 with the background kept above 0 so that mu > 0, and scaled so
-    that the model holds the observed counts. Then takes Newton steps on
-    the convex NLL of mu = c @ G, each to where ``_bounded_newton`` leads
-    on the quadratic model, halved until the NLL falls. The NLL change is
+    Newton steps (``_poisson_newton``) from the weighted least-squares
+    start (``_poisson_start``). ``fit_decay`` calls the two parts itself,
+    with y's weights computed once per fit. Returns (amplitudes, background,
+    mu).
+    """
+    return _poisson_newton(*_poisson_start(responses, y, _start_weights(y)), y)
+
+
+def _start_weights(y):
+    """What ``_poisson_start`` needs of y alone: its inverse variances, background floor and total.
+
+    Each bin's variance is the counts' 5-bin running mean, at least 1.
+    """
+    v = 1.0 / np.clip(np.convolve(y, np.ones(5) / 5.0, mode="same"), 1.0, None)
+    return v, y.mean() / len(y), y.sum()
+
+
+def _poisson_start(responses, y, weights):
+    """The design matrix, the solver's start c and its mu = c @ G (at least _MU_FLOOR).
+
+    The start is the variance-weighted least-squares solution (``weights``
+    from ``_start_weights(y)``), projected onto c >= 0 with the background
+    kept above its floor so that mu > 0, and scaled so that the model holds
+    the observed counts.
+    """
+    v, bg_floor, total = weights
+    g_mat = np.array(list(responses) + [np.ones_like(y)])
+    c = np.maximum(np.linalg.lstsq((g_mat * v) @ g_mat.T, g_mat @ (v * y), rcond=None)[0], 0.0)
+    c[-1] = max(c[-1], bg_floor)
+    c *= total / (c @ g_mat.sum(axis=1))
+    return g_mat, c, np.maximum(c @ g_mat, _MU_FLOOR)
+
+
+def _poisson_newton(g_mat, c, mu, y, nll_above=np.inf):
+    """Newton steps on the convex NLL of mu = c @ G over c >= 0, from c.
+
+    Each step goes to where ``_bounded_newton`` leads on the quadratic model,
+    halved until the NLL falls, so the NLL never rises. The NLL change is
     summed bin by bin, so it resolves steps far below the NLL's roundoff.
     A full step with a Newton decrement below 1e-5 ends the loop: the next
     decrement would be of its square's order.
-    Returns (amplitudes, background, mu).
+    Returns (amplitudes, background, mu), or None once ``_nll_floor`` at an
+    iterate shows that the NLL's minimum lies above ``nll_above``.
     """
-    g_mat = np.array(list(responses) + [np.ones_like(y)])
     g_sum = g_mat.sum(axis=1)
-    v = 1.0 / np.clip(np.convolve(y, np.ones(5) / 5.0, mode="same"), 1.0, None)
-    c = np.maximum(np.linalg.lstsq((g_mat * v) @ g_mat.T, g_mat @ (v * y), rcond=None)[0], 0.0)
-    c[-1] = max(c[-1], y.mean() / len(y))
-    c *= y.sum() / (c @ g_sum)
-    mu = np.maximum(c @ g_mat, _MU_FLOOR)
     for _ in range(50):
         w = y / mu
-        grad = g_sum - g_mat @ w
+        q = g_mat @ w
+        if nll_above < np.inf and _nll_floor(y, mu, q, g_sum) > nll_above:
+            return None
+        grad = g_sum - q
         hess = (g_mat * (w / mu)) @ g_mat.T
         target = _bounded_newton(hess, grad, c)
         decrement = grad @ (c - target)
@@ -272,6 +305,18 @@ def _poisson_linear(responses, y):
         if t == 1.0 and decrement < 1e-5:
             break
     return c[:-1], c[-1], mu
+
+
+def _nll_floor(y, mu, q, g_sum):
+    """A lower bound on the NLL's minimum over c >= 0, from any mu > 0 and q = G @ (y / mu).
+
+    By weak duality: w = 1 - s y / mu with s = min(g_sum / q) over q > 0
+    is dual feasible (G @ w >= 0), which bounds the NLL from below by
+    y.sum() (1 + log s) - y @ log(mu). At the minimum s = 1 and the bound
+    is the NLL itself, so it tightens as Newton converges.
+    """
+    s = np.min(np.divide(g_sum, q, out=np.full_like(q, np.inf), where=q > 0))
+    return float(y.sum() * (1.0 + np.log(s)) - y @ np.log(mu))
 
 
 def _bounded_newton(hess, grad, c):
@@ -331,8 +376,14 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
     Fisher scoring minimizes the deviance profiled over amplitudes and
     background (see ``_poisson_linear``) in log lifetime, plus the IRF
     shift with ``fit_shift``. The lifetime candidates (``_candidates``) are
-    ranked on that same profiled deviance, and the three best start the
-    searches (see ``_scoring_search``). The gradient follows from the
+    ranked on that same profiled deviance, ties by candidate order, and the
+    N_SEARCHES best start the searches (see ``_scoring_search``). They are
+    profiled in the order of the deviance at the solver's start, an upper
+    bound on the profiled one since Newton only descends, so the best come
+    early. Once N_SEARCHES are profiled, a candidate's solve stops as soon
+    as ``_nll_floor`` puts it above the N_SEARCHES-th best so far. So the
+    starts are those that profiling every candidate in full gives, and each
+    candidate's responses are computed once. The gradient follows from the
     envelope theorem and ``response_derivatives``. The fit runs over
     ``_default_fit_range`` and draws no random numbers. When lifetimes end
     closer than MERGE_REL of each other, or a component ends with amplitude
@@ -369,17 +420,39 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
     lo = max(2.0 * bw, 1.0) / PS_PER_NS
     hi = 0.8 * (n_bins_fit * bw) / PS_PER_NS
 
+    weights = _start_weights(y)
+
     # outer variables v: log tau [ns] per component, then shift in bins
-    def point(v):
+    def start(v):
+        """``refine``'s arguments at v: the responses and the solver's start."""
         taus = np.exp(v[:k])
         shift = float(v[k]) * bw if options.fit_shift else 0.0
         resp = responses(taus, shift)
-        amps, bg, mu = _poisson_linear(resp, y)
+        return (v, taus, shift, resp) + _poisson_start(resp, y, weights)
+
+    def refine(v, taus, shift, resp, g_mat, c, mu, nll_above=np.inf):
+        solved = _poisson_newton(g_mat, c, mu, y, nll_above)
+        if solved is None:
+            return None
+        amps, bg, mu = solved
         return _Point(v, _deviance(y, mu, y_safe), taus, shift, resp, amps, bg, mu)
 
+    def point(v):
+        return refine(*start(v))
+
     n_v = k + int(options.fit_shift)
-    starts = sorted((point(np.append(np.log(taus), 0.0)[:n_v])
-                     for taus in _candidates(lo, hi, k)), key=lambda p: p.deviance)
+    cands = [start(np.append(np.log(taus), 0.0)[:n_v]) for taus in _candidates(lo, hi, k)]
+    # NLL minus deviance, plus a margin of 1e-8 of the counts, far above the sums' roundoff
+    nll_offset = y.sum() * (1.0 + 1e-8) - y @ np.log(y_safe)
+    refined = {}  # profiled in the order of the start's deviance
+    for i in sorted(range(len(cands)), key=lambda i: _deviance(y, cands[i][-1], y_safe)):
+        best = sorted(p.deviance for p in refined.values())
+        above = best[N_SEARCHES - 1] + nll_offset if len(best) >= N_SEARCHES else np.inf
+        p = refine(*cands[i], nll_above=above)
+        if p is not None:
+            refined[i] = p
+    # in candidate order, so the stable sort breaks deviance ties by index
+    starts = sorted((refined[i] for i in sorted(refined)), key=lambda p: p.deviance)
 
     def scoring(p):
         derivs = [response_derivatives(tau, irf, p.shift, n_bins_fit, t0_fit) for tau in p.taus]
@@ -399,7 +472,7 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
     # no lifetime below two bins: the data cannot tell it from the response itself
     lower = np.append(np.full(k, np.log(lo)), -np.inf)[:n_v]
     upper = np.append(np.full(k, np.log(100 * hi)), np.inf)[:n_v]
-    runs = [_scoring_search(p, point, scoring, lower, upper, k) for p in starts[:3]]
+    runs = [_scoring_search(p, point, scoring, lower, upper, k) for p in starts[:N_SEARCHES]]
     best, converged = min(runs, key=lambda run: run[0].deviance)
     if not np.isfinite(best.deviance):
         raise FitError("fit did not converge",

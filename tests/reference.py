@@ -2,17 +2,18 @@
 
 Each function here has no caller in ``epstreak``; the tests use them as
 known-answer helpers against the package's counting and map paths, as
-the plain forms of the detector chain's gathers, and to write and read
-event files byte by byte from their layout.
+the plain forms of the detector chain's gathers and of the fit's multistart
+ranking, and to write and read event files byte by byte from their layout.
 """
 
 import struct
 
 import numpy as np
 
+from epstreak import fitting
 from epstreak.errors import ConfigurationError, DomainError
 from epstreak.tcspc import _integer_window
-from epstreak.units import C_NM_PER_FS, FWHM_PER_SIGMA, PS_PER_S
+from epstreak.units import C_NM_PER_FS, FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
 
 
 def coincidence_rate(a, b, window_ps, duration_s):
@@ -147,3 +148,29 @@ def read_records(path):
         fh.seek(8)
         records = np.fromfile(fh, dtype=RECORD)
     return records["channel"], records["t_ps"].astype(np.int64)
+
+
+def multistart_ranking(hist, irf, k):
+    """fit_decay's multistart candidates, each profiled in full: (deviance, index, log lifetimes), best first.
+
+    Every candidate is taken at the lifetimes exp(log tau) of the fit's
+    variables, its amplitudes and background come from
+    ``fitting._poisson_linear``, and the order is by (deviance, candidate
+    index): a stable sort on deviance over the candidate order.
+    """
+    first, last = fitting._default_fit_range(hist, irf)
+    y = np.asarray(hist.counts, dtype=float)[first:last]
+    bw = hist.bin_width_ps
+    n_bins = last - first
+    t0_ps = hist.t0_ps + first * bw
+    y_safe = np.where(y > 0, y, 1.0)
+    lo = max(2.0 * bw, 1.0) / PS_PER_NS
+    hi = 0.8 * (n_bins * bw) / PS_PER_NS
+    ranked = []
+    for index, taus in enumerate(fitting._candidates(lo, hi, k)):
+        log_taus = np.log(taus)
+        resp = [fitting.convolve_model(fitting.DecayModel([(1.0, tau)]), irf, n_bins, t0_ps)
+                for tau in np.exp(log_taus)]
+        mu = fitting._poisson_linear(resp, y)[2]
+        ranked.append((fitting._deviance(y, mu, y_safe), index, log_taus))
+    return sorted(ranked, key=lambda r: r[:2])

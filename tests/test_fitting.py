@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,11 +13,11 @@ from epstreak.config import load_config, override
 from epstreak.errors import ConfigurationError, DomainError, FitError
 from epstreak.fitting import (DecayModel, FitOptions, _recursion, convolve_model,
                               fit_decay, format_fit_report, response_derivatives)
-from epstreak.tcspc import Histogram, rebin
+from epstreak.tcspc import Histogram, read_histogram_csv, rebin
 from epstreak.twins import TimeFrequencyMap
 from epstreak.units import FWHM_PER_SIGMA
 
-from reference import slice_map
+from reference import multistart_ranking, slice_map
 
 BW_PS = 4
 
@@ -207,6 +210,59 @@ def test_multistart_candidates():
         grid = np.unique(candidates)
         assert np.array_equal(grid, np.geomspace(2 * lo, hi / 2, len(grid)))
         assert all(len(c) == k and np.all(np.diff(c) > 0) for c in candidates)
+
+
+def _search_starts(monkeypatch, hist, irf, k):
+    """The points that start the fit's scoring searches, in order."""
+    seen = []
+    search = fitting._scoring_search
+
+    def recording(p, *args):
+        seen.append(p)
+        return search(p, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(fitting, "_scoring_search", recording)
+        fit_decay(hist, irf, FitOptions(n_components=k))
+    return seen[:fitting.N_SEARCHES]  # a merge refits and searches again
+
+
+def _assert_starts_are_the_best_profiled(monkeypatch, hist, irf, k):
+    got = _search_starts(monkeypatch, hist, irf, k)
+    want = multistart_ranking(hist, irf, k)[:fitting.N_SEARCHES]
+    assert [(p.deviance, p.v.tolist()) for p in got] == [(d, v.tolist()) for d, _, v in want]
+
+
+def _bench_lifetime_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "lifetime_inputs.py"
+    spec = importlib.util.spec_from_file_location("lifetime_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# At input seed 2011 the 15,000-count 0.101 ns decay's third best candidate
+# is only the fourth best start: ranking on the starts alone would miss it.
+@pytest.mark.parametrize("seed", [521, 2011])
+def test_single_component_starts_are_the_best_profiled(monkeypatch, tmp_path, seed):
+    """The ranking that prunes Newton solves picks the starts that profiling every candidate picks."""
+    inputs = _bench_lifetime_inputs()
+    inputs.write_inputs(tmp_path, seed)
+    irf = read_histogram_csv(tmp_path / "irf.csv")
+    for name, _, _ in inputs.decays():
+        _assert_starts_are_the_best_profiled(
+            monkeypatch, read_histogram_csv(tmp_path / f"{name}.csv"), irf, 1)
+
+
+# On five of these six mixtures the starts' own best three are not the profiled best three.
+@pytest.mark.parametrize("components", [[(10.0, 0.5), (40.0, 2.0)],
+                                        [(10.0, 0.1), (40.0, 2.0)],
+                                        [(10.0, 0.1), (40.0, 0.5), (20.0, 2.0)]])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mixture_starts_are_the_best_profiled(monkeypatch, components, seed):
+    irf = _gaussian_irf()
+    hist = _poisson_hist(DecayModel(components, background=1e-3), irf, 2.4e5, seed)
+    _assert_starts_are_the_best_profiled(monkeypatch, hist, irf, len(components))
 
 
 def test_convolution_commutes_with_rebin():

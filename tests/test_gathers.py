@@ -1,9 +1,9 @@
 """The streamed detector chain's gathers against their boolean-mask forms.
 
-``np.compress``, the skipped gather at acceptance 1 and the stable merge
-must give the elements and the order that ``t[keep]``, ``t_ps[channel ==
-ch]``, ``dt[ok]`` and the (time, channel) lexsort give, bit for bit, so no
-event file, histogram or digest moves.
+``np.compress``, the skipped gather and uniforms at acceptance 1 and the
+stable merge must give the elements, the order and the generator state that
+``t[keep]``, ``t_ps[channel == ch]``, ``dt[ok]`` and the (time, channel)
+lexsort give, bit for bit, so no event file, histogram or digest moves.
 """
 
 import tempfile
@@ -11,6 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
@@ -65,6 +66,19 @@ def test_detector_draws_match_boolean_gather(arrivals, det, seed):
     _same(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     _same(t, before)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1_000_003])
+def test_acceptance_one_leaves_the_channel_rng_as_drawing_does(n):
+    """Advancing past the unused uniforms leaves the state, and every later draw, as drawing them."""
+    t = np.arange(n, dtype=float)
+    rng, ref_rng = events._rng(7, 1, 0), events._rng(7, 1, 0)
+    _same(_detector_draws((t, 1.0), DetectorModel(), rng, 0.0, SPAN_PS),
+          reference.detector_draws((t, 1.0), DetectorModel(), ref_rng, 0.0, SPAN_PS))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for draw in (lambda g: g.random(3), lambda g: g.normal(0.0, 1.0, 3),
+                 lambda g: g.poisson(4.0, 3), lambda g: g.exponential(1.0, 3)):
+        _same(draw(rng), draw(ref_rng))
 
 
 def test_irf_channels_share_their_arrivals():
