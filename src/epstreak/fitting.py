@@ -15,6 +15,12 @@ Newton solve (``_poisson_newton``, from the weighted least-squares start of
 ``_poisson_start``) gives the amplitudes and background wherever the fit
 needs them. The multistart ranking stops a candidate's solve once a dual
 lower bound (``_nll_floor``) shows that it cannot be among the best.
+
+``fit_decay`` builds one ``_Problem`` per histogram: the data over the fit
+range, the lifetime box and the IRF, and the profiling, Fisher matrix and
+scoring at any point of the search. Every fit of that histogram, a merged
+refit with fewer components included, runs on it and counts its model
+evaluations.
 """
 
 from __future__ import annotations
@@ -64,7 +70,9 @@ class FitResult:
     fit_range_bins: tuple
     nll: float
     n_model_evals: int  # convolve_model calls, merged attempts included
-    converged: bool  # the best search met DEVIANCE_TOL, its lifetimes off their bounds
+    # the best search met DEVIANCE_TOL, its lifetimes off their bounds and
+    # every searched variable informed (positive Fisher diagonal)
+    converged: bool
     multistart_spread: float  # NLL of the worst start minus the best
     fisher_condition: float  # of the Fisher matrix scaled to unit diagonal
     merged_from: int | None = None  # components asked for when a merge fired
@@ -385,83 +393,95 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
     starts are those that profiling every candidate in full gives, and each
     candidate's responses are computed once. The gradient follows from the
     envelope theorem and ``response_derivatives``. The fit runs over
-    ``_default_fit_range`` and draws no random numbers. When lifetimes end
-    closer than MERGE_REL of each other, or a component ends with amplitude
-    0, the fit repeats with one component fewer. Covariance is the inverse
-    Fisher information of the fitted parameters; reduced chi^2 uses Pearson
-    weights.
+    ``_default_fit_range`` and draws no random numbers. All of this works on
+    one ``_Problem``, built once per call. When lifetimes end closer than
+    MERGE_REL of each other, or a component ends with amplitude 0, the same
+    problem is fitted again with one component fewer. Covariance is the
+    inverse Fisher information of the fitted parameters; reduced chi^2 uses
+    Pearson weights.
     """
     options = options or FitOptions()
-    if hist.bin_width_ps != irf.bin_width_ps:
-        raise ConfigurationError("histogram and IRF must share their bin width")
-    y_full = np.asarray(hist.counts, dtype=float)
-    if y_full.sum() <= 0:
-        raise FitError("degenerate data: histogram is all zeros")
-    first, last = _default_fit_range(hist, irf)
-    y = y_full[first:last]
-    t0_fit = hist.t0_ps + first * hist.bin_width_ps
-    n_bins_fit = last - first
-    k = options.n_components
-    min_bins = 10 * k * 3
-    if np.count_nonzero(y) < min_bins:
-        raise FitError(
-            f"too few populated bins for {k} components "
-            f"({np.count_nonzero(y)} < {min_bins})")
-    bw = hist.bin_width_ps
-    y_safe = np.where(y > 0, y, 1.0)
-    n_evals = 0
+    return _Problem(hist, irf, options.fit_shift).fit(options.n_components)
 
-    def responses(taus_ns, shift):
-        nonlocal n_evals
-        n_evals += len(taus_ns)
-        return [convolve_model(DecayModel([(1.0, tau)], 0.0, shift), irf,
-                               n_bins=n_bins_fit, t0_ps=t0_fit) for tau in taus_ns]
 
-    lo = max(2.0 * bw, 1.0) / PS_PER_NS
-    hi = 0.8 * (n_bins_fit * bw) / PS_PER_NS
+@dataclass
+class _Point:
+    """The fit at outer variables v: amplitudes and background profiled, or at their start."""
+    v: np.ndarray
+    taus: np.ndarray
+    shift: float
+    g_mat: np.ndarray  # the unit responses, then a row of ones for the background
+    amps: np.ndarray
+    bg: float
+    mu: np.ndarray
+    deviance: float = np.inf  # of the profiled fit; inf at the solver's start
 
-    weights = _start_weights(y)
 
-    # outer variables v: log tau [ns] per component, then shift in bins
-    def start(v):
-        """``refine``'s arguments at v: the responses and the solver's start."""
+class _Problem:
+    """What the fit knows of one histogram: its data over the fit range, the lifetime box, the IRF.
+
+    The outer variables v are the log lifetimes [ns], then the shift in
+    bins with ``fit_shift``. ``start(v)`` computes the responses and the
+    amplitude solver's start, ``refine`` profiles from there, ``fisher``
+    gives the Jacobian and Fisher matrix of a point and ``scoring`` the
+    deviance gradient and Fisher matrix over v. The lifetimes lie in
+    [lo, 100 hi] and the candidates in [2 lo, hi / 2]. ``n_evals`` counts the
+    ``convolve_model`` calls of every fit of this problem.
+    """
+
+    def __init__(self, hist: Histogram, irf: Histogram, fit_shift: bool):
+        if hist.bin_width_ps != irf.bin_width_ps:
+            raise ConfigurationError("histogram and IRF must share their bin width")
+        y_full = np.asarray(hist.counts, dtype=float)
+        if y_full.sum() <= 0:
+            raise FitError("degenerate data: histogram is all zeros")
+        self.first, self.last = _default_fit_range(hist, irf)
+        self.y = y = y_full[self.first:self.last]
+        self.y_safe = np.where(y > 0, y, 1.0)
+        self.weights = _start_weights(y)
+        self.bw = bw = hist.bin_width_ps
+        self.t0 = hist.t0_ps + self.first * bw
+        self.n_bins = self.last - self.first
+        # no lifetime below two bins: the data cannot tell it from the response itself
+        self.lo = max(2.0 * bw, 1.0) / PS_PER_NS
+        self.hi = 0.8 * (self.n_bins * bw) / PS_PER_NS
+        self.irf, self.fit_shift = irf, fit_shift
+        self.n_evals = 0
+
+    def start(self, v):
+        """The point at v, its amplitudes and background at the solver's start."""
+        k = len(v) - int(self.fit_shift)
         taus = np.exp(v[:k])
-        shift = float(v[k]) * bw if options.fit_shift else 0.0
-        resp = responses(taus, shift)
-        return (v, taus, shift, resp) + _poisson_start(resp, y, weights)
+        shift = float(v[k]) * self.bw if self.fit_shift else 0.0
+        self.n_evals += k
+        resp = [convolve_model(DecayModel([(1.0, tau)], 0.0, shift), self.irf,
+                               n_bins=self.n_bins, t0_ps=self.t0) for tau in taus]
+        g_mat, c, mu = _poisson_start(resp, self.y, self.weights)
+        return _Point(v, taus, shift, g_mat, c[:-1], c[-1], mu)
 
-    def refine(v, taus, shift, resp, g_mat, c, mu, nll_above=np.inf):
-        solved = _poisson_newton(g_mat, c, mu, y, nll_above)
+    def refine(self, p, nll_above=np.inf):
+        """p profiled, or None once ``_poisson_newton`` shows its NLL above ``nll_above``."""
+        solved = _poisson_newton(p.g_mat, np.append(p.amps, p.bg), p.mu, self.y, nll_above)
         if solved is None:
             return None
         amps, bg, mu = solved
-        return _Point(v, _deviance(y, mu, y_safe), taus, shift, resp, amps, bg, mu)
+        return replace(p, amps=amps, bg=bg, mu=mu, deviance=_deviance(self.y, mu, self.y_safe))
 
-    def point(v):
-        return refine(*start(v))
+    def fisher(self, p):
+        """``_fisher``'s Jacobian and Fisher matrix at p."""
+        derivs = [response_derivatives(tau, self.irf, p.shift, self.n_bins, self.t0)
+                  for tau in p.taus]
+        return _fisher(p.g_mat[:-1], derivs, p.amps, p.mu, self.fit_shift)
 
-    n_v = k + int(options.fit_shift)
-    cands = [start(np.append(np.log(taus), 0.0)[:n_v]) for taus in _candidates(lo, hi, k)]
-    # NLL minus deviance, plus a margin of 1e-8 of the counts, far above the sums' roundoff
-    nll_offset = y.sum() * (1.0 + 1e-8) - y @ np.log(y_safe)
-    refined = {}  # profiled in the order of the start's deviance
-    for i in sorted(range(len(cands)), key=lambda i: _deviance(y, cands[i][-1], y_safe)):
-        best = sorted(p.deviance for p in refined.values())
-        above = best[N_SEARCHES - 1] + nll_offset if len(best) >= N_SEARCHES else np.inf
-        p = refine(*cands[i], nll_above=above)
-        if p is not None:
-            refined[i] = p
-    # in candidate order, so the stable sort breaks deviance ties by index
-    starts = sorted((refined[i] for i in sorted(refined)), key=lambda p: p.deviance)
-
-    def scoring(p):
-        derivs = [response_derivatives(tau, irf, p.shift, n_bins_fit, t0_fit) for tau in p.taus]
-        jac, fisher = _fisher(p.resp, derivs, p.amps, p.mu, options.fit_shift)
-        grad = jac.T @ (1.0 - y / p.mu)
+    def scoring(self, p):
+        """The deviance gradient and the Fisher matrix over p's outer variables."""
+        k = len(p.taus)
+        jac, fisher = self.fisher(p)
+        grad = jac.T @ (1.0 - self.y / p.mu)
         # lifetimes and shift in fisher's layout, and the linear variables off their bound
         outer = np.r_[k:2 * k, 2 * k + 1:len(grad)]
         linear = np.r_[0:k, 2 * k][np.append(p.amps, p.bg) > 0]
-        scale = np.append(p.taus, bw)[:len(outer)]  # d(tau, shift)/dv
+        scale = np.append(p.taus, self.bw)[:len(outer)]  # d(tau, shift)/dv
         f_oo = fisher[np.ix_(outer, outer)]
         if len(linear):
             f_lo = fisher[np.ix_(linear, outer)]
@@ -469,52 +489,53 @@ def fit_decay(hist: Histogram, irf: Histogram, options: FitOptions | None = None
                                                    rcond=None)[0]
         return scale * grad[outer], f_oo * np.outer(scale, scale)
 
-    # no lifetime below two bins: the data cannot tell it from the response itself
-    lower = np.append(np.full(k, np.log(lo)), -np.inf)[:n_v]
-    upper = np.append(np.full(k, np.log(100 * hi)), np.inf)[:n_v]
-    runs = [_scoring_search(p, point, scoring, lower, upper, k) for p in starts[:N_SEARCHES]]
-    best, converged = min(runs, key=lambda run: run[0].deviance)
-    if not np.isfinite(best.deviance):
-        raise FitError("fit did not converge",
-                       diagnostics={"model_evaluations": n_evals,
-                                    "best_deviance": str(best.deviance)})
+    def fit(self, k):
+        """The fit with k components, or with fewer once a merge fires."""
+        min_bins = 10 * k * 3
+        if np.count_nonzero(self.y) < min_bins:
+            raise FitError(
+                f"too few populated bins for {k} components "
+                f"({np.count_nonzero(self.y)} < {min_bins})")
+        y, n_v = self.y, k + int(self.fit_shift)
+        cands = [self.start(np.append(np.log(taus), 0.0)[:n_v])
+                 for taus in _candidates(self.lo, self.hi, k)]
+        # NLL minus deviance, plus a margin of 1e-8 of the counts, far above the sums' roundoff
+        nll_offset = y.sum() * (1.0 + 1e-8) - y @ np.log(self.y_safe)
+        refined = {}  # profiled in the order of the start's deviance
+        for i in sorted(range(len(cands)), key=lambda i: _deviance(y, cands[i].mu, self.y_safe)):
+            best = sorted(p.deviance for p in refined.values())
+            above = best[N_SEARCHES - 1] + nll_offset if len(best) >= N_SEARCHES else np.inf
+            p = self.refine(cands[i], nll_above=above)
+            if p is not None:
+                refined[i] = p
+        # in candidate order, so the stable sort breaks deviance ties by index
+        starts = sorted((refined[i] for i in sorted(refined)), key=lambda p: p.deviance)
+        runs = [_scoring_search(p, self) for p in starts[:N_SEARCHES]]
+        best, converged = min(runs, key=lambda run: run[0].deviance)
+        if not np.isfinite(best.deviance):
+            raise FitError("fit did not converge",
+                           diagnostics={"model_evaluations": self.n_evals,
+                                        "best_deviance": str(best.deviance)})
 
-    order = np.argsort(best.taus)
-    taus, amps = best.taus[order], best.amps[order]
-    resp = [best.resp[i] for i in order]
+        # merge nearly equal lifetimes, or drop a component the fit switched off
+        # (amplitude exactly 0, its lifetime arbitrary), and fit with fewer
+        if k > 1 and (_collapsed(best.taus) or np.any(best.amps == 0)):
+            return replace(self.fit(k - 1), merged_from=k)
 
-    # merge nearly equal lifetimes, or drop a component the fit switched off
-    # (amplitude exactly 0, its lifetime arbitrary), and refit with fewer
-    if k > 1 and (_collapsed(taus) or np.any(amps == 0)):
-        merged = fit_decay(hist, irf, replace(options, n_components=k - 1))
-        return replace(merged, n_model_evals=merged.n_model_evals + n_evals, merged_from=k)
-
-    mu = best.mu
-    derivs = [response_derivatives(tau, irf, best.shift, n_bins_fit, t0_fit) for tau in taus]
-    model = DecayModel(list(zip(amps, taus)), background=best.bg, t_shift_ps=best.shift)
-    cov, cond = _fisher_covariance(_fisher(resp, derivs, amps, mu, options.fit_shift)[1],
-                                   options.fit_shift)
-    n_params = 2 * k + 1 + int(options.fit_shift)
-    dof = max(n_bins_fit - n_params, 1)
-    chi2 = float(np.sum((y - mu) ** 2 / mu))
-    return FitResult(model=model, covariance=cov, reduced_chi2=chi2 / dof,
-                     n_bins_used=n_bins_fit, fit_range_bins=(first, last),
-                     nll=_nll(y, mu), n_model_evals=n_evals, converged=converged,
-                     multistart_spread=max(run[0].deviance for run in runs) - best.deviance,
-                     fisher_condition=cond)
-
-
-@dataclass
-class _Point:
-    """The profiled fit at outer variables v."""
-    v: np.ndarray
-    deviance: float
-    taus: np.ndarray
-    shift: float
-    resp: list
-    amps: np.ndarray
-    bg: float
-    mu: np.ndarray
+        order = np.argsort(best.taus)
+        best = replace(best, v=np.append(best.v[order], best.v[k:]), taus=best.taus[order],
+                       g_mat=best.g_mat[np.append(order, k)], amps=best.amps[order])
+        model = DecayModel(list(zip(best.amps, best.taus)), background=best.bg,
+                           t_shift_ps=best.shift)
+        cov, cond = _fisher_covariance(self.fisher(best)[1], self.fit_shift)
+        n_params = 2 * k + 1 + int(self.fit_shift)
+        dof = max(self.n_bins - n_params, 1)
+        chi2 = float(np.sum((y - best.mu) ** 2 / best.mu))
+        return FitResult(model=model, covariance=cov, reduced_chi2=chi2 / dof,
+                         n_bins_used=self.n_bins, fit_range_bins=(self.first, self.last),
+                         nll=_nll(y, best.mu), n_model_evals=self.n_evals, converged=converged,
+                         multistart_spread=max(run[0].deviance for run in runs) - best.deviance,
+                         fisher_condition=cond)
 
 
 def _candidates(lo, hi, k):
@@ -529,13 +550,15 @@ def _collapsed(taus):
     return bool(np.any(np.diff(taus) / taus[1:] < MERGE_REL))
 
 
-def _scoring_search(p, point, scoring, lower, upper, n_tau):
-    """Box-bounded Fisher scoring with Levenberg-Marquardt damping, from point p.
+def _scoring_search(p, problem):
+    """Box-bounded Fisher scoring with Levenberg-Marquardt damping, from point p of ``problem``.
 
-    ``point(v)`` profiles the fit at v; ``scoring(p)`` gives the deviance
-    gradient and the Fisher matrix over v, Kaufman's approximation of the
-    variable-projection Hessian (Golub and Pereyra, Inverse Problems 19, R1
-    (2003)). The first ``n_tau`` variables are log lifetimes. A variable
+    ``problem.refine(problem.start(v))`` profiles the fit at v;
+    ``problem.scoring(p)`` gives the deviance gradient and the Fisher matrix
+    over v, Kaufman's approximation of the variable-projection Hessian
+    (Golub and Pereyra, Inverse Problems 19, R1 (2003)). The first
+    ``len(p.taus)`` variables are log lifetimes, in [log lo, log 100 hi] of
+    the problem; the shift is unbounded. A variable
     stays where it is while it sits on a bound the gradient pushes against,
     or carries no information (a lifetime whose amplitude is 0). Damping is
     Marquardt's, scaled by the Fisher diagonal (More, LNM 630 (1978)), and
@@ -545,15 +568,19 @@ def _scoring_search(p, point, scoring, lower, upper, n_tau):
     point, the quadratic model of a weak component says nothing.
 
     The search stops when the full Gauss-Newton step predicts a deviance
-    decrement below DEVIANCE_TOL: converged, unless that step would end a
-    log lifetime on or past its bound, where the box, not the data, stops
-    it. It stops unconverged when no damped step lowers the deviance, or
-    when two lifetimes collapse, since the fit then refits with one
-    component fewer. Returns (point, converged).
+    decrement below DEVIANCE_TOL: converged, unless a variable there
+    carries no information, so that the data do not fix it, or that step
+    would end a log lifetime on or past its bound, where the box, not the
+    data, stops it. It stops unconverged when no damped step lowers the
+    deviance, or when two lifetimes collapse, since the fit then refits
+    with one component fewer. Returns (point, converged).
     """
+    n_tau = len(p.taus)
+    lower = np.append(np.full(n_tau, np.log(problem.lo)), -np.inf)[:len(p.v)]
+    upper = np.append(np.full(n_tau, np.log(100 * problem.hi)), np.inf)[:len(p.v)]
     damping, growth = 1e-3, 2.0
     for _ in range(MAX_ITERATIONS):
-        grad, fisher = scoring(p)
+        grad, fisher = problem.scoring(p)
         diag = np.diag(fisher)
         free = (diag > 0) & ~((p.v <= lower) & (grad > 0)) & ~((p.v >= upper) & (grad < 0))
         g, f = grad[free], fisher[np.ix_(free, free)]
@@ -561,7 +588,7 @@ def _scoring_search(p, point, scoring, lower, upper, n_tau):
         if -0.5 * (g @ newton) < DEVIANCE_TOL:
             end = p.v.copy()
             end[free] += newton  # the shift's bounds are infinite
-            return p, bool(np.all((lower < end) & (end < upper)))
+            return p, bool(np.all(diag > 0) and np.all((lower < end) & (end < upper)))
         n_free_tau = np.count_nonzero(free[:n_tau])
         while True:
             step = np.linalg.solve(f + damping * np.diag(diag[free]), -g)
@@ -570,7 +597,7 @@ def _scoring_search(p, point, scoring, lower, upper, n_tau):
                 continue
             v = p.v.copy()
             v[free] += step
-            trial = point(np.clip(v, lower, upper))
+            trial = problem.refine(problem.start(np.clip(v, lower, upper)))
             gain = p.deviance - trial.deviance
             if gain > 0:
                 # Nielsen's update: damping follows the model's predicted gain
@@ -605,9 +632,11 @@ def _fisher(resp, derivs, amps, mu, fit_shift):
 def _fisher_covariance(fisher, fit_shift):
     """Inverse of ``_fisher``'s matrix, in the layout with the shift's row and column.
 
-    The shift's row and column stay zero when it is not fitted. Also returns
-    the condition number of the Fisher matrix scaled to unit diagonal (inf
-    if a parameter carries no information).
+    The shift's row and column stay zero when it is not fitted. A fitted
+    parameter that carries no information (Fisher diagonal 0) gets an
+    infinite variance. Also returns the condition number of the Fisher
+    matrix scaled to unit diagonal (inf if a parameter carries no
+    information).
     """
     n = len(fisher) + int(not fit_shift)
     fitted = np.arange(n) < len(fisher)
@@ -615,6 +644,8 @@ def _fisher_covariance(fisher, fit_shift):
     cov[np.ix_(fitted, fitted)] = np.linalg.pinv(fisher, hermitian=True)
     cov = 0.5 * (cov + cov.T)
     scale = np.sqrt(np.diag(fisher))
+    blind = np.flatnonzero(scale == 0)  # fitted parameters come first in the layout
+    cov[blind, blind] = np.inf
     cond = float(np.linalg.cond(fisher / np.outer(scale, scale))) if np.all(scale > 0) else np.inf
     return cov, cond
 

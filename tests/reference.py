@@ -13,7 +13,7 @@ import numpy as np
 from epstreak import fitting
 from epstreak.errors import ConfigurationError, DomainError
 from epstreak.tcspc import _integer_window
-from epstreak.units import C_NM_PER_FS, FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
+from epstreak.units import C_NM_PER_FS, FWHM_PER_SIGMA, PS_PER_S
 
 
 def coincidence_rate(a, b, window_ps, duration_s):
@@ -153,24 +153,19 @@ def read_records(path):
 def multistart_ranking(hist, irf, k):
     """fit_decay's multistart candidates, each profiled in full: (deviance, index, log lifetimes), best first.
 
-    Every candidate is taken at the lifetimes exp(log tau) of the fit's
-    variables, its amplitudes and background come from
-    ``fitting._poisson_linear``, and the order is by (deviance, candidate
-    index): a stable sort on deviance over the candidate order.
+    The fit range, the data and the lifetime box are the fit's own
+    (``fitting._Problem``). Every candidate is taken at the lifetimes
+    exp(log tau) of the fit's variables, its amplitudes and background come
+    from ``fitting._poisson_linear``, and the order is by (deviance,
+    candidate index): a stable sort on deviance over the candidate order.
     """
-    first, last = fitting._default_fit_range(hist, irf)
-    y = np.asarray(hist.counts, dtype=float)[first:last]
-    bw = hist.bin_width_ps
-    n_bins = last - first
-    t0_ps = hist.t0_ps + first * bw
-    y_safe = np.where(y > 0, y, 1.0)
-    lo = max(2.0 * bw, 1.0) / PS_PER_NS
-    hi = 0.8 * (n_bins * bw) / PS_PER_NS
+    problem = fitting._Problem(hist, irf, fit_shift=False)
     ranked = []
-    for index, taus in enumerate(fitting._candidates(lo, hi, k)):
+    for index, taus in enumerate(fitting._candidates(problem.lo, problem.hi, k)):
         log_taus = np.log(taus)
-        resp = [fitting.convolve_model(fitting.DecayModel([(1.0, tau)]), irf, n_bins, t0_ps)
+        resp = [fitting.convolve_model(fitting.DecayModel([(1.0, tau)]), irf,
+                                       problem.n_bins, problem.t0)
                 for tau in np.exp(log_taus)]
-        mu = fitting._poisson_linear(resp, y)[2]
-        ranked.append((fitting._deviance(y, mu, y_safe), index, log_taus))
+        mu = fitting._poisson_linear(resp, problem.y)[2]
+        ranked.append((fitting._deviance(problem.y, mu, problem.y_safe), index, log_taus))
     return sorted(ranked, key=lambda r: r[:2])

@@ -1,4 +1,8 @@
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +457,69 @@ def test_search_stops_when_lifetimes_collapse(monkeypatch):
     pairs = [(end, converged) for end, converged in ends if len(end.taus) == 2]
     assert merged.merged_from == 2 and len(pairs) == 3
     assert all(fitting._collapsed(end.taus) and not converged for end, converged in pairs)
+
+
+_TRACED_FIT = """
+import importlib.util, json, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+from epstreak import fitting
+from epstreak.tcspc import Histogram
+data = np.load(sys.argv[2])
+irf = Histogram(int(data["bw"]), int(data["t0"]), data["irf"])
+hist = Histogram(int(data["bw"]), int(data["t0"]), data["hist"])
+res = fitting.fit_decay(hist, irf, fitting.FitOptions(n_components=2))
+print(json.dumps([tracer.absent, tracer.metrics(), res.n_model_evals, res.merged_from]))
+"""
+
+
+def test_merging_fit_is_one_traced_fit(tmp_path):
+    """The benchmark's tracer sees a fit that merges as one fit_decay span, whose
+    convolve_model calls are the fit's n_model_evals. It runs in a subprocess
+    because the tracer cannot be uninstalled."""
+    import epstreak
+    irf = _gaussian_irf()
+    _, counts = _noiseless_hist(DecayModel([(30.0, 1.0), (20.0, 1.05)]), irf)
+    np.savez(tmp_path / "data.npz", bw=irf.bin_width_ps, t0=irf.t0_ps, irf=irf.counts, hist=counts)
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    src = str(Path(epstreak.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_FIT, str(tracing),
+                           str(tmp_path / "data.npz")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    absent, metrics, n_evals, merged_from = json.loads(proc.stdout.splitlines()[-1])
+    assert "fitting.fit_decay" not in absent and "fitting.convolve_model" not in absent
+    assert merged_from == 2
+    assert metrics["fitting.fit_decay.calls"] == 1
+    assert metrics["fitting.fit_decay.evals_max"] == n_evals
+    assert metrics["fitting.convolve_model.calls"] == n_evals
+
+
+@pytest.mark.parametrize("case", ["late_irf", "flat"])
+def test_unidentified_lifetime_is_not_converged(case):
+    # an IRF that starts 4 ns after the decay leaves no response in the fit
+    # range, and a flat histogram is all background: either way the fit
+    # switches the component off, and its lifetime carries no information
+    irf = _gaussian_irf()
+    if case == "late_irf":
+        hist, _ = _noiseless_hist(DecayModel([(1.0, 1.0)]), irf, total=2e5)
+        irf = Histogram(BW_PS, irf.t0_ps + 4000, irf.counts)
+    else:
+        hist = Histogram(BW_PS, irf.t0_ps, np.full(1000, 50))
+    res = fit_decay(hist, irf)
+    assert res.model.amplitudes()[0] == 0
+    assert not res.converged and res.diagnostics()["converged"] is False
+    assert res.diagnostics()["fisher_condition"] is None
+    assert res.lifetime_errors_ns()[0] == np.inf
+    assert "+- inf" in format_fit_report(res)
+    # the shift is not fitted: its row and column stay zero
+    assert not np.any(res.covariance[-1]) and not np.any(res.covariance[:, -1])
 
 
 def test_zero_amplitude_component_dropped():
