@@ -4,7 +4,9 @@ A model field declares its default and its allowed values with ``rule``, and
 a rule between fields is a model function marked with ``relation``. A model
 that derives from ``Checked`` runs ``violations`` in ``__post_init__`` and
 raises one DomainError listing every broken rule; ``validate_config`` runs
-the same collector on the YAML values, with the YAML path as prefix.
+the same collector on the YAML values, with the YAML path as prefix, and a
+library function that takes a model's fields as arguments runs it on them
+and ``refuse``s what it finds.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import numbers
 from dataclasses import MISSING, field, fields
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 
 
 def rule(default=MISSING, *, lo=None, hi=None, choices=None):
@@ -69,6 +71,12 @@ def violations(cls, values, prefix=""):
             if reason:
                 found.append(f"{prefix}{names[0]}: {reason}")
     return found
+
+
+def refuse(found):
+    """Raise one ConfigurationError listing the broken rules ``found``, if any."""
+    if found:
+        raise ConfigurationError("; ".join(found))
 
 
 class Checked:

@@ -2,9 +2,10 @@
 
 ``config.validate_config`` builds an ExperimentConfig from YAML, and its
 attribute paths are the YAML paths: ``detectors`` is a Detectors pair,
-``analysis`` an AnalysisOptions whose sections below have the fields of the
-YAML sections of the same names. ``ExperimentConfig.raw`` is not a key: it
-holds the YAML mapping the config was built from, which manifests echo.
+``analysis`` an AnalysisOptions whose sections, each defined in the module
+that applies it, have the fields of the YAML sections of the same names.
+``ExperimentConfig.raw`` is not a key: it holds the YAML mapping the config
+was built from, which manifests echo.
 Each step takes an ExperimentConfig and returns its result without writing
 anything; the CLI subcommands and the presets both run through them.
 """
@@ -17,16 +18,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .checks import Checked, relation, rule
 from .errors import ConfigurationError
 from .events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL, DetectorModel,
                      EmitterSpecies, RunConfig, SampleModel, channel_count, simulate_chunks,
                      stream_warnings)
 from .fitting import FitOptions, fit_decay
 from .spdc import SourceModel, tuning_curve
-from .tcspc import (DEFAULT_BIN_WIDTH_PS, DEFAULT_WINDOW_PS, HISTOGRAM_MODES, G2Counter,
-                    StartStopCounter, window_violation)
-from .twins import (APODIZATIONS, InterferogramCube, TwinsSpec, calibrate_delay,
+from .tcspc import G2Counter, G2Options, HistogramOptions, StartStopCounter
+from .twins import (FTOptions, InterferogramCube, TwinsSpec, calibrate_delay,
                     nyquist_violation, reconstruct_map)
 
 # The TWINS calibration scans a quasi-monochromatic line of known wavelength
@@ -34,56 +33,6 @@ from .twins import (APODIZATIONS, InterferogramCube, TwinsSpec, calibrate_delay,
 REFERENCE_LINE = EmitterSpecies(weight=1.0, lifetime_ns=0.1, emission_center_nm=850.0,
                                 emission_fwhm_nm=0.5)
 REFERENCE_DURATION_S = 0.05  # per wedge position
-
-# Caps on the arrays a config sizes, checked before any is allocated.
-MAX_HISTOGRAM_BINS = 2**24
-MAX_G2_DELAYS = 2**20
-
-
-@dataclass(frozen=True)
-class HistogramOptions(Checked):
-    bin_width_ps: int = rule(DEFAULT_BIN_WIDTH_PS, lo=1)
-    window_ps: int = rule(DEFAULT_WINDOW_PS, lo=1)
-    t0_ps: int = -5_000
-    mode: str = rule(HISTOGRAM_MODES[0], choices=HISTOGRAM_MODES)
-
-    @relation("window_ps", "bin_width_ps")
-    def _window_whole_bins(window_ps, bin_width_ps):
-        return window_violation(window_ps, bin_width_ps)
-
-    @relation("window_ps", "bin_width_ps")
-    def _bins_bounded(window_ps, bin_width_ps):
-        n = window_ps // bin_width_ps
-        return (f"must hold at most {MAX_HISTOGRAM_BINS} bins of bin_width_ps (got {n})"
-                if n > MAX_HISTOGRAM_BINS else None)
-
-
-@dataclass(frozen=True)
-class G2Options(Checked):
-    coincidence_window_ps: int = rule(1000, lo=1)
-    delay_min_ps: int = -50_000
-    delay_max_ps: int = 50_000
-    delay_step_ps: int = rule(1000, lo=1)
-
-    @relation("delay_min_ps", "delay_max_ps")
-    def _delays_ordered(delay_min_ps, delay_max_ps):
-        return "must not exceed delay_max_ps" if delay_min_ps > delay_max_ps else None
-
-    @relation("delay_step_ps", "delay_min_ps", "delay_max_ps")
-    def _delays_bounded(delay_step_ps, delay_min_ps, delay_max_ps):
-        n = (delay_max_ps - delay_min_ps) // delay_step_ps + 1
-        return (f"must give at most {MAX_G2_DELAYS} delays from delay_min_ps to "
-                f"delay_max_ps (got {n})" if n > MAX_G2_DELAYS else None)
-
-    def delay_axis_ps(self):
-        return np.arange(self.delay_min_ps, self.delay_max_ps + 1, self.delay_step_ps,
-                         dtype=float)
-
-
-@dataclass(frozen=True)
-class FTOptions(Checked):
-    apodization: str = rule("hann", choices=APODIZATIONS)
-    dc_removal: bool = True
 
 
 @dataclass(frozen=True)

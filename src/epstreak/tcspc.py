@@ -7,15 +7,56 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import Checked, refuse, relation, rule, violations
 from .errors import ConfigurationError, DomainError, UndefinedG2Error
 from .spdc import density_fwhm
 from .units import FWHM_PER_SIGMA
 
-DEFAULT_BIN_WIDTH_PS = 4
-DEFAULT_WINDOW_PS = 50_000  # 5x the longest lifetime of interest plus IRF tails
-HERALD_BLOCK = 1 << 16  # heralds per G2Counter block: 512 kB of tags
-START_BLOCK = 1 << 16  # starts per StartStopCounter block
-HISTOGRAM_MODES = ("first", "all")  # the first is the default
+LEAD_BLOCK = 1 << 16  # lead tags per _Reach._count call: 512 kB of tags
+
+# Caps on the arrays the options size, checked before any is allocated.
+MAX_HISTOGRAM_BINS = 2**24
+MAX_G2_DELAYS = 2**20
+
+
+@dataclass(frozen=True)
+class HistogramOptions(Checked):
+    bin_width_ps: int = rule(4, lo=1)
+    window_ps: int = rule(50_000, lo=1)  # 5x the longest lifetime of interest plus IRF tails
+    t0_ps: int = -5_000
+    mode: str = rule("first", choices=("first", "all"))
+
+    @relation("window_ps", "bin_width_ps")
+    def _window_whole_bins(window_ps, bin_width_ps):
+        return "must be a multiple of bin_width_ps" if window_ps % bin_width_ps else None
+
+    @relation("window_ps", "bin_width_ps")
+    def _bins_bounded(window_ps, bin_width_ps):
+        n = window_ps // bin_width_ps
+        return (f"must hold at most {MAX_HISTOGRAM_BINS} bins of bin_width_ps (got {n})"
+                if n > MAX_HISTOGRAM_BINS else None)
+
+
+@dataclass(frozen=True)
+class G2Options(Checked):
+    coincidence_window_ps: int = rule(1000, lo=1)
+    delay_min_ps: int = -50_000
+    delay_max_ps: int = 50_000
+    delay_step_ps: int = rule(1000, lo=1)
+
+    @relation("delay_min_ps", "delay_max_ps")
+    def _delays_ordered(delay_min_ps, delay_max_ps):
+        return "must not exceed delay_max_ps" if delay_min_ps > delay_max_ps else None
+
+    @relation("delay_step_ps", "delay_min_ps", "delay_max_ps")
+    def _delays_bounded(delay_step_ps, delay_min_ps, delay_max_ps):
+        n = (delay_max_ps - delay_min_ps) // delay_step_ps + 1
+        return (f"must give at most {MAX_G2_DELAYS} delays from delay_min_ps to "
+                f"delay_max_ps (got {n})" if n > MAX_G2_DELAYS else None)
+
+    def delay_axis_ps(self):
+        return np.arange(self.delay_min_ps, self.delay_max_ps + 1, self.delay_step_ps,
+                         dtype=float)
 
 
 @dataclass
@@ -60,14 +101,9 @@ class Histogram:
         return float(self.bin_centers_ps()[np.argmax(self.counts)])
 
 
-def window_violation(window_ps, bin_width_ps):
-    """Why a histogram window does not hold a whole number of bins, or None."""
-    return "must be a multiple of bin_width_ps" if window_ps % bin_width_ps else None
-
-
-def start_stop_histogram(starts, stops, bin_width_ps=DEFAULT_BIN_WIDTH_PS,
-                         window_ps=DEFAULT_WINDOW_PS, t0_ps=0,
-                         mode=HISTOGRAM_MODES[0]) -> Histogram:
+def start_stop_histogram(starts, stops, bin_width_ps=HistogramOptions.bin_width_ps,
+                         window_ps=HistogramOptions.window_ps, t0_ps=0,
+                         mode=HistogramOptions.mode) -> Histogram:
     """Start-stop delay histogram of two sorted int64 timestamp arrays.
 
     For each start event the first stop with t0 <= dt < t0 + window
@@ -94,13 +130,16 @@ class _Reach:
     """Counts over sorted int64 tags fed in time order: lead tags against the follower tags.
 
     A lead tag x reaches the follower tags in [x + reach_lo, x + reach_hi].
-    ``_count`` counts a slice of lead tags once every follower tag they reach
-    has been fed: when x + reach_hi < ``horizon``, below which no tag fed
-    later falls (None: none follows, so the last call counts everything).
-    Lead tags are counted in disjoint slices, and follower tags that no lead
-    tag held or still to come can reach are dropped, so memory is bounded
-    by the tags fed between horizons. Fed the whole arrays at once, this is
-    one ``_count`` over them.
+    Lead tags are counted once every follower tag they reach has been fed:
+    when x + reach_hi < ``horizon``, below which no tag fed later falls
+    (None: none follows, so the last call counts everything). ``_count``
+    counts one block of at most LEAD_BLOCK lead tags against the slice of
+    each follower that the block reaches, so memory is bounded by one
+    block's pairs and the searches stay in cache. Lead tags are counted in
+    disjoint blocks, and follower tags that no lead tag held or still to
+    come can reach are dropped, so memory is also bounded by the tags fed
+    between horizons. Every count is an integer, so no result depends on
+    how the lead tags are cut.
     """
 
     def __init__(self, reach_lo, reach_hi, n_followers):
@@ -117,8 +156,11 @@ class _Reach:
         n = len(self._lead)
         if horizon is not None:
             n = int(np.searchsorted(self._lead, horizon - self.reach_hi, side="left"))
-        if n:
-            self._count(self._lead[:n], *self._followers)
+        for b0 in range(0, n, LEAD_BLOCK):
+            block = self._lead[b0:min(b0 + LEAD_BLOCK, n)]
+            self._count(block, *(f[np.searchsorted(f, block[0] + self.reach_lo, side="left"):
+                                   np.searchsorted(f, block[-1] + self.reach_hi, side="right")]
+                                 for f in self._followers))
         if horizon is not None:  # copies, so the tags fed are freed
             self._lead = self._lead[n:].copy()
             first = min(self._lead[0], horizon) if len(self._lead) else horizon
@@ -138,24 +180,19 @@ class _Reach:
 class StartStopCounter(_Reach):
     """start_stop_histogram's counts over starts and stops fed in time order (see _Reach)."""
 
-    def __init__(self, bin_width_ps=DEFAULT_BIN_WIDTH_PS, window_ps=DEFAULT_WINDOW_PS,
-                 t0_ps=0, mode=HISTOGRAM_MODES[0]):
-        reason = window_violation(window_ps, bin_width_ps)
-        if reason:
-            raise ConfigurationError(f"window_ps {reason}")
-        if mode not in HISTOGRAM_MODES:
-            raise ConfigurationError(f"unknown histogram mode {mode!r}")
+    def __init__(self, bin_width_ps=HistogramOptions.bin_width_ps,
+                 window_ps=HistogramOptions.window_ps, t0_ps=0, mode=HistogramOptions.mode):
+        refuse(violations(HistogramOptions, {"bin_width_ps": bin_width_ps,
+                                             "window_ps": window_ps, "t0_ps": t0_ps,
+                                             "mode": mode}))
         super().__init__(t0_ps, t0_ps + window_ps - 1, 1)
         self.bin_width_ps, self.window_ps, self.t0_ps, self.mode = (
             bin_width_ps, window_ps, t0_ps, mode)
         self.counts = np.zeros(window_ps // bin_width_ps, dtype=np.int64)
 
     def _count(self, starts, stops):
-        if len(stops) == 0:
-            return
-        for b0 in range(0, len(starts), START_BLOCK):
-            self.counts += np.bincount(self._bins(starts[b0:b0 + START_BLOCK], stops),
-                                       minlength=len(self.counts))
+        if len(stops):
+            self.counts += np.bincount(self._bins(starts, stops), minlength=len(self.counts))
 
     def _bins(self, starts, stops):
         """Bin index of every count the starts make against the stops."""
@@ -267,18 +304,19 @@ def tag_g2(heralds, t_tags, r_tags, coincidence_window_ps, delay_axis_ps) -> G2C
 class G2Counter(_Reach):
     """tag_g2's integer counts over herald, T and R tags fed in time order (see _Reach).
 
-    Heralds are counted ``HERALD_BLOCK`` at a time, each block with the
-    slice of each arm that can reach it, so memory is bounded by one block's
-    pairs and the herald searches stay in cache. Every count is an integer,
-    so the result does not depend on how the heralds are sliced.
+    The delay axis must hold 1 to MAX_G2_DELAYS finite delays.
     """
 
     def __init__(self, coincidence_window_ps, delay_axis_ps):
-        if coincidence_window_ps <= 0:
-            raise ConfigurationError("coincidence window must be > 0")
+        found = violations(G2Options, {"coincidence_window_ps": coincidence_window_ps})
+        delays = np.asarray(delay_axis_ps, dtype=float)
+        if not (delays.ndim == 1 and 0 < len(delays) <= MAX_G2_DELAYS
+                and np.isfinite(delays).all()):
+            found.append(f"delay_axis_ps: must be a list of 1 to {MAX_G2_DELAYS} finite delays")
+        refuse(found)
+        self.delay_axis_ps = delays
         self.central = _integer_window(0.0, coincidence_window_ps)
-        self.delay_axis_ps = np.asarray(delay_axis_ps, dtype=float)
-        lo, hi = _integer_window(self.delay_axis_ps, coincidence_window_ps)
+        lo, hi = _integer_window(delays, coincidence_window_ps)
         super().__init__(min(self.central[0], lo.min()), max(self.central[1], hi.max()), 2)
         # delay window k covers the bins k0[k] .. k1[k] - 1 of the sorted edges
         self.edges = np.unique(np.concatenate((lo, hi + 1)))
@@ -290,24 +328,17 @@ class G2Counter(_Reach):
 
     def _count(self, heralds, t_tags, r_tags):
         c_lo, c_hi = self.central
-        dt_lo, dt_hi = self.reach_lo, self.reach_hi
-        arms = {"t": t_tags, "r": r_tags}
-        for b0 in range(0, len(heralds), HERALD_BLOCK):
-            block = heralds[b0:b0 + HERALD_BLOCK]
-            pairs, central = {}, {}
-            for k, arm in arms.items():
-                reach = arm[np.searchsorted(arm, block[0] + dt_lo, side="left"):
-                            np.searchsorted(arm, block[-1] + dt_hi, side="right")]
-                idx, dt = _arm_pairs(block, reach, dt_lo, dt_hi)
-                pairs[k] = (idx, dt)
-                central[k] = np.bincount(idx[(dt >= c_lo) & (dt <= c_hi)],
-                                         minlength=len(block))
-                self.pair_totals[k] += int(central[k].sum())
-            for fixed, shifted in (("t", "r"), ("r", "t")):
-                idx, dt = pairs[shifted]
-                n_pair, triples = _edge_bins(dt, central[fixed][idx], self.edges)
-                self.n_pair_bins[shifted] += n_pair
-                self.triple_bins[shifted] += triples
+        pairs, central = {}, {}
+        for k, arm in (("t", t_tags), ("r", r_tags)):
+            idx, dt = _arm_pairs(heralds, arm, self.reach_lo, self.reach_hi)
+            pairs[k] = (idx, dt)
+            central[k] = np.bincount(idx[(dt >= c_lo) & (dt <= c_hi)], minlength=len(heralds))
+            self.pair_totals[k] += int(central[k].sum())
+        for fixed, shifted in (("t", "r"), ("r", "t")):
+            idx, dt = pairs[shifted]
+            n_pair, triples = _edge_bins(dt, central[fixed][idx], self.edges)
+            self.n_pair_bins[shifted] += n_pair
+            self.triple_bins[shifted] += triples
 
     def curve(self) -> G2Curve:
         n_h = self.fed[0]

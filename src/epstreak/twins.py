@@ -22,13 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import Checked, relation, rule
+from .checks import Checked, refuse, relation, rule, violations
 from .errors import CalibrationError, ConfigurationError, DomainError
 from .tcspc import read_histogram_csv, write_histogram_csv
 from .units import C_NM_PER_FS
 
-
-APODIZATIONS = ("none", "hann")
 MAX_POSITIONS = 2**14  # per scan: each position is one histogram run and one cube row
 
 
@@ -72,6 +70,12 @@ def transmission(emission_nm, position_um, spec: TwinsSpec):
     p += 1.0
     p *= spec.insertion_loss * 0.5
     return p if p.ndim else float(p)
+
+
+@dataclass(frozen=True)
+class FTOptions(Checked):
+    apodization: str = rule("hann", choices=("none", "hann"))
+    dc_removal: bool = True
 
 
 def nyquist_spacing_um(min_wavelength_nm, spec: TwinsSpec):
@@ -193,15 +197,15 @@ def calibrate_delay(reference_cube: InterferogramCube, known_wavelength_nm) -> f
 
 
 def reconstruct_map(cube: InterferogramCube, delay_per_um_fs,
-                    apodization="hann", dc_removal=True) -> TimeFrequencyMap:
+                    apodization=FTOptions.apodization,
+                    dc_removal=FTOptions.dc_removal) -> TimeFrequencyMap:
     """Magnitude Fourier transform of the cube along wedge position.
 
     Per time bin: optional DC removal, apodization, real FFT along x; the
     position-frequency axis maps to wavelength via the calibrated delay
     slope ``delay_per_um_fs``. The k=0 (DC) component is discarded.
     """
-    if apodization not in APODIZATIONS:
-        raise ConfigurationError(f"unknown apodization {apodization!r}")
+    refuse(violations(FTOptions, {"apodization": apodization, "dc_removal": dc_removal}))
     data = cube.counts_matrix()  # [position, time]
     n = data.shape[0]
     dx = cube.spacing_um()

@@ -19,11 +19,11 @@ from epstreak.checks import Checked
 from epstreak.config import load_config, validate_config
 from epstreak.errors import ConfigurationError, DomainError
 from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleModel
-from epstreak.experiment import FTOptions, G2Options, HistogramOptions
 from epstreak.fitting import FitOptions
 from epstreak.presets import CONFIGS, PRESETS
 from epstreak.spdc import CrystalSpec, FilterSpec, GridSpec, PumpSpec
-from epstreak.twins import TwinsSpec
+from epstreak.tcspc import G2Options, HistogramOptions
+from epstreak.twins import FTOptions, TwinsSpec
 
 from conftest import HBT_YAML, TWO_DYE_MAP_YAML
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -96,24 +97,40 @@ def _histogram_reference(starts, stops, bin_width_ps, window_ps, t0_ps, mode):
 @given(st.lists(st.integers(0, 400), max_size=30),
        st.lists(st.integers(0, 400), max_size=30),
        st.integers(1, 5), st.integers(1, 20), st.integers(-50, 50),
-       st.sampled_from(["first", "all"]))
+       st.sampled_from(["first", "all"]), st.integers(1, 25))
 def test_histogram_matches_per_start_reference(starts, stops, bin_width_ps,
-                                               n_bins, t0_ps, mode):
+                                               n_bins, t0_ps, mode, lead_block):
+    # starts split into blocks of every size from one start up
     window_ps = n_bins * bin_width_ps
-    hist = start_stop_histogram(_sorted_tags(starts), _sorted_tags(stops), bin_width_ps,
-                                window_ps, t0_ps, mode)
+    with mock.patch.object(tcspc, "LEAD_BLOCK", lead_block):
+        hist = start_stop_histogram(_sorted_tags(starts), _sorted_tags(stops), bin_width_ps,
+                                    window_ps, t0_ps, mode)
     expected = _histogram_reference(sorted(starts), sorted(stops), bin_width_ps,
                                     window_ps, t0_ps, mode)
     assert hist.counts.dtype == np.int64
     assert np.array_equal(hist.counts, expected)
 
 
-def test_histogram_validation():
+@pytest.mark.parametrize("options, message", [
+    pytest.param({"bin_width_ps": 6, "window_ps": 50_000},
+                 "window_ps: must be a multiple of bin_width_ps", id="window-not-whole-bins"),
+    pytest.param({"bin_width_ps": 0}, "bin_width_ps: must be >= 1 (got 0)", id="bin-width-0"),
+    pytest.param({"bin_width_ps": -4}, "bin_width_ps: must be >= 1 (got -4)",
+                 id="bin-width-negative"),
+    pytest.param({"window_ps": 0}, "window_ps: must be >= 1 (got 0)", id="window-0"),
+    pytest.param({"bin_width_ps": 1, "window_ps": 2**25},
+                 "window_ps: must hold at most 16777216 bins", id="too-many-bins"),
+    pytest.param({"mode": "last"}, "mode: must be one of first, all (got 'last')",
+                 id="unknown-mode"),
+    pytest.param({"t0_ps": float("nan")}, "t0_ps: must be finite (got nan)", id="t0-nan"),
+    pytest.param({"window_ps": 0, "mode": "last"},
+                 "window_ps: must be >= 1 (got 0); mode: must be one of first, all (got 'last')",
+                 id="window-and-mode"),
+])
+def test_histogram_validation(options, message):
     starts, stops = _sorted_tags([0]), _sorted_tags([10])
-    with pytest.raises(ConfigurationError, match="multiple of bin_width_ps"):
-        start_stop_histogram(starts, stops, bin_width_ps=6, window_ps=50_000)
-    with pytest.raises(ConfigurationError, match="unknown histogram mode"):
-        start_stop_histogram(starts, stops, mode="last")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+        start_stop_histogram(starts, stops, **options)
 
 
 def test_histogram_csv_roundtrip(tmp_path):
@@ -161,6 +178,28 @@ def test_g2_arm_relabel_invariance():
     a = tag_g2(tags[CH_HERALD], tags[CH_HBT_T], tags[CH_HBT_R], 1000, delays)
     b = tag_g2(tags[CH_HERALD], tags[CH_HBT_R], tags[CH_HBT_T], 1000, delays)
     assert np.allclose(a.g2_values, b.g2_values)
+
+
+_BAD_AXIS = "delay_axis_ps: must be a list of 1 to 1048576 finite delays"
+
+
+@pytest.mark.parametrize("window_ps, delays, message", [
+    pytest.param(0, [0.0], "coincidence_window_ps: must be >= 1 (got 0)", id="window-0"),
+    pytest.param(0.5, [0.0], "coincidence_window_ps: must be >= 1 (got 0.5)",
+                 id="window-below-1"),
+    pytest.param(float("nan"), [0.0], "coincidence_window_ps: must be finite (got nan)",
+                 id="window-nan"),
+    pytest.param(1000, [], _BAD_AXIS, id="empty-axis"),
+    pytest.param(1000, [float("nan"), 0.0], _BAD_AXIS, id="nan-delay"),
+    pytest.param(1000, [float("inf")], _BAD_AXIS, id="inf-delay"),
+    pytest.param(1000, np.zeros(2**20 + 1), _BAD_AXIS, id="too-many-delays"),
+    pytest.param(0, [], f"coincidence_window_ps: must be >= 1 (got 0); {_BAD_AXIS}",
+                 id="window-and-axis"),
+])
+def test_g2_validation(window_ps, delays, message):
+    h = np.arange(0, 10**6, 1000, dtype=np.int64)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        tag_g2(h, h, h, window_ps, delays)
 
 
 def test_g2_starved_pair_named():
@@ -250,17 +289,17 @@ def _g2_case(draw):
 def test_tag_g2_matches_brute_force(case):
     # per-channel int64 tags, heralds split into blocks of every size from
     # one herald up
-    h, t, r, window_ps, delays, herald_block = case
+    h, t, r, window_ps, delays, lead_block = case
     tags = [_sorted_tags(v) for v in (h, t, r)]
     try:
         values, errors, norm = _g2_reference(*tags, window_ps, delays)
     except UndefinedG2Error as exc:
         with pytest.raises(UndefinedG2Error) as got, \
-                mock.patch.object(tcspc, "HERALD_BLOCK", herald_block):
+                mock.patch.object(tcspc, "LEAD_BLOCK", lead_block):
             tag_g2(*tags, window_ps, delays)
         assert str(got.value) == str(exc)
         return
-    with mock.patch.object(tcspc, "HERALD_BLOCK", herald_block):
+    with mock.patch.object(tcspc, "LEAD_BLOCK", lead_block):
         curve = tag_g2(*tags, window_ps, delays)
     assert np.array_equal(curve.g2_values, values)
     assert np.array_equal(curve.errors, errors)

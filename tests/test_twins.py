@@ -8,9 +8,9 @@ from epstreak import experiment
 from epstreak.config import validate_config
 from epstreak.errors import CalibrationError, ConfigurationError, DomainError
 from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleModel
-from epstreak.experiment import Detectors, HistogramOptions, _max_workers
+from epstreak.experiment import Detectors, _max_workers
 from epstreak.spdc import density_fwhm
-from epstreak.tcspc import Histogram, rebin
+from epstreak.tcspc import Histogram, HistogramOptions, rebin
 from epstreak.twins import (InterferogramCube, TwinsSpec, _golden_section, calibrate_delay,
                             load_cube, nyquist_spacing_um, nyquist_violation, reconstruct_map,
                             save_cube, transmission, write_map_csv)
@@ -208,6 +208,14 @@ def test_all_zero_cube():
     cube = InterferogramCube(positions, hists)
     tf = reconstruct_map(cube, 1.0)
     assert np.all(tf.intensity == 0)
+
+
+def test_reconstruct_map_rejects_unknown_apodization():
+    positions = np.linspace(0.0, 320.0, 64)
+    cube = InterferogramCube(positions, [Histogram(16, 0, np.zeros(16)) for _ in positions])
+    with pytest.raises(ConfigurationError,
+                       match=r"^apodization: must be one of none, hann \(got 'box'\)$"):
+        reconstruct_map(cube, 1.0, apodization="box")
 
 
 def test_two_peak_round_trip():
