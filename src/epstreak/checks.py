@@ -1,21 +1,25 @@
 """Field rules, stated once on the model dataclasses, and the one collector.
 
-A model field declares its default and its allowed values with ``rule``, and
-a rule between fields is a model function marked with ``relation``. A model
-that derives from ``Checked`` runs ``violations`` in ``__post_init__`` and
-raises one DomainError listing every broken rule; ``validate_config`` runs
-the same collector on the YAML values, with the YAML path as prefix, and a
-library function that takes a model's fields as arguments runs it on them
-and ``refuse``s what it finds.
+A model field declares its type with its annotation and its default and
+allowed values with ``rule``, and a rule between fields is a model function
+marked with ``relation``. A model that derives from ``Checked`` runs
+``violations`` in ``__post_init__`` and raises one DomainError listing every
+broken rule; ``validate_config`` runs the same collector on the YAML values,
+with the YAML path as prefix, and a library function that takes a model's
+fields as arguments runs it on them and ``refuse``s what it finds.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import typing
 from dataclasses import MISSING, field, fields
+from functools import cache
 
 from .errors import ConfigurationError, DomainError
+
+type_hints = cache(typing.get_type_hints)  # per model class; each YAML build walks every class
 
 
 def rule(default=MISSING, *, lo=None, hi=None, choices=None):
@@ -35,16 +39,22 @@ def relation(*names):
     return mark
 
 
-def _field_violation(meta, value):
+def _field_violation(meta, kind, value):
+    if kind is bool:
+        if not isinstance(value, bool):
+            return f"expected a boolean (got {value!r})"
+    elif kind in (int, float) or (kind == (float | None) and value is not None):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return f"expected a number (got {value!r})"
     if isinstance(value, float) and not math.isfinite(value):
         return f"must be finite (got {value})"
     lo, hi, choices = meta.get("lo"), meta.get("hi"), meta.get("choices")
-    if (lo is not None or hi is not None) and not isinstance(value, numbers.Real):
-        return f"expected a number (got {value!r})"
     if lo is not None and value < lo:
         return f"must be >= {lo} (got {value})"
     if hi is not None and value > hi:
         return f"must be <= {hi} (got {value})"
+    if kind is int and not isinstance(value, numbers.Integral):
+        return f"expected an integer (got {value!r})"
     if choices is not None and value not in choices:
         return f"must be one of {', '.join(map(str, choices))} (got {value!r})"
     return None
@@ -54,13 +64,15 @@ def violations(cls, values, prefix=""):
     """Every rule of dataclass ``cls`` broken by ``values`` (field name -> value).
 
     Each violation is ``"<prefix><field>: <reason>"``. Fields missing from
-    ``values`` are not checked. Float fields must be finite. A ``relation``
-    of the class runs when each of its fields is given and keeps its own rule.
+    ``values`` are not checked. A value must have its field's annotated type:
+    a bool, or a real number that is not a bool (an integral one for an int
+    field); float fields must be finite. A ``relation`` of the class runs
+    when each of its fields is given and keeps its own rule.
     """
-    found, passed = [], dict(values)
+    found, passed, hints = [], dict(values), type_hints(cls)
     for f in fields(cls):
         if f.name in values:
-            reason = _field_violation(f.metadata, values[f.name])
+            reason = _field_violation(f.metadata, hints[f.name], values[f.name])
             if reason:
                 found.append(f"{prefix}{f.name}: {reason}")
                 del passed[f.name]

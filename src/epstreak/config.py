@@ -4,12 +4,13 @@ The YAML tree is the model tree: each YAML path is the attribute path of the
 value it sets on ExperimentConfig (``source.grid.step_nm`` is
 ``cfg.source.grid.step_nm``, ``sample.species[0]`` an EmitterSpecies). The
 one key that is not a field is ``detectors.<herald|signal>.preset``, the
-DetectorModel that the section's other keys override. Defaults, ranges and
-choice sets are stated once, on the model fields (see ``checks``); float
-fields must be finite.
+DetectorModel that the section's other keys override. Types, defaults,
+ranges and choice sets are stated once, on the model fields (see
+``checks``); float fields must be finite.
 
-One generic builder walks ExperimentConfig: it rejects unknown keys, coerces
-types and runs the models' own rule collector with the YAML path as prefix.
+One generic builder walks ExperimentConfig: it rejects unknown keys,
+converts the YAML spellings of numbers to their fields' types and runs the
+models' own rule collector with the YAML path as prefix.
 The only rules stated here span sections: the topology against the sample
 and TWINS sections, the Nyquist spacing of the TWINS scan for the sample's
 shortest emission wavelength, and the run's wedge position inside the scan
@@ -21,52 +22,46 @@ seeds and durations do.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import MISSING, fields, is_dataclass
-from functools import cache, reduce
+from functools import reduce
 from pathlib import Path
 
 import yaml
 
-from .checks import violations
+from .checks import type_hints, violations
 from .errors import ConfigurationError
 from .events import DETECTOR_PRESETS, TOPOLOGIES, DetectorModel, RunConfig, topology_violations
 from .experiment import ExperimentConfig
 from .twins import nyquist_violation
 
 DEFAULT_DETECTOR_PRESET = "mpd"
-_type_hints = cache(typing.get_type_hints)  # per model class; each build walks every class
 
 
-def _number(value, path, errors, integer=False):
-    """value as an int or float, or None after appending why it is not one."""
+def _coerce(value, kind):
+    """``value`` in the type of a ``kind`` field where YAML spells it otherwise.
+
+    A numeric string becomes a number (YAML 1.1 reads "5.0e5" as a string),
+    an int a float for a float field (inf beyond the float range) and a whole
+    float an int for an int field. Any other value is returned unchanged, for
+    the models' rule collector to judge.
+    """
+    if kind not in (int, float, float | None) or isinstance(value, bool):
+        return value
     if isinstance(value, str):
         try:
-            value = float(value)  # YAML 1.1 reads "5.0e5" as a string
+            value = float(value)
         except ValueError:
-            pass
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{path}: expected a number")
-    elif integer and isinstance(value, float) and not value.is_integer():
-        errors.append(f"{path}: expected an integer")
-    else:
-        try:
-            return int(value) if integer else float(value)
-        except OverflowError:  # an integer beyond the float range
-            errors.append(f"{path}: must be finite")
-    return None
-
-
-def _coerce(value, kind, path, errors):
-    if kind is bool:
-        if not isinstance(value, bool):
-            errors.append(f"{path}: expected a boolean")
-        return value
+            return value
     if kind is int:
-        return _number(value, path, errors, integer=True)
-    if kind is float or (kind == (float | None) and value is not None):
-        return _number(value, path, errors)
-    return value  # a string or None: the model's choices judge it
+        return int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(value, int):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            return math.inf if value > 0 else -math.inf
+    return value
 
 
 def merge(base, update):
@@ -108,7 +103,7 @@ def _values(cls, raw, path, errors, base=None):
     if cls is DetectorModel:
         raw, base = _detector_preset(raw, path, errors)
     prefix = f"{path}." if path else ""
-    hints = _type_hints(cls)
+    hints = type_hints(cls)
     keys = [f.name for f in fields(cls) if f.metadata.get("yaml", True)]
     found = [f"{prefix}{key}: unknown key" for key in raw if key not in keys]
     values = {}
@@ -126,7 +121,7 @@ def _values(cls, raw, path, errors, base=None):
         elif args and is_dataclass(args[0]):  # an optional section
             value = None if value is None else _build(args[0], value, where, found)
         elif f.name in raw and f.name in keys:
-            value = _coerce(value, kind, where, found)
+            value = _coerce(value, kind)
         else:
             value = base.get(f.name, f.default)
         if value is not MISSING and len(found) == n_found:

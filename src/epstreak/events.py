@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import Checked, relation, rule
+from .checks import Checked, refuse, relation, rule
 from .errors import ConfigurationError, StreamOrderError
 from .spdc import SourceModel
 from .twins import transmission
@@ -330,9 +330,7 @@ def simulate_chunks(source: SourceModel, sample, herald_det: DetectorModel,
     pruning the whole run at once. A draw below a horizon already yielded
     (jitter beyond a whole chunk) raises StreamOrderError.
     """
-    found = topology_violations(run.topology, sample is not None, twins is not None)
-    if found:
-        raise ConfigurationError("; ".join(found))
+    refuse(topology_violations(run.topology, sample is not None, twins is not None))
     if twins is not None and run.twins_position_um is None:
         raise ConfigurationError("twins_position_um required when TWINS is present")
 

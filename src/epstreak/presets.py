@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import violations
+from .checks import refuse, violations
 from .config import load_config, override
 from .errors import ConfigurationError
 from .eventfile import write_events
@@ -207,9 +207,7 @@ def run_preset(name, out_dir, seed=1):
     if name not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    found = violations(RunConfig, {"seed": seed}, "preset base ")
-    if found:
-        raise ConfigurationError("; ".join(found))
+    refuse(violations(RunConfig, {"seed": seed}, "preset base "))
     runner, files = PRESETS[name]
     configs = [load_config(CONFIGS / f"{file}.yaml") for file in files]
     Path(out_dir).mkdir(parents=True, exist_ok=True)

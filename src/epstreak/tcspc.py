@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -225,6 +226,8 @@ def _span_indices(i0, i1):
 
 def rebin(hist: Histogram, factor: int) -> Histogram:
     """Merge groups of ``factor`` adjacent bins; count-preserving."""
+    if isinstance(factor, bool) or not isinstance(factor, numbers.Integral) or factor < 1:
+        raise ConfigurationError(f"factor: must be a positive integer (got {factor!r})")
     if len(hist.counts) % factor != 0:
         raise ConfigurationError("bin count not divisible by rebin factor")
     counts = hist.counts.reshape(-1, factor).sum(axis=1)

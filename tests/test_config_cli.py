@@ -137,7 +137,7 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--config", irf_cfg]) == 2
     assert cli.main(["preset", "no-such-preset", "--out", str(tmp_path / "o3")]) == 2
     # runtime failure inside a module: fitting an all-zero histogram
-    zeros = Histogram(4, 0, np.zeros(600, dtype=np.int64), 0)
+    zeros = Histogram(4, 0, np.zeros(600, dtype=np.int64))
     hp, ip = tmp_path / "zeros.csv", tmp_path / "irf.csv"
     write_histogram_csv(hp, zeros)
     irf = _gaussian_irf_hist()

@@ -201,21 +201,25 @@ def _valid_kwargs(cls):
 
 
 def _bad_values():
-    """(model, field, value) for one value past every bound and choice set, and
-    for NaN and +-inf in every float field."""
+    """(model, field, value) for one value past every bound and choice set, for
+    NaN and +-inf in every float field, and for one value of the wrong type in
+    every scalar field: 1.5 for an int, "no" for a bool, True and "x" for a number."""
     cases = []
     for cls in SECTION:
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
-            meta = f.metadata
+            meta, kind = f.metadata, hints[f.name]
             if meta.get("lo") is not None:
                 cases.append((cls, f.name, meta["lo"] - 1))
             if meta.get("hi") is not None:
                 cases.append((cls, f.name, meta["hi"] + 1))
             if meta.get("choices") is not None:
                 cases.append((cls, f.name, "bogus"))
-            if hints[f.name] in (float, float | None):
+            if kind in (float, float | None):
                 cases += [(cls, f.name, v) for v in (math.nan, math.inf, -math.inf)]
+            wrong = {bool: ("no",), int: (1.5, True, "x"), float: (True, "x"),
+                     float | None: (True, "x")}.get(kind, ())
+            cases += [(cls, f.name, v) for v in wrong]
     return cases
 
 
@@ -234,6 +238,22 @@ def test_every_checked_model_has_a_section():
     def subclasses(cls):
         return {c for s in cls.__subclasses__() for c in {s} | subclasses(s)}
     assert subclasses(Checked) == set(SECTION)
+
+
+def test_every_checked_field_has_a_checked_type():
+    # the collector checks the type of a bool, int, float or float | None
+    # field, a str field holds one of its choices, and a nested model or a
+    # tuple of models checks itself; a field of any other type goes unchecked
+    for cls in SECTION:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            kind = hints[f.name]
+            assert (kind in (bool, int, float, float | None)
+                    or (kind is str and f.metadata.get("choices") is not None)
+                    or dataclasses.is_dataclass(kind)
+                    or (typing.get_origin(kind) is tuple
+                        and dataclasses.is_dataclass(typing.get_args(kind)[0]))
+                    ), f"{cls.__name__}.{f.name}: {kind}"
 
 
 @pytest.mark.parametrize("cls,name,value", _bad_values(),

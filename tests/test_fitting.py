@@ -294,7 +294,7 @@ def test_poisson_bias_and_coverage():
     n_rep = 30
     for _ in range(n_rep):
         y = rng.poisson(mu)
-        hist = Histogram(BW_PS, irf.t0_ps, y.astype(np.int64), int(y.sum()))
+        hist = Histogram(BW_PS, irf.t0_ps, y.astype(np.int64))
         res = fit_decay(hist, irf, FitOptions(n_components=1))
         tau_hat = res.model.components[0][1]
         err = res.lifetime_errors_ns()[0]
@@ -552,14 +552,14 @@ def test_zero_amplitude_component_dropped():
 
 def test_fit_rejects_degenerate_input():
     irf = _gaussian_irf(n_bins=200)
-    empty = Histogram(BW_PS, irf.t0_ps, np.zeros(200, dtype=np.int64), 0)
+    empty = Histogram(BW_PS, irf.t0_ps, np.zeros(200, dtype=np.int64))
     with pytest.raises(FitError):
         fit_decay(empty, irf, FitOptions(n_components=1))
     sparse = np.zeros(200, dtype=np.int64)
     sparse[:5] = 100
     with pytest.raises(FitError):
-        fit_decay(Histogram(BW_PS, irf.t0_ps, sparse, 500), irf, FitOptions(n_components=1))
-    other = Histogram(8, irf.t0_ps, np.ones(200, dtype=np.int64), 200)
+        fit_decay(Histogram(BW_PS, irf.t0_ps, sparse), irf, FitOptions(n_components=1))
+    other = Histogram(8, irf.t0_ps, np.ones(200, dtype=np.int64))
     with pytest.raises(ConfigurationError):
         fit_decay(other, irf, FitOptions(n_components=1))
 

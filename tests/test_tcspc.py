@@ -72,6 +72,13 @@ def test_rebin_preserves_counts(counts, factor):
     assert rebin(hist, factor).counts.sum() == hist.counts.sum()
 
 
+@pytest.mark.parametrize("factor", [0, -2, 1.5])
+def test_rebin_refuses_a_factor_that_is_no_positive_integer(factor):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^factor: must be a positive integer \(got {factor}\)$"):
+        rebin(Histogram(4, 0, np.arange(8)), factor)
+
+
 def test_first_stop_vs_all_stops(rng):
     # two stops per start: first-stop counts one, all-stops counts both
     starts = np.arange(0, 10**8, 100_000, dtype=np.int64)
@@ -123,6 +130,9 @@ def test_histogram_matches_per_start_reference(starts, stops, bin_width_ps,
     pytest.param({"mode": "last"}, "mode: must be one of first, all (got 'last')",
                  id="unknown-mode"),
     pytest.param({"t0_ps": float("nan")}, "t0_ps: must be finite (got nan)", id="t0-nan"),
+    pytest.param({"bin_width_ps": 4.5, "window_ps": 9},
+                 "bin_width_ps: expected an integer (got 4.5)", id="bin-width-not-integer"),
+    pytest.param({"t0_ps": 0.5}, "t0_ps: expected an integer (got 0.5)", id="t0-not-integer"),
     pytest.param({"window_ps": 0, "mode": "last"},
                  "window_ps: must be >= 1 (got 0); mode: must be one of first, all (got 'last')",
                  id="window-and-mode"),
@@ -189,6 +199,8 @@ _BAD_AXIS = "delay_axis_ps: must be a list of 1 to 1048576 finite delays"
                  id="window-below-1"),
     pytest.param(float("nan"), [0.0], "coincidence_window_ps: must be finite (got nan)",
                  id="window-nan"),
+    pytest.param(1000.0, [0.0], "coincidence_window_ps: expected an integer (got 1000.0)",
+                 id="window-whole-float"),
     pytest.param(1000, [], _BAD_AXIS, id="empty-axis"),
     pytest.param(1000, [float("nan"), 0.0], _BAD_AXIS, id="nan-delay"),
     pytest.param(1000, [float("inf")], _BAD_AXIS, id="inf-delay"),

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -134,7 +135,7 @@ def test_calibration_rejects_flat_input():
     # have a zero spectrum, whose peak is not 3x its zero median
     positions = np.linspace(0.0, 320.0, 128)
     for counts in (100.0, 0.0):
-        hists = [Histogram(16, 0, np.full(8, counts), 100) for _ in positions]
+        hists = [Histogram(16, 0, np.full(8, counts)) for _ in positions]
         cube = InterferogramCube(positions, hists)
         with pytest.raises(CalibrationError, match="SNR"):
             calibrate_delay(cube, 850.0)
@@ -204,18 +205,23 @@ def test_monochromatic_reconstruction_peak():
 
 def test_all_zero_cube():
     positions = np.linspace(0.0, 320.0, 64)
-    hists = [Histogram(16, 0, np.zeros(16), 0) for _ in positions]
+    hists = [Histogram(16, 0, np.zeros(16)) for _ in positions]
     cube = InterferogramCube(positions, hists)
     tf = reconstruct_map(cube, 1.0)
     assert np.all(tf.intensity == 0)
 
 
-def test_reconstruct_map_rejects_unknown_apodization():
+@pytest.mark.parametrize("options, message", [
+    pytest.param({"apodization": "box"}, "apodization: must be one of none, hann (got 'box')",
+                 id="unknown-apodization"),
+    pytest.param({"dc_removal": "no"}, "dc_removal: expected a boolean (got 'no')",
+                 id="dc-removal-not-bool"),
+])
+def test_reconstruct_map_rejects_bad_options(options, message):
     positions = np.linspace(0.0, 320.0, 64)
     cube = InterferogramCube(positions, [Histogram(16, 0, np.zeros(16)) for _ in positions])
-    with pytest.raises(ConfigurationError,
-                       match=r"^apodization: must be one of none, hann \(got 'box'\)$"):
-        reconstruct_map(cube, 1.0, apodization="box")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        reconstruct_map(cube, 1.0, **options)
 
 
 def test_two_peak_round_trip():
@@ -333,12 +339,12 @@ def test_cube_save_load_roundtrip(tmp_path):
 
 
 def test_cube_validation():
-    h = Histogram(16, 0, np.zeros(8), 0)
+    h = Histogram(16, 0, np.zeros(8))
     with pytest.raises(ConfigurationError):
         InterferogramCube(np.array([0.0, 1.0, 1.0]), [h, h, h])
     with pytest.raises(ConfigurationError):
         InterferogramCube(np.array([0.0, 1.0, 5.0]), [h, h, h])
-    h2 = Histogram(32, 0, np.zeros(8), 0)
+    h2 = Histogram(32, 0, np.zeros(8))
     with pytest.raises(ConfigurationError):
         InterferogramCube(np.array([0.0, 1.0]), [h, h2])
 
