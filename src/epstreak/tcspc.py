@@ -14,6 +14,8 @@ from .spdc import density_fwhm
 from .units import FWHM_PER_SIGMA
 
 LEAD_BLOCK = 1 << 16  # lead tags per _Reach._count call: 512 kB of tags
+WALK_PASSES = 8  # passes of _pairs' walk; the pairs left after them are searched
+MAX_DELAY_TABLE = 1 << 20  # int32 entries (4 MB) of G2Counter's delay-bin table
 
 # Caps on the arrays the options size, checked before any is allocated.
 MAX_HISTOGRAM_BINS = 2**24
@@ -62,16 +64,30 @@ class G2Options(Checked):
 
 @dataclass
 class Histogram:
-    bin_width_ps: int
+    """Counts of bins bin_width_ps wide from t0_ps; a bad field raises a DomainError naming it.
+
+    Not a ``Checked`` model, since no config section holds a histogram, but
+    its fields follow the same rules through ``violations``.
+    """
+
+    bin_width_ps: int = rule(lo=1)
     t0_ps: int
     counts: np.ndarray  # int64 (or float for derived data)
     flags: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.bin_width_ps <= 0:
-            raise DomainError("bin_width_ps must be > 0")
-        if len(self.counts) == 0:
-            raise DomainError("histogram needs at least one bin")
+        found = violations(Histogram, vars(self))
+        if found:
+            raise DomainError("Histogram: " + "; ".join(found))
+
+    @relation("counts")
+    def _has_bins(counts):
+        return "must hold at least one bin" if len(counts) == 0 else None
+
+    @relation("flags")
+    def _flags_are_strings(flags):
+        return (None if isinstance(flags, list) and all(isinstance(f, str) for f in flags)
+                else f"must be a list of strings (got {flags!r})")
 
     def bin_left_ps(self):
         return self.t0_ps + self.bin_width_ps * np.arange(len(self.counts))
@@ -204,15 +220,44 @@ class StartStopCounter(_Reach):
             dt = stops.take(idx, mode="clip") - lo  # dt - t0 of the first stop at or after lo
             ok = (idx < len(stops)) & (dt < window_ps)
             return np.compress(ok, dt) // bin_width_ps
-        i0 = np.searchsorted(stops, lo, side="left")
-        i1 = np.searchsorted(stops, lo + window_ps, side="left")
-        dt = stops[_span_indices(i0, i1)] - np.repeat(starts, i1 - i0)
+        _, dt = _pairs(starts, stops, self.reach_lo, self.reach_hi)
         return (dt - self.t0_ps) // bin_width_ps
 
     def histogram(self) -> Histogram:
         n_starts, n_stops = self.fed
         flags = [] if n_starts and n_stops else ["empty-stream"]
         return Histogram(self.bin_width_ps, self.t0_ps, self.counts, flags)
+
+
+def _pairs(lead, follower, lo, hi):
+    """(lead index, dt = follower - lead) of every pair of sorted int64 tags with lo <= dt <= hi.
+
+    Each follower tag finds its first lead tag in reach with one search. Pass
+    s of a walk then pairs every follower tag still in reach with the s-th
+    lead tag after that one, and a follower tag leaves the walk at its first
+    lead tag beyond reach, so the common case of a few pairs per follower
+    costs one search and a few passes. A burst of lead tags would cost one
+    pass per lead tag, so after WALK_PASSES passes the follower tags still
+    in reach search the end of their span and take the rest of it at once.
+    """
+    n = len(lead)
+    idx = np.searchsorted(lead, follower - hi, side="left")  # lead[idx] >= follower - hi
+    leads, dts = [], []
+    for _ in range(WALK_PASSES):
+        dt = follower - lead.take(idx, mode="clip")
+        keep = (dt >= lo) & (idx < n)
+        idx, follower, dt = idx[keep], follower[keep], dt[keep]
+        leads.append(idx)
+        dts.append(dt)
+        if len(idx) == 0:
+            break
+        idx = idx + 1
+    else:
+        end = np.searchsorted(lead, follower - lo, side="right")
+        span = _span_indices(idx, end)
+        leads.append(span)
+        dts.append(np.repeat(follower, end - idx) - lead[span])
+    return np.concatenate(leads), np.concatenate(dts)
 
 
 def _span_indices(i0, i1):
@@ -258,30 +303,6 @@ def _integer_window(center_ps, window_ps):
             np.floor(center_ps + half).astype(np.int64))
 
 
-def _arm_pairs(heralds, arm, dt_lo, dt_hi):
-    """(herald index, dt = arm - herald) of every pair with dt_lo <= dt <= dt_hi.
-
-    Searches from the arm side: each arm event locates its heralds in
-    [arm - dt_hi, arm - dt_lo] with two exact int64 searches.
-    """
-    i0 = np.searchsorted(heralds, arm - dt_hi, side="left")
-    i1 = np.searchsorted(heralds, arm - dt_lo, side="right")
-    idx = _span_indices(i0, i1)
-    return idx, np.repeat(arm, i1 - i0) - heralds[idx]
-
-
-def _edge_bins(dt, weights, edges):
-    """(#dt, sum of weights) per bin edges[i-1] <= dt < edges[i] of the sorted edges.
-
-    Integer weights keep the float sums exact, so the bin sums of disjoint
-    parts of ``dt`` add up to those of the whole, bit for bit.
-    """
-    j = np.searchsorted(edges, dt, side="right")
-    n_bins = len(edges) + 1
-    return (np.bincount(j, minlength=n_bins),
-            np.bincount(j, weights=weights, minlength=n_bins))
-
-
 def tag_g2(heralds, t_tags, r_tags, coincidence_window_ps, delay_axis_ps) -> G2Curve:
     """Heralded HBT correlation g2(delta) of sorted int64 herald, T and R tags.
 
@@ -295,9 +316,12 @@ def tag_g2(heralds, t_tags, r_tags, coincidence_window_ps, delay_axis_ps) -> G2C
     dt = arm - herald is central when ceil(-w/2) <= dt <= floor(w/2) and lies
     in the window of delay d when ceil(d - w/2) <= dt <= floor(d + w/2). Each
     arm's (herald, dt) pairs inside the union of all windows are enumerated
-    once; the central counts per herald and every delay bin's pair and triple
-    counts are then bincounts over those pairs, so delay windows may be
-    unsorted, uneven or overlapping. G2Counter fed the whole arrays at once.
+    once, from the arm side (_pairs); the central counts per herald and every
+    delay bin's pair and triple counts are then bincounts over those pairs,
+    so delay windows may be unsorted, uneven or overlapping. A pair's bin
+    among the sorted window edges is read from a table over every integer dt
+    of that union, or searched when the union spans MAX_DELAY_TABLE ps or
+    more. G2Counter fed the whole arrays at once.
     """
     counter = G2Counter(coincidence_window_ps, delay_axis_ps)
     counter.feed(heralds, t_tags, r_tags)
@@ -325,6 +349,11 @@ class G2Counter(_Reach):
         self.edges = np.unique(np.concatenate((lo, hi + 1)))
         self.k0, self.k1 = np.searchsorted(self.edges, lo), np.searchsorted(self.edges, hi + 1)
         n_bins = len(self.edges) + 1
+        # the edge bin of every integer dt in the reach, unless that table is too large
+        self.delay_table = None
+        if int(self.reach_hi) - int(self.reach_lo) < MAX_DELAY_TABLE:
+            reach = np.arange(self.reach_lo, self.reach_hi + 1)
+            self.delay_table = np.searchsorted(self.edges, reach, side="right").astype(np.int32)
         self.pair_totals = {"t": 0, "r": 0}
         self.n_pair_bins = {k: np.zeros(n_bins, dtype=np.int64) for k in ("t", "r")}
         self.triple_bins = {k: np.zeros(n_bins) for k in ("t", "r")}
@@ -333,15 +362,24 @@ class G2Counter(_Reach):
         c_lo, c_hi = self.central
         pairs, central = {}, {}
         for k, arm in (("t", t_tags), ("r", r_tags)):
-            idx, dt = _arm_pairs(heralds, arm, self.reach_lo, self.reach_hi)
+            idx, dt = _pairs(heralds, arm, self.reach_lo, self.reach_hi)
             pairs[k] = (idx, dt)
             central[k] = np.bincount(idx[(dt >= c_lo) & (dt <= c_hi)], minlength=len(heralds))
             self.pair_totals[k] += int(central[k].sum())
+        n_bins = len(self.edges) + 1
         for fixed, shifted in (("t", "r"), ("r", "t")):
             idx, dt = pairs[shifted]
-            n_pair, triples = _edge_bins(dt, central[fixed][idx], self.edges)
-            self.n_pair_bins[shifted] += n_pair
-            self.triple_bins[shifted] += triples
+            j = self._delay_bins(dt)
+            self.n_pair_bins[shifted] += np.bincount(j, minlength=n_bins)
+            # integer weights keep the float sums exact, whatever the pair order
+            self.triple_bins[shifted] += np.bincount(j, weights=central[fixed][idx],
+                                                     minlength=n_bins)
+
+    def _delay_bins(self, dt):
+        """Bin j, with edges[j - 1] <= dt < edges[j], of every dt in the reach."""
+        if self.delay_table is None:
+            return np.searchsorted(self.edges, dt, side="right")
+        return self.delay_table.take(dt - self.reach_lo)
 
     def curve(self) -> G2Curve:
         n_h = self.fed[0]

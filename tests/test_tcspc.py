@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epstreak import tcspc
-from epstreak.errors import ConfigurationError, UndefinedG2Error
+from epstreak.errors import ConfigurationError, DomainError, UndefinedG2Error
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
                              DetectorModel, RunConfig, simulate_channels)
 from epstreak.tcspc import (Histogram, read_histogram_csv, rebin, start_stop_histogram,
@@ -104,12 +104,13 @@ def _histogram_reference(starts, stops, bin_width_ps, window_ps, t0_ps, mode):
 @given(st.lists(st.integers(0, 400), max_size=30),
        st.lists(st.integers(0, 400), max_size=30),
        st.integers(1, 5), st.integers(1, 20), st.integers(-50, 50),
-       st.sampled_from(["first", "all"]), st.integers(1, 25))
-def test_histogram_matches_per_start_reference(starts, stops, bin_width_ps,
-                                               n_bins, t0_ps, mode, lead_block):
-    # starts split into blocks of every size from one start up
+       st.sampled_from(["first", "all"]), st.integers(1, 25), st.integers(1, 10))
+def test_histogram_matches_per_start_reference(starts, stops, bin_width_ps, n_bins, t0_ps,
+                                               mode, lead_block, walk_passes):
+    # starts split into blocks of every size from one start up; walks of one
+    # or two passes leave most of mode="all"'s pairs to the searched tail
     window_ps = n_bins * bin_width_ps
-    with mock.patch.object(tcspc, "LEAD_BLOCK", lead_block):
+    with mock.patch.multiple(tcspc, LEAD_BLOCK=lead_block, WALK_PASSES=walk_passes):
         hist = start_stop_histogram(_sorted_tags(starts), _sorted_tags(stops), bin_width_ps,
                                     window_ps, t0_ps, mode)
     expected = _histogram_reference(sorted(starts), sorted(stops), bin_width_ps,
@@ -141,6 +142,30 @@ def test_histogram_validation(options, message):
     starts, stops = _sorted_tags([0]), _sorted_tags([10])
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
         start_stop_histogram(starts, stops, **options)
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param((4.5, 0, np.arange(8)), "bin_width_ps: expected an integer (got 4.5)",
+                 id="bin-width-fractional"),
+    pytest.param((True, 0, np.arange(8)), "bin_width_ps: expected a number (got True)",
+                 id="bin-width-bool"),
+    pytest.param((4, 0.5, np.arange(8)), "t0_ps: expected an integer (got 0.5)",
+                 id="t0-fractional"),
+    pytest.param((4, False, np.arange(8)), "t0_ps: expected a number (got False)",
+                 id="t0-bool"),
+    pytest.param((4, 0, np.arange(8), 100), "flags: must be a list of strings (got 100)",
+                 id="flags-int"),
+    pytest.param((4, 0, np.arange(8), [1]), "flags: must be a list of strings (got [1])",
+                 id="flags-not-strings"),
+])
+def test_histogram_refuses_bad_fields(args, message):
+    with pytest.raises(DomainError, match=f"^Histogram: {re.escape(message)}$"):
+        Histogram(*args)
+
+
+def test_histogram_takes_numpy_integers():
+    hist = Histogram(np.int64(4), np.int32(-8), np.arange(8), ["empty-stream"])
+    assert np.array_equal(rebin(hist, 2).bin_left_ps(), [-8, 0, 8, 16])
 
 
 def test_histogram_csv_roundtrip(tmp_path):
@@ -293,26 +318,43 @@ def _g2_case(draw):
             lambda e: st.sampled_from([int(e) - 1, int(e), int(e) + 1]))
         for arm in (t, r):
             arm += [x + draw(offset) for x in draw(st.lists(st.sampled_from(h), max_size=6))]
-    return h, t, r, window_ps, delays, draw(st.integers(1, 25))
+    limits = {"LEAD_BLOCK": draw(st.integers(1, 25)), "WALK_PASSES": draw(st.integers(1, 10)),
+              "MAX_DELAY_TABLE": draw(st.sampled_from([0, tcspc.MAX_DELAY_TABLE]))}
+    return h, t, r, window_ps, delays, limits
 
 
 @given(_g2_case())
 @settings(max_examples=300)
 def test_tag_g2_matches_brute_force(case):
     # per-channel int64 tags, heralds split into blocks of every size from
-    # one herald up
-    h, t, r, window_ps, delays, lead_block = case
+    # one herald up, pair walks of every length from one pass up (one or two
+    # leave most pairs to the searched tail), delay bins from the table or,
+    # with a table cap of 0, from the search
+    h, t, r, window_ps, delays, limits = case
     tags = [_sorted_tags(v) for v in (h, t, r)]
     try:
         values, errors, norm = _g2_reference(*tags, window_ps, delays)
     except UndefinedG2Error as exc:
-        with pytest.raises(UndefinedG2Error) as got, \
-                mock.patch.object(tcspc, "LEAD_BLOCK", lead_block):
+        with pytest.raises(UndefinedG2Error) as got, mock.patch.multiple(tcspc, **limits):
             tag_g2(*tags, window_ps, delays)
         assert str(got.value) == str(exc)
         return
-    with mock.patch.object(tcspc, "LEAD_BLOCK", lead_block):
+    with mock.patch.multiple(tcspc, **limits):
         curve = tag_g2(*tags, window_ps, delays)
+    assert np.array_equal(curve.g2_values, values)
+    assert np.array_equal(curve.errors, errors)
+    assert curve.normalization == norm
+
+
+def test_tag_g2_herald_burst_matches_brute_force():
+    # 2000 heralds on one tag: every arm tag in their reach pairs with all of
+    # them, far more than the walk's passes take
+    h = _sorted_tags([5000] * 2000 + list(range(0, 20_000, 700)))
+    t = _sorted_tags(list(range(100, 20_000, 450)) + [5000, 5300])
+    r = _sorted_tags(list(range(250, 20_000, 530)) + [4800, 5000])
+    delays = np.arange(-3000, 3001, 500, dtype=float)
+    values, errors, norm = _g2_reference(h, t, r, 1000, delays)
+    curve = tag_g2(h, t, r, 1000, delays)
     assert np.array_equal(curve.g2_values, values)
     assert np.array_equal(curve.errors, errors)
     assert curve.normalization == norm
