@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 from datetime import datetime, timezone
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ from .twins import save_cube, write_map_csv
 
 
 _HASH_BLOCK = 1 << 20  # bytes per read when hashing an artifact
-MAX_TEMPERATURES = 2**16  # per tuning curve
 
 
 def _sha256(path: Path):
@@ -75,22 +75,26 @@ def _write_manifest(out: Path, command, config_echo, seed, artifact_names,
         json.dumps(manifest, indent=2, sort_keys=True, default=float) + "\n")
 
 
-# override flag -> the YAML path it sets
-FLAG_PATHS = {"seed": "run.seed", "duration": "run.duration_s", "n": "analysis.fit.n_components"}
+# override flag -> (the YAML path it sets, its type)
+OVERRIDES = {"seed": ("run.seed", int), "duration": ("run.duration_s", float),
+             "n": ("analysis.fit.n_components", int)}
 
 
 def _overrides(args):
-    """Each override flag's value by the YAML path it sets (None when not given).
+    """The value of each of the command's override flags by the YAML path it sets.
 
     ``histogram --events`` reads a stream back instead of simulating one, so
-    a run flag given with it would be echoed but not used: that is refused.
+    a flag under ``run.`` given with it would be echoed but not used: that is
+    refused.
     """
-    if args.command == "histogram" and args.events:
-        unused = [f"--{flag}" for flag in ("seed", "duration") if getattr(args, flag) is not None]
+    flags = COMMANDS[args.command][2]
+    if getattr(args, "events", None):
+        unused = [f"--{flag}" for flag in flags
+                  if OVERRIDES[flag][0].startswith("run.") and getattr(args, flag) is not None]
         if unused:
             raise ConfigurationError(f"{' and '.join(unused)} cannot be used with --events: "
                                      f"the event file is read back, not simulated")
-    return {path: getattr(args, flag, None) for flag, path in FLAG_PATHS.items()}
+    return {OVERRIDES[flag][0]: getattr(args, flag) for flag in flags}
 
 
 # Each command runs its step on the loaded config, writes its artifacts into
@@ -169,17 +173,34 @@ def cmd_tuning_curve(cfg, args, out):
                                                "sellmeier_id": cfg.source.crystal.sellmeier_id})]
     if not 0 < args.step < np.inf:
         found.append(f"--step: must be finite and > 0 (got {args.step})")
-    elif (args.tmax + 1e-9 - args.tmin) / args.step > MAX_TEMPERATURES:
-        found.append(f"--step: must give at most {MAX_TEMPERATURES} temperatures "
+    elif (temps := experiment.tuning_temperatures(args.tmin, args.tmax, args.step)) is None:
+        found.append(f"--step: must give at most {experiment.MAX_TEMPERATURES} temperatures "
                      f"from --tmin to --tmax (got {args.step})")
     if found:
         raise ConfigurationError("command-line override: " + "; ".join(found))
-    temps = np.arange(args.tmin, args.tmax + 1e-9, args.step)
     if len(temps) == 0:
         raise ConfigurationError("empty temperature range")
     points = experiment.tuning(cfg, temps)
     write_tuning_csv(out / "tuning_curve.csv", points)
     return {"artifacts": ["tuning_curve.csv"], **experiment.tuning_summary(points)}
+
+
+# subcommand -> (its step, help, override flags, its other options: flag -> add_argument keywords)
+COMMANDS = {
+    "simulate": (cmd_simulate, "write a raw event file", ("seed", "duration"), {}),
+    "histogram": (cmd_histogram, "start-stop delay histogram", ("seed", "duration"),
+                  {"--events": {"help": "read an existing event file instead of simulating"}}),
+    "g2": (cmd_g2, "heralded HBT correlation curve", ("seed", "duration"), {}),
+    "irf": (cmd_irf, "timing-response histogram and FWHM report", ("seed", "duration"), {}),
+    "ft-map": (cmd_ft_map, "interferogram cube and reconstructed map", ("seed",), {}),
+    # a fit draws no random numbers
+    "fit": (cmd_fit, "reconvolution lifetime fit of a histogram", ("n",),
+            {"--hist": {"required": True, "help": "decay histogram CSV"},
+             "--irf": {"required": True, "help": "response histogram CSV"}}),
+    "tuning-curve": (cmd_tuning_curve, "phase-matched wavelengths vs temperature", ("seed",),
+                     {f"--{name}": {"type": float, "default": p.default} for name, p
+                      in signature(experiment.tuning_temperatures).parameters.items()}),
+}
 
 
 def _run(args):
@@ -200,7 +221,7 @@ def _run(args):
     else:
         cfg = override(load_config(args.config or None), _overrides(args))
         out.mkdir(parents=True, exist_ok=True)
-        summary = args.func(cfg, args, out)
+        summary = COMMANDS[args.command][0](cfg, args, out)
         command, echo, seed = args.command, cfg.raw, cfg.run.seed
     artifacts = summary.pop("artifacts")
     diagnostics = summary.pop("diagnostics", None)
@@ -214,58 +235,19 @@ def build_parser():
         description="entangled-photon time and frequency resolved "
                     "fluorescence: simulation and analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config=True, seed=True):
+    for name, (_, help_text, flags, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
-        if config:
-            p.add_argument("--config", help="YAML configuration file")
-        if config and seed:
-            p.add_argument("--seed", type=int, help="override run.seed")
-
-    p = sub.add_parser("simulate", help="write a raw event file")
-    common(p)
-    p.add_argument("--duration", type=float, help="override run.duration_s")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("histogram", help="start-stop delay histogram")
-    common(p)
-    p.add_argument("--events", help="read an existing event file instead of simulating")
-    p.add_argument("--duration", type=float, help="override run.duration_s")
-    p.set_defaults(func=cmd_histogram)
-
-    p = sub.add_parser("g2", help="heralded HBT correlation curve")
-    common(p)
-    p.add_argument("--duration", type=float, help="override run.duration_s")
-    p.set_defaults(func=cmd_g2)
-
-    p = sub.add_parser("irf", help="timing-response histogram and FWHM report")
-    common(p)
-    p.add_argument("--duration", type=float, help="override run.duration_s")
-    p.set_defaults(func=cmd_irf)
-
-    p = sub.add_parser("ft-map", help="interferogram cube and reconstructed map")
-    common(p)
-    p.set_defaults(func=cmd_ft_map)
-
-    p = sub.add_parser("fit", help="reconvolution lifetime fit of a histogram")
-    common(p, seed=False)  # a fit draws no random numbers
-    p.add_argument("--hist", required=True, help="decay histogram CSV")
-    p.add_argument("--irf", required=True, help="response histogram CSV")
-    p.add_argument("--n", type=int, help="number of exponential components")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("tuning-curve", help="phase-matched wavelengths vs temperature")
-    common(p)
-    p.add_argument("--tmin", type=float, default=40.0)
-    p.add_argument("--tmax", type=float, default=200.0)
-    p.add_argument("--step", type=float, default=2.0)
-    p.set_defaults(func=cmd_tuning_curve)
-
+        p.add_argument("--config", help="YAML configuration file")
+        for flag in flags:
+            path, kind = OVERRIDES[flag]
+            p.add_argument(f"--{flag}", type=kind, help=f"override {path}")
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
     p = sub.add_parser("preset", help="run a baked experiment end to end")
     p.add_argument("name", help="preset name")
-    common(p, config=False)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="base seed for the preset")
-
     return parser
 
 

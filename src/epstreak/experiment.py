@@ -33,6 +33,7 @@ from .twins import (FTOptions, InterferogramCube, TwinsSpec, calibrate_delay,
 REFERENCE_LINE = EmitterSpecies(weight=1.0, lifetime_ns=0.1, emission_center_nm=850.0,
                                 emission_fwhm_nm=0.5)
 REFERENCE_DURATION_S = 0.05  # per wedge position
+MAX_TEMPERATURES = 2**16  # per tuning sweep
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,19 @@ class ExperimentConfig:
 def derive_seed(base, *tags):
     """The seed of one run among several that share a base seed."""
     return int(np.random.SeedSequence((int(base),) + tags).generate_state(1)[0])
+
+
+def tuning_temperatures(tmin=40.0, tmax=200.0, step=2.0):
+    """A tuning sweep's temperatures in deg C: tmin, tmin + step, ... up to tmax + 1e-9.
+
+    ``step`` must be finite and > 0. None, with nothing allocated, when the
+    sweep would hold more than MAX_TEMPERATURES; empty when it holds none.
+    """
+    stop = tmax + 1e-9
+    n = (stop - tmin) / step
+    if n > MAX_TEMPERATURES:
+        return None
+    return np.arange(tmin, stop, step) if n > 0 else np.empty(0)
 
 
 def tuning(cfg, temperatures_C):

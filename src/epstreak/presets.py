@@ -24,7 +24,7 @@ from .errors import ConfigurationError
 from .eventfile import write_events
 from .events import RunConfig
 from .experiment import (derive_seed, fit, ft_map, g2, histogram, irf, stream,
-                         stream_metadata, tuning, tuning_summary)
+                         stream_metadata, tuning, tuning_summary, tuning_temperatures)
 from .fitting import format_fit_report
 from .spdc import write_tuning_csv
 from .tcspc import write_g2_csv, write_histogram_csv
@@ -49,7 +49,7 @@ def _record(summary, configs):
 def run_fig2b_tuning(out_dir, seed):
     """Temperature sweep of the quasi-phase-matched pair on the default source."""
     cfg = load_config()
-    points = tuning(cfg, np.arange(40.0, 200.0 + 1e-9, 2.0))
+    points = tuning(cfg, tuning_temperatures())
     write_tuning_csv(Path(out_dir) / "tuning_curve.csv", points)
     return _record({"artifacts": ["tuning_curve.csv"], "n_temperatures": len(points),
                     **tuning_summary(points)}, {"tuning": cfg})

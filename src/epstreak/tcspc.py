@@ -20,6 +20,8 @@ MAX_DELAY_TABLE = 1 << 20  # int32 entries (4 MB) of G2Counter's delay-bin table
 # Caps on the arrays the options size, checked before any is allocated.
 MAX_HISTOGRAM_BINS = 2**24
 MAX_G2_DELAYS = 2**20
+# Bound on |delay| + window/2 of a g2 window: a tag below it, shifted by the reach, stays in int64.
+MAX_G2_REACH_PS = 2**62
 
 
 @dataclass(frozen=True)
@@ -63,22 +65,13 @@ class G2Options(Checked):
 
 
 @dataclass
-class Histogram:
-    """Counts of bins bin_width_ps wide from t0_ps; a bad field raises a DomainError naming it.
-
-    Not a ``Checked`` model, since no config section holds a histogram, but
-    its fields follow the same rules through ``violations``.
-    """
+class Histogram(Checked):
+    """Counts of bins bin_width_ps wide from t0_ps; a bad field raises a DomainError naming it."""
 
     bin_width_ps: int = rule(lo=1)
     t0_ps: int
     counts: np.ndarray  # int64 (or float for derived data)
     flags: list = field(default_factory=list)
-
-    def __post_init__(self):
-        found = violations(Histogram, vars(self))
-        if found:
-            raise DomainError("Histogram: " + "; ".join(found))
 
     @relation("counts")
     def _has_bins(counts):
@@ -331,7 +324,8 @@ def tag_g2(heralds, t_tags, r_tags, coincidence_window_ps, delay_axis_ps) -> G2C
 class G2Counter(_Reach):
     """tag_g2's integer counts over herald, T and R tags fed in time order (see _Reach).
 
-    The delay axis must hold 1 to MAX_G2_DELAYS finite delays.
+    The delay axis must hold 1 to MAX_G2_DELAYS finite delays, each with
+    |delay| + coincidence_window_ps/2 below MAX_G2_REACH_PS.
     """
 
     def __init__(self, coincidence_window_ps, delay_axis_ps):
@@ -340,6 +334,11 @@ class G2Counter(_Reach):
         if not (delays.ndim == 1 and 0 < len(delays) <= MAX_G2_DELAYS
                 and np.isfinite(delays).all()):
             found.append(f"delay_axis_ps: must be a list of 1 to {MAX_G2_DELAYS} finite delays")
+        elif not found:
+            reach = np.abs(delays).max() + 0.5 * coincidence_window_ps
+            if reach >= MAX_G2_REACH_PS:
+                found.append(f"delay_axis_ps: |delay| + coincidence_window_ps/2 must be below "
+                             f"{MAX_G2_REACH_PS} ps (got {reach:g})")
         refuse(found)
         self.delay_axis_ps = delays
         self.central = _integer_window(0.0, coincidence_window_ps)

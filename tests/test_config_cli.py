@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -125,6 +126,53 @@ def _write_cfg(tmp_path, text, name="cfg.yaml"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+# option -> (type, default, required) of every subcommand's options, the preset's name included
+_OUT = {"--out": (None, None, True), "--config": (None, None, False)}
+_RUN = {**_OUT, "--seed": (int, None, False), "--duration": (float, None, False)}
+FLAG_SURFACE = {
+    "simulate": _RUN,
+    "histogram": {**_RUN, "--events": (None, None, False)},
+    "g2": _RUN,
+    "irf": _RUN,
+    "ft-map": {**_OUT, "--seed": (int, None, False)},
+    "fit": {**_OUT, "--hist": (None, None, True), "--irf": (None, None, True),
+            "--n": (int, None, False)},
+    "tuning-curve": {**_OUT, "--seed": (int, None, False), "--tmin": (float, 40.0, False),
+                     "--tmax": (float, 200.0, False), "--step": (float, 2.0, False)},
+    "preset": {"name": (None, None, True), "--out": (None, None, True),
+               "--seed": (int, None, False)},
+}
+
+
+def test_flag_surface_pinned():
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands.required
+    surface = {name: {(a.option_strings or [a.dest])[-1]: (a.type, a.default, a.required)
+                      for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+               for name, sub in commands.choices.items()}
+    assert surface == FLAG_SURFACE
+    assert all(a.nargs is None and type(a) is argparse._StoreAction
+               for sub in commands.choices.values() for a in sub._actions
+               if not isinstance(a, argparse._HelpAction))
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["simulate"], "run: [unclosed\n", "<file>: YAML parse error"),
+    (["simulate"], "- run\n- seed\n", "<file>: top level must be a mapping"),
+    (["ft-map"], FLUOR_CFG, "ft-map requires both a twins section and a sample section"),
+    (["tuning-curve", "--tmin", "100", "--tmax", "50"], None, "empty temperature range"),
+], ids=["yaml-parse-error", "top-level-not-a-mapping", "ft-map-without-twins",
+        "empty-temperature-range"])
+def test_unusable_input_exits_2(tmp_path, capsys, argv, text, message):
+    given = [] if text is None else ["--config", _write_cfg(tmp_path, text)]
+    out = tmp_path / "o"
+    assert cli.main([*argv, *given, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err, err
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -370,7 +418,8 @@ def test_fit_bins_that_do_not_rise_exit_2(tmp_path, capsys, lefts):
     ("directory", "cannot read histogram file"),
     (b"bin_left_ps,counts\n0,5\n4,\xff\n", "cannot read histogram file"),
     (b"0,5\n4,6\n8,7\n12,8\n", "line 1: expected the header 'bin_left_ps,counts'"),
-], ids=["missing", "directory", "not-utf8", "no-header"])
+    (b"bin_left_ps,counts\n0,5\n4,6\n12,7\n", "non-uniform bins"),
+], ids=["missing", "directory", "not-utf8", "no-header", "non-uniform-bins"])
 @pytest.mark.parametrize("flag", ["--hist", "--irf"])
 def test_fit_unreadable_histogram_exits_2(tmp_path, capsys, flag, content, message):
     paths = {"--hist": tmp_path / "h.csv", "--irf": tmp_path / "irf.csv"}

@@ -232,6 +232,8 @@ _BAD_AXIS = "delay_axis_ps: must be a list of 1 to 1048576 finite delays"
     pytest.param(1000, np.zeros(2**20 + 1), _BAD_AXIS, id="too-many-delays"),
     pytest.param(0, [], f"coincidence_window_ps: must be >= 1 (got 0); {_BAD_AXIS}",
                  id="window-and-axis"),
+    pytest.param(1000, [0.0, 1e300], "delay_axis_ps: |delay| + coincidence_window_ps/2 must "
+                 "be below 4611686018427387904 ps (got 1e+300)", id="delay-beyond-int64"),
 ])
 def test_g2_validation(window_ps, delays, message):
     h = np.arange(0, 10**6, 1000, dtype=np.int64)
