@@ -17,7 +17,9 @@ import typing
 from dataclasses import MISSING, field, fields
 from functools import cache
 
-from .errors import ConfigurationError, DomainError
+import numpy as np
+
+from .errors import ConfigurationError, DomainError, StreamOrderError
 
 type_hints = cache(typing.get_type_hints)  # per model class; each YAML build walks every class
 
@@ -89,6 +91,27 @@ def refuse(found):
     """Raise one ConfigurationError listing the broken rules ``found``, if any."""
     if found:
         raise ConfigurationError("; ".join(found))
+
+
+def sorted_tags(**arrays):
+    """The named arrays of time tags as int64, refusing any that breaks the tag contract.
+
+    A tag array is 1-D with integer values that fit int64 (else a ConfigurationError
+    names it) and sorted (else a StreamOrderError names it and its first tag out of order).
+    """
+    tags = []
+    for name, values in arrays.items():
+        a = np.asarray(values)
+        if a.ndim != 1 or a.size and (a.dtype.kind not in "iu" or int(a.max()) > 2**63 - 1):
+            raise ConfigurationError(f"{name}: must be a 1-D array of integer tags that fit "
+                                     f"int64 (got {a.ndim}-D {a.dtype})")
+        a = a.astype(np.int64, copy=False)
+        back = np.flatnonzero(a[1:] < a[:-1])
+        if len(back):
+            raise StreamOrderError(f"{name}: tags must be sorted (tag {back[0] + 1} is below "
+                                   "the one before it)")
+        tags.append(a)
+    return tags
 
 
 class Checked:

@@ -1,14 +1,12 @@
-"""Temperature-dependent refractive index from bundled dispersion tables.
+"""Temperature-dependent refractive index of KTP from one in-code dispersion table.
 
-Tables live as plain-text key/value files under ``epstreak/data``; each one
-declares its own wavelength/temperature validity window which is enforced on
-every evaluation.
+``TABLES["ktp-z"]`` declares its own wavelength/temperature validity window,
+which is enforced on every evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -17,8 +15,6 @@ from .errors import ValidityError
 
 @dataclass(frozen=True)
 class SellmeierTable:
-    table_id: str
-    version: int
     wavelength_min_nm: float
     wavelength_max_nm: float
     temperature_min_C: float
@@ -33,64 +29,41 @@ class SellmeierTable:
     n2: tuple  # d2n/dT2 polynomial coefficients
 
 
-def _parse_table(text: str) -> SellmeierTable:
-    kv = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-    return SellmeierTable(
-        table_id=kv["id"],
-        version=int(kv["version"]),
-        wavelength_min_nm=float(kv["wavelength_min_nm"]),
-        wavelength_max_nm=float(kv["wavelength_max_nm"]),
-        temperature_min_C=float(kv["temperature_min_C"]),
-        temperature_max_C=float(kv["temperature_max_C"]),
-        A=float(kv["A"]),
-        B=float(kv["B"]),
-        C=float(kv["C"]),
-        D=float(kv["D"]),
-        E=float(kv["E"]),
-        F=float(kv["F"]),
-        n1=tuple(float(kv[f"n1_{i}"]) for i in range(4)),
-        n2=tuple(float(kv[f"n2_{i}"]) for i in range(4)),
-    )
-
-
-def _load_tables() -> dict:
-    tables = {}
-    pkg = resources.files(__package__) / "data"
-    for entry in pkg.iterdir():
-        if entry.name.startswith("sellmeier_") and entry.name.endswith(".txt"):
-            table = _parse_table(entry.read_text())
-            tables[table.table_id] = table
-    return tables
-
-
-TABLES = _load_tables()
+# KTiOPO4, z-axis (n_z), lambda in micrometers inside the formulas.
+# Room-temperature dispersion: four-term Sellmeier fit for flux-grown KTP.
+# Temperature dependence: cubic-in-1/lambda polynomial correction about 25 C,
+#   n(lam, T) = n25(lam) + n1(lam)*(T-25) + n2(lam)*(T-25)^2
+# The validity window is the one this package enforces; the blue edge
+# extends slightly past the fitted range to admit a ~413 nm pump.
+TABLES = {
+    "ktp-z": SellmeierTable(
+        wavelength_min_nm=400.0, wavelength_max_nm=3500.0,
+        temperature_min_C=0.0, temperature_max_C=200.0,
+        A=2.12725, B=1.18431, C=5.14852e-2, D=0.6603, E=100.00507, F=9.68956e-3,
+        n1=(9.9587e-6, 9.9228e-6, -8.9603e-6, 4.1010e-6),
+        n2=(-1.1882e-8, 10.459e-8, -9.8136e-8, 3.1481e-8),
+    ),
+}
 
 
 def get_table(sellmeier_id: str) -> SellmeierTable:
     try:
         return TABLES[sellmeier_id]
     except KeyError:
-        raise ValidityError(
-            f"unknown sellmeier_id {sellmeier_id!r}; available: {sorted(TABLES)}"
-        ) from None
+        raise ValidityError(f"unknown sellmeier_id {sellmeier_id!r}; "
+                            f"available: {sorted(TABLES)}") from None
 
 
 def refractive_index(wavelength_nm, temperature_C, sellmeier_id="ktp-z"):
     """Refractive index n(lambda, T) for the named coefficient set.
 
     Accepts scalars or arrays for ``wavelength_nm``. Raises ValidityError if
-    any wavelength or the temperature falls outside the table's declared
-    window.
+    any wavelength (NaN included) or the temperature falls outside the
+    table's declared window.
     """
     tab = get_table(sellmeier_id)
     lam_nm = np.asarray(wavelength_nm, dtype=float)
-    if np.any(lam_nm < tab.wavelength_min_nm) or np.any(lam_nm > tab.wavelength_max_nm):
+    if not np.all((lam_nm >= tab.wavelength_min_nm) & (lam_nm <= tab.wavelength_max_nm)):
         raise ValidityError(
             f"wavelength outside validity window "
             f"[{tab.wavelength_min_nm}, {tab.wavelength_max_nm}] nm of {sellmeier_id!r}"
@@ -109,6 +82,4 @@ def refractive_index(wavelength_nm, temperature_C, sellmeier_id="ktp-z"):
     p2 = tab.n2[0] + tab.n2[1] * inv + tab.n2[2] * inv**2 + tab.n2[3] * inv**3
     dT = temperature_C - 25.0
     n = n25 + p1 * dT + p2 * dT * dT
-    if n.ndim == 0:
-        return float(n)
-    return n
+    return float(n) if n.ndim == 0 else n

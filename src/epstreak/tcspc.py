@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import Checked, refuse, relation, rule, violations
+from .checks import Checked, refuse, relation, rule, sorted_tags, violations
 from .errors import ConfigurationError, DomainError, UndefinedG2Error
 from .spdc import density_fwhm
 from .units import FWHM_PER_SIGMA
@@ -77,6 +77,11 @@ class Histogram(Checked):
     def _has_bins(counts):
         return "must hold at least one bin" if len(counts) == 0 else None
 
+    @relation("counts")
+    def _counts_finite(counts):
+        ok = np.all((np.asarray(counts) >= 0) & (np.asarray(counts) < np.inf))  # nan fails
+        return None if ok else "must be finite and >= 0"
+
     @relation("flags")
     def _flags_are_strings(flags):
         return (None if isinstance(flags, list) and all(isinstance(f, str) for f in flags)
@@ -114,16 +119,16 @@ class Histogram(Checked):
 def start_stop_histogram(starts, stops, bin_width_ps=HistogramOptions.bin_width_ps,
                          window_ps=HistogramOptions.window_ps, t0_ps=0,
                          mode=HistogramOptions.mode) -> Histogram:
-    """Start-stop delay histogram of two sorted int64 timestamp arrays.
+    """Start-stop delay histogram of two sorted integer timestamp arrays.
 
     For each start event the first stop with t0 <= dt < t0 + window
     contributes one count to bin floor((dt - t0)/bin_width); this first-stop
     behavior matches classic TCSPC hardware. ``mode="all"`` counts every stop
     in the window instead (pile-up diagnostics). StartStopCounter fed the
-    whole arrays at once.
+    whole arrays at once, checked by ``sorted_tags``.
     """
     counter = StartStopCounter(bin_width_ps, window_ps, t0_ps, mode)
-    counter.feed(starts, stops)
+    counter.feed(*sorted_tags(starts=starts, stops=stops))
     return counter.histogram()
 
 
@@ -297,7 +302,7 @@ def _integer_window(center_ps, window_ps):
 
 
 def tag_g2(heralds, t_tags, r_tags, coincidence_window_ps, delay_axis_ps) -> G2Curve:
-    """Heralded HBT correlation g2(delta) of sorted int64 herald, T and R tags.
+    """Heralded HBT correlation g2(delta) of sorted integer herald, T and R tags.
 
     The normalization is accidental-based: g2(delta) = N_htr(delta) * N_h /
     (N_ht * N_hr(delta)) per delay bin, where the delta-shifted window is
@@ -314,10 +319,10 @@ def tag_g2(heralds, t_tags, r_tags, coincidence_window_ps, delay_axis_ps) -> G2C
     so delay windows may be unsorted, uneven or overlapping. A pair's bin
     among the sorted window edges is read from a table over every integer dt
     of that union, or searched when the union spans MAX_DELAY_TABLE ps or
-    more. G2Counter fed the whole arrays at once.
+    more. G2Counter fed the whole arrays at once, checked by ``sorted_tags``.
     """
     counter = G2Counter(coincidence_window_ps, delay_axis_ps)
-    counter.feed(heralds, t_tags, r_tags)
+    counter.feed(*sorted_tags(heralds=heralds, t_tags=t_tags, r_tags=r_tags))
     return counter.curve()
 
 

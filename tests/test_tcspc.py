@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epstreak import tcspc
-from epstreak.errors import ConfigurationError, DomainError, UndefinedG2Error
+from epstreak.errors import (ConfigurationError, DomainError, StreamOrderError,
+                             UndefinedG2Error)
 from epstreak.events import (CH_HBT_R, CH_HBT_T, CH_HERALD, CH_SIGNAL,
                              DetectorModel, RunConfig, simulate_channels)
 from epstreak.tcspc import (Histogram, read_histogram_csv, rebin, start_stop_histogram,
@@ -119,29 +120,48 @@ def test_histogram_matches_per_start_reference(starts, stops, bin_width_ps, n_bi
     assert np.array_equal(hist.counts, expected)
 
 
-@pytest.mark.parametrize("options, message", [
-    pytest.param({"bin_width_ps": 6, "window_ps": 50_000},
+_BAD_TAGS = "must be a 1-D array of integer tags that fit int64"
+
+
+@pytest.mark.parametrize("options, error, message", [
+    pytest.param({"bin_width_ps": 6, "window_ps": 50_000}, ConfigurationError,
                  "window_ps: must be a multiple of bin_width_ps", id="window-not-whole-bins"),
-    pytest.param({"bin_width_ps": 0}, "bin_width_ps: must be >= 1 (got 0)", id="bin-width-0"),
-    pytest.param({"bin_width_ps": -4}, "bin_width_ps: must be >= 1 (got -4)",
-                 id="bin-width-negative"),
-    pytest.param({"window_ps": 0}, "window_ps: must be >= 1 (got 0)", id="window-0"),
-    pytest.param({"bin_width_ps": 1, "window_ps": 2**25},
+    pytest.param({"bin_width_ps": 0}, ConfigurationError,
+                 "bin_width_ps: must be >= 1 (got 0)", id="bin-width-0"),
+    pytest.param({"bin_width_ps": -4}, ConfigurationError,
+                 "bin_width_ps: must be >= 1 (got -4)", id="bin-width-negative"),
+    pytest.param({"window_ps": 0}, ConfigurationError,
+                 "window_ps: must be >= 1 (got 0)", id="window-0"),
+    pytest.param({"bin_width_ps": 1, "window_ps": 2**25}, ConfigurationError,
                  "window_ps: must hold at most 16777216 bins", id="too-many-bins"),
-    pytest.param({"mode": "last"}, "mode: must be one of first, all (got 'last')",
-                 id="unknown-mode"),
-    pytest.param({"t0_ps": float("nan")}, "t0_ps: must be finite (got nan)", id="t0-nan"),
-    pytest.param({"bin_width_ps": 4.5, "window_ps": 9},
+    pytest.param({"mode": "last"}, ConfigurationError,
+                 "mode: must be one of first, all (got 'last')", id="unknown-mode"),
+    pytest.param({"t0_ps": float("nan")}, ConfigurationError,
+                 "t0_ps: must be finite (got nan)", id="t0-nan"),
+    pytest.param({"bin_width_ps": 4.5, "window_ps": 9}, ConfigurationError,
                  "bin_width_ps: expected an integer (got 4.5)", id="bin-width-not-integer"),
-    pytest.param({"t0_ps": 0.5}, "t0_ps: expected an integer (got 0.5)", id="t0-not-integer"),
-    pytest.param({"window_ps": 0, "mode": "last"},
+    pytest.param({"t0_ps": 0.5}, ConfigurationError,
+                 "t0_ps: expected an integer (got 0.5)", id="t0-not-integer"),
+    pytest.param({"window_ps": 0, "mode": "last"}, ConfigurationError,
                  "window_ps: must be >= 1 (got 0); mode: must be one of first, all (got 'last')",
                  id="window-and-mode"),
+    pytest.param({"starts": [0.0, 5.0]}, ConfigurationError,
+                 f"starts: {_BAD_TAGS} (got 1-D float64)", id="float-starts"),
+    pytest.param({"stops": np.array([[10, 20]])}, ConfigurationError,
+                 f"stops: {_BAD_TAGS} (got 2-D int64)", id="2d-stops"),
+    pytest.param({"stops": np.array([2**63], dtype=np.uint64)}, ConfigurationError,
+                 f"stops: {_BAD_TAGS} (got 1-D uint64)", id="stops-beyond-int64"),
+    pytest.param({"starts": np.array([0, 50, 20, 30])}, StreamOrderError,
+                 "starts: tags must be sorted (tag 2 is below the one before it)",
+                 id="unsorted-starts"),
+    pytest.param({"stops": np.array([40, 10])}, StreamOrderError,
+                 "stops: tags must be sorted (tag 1 is below the one before it)",
+                 id="unsorted-stops"),
 ])
-def test_histogram_validation(options, message):
-    starts, stops = _sorted_tags([0]), _sorted_tags([10])
-    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
-        start_stop_histogram(starts, stops, **options)
+def test_histogram_validation(options, error, message):
+    options = {"starts": _sorted_tags([0]), "stops": _sorted_tags([10]), **options}
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        start_stop_histogram(**options)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -157,6 +177,11 @@ def test_histogram_validation(options, message):
                  id="flags-int"),
     pytest.param((4, 0, np.arange(8), [1]), "flags: must be a list of strings (got [1])",
                  id="flags-not-strings"),
+    pytest.param((4, 0, [np.nan, 1, 2]), "counts: must be finite and >= 0", id="counts-nan"),
+    pytest.param((4, 0, np.array([1.0, np.inf])), "counts: must be finite and >= 0",
+                 id="counts-inf"),
+    pytest.param((4, 0, np.array([3, -1, 2])), "counts: must be finite and >= 0",
+                 id="counts-negative"),
 ])
 def test_histogram_refuses_bad_fields(args, message):
     with pytest.raises(DomainError, match=f"^Histogram: {re.escape(message)}$"):
@@ -218,27 +243,43 @@ def test_g2_arm_relabel_invariance():
 _BAD_AXIS = "delay_axis_ps: must be a list of 1 to 1048576 finite delays"
 
 
-@pytest.mark.parametrize("window_ps, delays, message", [
-    pytest.param(0, [0.0], "coincidence_window_ps: must be >= 1 (got 0)", id="window-0"),
-    pytest.param(0.5, [0.0], "coincidence_window_ps: must be >= 1 (got 0.5)",
-                 id="window-below-1"),
-    pytest.param(float("nan"), [0.0], "coincidence_window_ps: must be finite (got nan)",
-                 id="window-nan"),
-    pytest.param(1000.0, [0.0], "coincidence_window_ps: expected an integer (got 1000.0)",
+@pytest.mark.parametrize("window_ps, delays, tags, error, message", [
+    pytest.param(0, [0.0], {}, ConfigurationError,
+                 "coincidence_window_ps: must be >= 1 (got 0)", id="window-0"),
+    pytest.param(0.5, [0.0], {}, ConfigurationError,
+                 "coincidence_window_ps: must be >= 1 (got 0.5)", id="window-below-1"),
+    pytest.param(float("nan"), [0.0], {}, ConfigurationError,
+                 "coincidence_window_ps: must be finite (got nan)", id="window-nan"),
+    pytest.param(1000.0, [0.0], {}, ConfigurationError,
+                 "coincidence_window_ps: expected an integer (got 1000.0)",
                  id="window-whole-float"),
-    pytest.param(1000, [], _BAD_AXIS, id="empty-axis"),
-    pytest.param(1000, [float("nan"), 0.0], _BAD_AXIS, id="nan-delay"),
-    pytest.param(1000, [float("inf")], _BAD_AXIS, id="inf-delay"),
-    pytest.param(1000, np.zeros(2**20 + 1), _BAD_AXIS, id="too-many-delays"),
-    pytest.param(0, [], f"coincidence_window_ps: must be >= 1 (got 0); {_BAD_AXIS}",
+    pytest.param(1000, [], {}, ConfigurationError, _BAD_AXIS, id="empty-axis"),
+    pytest.param(1000, [float("nan"), 0.0], {}, ConfigurationError, _BAD_AXIS, id="nan-delay"),
+    pytest.param(1000, [float("inf")], {}, ConfigurationError, _BAD_AXIS, id="inf-delay"),
+    pytest.param(1000, np.zeros(2**20 + 1), {}, ConfigurationError, _BAD_AXIS,
+                 id="too-many-delays"),
+    pytest.param(0, [], {}, ConfigurationError,
+                 f"coincidence_window_ps: must be >= 1 (got 0); {_BAD_AXIS}",
                  id="window-and-axis"),
-    pytest.param(1000, [0.0, 1e300], "delay_axis_ps: |delay| + coincidence_window_ps/2 must "
+    pytest.param(1000, [0.0, 1e300], {}, ConfigurationError,
+                 "delay_axis_ps: |delay| + coincidence_window_ps/2 must "
                  "be below 4611686018427387904 ps (got 1e+300)", id="delay-beyond-int64"),
+    pytest.param(1000, [0.0], {"t_tags": [0.5, 1000.0]}, ConfigurationError,
+                 f"t_tags: {_BAD_TAGS} (got 1-D float64)", id="float-t-tags"),
+    pytest.param(1000, [0.0], {"heralds": np.zeros((2, 3), dtype=np.int64)}, ConfigurationError,
+                 f"heralds: {_BAD_TAGS} (got 2-D int64)", id="2d-heralds"),
+    pytest.param(1000, [0.0], {"heralds": np.array([0, 2000, 1000])}, StreamOrderError,
+                 "heralds: tags must be sorted (tag 2 is below the one before it)",
+                 id="unsorted-heralds"),
+    pytest.param(1000, [0.0], {"r_tags": np.arange(10)[::-1]}, StreamOrderError,
+                 "r_tags: tags must be sorted (tag 1 is below the one before it)",
+                 id="unsorted-r-tags"),
 ])
-def test_g2_validation(window_ps, delays, message):
+def test_g2_validation(window_ps, delays, tags, error, message):
     h = np.arange(0, 10**6, 1000, dtype=np.int64)
-    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-        tag_g2(h, h, h, window_ps, delays)
+    tags = {"heralds": h, "t_tags": h, "r_tags": h, **tags}
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        tag_g2(**tags, coincidence_window_ps=window_ps, delay_axis_ps=delays)
 
 
 def test_g2_starved_pair_named():
