@@ -20,7 +20,7 @@ import numpy as np
 from .checks import Checked, refuse, relation, rule
 from .errors import ConfigurationError, StreamOrderError
 from .spdc import SourceModel
-from .twins import transmission
+from .twins import transmission, transmission_bound
 from .units import FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
 
 CH_HERALD = 0
@@ -139,33 +139,71 @@ def _dead_time_prune(times, dead_ps, last=None):
     return times[keep]
 
 
+class _Transmission:
+    """The TWINS acceptance of time-sorted arrivals, evaluated only for the arrivals asked.
+
+    No arrival's transmission exceeds ``bound``, the exact ``transmission_bound``.
+    """
+
+    def __init__(self, lam_nm, position_um, spec):
+        self.lam_nm, self.position_um, self.spec = lam_nm, position_um, spec
+        self.bound = transmission_bound(spec)
+
+    def at(self, idx):
+        return transmission(self.lam_nm[idx], self.position_um, self.spec)
+
+
+def _reached(n, accept, efficiency, rng):
+    """Which of n arrivals reach the detector: a mask, or None when every one does.
+
+    Each arrival survives when its uniform is below accept * efficiency. A
+    probability of scalar 1 keeps every arrival (each uniform is < 1), so the
+    uniforms are not drawn: the generator is advanced past them, which leaves
+    it in the state that drawing them would. A ``_Transmission`` is evaluated
+    only for the arrivals whose uniform is below its bound times the
+    efficiency, the only ones it can keep; it still checks the wedge position
+    when there are none. The uniforms and indices die here, before the caller
+    gathers the survivors.
+    """
+    exact = accept if isinstance(accept, _Transmission) else None
+    p = np.asarray(accept if exact is None else exact.bound, dtype=float) * efficiency
+    if exact is None and p.ndim == 0 and not p < 1.0:
+        # a uniform double is one 64-bit step; these generators buffer no 32-bit half
+        rng.bit_generator.advance(n)
+        return None
+    u = rng.random(n)
+    keep = u < p
+    if exact is not None:
+        below = np.flatnonzero(keep)
+        keep[below] = u[below] < exact.at(below) * efficiency
+    return keep
+
+
 def _detector_draws(arrivals, det: DetectorModel, rng, start_ps, span_ps):
     """Efficiency, jitter and the darks of [start_ps, start_ps + span_ps): sorted float times.
 
     ``arrivals`` is a pair (time-sorted t_ps float array, accept_prob).
     ``accept_prob`` is a scalar when every arrival is equally likely to reach
-    the detector (pass 1.0 when there is nothing to weight), or an array
-    parallel to t_ps. Each arrival survives with probability accept_prob *
-    efficiency and is jittered by a Gaussian of the configured FWHM; the dark
-    counts of the span are added.
+    the detector (pass 1.0 when there is nothing to weight), an array
+    parallel to t_ps, or a ``_Transmission`` over the arrivals. Each arrival
+    survives with probability accept_prob * efficiency (``_reached``) and is
+    jittered by a Gaussian of the configured FWHM; the dark counts of the
+    span are added.
 
     The draws from ``rng`` are a contract: one uniform per arrival, then a
     normal per survivor when there is jitter, then the Poisson dark count and
     a uniform per dark. The survivors are gathered with ``np.compress``,
     which keeps the elements ``t[keep]`` keeps, in the same order, several
-    times faster at a partial mask. A probability of scalar 1 keeps every
-    arrival (each uniform is < 1), so nothing is gathered and the uniforms
-    are not drawn: the generator is advanced past them, which leaves it in
-    the state that drawing them would. Without jitter and darks the survivors
-    are still sorted, and may be ``t`` itself, which is never written to.
+    times faster at a partial mask; when every arrival survives nothing is
+    gathered. Without jitter and darks the survivors are still sorted, and
+    may be ``t`` itself, which is never written to.
     """
     t, accept = arrivals
     t = np.asarray(t, dtype=float)
-    p = np.asarray(accept, dtype=float) * det.efficiency
-    if p.ndim or p < 1.0:
-        t = np.compress(rng.random(len(t)) < p, t)
-    else:  # a uniform double is one 64-bit step; these generators buffer no 32-bit half
-        rng.bit_generator.advance(len(t))
+    keep = _reached(len(t), accept, det.efficiency, rng)
+    if keep is not None:
+        t = np.compress(keep, t)
+    del keep  # before the jitter draws allocate
     jitter = det.jitter_fwhm_ps > 0 and len(t) > 0
     if jitter:  # noise + t is t + noise, bit for bit
         noise = rng.normal(0.0, det.jitter_fwhm_ps / FWHM_PER_SIGMA, len(t))
@@ -185,6 +223,15 @@ def _tags(times):
     return np.rint(times, out=np.empty(len(times), dtype=np.int64), casting="unsafe")
 
 
+def _per_pair(values, idx, out):
+    """Each pair's value of a per-species array: ``values[idx]`` into ``out``, or, when
+    ``idx`` is None (one species), that species' scalar, which acts on every pair alike.
+
+    idx < len(values), and mode="clip" lets take write to ``out`` unbuffered.
+    """
+    return values[0] if idx is None else values.take(idx, out=out, mode="clip")
+
+
 def _fluorescence_batch(sample: SampleModel, n, rng):
     """Vectorized emission draw: (emitted mask, delay_ps, emission_nm).
 
@@ -194,34 +241,49 @@ def _fluorescence_batch(sample: SampleModel, n, rng):
     species index is the cdf threshold count that ``rng.choice(k, size=n,
     p=w)`` computes, the delay is what ``rng.exponential(1.0, n) * tau`` gives
     and the wavelength what ``rng.normal(center, sigma)`` gives, bit for bit.
+    A uniform whose outcome is certain is not drawn: at absorption_prob 1,
+    for one species and when every quantum_yield is 1, the generator is
+    advanced past those n uniforms, as ``_reached`` does at acceptance 1.
+    The mask is None when every pair emits, and nothing need be gathered.
     """
     species = sample.species
-    u = rng.random(n)
-    emitted = u < sample.absorption_prob
-    weights = np.array([s.weight for s in species], dtype=float)
-    weights /= weights.sum()
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    rng.random(out=u)
-    idx = np.zeros(n, dtype=np.intp)
-    for c in cdf[:-1]:  # cdf.searchsorted(u, side="right"); u < 1 = cdf[-1]
-        idx += u >= c
+    u = np.empty(n)
+    emitted = None
+    if sample.absorption_prob < 1.0:
+        emitted = rng.random(out=u) < sample.absorption_prob
+    else:  # each uniform is < 1
+        rng.bit_generator.advance(n)
+    idx = g = None
+    if len(species) > 1:
+        weights = np.array([s.weight for s in species], dtype=float)
+        weights /= weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        rng.random(out=u)
+        idx = np.zeros(n, dtype=np.intp)
+        for c in cdf[:-1]:  # cdf.searchsorted(u, side="right"); u < 1 = cdf[-1]
+            idx += u >= c
+        g = np.empty(n)  # holds each per-pair parameter in turn
+    else:
+        rng.bit_generator.advance(n)
     delay_ps = rng.standard_exponential(out=u)  # the species draws are used up
     tau_ps = np.array([s.lifetime_ns for s in species]) * PS_PER_NS
-    # g holds each per-pair parameter in turn; idx < k, and mode="clip" lets take
-    # write to out= unbuffered
-    g = tau_ps.take(idx, mode="clip")
-    delay_ps *= g
+    delay_ps *= _per_pair(tau_ps, idx, g)
     center = np.array([s.emission_center_nm for s in species])
     sigma = np.array([s.emission_fwhm_nm for s in species]) / FWHM_PER_SIGMA
     lam_nm = rng.standard_normal(n)  # normal(loc, scale) is loc + scale * z
-    lam_nm *= sigma.take(idx, out=g, mode="clip")
-    lam_nm += center.take(idx, out=g, mode="clip")
+    lam_nm *= _per_pair(sigma, idx, g)
+    lam_nm += _per_pair(center, idx, g)
     qy = np.array([s.quantum_yield for s in species])
-    qy.take(idx, out=g, mode="clip")
+    if np.all(qy == 1.0):  # every yield is certain
+        rng.bit_generator.advance(n)
+        return emitted, delay_ps, lam_nm
+    qy = _per_pair(qy, idx, g)
     del idx  # before the last draw, which can take its memory
-    emitted &= rng.random(n) < g
-    return emitted, delay_ps, lam_nm
+    yielded = rng.random(n) < qy
+    if emitted is not None:
+        yielded &= emitted
+    return yielded, delay_ps, lam_nm
 
 
 @functools.lru_cache(maxsize=16)
@@ -262,16 +324,16 @@ def _source_chunk(k, n_chunks, sample, twins, run, rate_hz):
     # each per-pair array is dropped once used, so the next one reuses its memory
     emitted, delay_ps, lam_nm = _fluorescence_batch(sample, n, rng)
     delay_ps += birth_ps
-    t = delay_ps[emitted]
+    t = delay_ps if emitted is None else delay_ps[emitted]
     del delay_ps
     order = np.argsort(t, kind="stable")
     accept = 1.0
     if twins is not None:
-        lam_nm = lam_nm[emitted]
-        accept = transmission(lam_nm, run.twins_position_um, twins)
-        del lam_nm
-        accept = accept[order]
-    return [(birth_ps, 1.0), (t[order], accept)]
+        if emitted is not None:
+            lam_nm = lam_nm[emitted]
+        accept = _Transmission(lam_nm.take(order), run.twins_position_um, twins)
+    del lam_nm
+    return [(birth_ps, 1.0), (t.take(order), accept)]
 
 
 def _merge_sorted(a, b):

@@ -163,9 +163,12 @@ def _target_grid(irf: Histogram, n_bins, t0_ps):
     offset, rem = divmod(t0_ps - irf.t0_ps, irf.bin_width_ps)
     if rem:
         raise ConfigurationError("target grid origin must align with the IRF bin grid")
-    total = irf.counts.sum()
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        total = irf.counts.sum()
     if total <= 0:
         raise ConfigurationError("IRF histogram is empty")
+    if not np.isfinite(total):  # counts set after construction, or a sum that overflows
+        raise ConfigurationError(f"IRF histogram's total count is not finite ({total})")
     return irf.counts.astype(float) / total, int(offset), n_bins
 
 

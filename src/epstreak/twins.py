@@ -72,6 +72,16 @@ def transmission(emission_nm, position_um, spec: TwinsSpec):
     return p if p.ndim else float(p)
 
 
+def transmission_bound(spec: TwinsSpec):
+    """The largest value ``transmission`` can return at any wavelength and position.
+
+    It is the transmission at cos = 1, in the same float operations, so it
+    bounds every computed transmission exactly: cos <= 1, and rounding is
+    monotone in each operation.
+    """
+    return (1.0 + spec.visibility) * (spec.insertion_loss * 0.5)
+
+
 @dataclass(frozen=True)
 class FTOptions(Checked):
     apodization: str = rule("hann", choices=("none", "hann"))

@@ -146,8 +146,9 @@ def test_sample_fluorescence_mean_delay(rng):
     from epstreak.events import _fluorescence_batch
     sample = SampleModel((EmitterSpecies(1.0, 2.0, 850.0, 40.0),))
     emitted, delay_ps, _ = _fluorescence_batch(sample, 1_000_000, rng)
-    tau_ns = delay_ps[emitted].mean() / 1000.0
-    assert abs(tau_ns - 2.0) < 3 * 2.0 / np.sqrt(emitted.sum())
+    assert emitted is None  # every pair emits
+    tau_ns = delay_ps.mean() / 1000.0
+    assert abs(tau_ns - 2.0) < 3 * 2.0 / np.sqrt(len(delay_ps))
 
 
 def test_species_weight_fractions(rng):
@@ -155,7 +156,8 @@ def test_species_weight_fractions(rng):
     sample = SampleModel((EmitterSpecies(1.0, 1.0, 700.0, 10.0),
                           EmitterSpecies(2.0, 1.0, 900.0, 10.0)))
     emitted, _, lam = _fluorescence_batch(sample, 90_000, rng)
-    frac2 = np.mean(lam[emitted] > 800.0)
+    assert emitted is None  # every pair emits
+    frac2 = np.mean(lam > 800.0)
     assert frac2 == pytest.approx(2.0 / 3.0, abs=3 * np.sqrt(2 / 9 / 90_000) + 0.01)
 
 
@@ -184,6 +186,10 @@ _SPECIES = {
                           EmitterSpecies(0.7, 1.14, 950.0, 60.0, 0.9)),
     "leading-zero-weight": (EmitterSpecies(0.0, 0.5, 750.0, 20.0),
                             EmitterSpecies(1.0, 2.0, 850.0, 40.0)),
+    # one species whose yield is drawn; several species whose yields are all certain
+    "one-yield-below-one": (EmitterSpecies(1.0, 0.79, 810.0, 40.0, 0.7),),
+    "two-yields-one": (EmitterSpecies(1.0, 0.79, 810.0, 40.0),
+                       EmitterSpecies(2.5, 1.51, 900.0, 55.0)),
 }
 
 
@@ -194,14 +200,19 @@ def test_fluorescence_batch_matches_numpy_forms(species, absorption_prob, n):
     """Bit-equal arrays and the same generator state as the choice/exponential/normal forms.
 
     numpy does not promise that these forms stay equal across versions, so
-    this pins the draws (and the golden hashes built on them).
+    this pins the draws (and the golden hashes built on them). The emitted
+    mask is None exactly when every pair must emit; it is compared as an
+    all-true mask then.
     """
     sample = SampleModel(_SPECIES[species], absorption_prob=absorption_prob)
+    certain = absorption_prob == 1.0 and all(s.quantum_yield == 1.0 for s in sample.species)
     for seed in range(5):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _fluorescence_batch(sample, n, rng)
+        emitted, *arrays = _fluorescence_batch(sample, n, rng)
+        assert (emitted is None) == certain
+        got = [np.ones(n, dtype=bool) if emitted is None else emitted, *arrays]
         want = _fluorescence_reference(sample, n, ref_rng)
-        for g, w in zip(got, want):
+        for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype and g.shape == w.shape == (n,)
             assert g.tobytes() == w.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state

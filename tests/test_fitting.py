@@ -189,6 +189,29 @@ def test_grid_offset_matches_shifted_window():
             convolve_model(model, irf, n_bins=50, t0_ps=irf.t0_ps + misaligned_ps)
 
 
+def _overflowing_irf():
+    counts = np.zeros(200)
+    counts[2:4] = 1e308  # each finite, so the Histogram is built; their sum is inf
+    return Histogram(BW_PS, 0, counts)
+
+
+def _nan_irf():
+    irf = _gaussian_irf(n_bins=200)
+    irf.counts = irf.counts.astype(float)
+    irf.counts[5] = np.nan  # after construction, past the Histogram's own check
+    return irf
+
+
+@pytest.mark.parametrize("make_irf", [_overflowing_irf, _nan_irf],
+                         ids=["sum-overflows", "nan-count"])
+def test_irf_without_a_finite_total_is_refused(make_irf):
+    irf = make_irf()
+    with pytest.raises(ConfigurationError, match="not finite"):
+        convolve_model(DecayModel([(1.0, 0.8)]), irf, n_bins=3)
+    with pytest.raises(ConfigurationError, match="not finite"):
+        response_derivatives(0.8, irf, n_bins=3)
+
+
 @pytest.mark.parametrize("components,background,t_shift_ps", [
     ([(1.0, np.nan)], 0.0, 0.0),
     ([(np.nan, 1.0)], 0.0, 0.0),

@@ -1,9 +1,11 @@
 """The streamed detector chain's gathers against their boolean-mask forms.
 
-``np.compress``, the skipped gather and uniforms at acceptance 1 and the
-stable merge must give the elements, the order and the generator state that
-``t[keep]``, ``t_ps[channel == ch]``, ``dt[ok]`` and the (time, channel)
-lexsort give, bit for bit, so no event file, histogram or digest moves.
+``np.compress``, the skipped gather and uniforms at acceptance 1, the TWINS
+transmission evaluated only below its bound and the stable merge must give
+the elements, the order and the generator state that ``t[keep]`` with every
+transmission evaluated, ``t_ps[channel == ch]``, ``dt[ok]`` and the (time,
+channel) lexsort give, bit for bit, so no event file, histogram or digest
+moves.
 """
 
 import tempfile
@@ -17,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 import reference
 from epstreak import eventfile, events
 from epstreak.eventfile import _merge_channels, open_event_file
-from epstreak.events import DetectorModel, _detector_draws
+from epstreak.errors import DomainError
+from epstreak.events import DetectorModel, _detector_draws, _Transmission
 from epstreak.tcspc import StartStopCounter
+from epstreak.twins import TwinsSpec, transmission, transmission_bound
 
 SPAN_PS = 1.0e12  # one second: dark rates of tens of hertz add a few darks
 
@@ -92,6 +96,58 @@ def test_irf_channels_share_their_arrivals():
             _same(_detector_draws((birth, 1.0), det, rng, 0.0, SPAN_PS),
                   reference.detector_draws((birth.copy(), 1.0), det, ref_rng, 0.0, SPAN_PS))
         _same(birth, before)
+
+
+@st.composite
+def _twins_arrivals(draw):
+    """Sorted arrival times, their wavelengths, a spec and a wedge position in its range.
+
+    Odd lengths reach the ends of vectorized loops. At x_zero_um every
+    transmission equals the bound.
+    """
+    n = draw(st.sampled_from([0, 1, 7, 13, 200]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.sort(gen.random(n) * SPAN_PS)
+    lam = 700.0 + 300.0 * gen.random(n)
+    spec = TwinsSpec(visibility=draw(st.sampled_from([0.0, 0.9, 1.0])),
+                     insertion_loss=draw(st.sampled_from([1e-12, 0.5, 1.0])))
+    position = draw(st.one_of(st.just(spec.x_zero_um),
+                              st.floats(spec.position_min_um, spec.position_max_um)))
+    return t, lam, spec, position
+
+
+@given(_twins_arrivals(), _DETECTORS, st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_deferred_transmission_matches_every_transmission(arrivals, det, seed):
+    """Same kept times in the same order and the same generator state as transmission(lam)
+    for every arrival; it is evaluated only for the uniforms below bound * efficiency."""
+    t, lam, spec, position = arrivals
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    evaluated = []
+
+    def counted(lam_nm, *args):
+        evaluated.append(len(lam_nm))
+        return transmission(lam_nm, *args)
+
+    with mock.patch.object(events, "transmission", counted):
+        got = _detector_draws((t, _Transmission(lam, position, spec)), det, rng, 0.0, SPAN_PS)
+    want = reference.detector_draws((t.copy(), transmission(lam, position, spec)), det,
+                                    ref_rng, 0.0, SPAN_PS)
+    _same(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    u = np.random.default_rng(seed).random(len(t))
+    assert evaluated == [np.count_nonzero(u < transmission_bound(spec) * det.efficiency)]
+
+
+@pytest.mark.parametrize("n, efficiency", [(0, 1.0), (7, 0.0)],
+                         ids=["no-arrivals", "efficiency-0"])
+def test_deferred_transmission_refuses_a_position_outside_the_scan(n, efficiency):
+    """No arrival is a candidate, and the position is still checked."""
+    spec = TwinsSpec()
+    accept = _Transmission(np.full(n, 850.0), spec.position_max_um + 1.0, spec)
+    with pytest.raises(DomainError, match="outside scan range"):
+        _detector_draws((np.arange(n, dtype=float), accept), DetectorModel(efficiency=efficiency),
+                        np.random.default_rng(0), 0.0, SPAN_PS)
 
 
 @st.composite

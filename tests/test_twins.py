@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 
@@ -8,7 +9,8 @@ from scipy.optimize import minimize_scalar
 from epstreak import experiment
 from epstreak.config import validate_config
 from epstreak.errors import CalibrationError, ConfigurationError, DomainError
-from epstreak.events import DetectorModel, EmitterSpecies, RunConfig, SampleModel
+from epstreak.events import (DETECTOR_PRESETS, DetectorModel, EmitterSpecies, RunConfig,
+                             SampleModel)
 from epstreak.experiment import Detectors, _max_workers
 from epstreak.spdc import density_fwhm
 from epstreak.tcspc import Histogram, HistogramOptions, rebin
@@ -370,18 +372,38 @@ def test_max_workers_rejects_bad_env(monkeypatch, value):
 def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch, threads):
     """32 fig3 positions around zero delay: save_cube files plus map.csv, the same bytes
     whatever the number of workers."""
-    import hashlib
     if threads is None:
         monkeypatch.delenv("EPPS_THREADS", raising=False)
     else:
         monkeypatch.setenv("EPPS_THREADS", threads)
     fig3 = shipped("fig3-two-dyes", {"run.duration_s": 0.02, "run.seed": 7})
-    cube = experiment.cube(fig3, fig3.twins.positions_um()[100:132])
+    assert _cube_and_map_digest(tmp_path, fig3) == (
+        "232916b845737417371611adc3ac031fd83049c52c5418b1a65252c7a77de353")
+
+
+def _cube_and_map_digest(tmp_path, cfg):
+    """sha256 over the save_cube files and map.csv of 32 positions around zero delay."""
+    cube = experiment.cube(cfg, cfg.twins.positions_um()[100:132])
     save_cube(tmp_path / "cube", cube)
     write_map_csv(tmp_path / "map.csv", reconstruct_map(cube, 1.0))
     digest = hashlib.sha256()
     for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
         digest.update(path.relative_to(tmp_path).as_posix().encode())
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == (
-        "232916b845737417371611adc3ac031fd83049c52c5418b1a65252c7a77de353")
+    return digest.hexdigest()
+
+
+def test_lossy_cube_and_map_bytes_pinned(tmp_path):
+    """A lossy fig3 run: mpd signal detector (efficiency 0.35, jitter, dead time, darks),
+    absorption_prob 0.6 and one species of quantum_yield 0.7, so the absorption, yield and
+    detector uniforms all decide photons' fates behind the TWINS transmission."""
+    lossy = shipped("fig3-two-dyes", {
+        "run.duration_s": 0.05, "run.seed": 5, "detectors.signal": {"preset": "mpd"},
+        "sample": {"absorption_prob": 0.6,
+                   "species": [{"weight": 1.0, "lifetime_ns": 1.2, "emission_center_nm": 850.0,
+                                "emission_fwhm_nm": 40.0, "quantum_yield": 0.7}]}})
+    assert lossy.detectors.signal == DETECTOR_PRESETS["mpd"]
+    assert lossy.sample.absorption_prob == 0.6
+    assert [s.quantum_yield for s in lossy.sample.species] == [0.7]
+    assert _cube_and_map_digest(tmp_path, lossy) == (
+        "c387a42e097370d9645115f3824926111b5579c613e2e43a3c4f9829439e226f")
