@@ -150,7 +150,7 @@ class _Transmission:
         self.bound = transmission_bound(spec)
 
     def at(self, idx):
-        return transmission(self.lam_nm[idx], self.position_um, self.spec)
+        return transmission(self.lam_nm.take(idx), self.position_um, self.spec)
 
 
 def _reached(n, accept, efficiency, rng):
@@ -162,8 +162,8 @@ def _reached(n, accept, efficiency, rng):
     it in the state that drawing them would. A ``_Transmission`` is evaluated
     only for the arrivals whose uniform is below its bound times the
     efficiency, the only ones it can keep; it still checks the wedge position
-    when there are none. The uniforms and indices die here, before the caller
-    gathers the survivors.
+    when there are none. The uniforms die here, before the caller gathers the
+    survivors.
     """
     exact = accept if isinstance(accept, _Transmission) else None
     p = np.asarray(accept if exact is None else exact.bound, dtype=float) * efficiency
@@ -175,7 +175,9 @@ def _reached(n, accept, efficiency, rng):
     keep = u < p
     if exact is not None:
         below = np.flatnonzero(keep)
-        keep[below] = u[below] < exact.at(below) * efficiency
+        p = exact.at(below)
+        p *= efficiency
+        keep[below] = u.take(below) < p
     return keep
 
 
@@ -223,15 +225,6 @@ def _tags(times):
     return np.rint(times, out=np.empty(len(times), dtype=np.int64), casting="unsafe")
 
 
-def _per_pair(values, idx, out):
-    """Each pair's value of a per-species array: ``values[idx]`` into ``out``, or, when
-    ``idx`` is None (one species), that species' scalar, which acts on every pair alike.
-
-    idx < len(values), and mode="clip" lets take write to ``out`` unbuffered.
-    """
-    return values[0] if idx is None else values.take(idx, out=out, mode="clip")
-
-
 def _fluorescence_batch(sample: SampleModel, n, rng):
     """Vectorized emission draw: (emitted mask, delay_ps, emission_nm).
 
@@ -241,10 +234,10 @@ def _fluorescence_batch(sample: SampleModel, n, rng):
     species index is the cdf threshold count that ``rng.choice(k, size=n,
     p=w)`` computes, the delay is what ``rng.exponential(1.0, n) * tau`` gives
     and the wavelength what ``rng.normal(center, sigma)`` gives, bit for bit.
-    A uniform whose outcome is certain is not drawn: at absorption_prob 1,
-    for one species and when every quantum_yield is 1, the generator is
-    advanced past those n uniforms, as ``_reached`` does at acceptance 1.
-    The mask is None when every pair emits, and nothing need be gathered.
+    A uniform whose outcome is certain is not drawn: at absorption_prob 1
+    and when every quantum_yield is 1, the generator is advanced past those n
+    uniforms, as ``_reached`` does at acceptance 1. The mask is None when
+    every pair emits, and nothing need be gathered.
     """
     species = sample.species
     u = np.empty(n)
@@ -253,34 +246,32 @@ def _fluorescence_batch(sample: SampleModel, n, rng):
         emitted = rng.random(out=u) < sample.absorption_prob
     else:  # each uniform is < 1
         rng.bit_generator.advance(n)
-    idx = g = None
-    if len(species) > 1:
-        weights = np.array([s.weight for s in species], dtype=float)
-        weights /= weights.sum()
-        cdf = weights.cumsum()
-        cdf /= cdf[-1]
-        rng.random(out=u)
-        idx = np.zeros(n, dtype=np.intp)
-        for c in cdf[:-1]:  # cdf.searchsorted(u, side="right"); u < 1 = cdf[-1]
-            idx += u >= c
-        g = np.empty(n)  # holds each per-pair parameter in turn
-    else:
-        rng.bit_generator.advance(n)
+    weights = np.array([s.weight for s in species], dtype=float)
+    weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    rng.random(out=u)
+    idx = np.zeros(n, dtype=np.intp)
+    for c in cdf[:-1]:  # cdf.searchsorted(u, side="right"); u < 1 = cdf[-1]
+        idx += u >= c
     delay_ps = rng.standard_exponential(out=u)  # the species draws are used up
     tau_ps = np.array([s.lifetime_ns for s in species]) * PS_PER_NS
-    delay_ps *= _per_pair(tau_ps, idx, g)
+    # g holds each per-pair parameter in turn; idx < k, and mode="clip" lets take
+    # write to out= unbuffered
+    g = tau_ps.take(idx, mode="clip")
+    delay_ps *= g
     center = np.array([s.emission_center_nm for s in species])
     sigma = np.array([s.emission_fwhm_nm for s in species]) / FWHM_PER_SIGMA
     lam_nm = rng.standard_normal(n)  # normal(loc, scale) is loc + scale * z
-    lam_nm *= _per_pair(sigma, idx, g)
-    lam_nm += _per_pair(center, idx, g)
+    lam_nm *= sigma.take(idx, out=g, mode="clip")
+    lam_nm += center.take(idx, out=g, mode="clip")
     qy = np.array([s.quantum_yield for s in species])
     if np.all(qy == 1.0):  # every yield is certain
         rng.bit_generator.advance(n)
         return emitted, delay_ps, lam_nm
-    qy = _per_pair(qy, idx, g)
+    qy.take(idx, out=g, mode="clip")
     del idx  # before the last draw, which can take its memory
-    yielded = rng.random(n) < qy
+    yielded = rng.random(n) < g
     if emitted is not None:
         yielded &= emitted
     return yielded, delay_ps, lam_nm

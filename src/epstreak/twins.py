@@ -258,10 +258,10 @@ def load_cube(directory) -> InterferogramCube:
 
 
 def write_map_csv(path, tf_map: TimeFrequencyMap):
-    lines = ["wavelength_nm,time_ps,intensity"]
     times = [f"{t:g}" for t in tf_map.time_axis_ps.tolist()]
-    # one row at a time: the whole matrix as Python floats would raise peak memory
-    for lam, row in zip(tf_map.wavelength_axis_nm.tolist(), tf_map.intensity):
-        lam_text = f"{lam:.4f}"
-        lines.extend(f"{lam_text},{t},{v:.6g}" for t, v in zip(times, row.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # one row at a time: the whole map as Python floats or as text would raise peak memory
+    with open(path, "w") as fh:
+        fh.write("wavelength_nm,time_ps,intensity\n")
+        for lam, row in zip(tf_map.wavelength_axis_nm.tolist(), tf_map.intensity):
+            lam_text = f"{lam:.4f}"
+            fh.writelines(f"{lam_text},{t},{v:.6g}\n" for t, v in zip(times, row.tolist()))

@@ -131,12 +131,16 @@ def test_deferred_transmission_matches_every_transmission(arrivals, det, seed):
 
     with mock.patch.object(events, "transmission", counted):
         got = _detector_draws((t, _Transmission(lam, position, spec)), det, rng, 0.0, SPAN_PS)
-    want = reference.detector_draws((t.copy(), transmission(lam, position, spec)), det,
-                                    ref_rng, 0.0, SPAN_PS)
+    every = transmission(lam, position, spec)
+    want = reference.detector_draws((t.copy(), every), det, ref_rng, 0.0, SPAN_PS)
     _same(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     u = np.random.default_rng(seed).random(len(t))
     assert evaluated == [np.count_nonzero(u < transmission_bound(spec) * det.efficiency)]
+    # the bound holds for every computed transmission, and is reached at zero delay
+    assert np.all(every <= transmission_bound(spec))
+    if position == spec.x_zero_um:
+        assert np.all(every == transmission_bound(spec))
 
 
 @pytest.mark.parametrize("n, efficiency", [(0, 1.0), (7, 0.0)],
