@@ -21,6 +21,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, StreamOrderError
 
+# Tags, and the reach of a counter's window, lie strictly between -2^62 and 2^62 ps,
+# so a tag plus a reach, or the difference of two tags, stays in int64.
+TAG_LIMIT_PS = 2**62
+
 type_hints = cache(typing.get_type_hints)  # per model class; each YAML build walks every class
 
 
@@ -96,15 +100,21 @@ def refuse(found):
 def sorted_tags(**arrays):
     """The named arrays of time tags as int64, refusing any that breaks the tag contract.
 
-    A tag array is 1-D with integer values that fit int64 (else a ConfigurationError
-    names it) and sorted (else a StreamOrderError names it and its first tag out of order).
+    A tag array is 1-D with integer values (else a ConfigurationError names it), each
+    strictly between -TAG_LIMIT_PS and TAG_LIMIT_PS (else a ConfigurationError names it
+    and its first tag out of range), and sorted (else a StreamOrderError names it and
+    its first tag out of order).
     """
     tags = []
     for name, values in arrays.items():
         a = np.asarray(values)
-        if a.ndim != 1 or a.size and (a.dtype.kind not in "iu" or int(a.max()) > 2**63 - 1):
-            raise ConfigurationError(f"{name}: must be a 1-D array of integer tags that fit "
-                                     f"int64 (got {a.ndim}-D {a.dtype})")
+        if a.ndim != 1 or a.size and a.dtype.kind not in "iu":
+            raise ConfigurationError(f"{name}: must be a 1-D array of integer tags "
+                                     f"(got {a.ndim}-D {a.dtype})")
+        far = np.flatnonzero((a >= TAG_LIMIT_PS) | (a <= -TAG_LIMIT_PS))
+        if len(far):
+            raise ConfigurationError(f"{name}: tags must lie strictly between -2^62 and 2^62 "
+                                     f"ps (tag {far[0]} is {a[far[0]]})")
         a = a.astype(np.int64, copy=False)
         back = np.flatnonzero(a[1:] < a[:-1])
         if len(back):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import TAG_LIMIT_PS
 from .errors import ConfigurationError
 
 MAGIC = b"EPPS"
@@ -87,8 +88,8 @@ def open_event_file(path):
     time as its horizon, and a last chunk of empty arrays with horizon None
     ends the stream. Each block is checked before it is yielded: the first
     record whose channel is not below the channel count, whose timestamp is
-    2^63 ps or more, or whose timestamp is lower than the one before it
-    raises ConfigurationError with its index.
+    2^62 ps (TAG_LIMIT_PS) or more, or whose timestamp is lower than the one
+    before it raises ConfigurationError with its index.
     """
     path = Path(path)
     try:
@@ -121,15 +122,16 @@ def _checked_chunks(path, n_channels, n_records):
             records = np.fromfile(fh, dtype=_RECORD_DTYPE,
                                   count=min(READ_BLOCK, n_records - start))
             channel = records["channel"]
+            late = records["t_ps"] >= TAG_LIMIT_PS
             t_ps = records["t_ps"].view(np.int64)  # 2^63 ps and above wrap below 0
             previous = np.concatenate((before, t_ps[:-1]))
-            bad = np.flatnonzero((channel >= n_channels) | (t_ps < 0) | (t_ps < previous))
+            bad = np.flatnonzero((channel >= n_channels) | late | (t_ps < previous))
             if len(bad):
                 i = bad[0]
                 if channel[i] >= n_channels:
                     why = f"channel {channel[i]} is not below the header's {n_channels}"
-                elif t_ps[i] < 0:
-                    why = f"timestamp {records['t_ps'][i]} ps is 2^63 ps or more"
+                elif late[i]:
+                    why = f"timestamp {records['t_ps'][i]} ps is 2^62 ps or more"
                 else:
                     why = f"timestamp {t_ps[i]} ps is lower than the {previous[i]} ps before it"
                 raise ConfigurationError(f"{path}: record {start + i}: {why}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import Checked, refuse, relation, rule, sorted_tags, violations
+from .checks import TAG_LIMIT_PS, Checked, refuse, relation, rule, sorted_tags, violations
 from .errors import ConfigurationError, DomainError, UndefinedG2Error
 from .spdc import density_fwhm
 from .units import FWHM_PER_SIGMA
@@ -20,8 +20,6 @@ MAX_DELAY_TABLE = 1 << 20  # int32 entries (4 MB) of G2Counter's delay-bin table
 # Caps on the arrays the options size, checked before any is allocated.
 MAX_HISTOGRAM_BINS = 2**24
 MAX_G2_DELAYS = 2**20
-# Bound on |delay| + window/2 of a g2 window: a tag below it, shifted by the reach, stays in int64.
-MAX_G2_REACH_PS = 2**62
 
 
 @dataclass(frozen=True)
@@ -40,6 +38,12 @@ class HistogramOptions(Checked):
         n = window_ps // bin_width_ps
         return (f"must hold at most {MAX_HISTOGRAM_BINS} bins of bin_width_ps (got {n})"
                 if n > MAX_HISTOGRAM_BINS else None)
+
+    @relation("t0_ps", "window_ps")
+    def _reach_bounded(t0_ps, window_ps):
+        reach = abs(t0_ps) + window_ps
+        return (f"|t0_ps| + window_ps must be below {TAG_LIMIT_PS} ps (got {reach})"
+                if reach >= TAG_LIMIT_PS else None)
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,8 @@ class _Reach:
     (None: none follows, so the last call counts everything). ``_count``
     counts one block of at most LEAD_BLOCK lead tags against the slice of
     each follower that the block reaches, so memory is bounded by one
-    block's pairs and the searches stay in cache. Lead tags are counted in
+    block's pairs and each merge of the block with a slice (_rank) stays in
+    cache. Lead tags are counted in
     disjoint blocks, and follower tags that no lead tag held or still to
     come can reach are dropped, so memory is also bounded by the tags fed
     between horizons. Every count is an integer, so no result depends on
@@ -211,15 +216,16 @@ class StartStopCounter(_Reach):
 
     def _bins(self, starts, stops):
         """Bin index of every count the starts make against the stops."""
-        window_ps, bin_width_ps = self.window_ps, self.bin_width_ps
-        lo = starts + self.t0_ps
+        t0_ps, bin_width_ps = self.t0_ps, self.bin_width_ps
         if self.mode == "first":
-            idx = np.searchsorted(stops, lo, side="left")
-            dt = stops.take(idx, mode="clip") - lo  # dt - t0 of the first stop at or after lo
-            ok = (idx < len(stops)) & (dt < window_ps)
-            return np.compress(ok, dt) // bin_width_ps
+            idx = _rank(stops, starts, "left", t0_ps)  # the first stop at or after start + t0
+            dt = stops.take(idx, mode="clip")
+            dt -= starts
+            dt -= t0_ps  # dt - t0 of that stop, below 0 where there is none (idx clipped)
+            # as uint64 a value below 0 is at least 2^63, so one compare keeps 0 <= dt - t0 < window
+            return np.compress(dt.view(np.uint64) < self.window_ps, dt) // bin_width_ps
         _, dt = _pairs(starts, stops, self.reach_lo, self.reach_hi)
-        return (dt - self.t0_ps) // bin_width_ps
+        return (dt - t0_ps) // bin_width_ps
 
     def histogram(self) -> Histogram:
         n_starts, n_stops = self.fed
@@ -230,16 +236,17 @@ class StartStopCounter(_Reach):
 def _pairs(lead, follower, lo, hi):
     """(lead index, dt = follower - lead) of every pair of sorted int64 tags with lo <= dt <= hi.
 
-    Each follower tag finds its first lead tag in reach with one search. Pass
+    Each follower tag finds its first lead tag in reach by one merge (_rank). Pass
     s of a walk then pairs every follower tag still in reach with the s-th
     lead tag after that one, and a follower tag leaves the walk at its first
     lead tag beyond reach, so the common case of a few pairs per follower
-    costs one search and a few passes. A burst of lead tags would cost one
+    costs one merge and a few passes. A burst of lead tags would cost one
     pass per lead tag, so after WALK_PASSES passes the follower tags still
-    in reach search the end of their span and take the rest of it at once.
+    in reach find the end of their span by a second merge and take the rest
+    of it at once.
     """
     n = len(lead)
-    idx = np.searchsorted(lead, follower - hi, side="left")  # lead[idx] >= follower - hi
+    idx = _rank(lead, follower, "left", -hi)  # lead[idx] >= follower - hi
     leads, dts = [], []
     for _ in range(WALK_PASSES):
         dt = follower - lead.take(idx, mode="clip")
@@ -251,11 +258,41 @@ def _pairs(lead, follower, lo, hi):
             break
         idx = idx + 1
     else:
-        end = np.searchsorted(lead, follower - lo, side="right")
+        end = _rank(lead, follower, "right", -lo)
         span = _span_indices(idx, end)
         leads.append(span)
         dts.append(np.repeat(follower, end - idx) - lead[span])
     return np.concatenate(leads), np.concatenate(dts)
+
+
+def _rank(a, keys, side, shift=0):
+    """np.searchsorted(a, keys + shift, side) of sorted int64 a and keys, by one merge.
+
+    Both runs are packed into one buffer as 2 (x - origin), with each key
+    moved one half step to the side of a tag it ties with (-1 for "left",
+    +1 for "right"), so the keys are the odd entries. A stable sort merges
+    the two sorted runs in linear time, and a key's rank is its position in
+    the merge minus its index among the keys. A span of 2^62 or more, which
+    the packing would overflow, is searched instead.
+    """
+    if len(a) == 0 or len(keys) == 0:
+        return np.zeros(len(keys), dtype=np.intp)
+    shift = int(shift)
+    origin = min(int(a[0]), int(keys[0]) + shift)
+    if max(int(a[-1]), int(keys[-1]) + shift) - origin >= 2**62:
+        return np.searchsorted(a, keys + shift, side)
+    tie = 1 if side == "right" else -1
+    merged = np.empty(len(a) + len(keys), dtype=np.int64)
+    for out, run, offset in ((merged[:len(a)], a, -2 * origin),
+                             (merged[len(a):], keys, 2 * (shift - origin) + tie)):
+        # 2 run + offset in int64 arithmetic, which wraps: exact, as the result lies in
+        # [-1, 2^63), whatever 2 run and the offset wrap to on the way
+        np.left_shift(run, 1, out=out)
+        out += (offset + 2**63) % 2**64 - 2**63
+    merged.sort(kind="stable")
+    rank = np.flatnonzero(np.bitwise_and(merged, 1, out=merged).astype(bool))
+    rank -= np.arange(len(keys))
+    return rank
 
 
 def _span_indices(i0, i1):
@@ -314,9 +351,11 @@ def tag_g2(heralds, t_tags, r_tags, coincidence_window_ps, delay_axis_ps) -> G2C
     dt = arm - herald is central when ceil(-w/2) <= dt <= floor(w/2) and lies
     in the window of delay d when ceil(d - w/2) <= dt <= floor(d + w/2). Each
     arm's (herald, dt) pairs inside the union of all windows are enumerated
-    once, from the arm side (_pairs); the central counts per herald and every
-    delay bin's pair and triple counts are then bincounts over those pairs,
-    so delay windows may be unsorted, uneven or overlapping. A pair's bin
+    once, from the arm side (_pairs: one merge of the sorted arm and herald
+    tags gives every arm tag its first herald in reach); the central counts
+    per herald and every delay bin's pair and triple counts are then
+    bincounts over those pairs, so delay windows may be unsorted, uneven or
+    overlapping. A pair's bin
     among the sorted window edges is read from a table over every integer dt
     of that union, or searched when the union spans MAX_DELAY_TABLE ps or
     more. G2Counter fed the whole arrays at once, checked by ``sorted_tags``.
@@ -330,7 +369,7 @@ class G2Counter(_Reach):
     """tag_g2's integer counts over herald, T and R tags fed in time order (see _Reach).
 
     The delay axis must hold 1 to MAX_G2_DELAYS finite delays, each with
-    |delay| + coincidence_window_ps/2 below MAX_G2_REACH_PS.
+    |delay| + coincidence_window_ps/2 below TAG_LIMIT_PS.
     """
 
     def __init__(self, coincidence_window_ps, delay_axis_ps):
@@ -341,9 +380,9 @@ class G2Counter(_Reach):
             found.append(f"delay_axis_ps: must be a list of 1 to {MAX_G2_DELAYS} finite delays")
         elif not found:
             reach = np.abs(delays).max() + 0.5 * coincidence_window_ps
-            if reach >= MAX_G2_REACH_PS:
+            if reach >= TAG_LIMIT_PS:
                 found.append(f"delay_axis_ps: |delay| + coincidence_window_ps/2 must be below "
-                             f"{MAX_G2_REACH_PS} ps (got {reach:g})")
+                             f"{TAG_LIMIT_PS} ps (got {reach:g})")
         refuse(found)
         self.delay_axis_ps = delays
         self.central = _integer_window(0.0, coincidence_window_ps)

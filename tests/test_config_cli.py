@@ -175,6 +175,23 @@ def test_unusable_input_exits_2(tmp_path, capsys, argv, text, message):
     assert not (out / "manifest.json").exists()
 
 
+def test_histogram_t0_beyond_the_tag_limit_exits_2(tmp_path):
+    # run as a program, so an exception the CLI does not catch shows as a traceback on stderr
+    import epstreak
+    src = str(Path(epstreak.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cfg = _write_cfg(tmp_path, "analysis: {histogram: {t0_ps: 9223372036854775807}}\n")
+    proc = subprocess.run([sys.executable, "-m", "epstreak.cli", "histogram", "--config", cfg,
+                           "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error: ")
+    assert ("analysis.histogram.t0_ps: |t0_ps| + window_ps must be below 4611686018427387904 ps "
+            "(got 9223372036854825807)") in proc.stderr, proc.stderr
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = _write_cfg(tmp_path, "run:\n  duration_s: -1\n", "bad.yaml")
     assert cli.main(["simulate", "--out", str(tmp_path / "o1"),
@@ -342,9 +359,12 @@ def test_histogram_missing_event_file_exits_2(tmp_path, capsys):
      "record 2: timestamp 15 ps is lower than the 20 ps"),
     ([0, 7, 1], [10, 20, 30], 2, None, "record 1: channel 7 is not below the header's 2"),
     ([0, 1, 0], [10, 20, 2**63], 2, None,
-     "record 2: timestamp 9223372036854775808 ps is 2^63 ps or more"),
+     "record 2: timestamp 9223372036854775808 ps is 2^62 ps or more"),
+    ([0, 1, 0], [10, 2**62 - 1, 2**62], 2, None,
+     "record 2: timestamp 4611686018427387904 ps is 2^62 ps or more"),
     ([0, 0], [10, 20], 1, None, "1 channel(s), but a histogram needs channels 0 and 1"),
-], ids=["backwards", "backwards-across-blocks", "channel", "overflow", "one-channel"])
+], ids=["backwards", "backwards-across-blocks", "channel", "overflow", "tag-limit",
+        "one-channel"])
 def test_histogram_malformed_event_file_exits_2(tmp_path, capsys, monkeypatch, channel,
                                                 t_ps, n_channels, read_block, message):
     if read_block:

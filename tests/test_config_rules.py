@@ -282,6 +282,8 @@ def test_bound_rejected_by_model_and_by_yaml(cls, name, value):
      lambda: SampleModel((EmitterSpecies(weight=0.0),))),
     ({"analysis": {"histogram": {"bin_width_ps": 3, "window_ps": 100}}},
      "analysis.histogram.window_ps", lambda: HistogramOptions(bin_width_ps=3, window_ps=100)),
+    ({"analysis": {"histogram": {"t0_ps": 2**63 - 1}}}, "analysis.histogram.t0_ps",
+     lambda: HistogramOptions(t0_ps=2**63 - 1)),
 ])
 def test_relation_rejected_by_model_and_by_yaml(data, path, build):
     with pytest.raises(DomainError, match=path.rsplit(".", 1)[-1]):

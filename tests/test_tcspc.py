@@ -24,6 +24,15 @@ def _sorted_tags(values):
     return np.sort(np.asarray(values, dtype=np.int64))
 
 
+LIMIT = 2**62  # checks.TAG_LIMIT_PS: every tag lies strictly between -LIMIT and LIMIT
+
+
+def _offset(margin):
+    """An offset that keeps tags within ``margin`` ps of 0 strictly inside the tag limits."""
+    return st.one_of(st.just(0), st.sampled_from([-LIMIT + margin, LIMIT - margin]),
+                     st.integers(-LIMIT + margin, LIMIT - margin))
+
+
 def test_all_zero_delays_fill_bin_zero():
     starts = np.arange(0, 1_000_000, 1000, dtype=np.int64)
     hist = start_stop_histogram(starts, starts, bin_width_ps=4, window_ps=400)
@@ -120,7 +129,8 @@ def test_histogram_matches_per_start_reference(starts, stops, bin_width_ps, n_bi
     assert np.array_equal(hist.counts, expected)
 
 
-_BAD_TAGS = "must be a 1-D array of integer tags that fit int64"
+_BAD_TAGS = "must be a 1-D array of integer tags"
+_FAR_TAGS = "tags must lie strictly between -2^62 and 2^62 ps"
 
 
 @pytest.mark.parametrize("options, error, message", [
@@ -150,7 +160,17 @@ _BAD_TAGS = "must be a 1-D array of integer tags that fit int64"
     pytest.param({"stops": np.array([[10, 20]])}, ConfigurationError,
                  f"stops: {_BAD_TAGS} (got 2-D int64)", id="2d-stops"),
     pytest.param({"stops": np.array([2**63], dtype=np.uint64)}, ConfigurationError,
-                 f"stops: {_BAD_TAGS} (got 1-D uint64)", id="stops-beyond-int64"),
+                 f"stops: {_FAR_TAGS} (tag 0 is 9223372036854775808)", id="stops-beyond-int64"),
+    pytest.param({"stops": [2**63 - 10]}, ConfigurationError,
+                 f"stops: {_FAR_TAGS} (tag 0 is 9223372036854775798)", id="stops-near-int64"),
+    pytest.param({"starts": [-2**62 + 1, -2**62]}, ConfigurationError,
+                 f"starts: {_FAR_TAGS} (tag 1 is -4611686018427387904)", id="starts-at-limit"),
+    pytest.param({"t0_ps": 2**63 - 1}, ConfigurationError,
+                 "t0_ps: |t0_ps| + window_ps must be below 4611686018427387904 ps "
+                 "(got 9223372036854825807)", id="t0-beyond-int64"),
+    pytest.param({"t0_ps": -2**62 + 16, "window_ps": 16}, ConfigurationError,
+                 "t0_ps: |t0_ps| + window_ps must be below 4611686018427387904 ps "
+                 "(got 4611686018427387904)", id="reach-at-limit"),
     pytest.param({"starts": np.array([0, 50, 20, 30])}, StreamOrderError,
                  "starts: tags must be sorted (tag 2 is below the one before it)",
                  id="unsorted-starts"),
@@ -162,6 +182,18 @@ def test_histogram_validation(options, error, message):
     options = {"starts": _sorted_tags([0]), "stops": _sorted_tags([10]), **options}
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         start_stop_histogram(**options)
+
+
+@pytest.mark.parametrize("starts, stops, t0_ps, counted_bin", [
+    ([2**62 - 10], [2**62 - 2], 4, 4),
+    ([-2**62 + 5], [-2**62 + 8], -10, 13),
+    # one block of starts spans 2^63 - 21 ps, so its stops are ranked by the fallback search
+    ([-2**62 + 1, 2**62 - 20], [2**62 - 10], 0, 10),
+])
+def test_histogram_at_the_tag_limits(starts, stops, t0_ps, counted_bin):
+    for mode in ("first", "all"):
+        hist = start_stop_histogram(starts, stops, 1, 16, t0_ps, mode)
+        assert hist.counts.tolist() == [int(i == counted_bin) for i in range(16)]
 
 
 @pytest.mark.parametrize("args, message", [
@@ -349,7 +381,10 @@ def test_g2_matches_brute_force(h, t, r, window_ps, delays):
 
 @st.composite
 def _g2_case(draw):
-    """Herald, T and R tags (any possibly empty) with arm events on window edges."""
+    """Herald, T and R tags (any possibly empty) with arm events on window edges.
+
+    All tags share one offset, up to the tag limits.
+    """
     h, t, r = (list(draw(st.one_of(st.just([]), _tags))) for _ in range(3))
     window_ps = draw(st.integers(1, 600))
     delays = draw(st.lists(_delay, min_size=1, max_size=8))
@@ -363,6 +398,8 @@ def _g2_case(draw):
             arm += [x + draw(offset) for x in draw(st.lists(st.sampled_from(h), max_size=6))]
     limits = {"LEAD_BLOCK": draw(st.integers(1, 25)), "WALK_PASSES": draw(st.integers(1, 10)),
               "MAX_DELAY_TABLE": draw(st.sampled_from([0, tcspc.MAX_DELAY_TABLE]))}
+    offset = draw(_offset(3000))
+    h, t, r = ([x + offset for x in tags] for tags in (h, t, r))
     return h, t, r, window_ps, delays, limits
 
 
@@ -469,7 +506,10 @@ def test_accidental_rate_formula(rng):
 
 @st.composite
 def _start_stop_case(draw):
-    """Sorted int64 starts/stops with ties, empty arms and stops on the window edges."""
+    """Sorted int64 starts/stops with ties, empty arms and stops on the window edges.
+
+    All tags share one offset, up to the tag limits.
+    """
     bin_width_ps = draw(st.integers(1, 5))
     window_ps = draw(st.integers(1, 20)) * bin_width_ps
     t0_ps = draw(st.integers(-50, 50))
@@ -479,8 +519,8 @@ def _start_stop_case(draw):
         edge = st.sampled_from([t0_ps, t0_ps + window_ps, t0_ps - 1, t0_ps + window_ps - 1])
         stops += [s + draw(edge) for s in draw(st.lists(st.sampled_from(starts), max_size=10))]
     mode = draw(st.sampled_from(["first", "all"]))
-    return (np.sort(np.asarray(starts, dtype=np.int64)),
-            np.sort(np.asarray(stops, dtype=np.int64)),
+    offset = draw(_offset(600))
+    return (_sorted_tags([x + offset for x in starts]), _sorted_tags([x + offset for x in stops]),
             bin_width_ps, window_ps, t0_ps, mode)
 
 
@@ -494,3 +534,50 @@ def test_start_stop_histogram_matches_per_start_reference(case):
     assert hist.counts.dtype == np.int64
     assert np.array_equal(hist.counts, expected)
     assert hist.flags == ([] if len(starts) and len(stops) else ["empty-stream"])
+
+
+@st.composite
+def _rank_case(draw):
+    """Sorted int64 tags and keys, each run near its own offset, and a shift."""
+    def run():
+        offset = draw(_offset(100))
+        return _sorted_tags([offset + x for x in draw(st.lists(st.integers(-60, 60),
+                                                                max_size=30))])
+    a, keys = run(), run()
+    # ties come from keys equal to a tag less the shift, and from duplicates in either run
+    if len(a) and len(keys):
+        near = st.integers(-2, 2).map(lambda d: int(a[len(a) // 2]) - int(keys[0]) + d)
+        shift = draw(st.one_of(near, st.integers(-80, 80), st.integers(-LIMIT + 1, LIMIT - 1)))
+    else:
+        shift = draw(st.integers(-80, 80))
+    return a, keys, shift
+
+
+@given(_rank_case(), st.sampled_from(["left", "right"]))
+@settings(max_examples=500)
+def test_rank_matches_searchsorted(case, side):
+    # the merge where the packed span stays below 2^62, the search where it does not
+    a, keys, shift = case
+    expected = np.searchsorted(a, keys + shift, side)
+    span = None
+    if len(a) and len(keys):
+        span = (max(int(a[-1]), int(keys[-1]) + shift)
+                - min(int(a[0]), int(keys[0]) + shift))
+    with mock.patch.object(tcspc.np, "searchsorted", wraps=np.searchsorted) as search:
+        got = tcspc._rank(a, keys, side, shift)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert search.called == (span is not None and span >= LIMIT)
+
+
+@pytest.mark.parametrize("a, keys, shift, searched", [
+    ([-LIMIT + 1], [LIMIT - 1], 0, True),  # a span of 2^63 - 2
+    ([-LIMIT + 1, 0, 0, LIMIT - 1], [-5, 0, 0, 7], 0, True),
+    ([0, 3, 3, 9], [LIMIT - 1], -LIMIT + 4, False),  # the shift brings the keys into the span
+])
+def test_rank_searches_only_spans_of_2_62_or_more(a, keys, shift, searched):
+    a, keys = _sorted_tags(a), _sorted_tags(keys)
+    for side in ("left", "right"):
+        with mock.patch.object(tcspc.np, "searchsorted", wraps=np.searchsorted) as search:
+            got = tcspc._rank(a, keys, side, shift)
+        assert np.array_equal(got, np.searchsorted(a, keys + shift, side))
+        assert search.called == searched
