@@ -20,7 +20,7 @@ import numpy as np
 from .checks import Checked, refuse, relation, rule
 from .errors import ConfigurationError, StreamOrderError
 from .spdc import SourceModel
-from .twins import transmission, transmission_bound
+from .twins import transmission, transmission_bound, transmission_estimate
 from .units import FWHM_PER_SIGMA, PS_PER_NS, PS_PER_S
 
 CH_HERALD = 0
@@ -37,6 +37,7 @@ TOPOLOGIES = ("irf", "hbt", "fluorescence")
 # exactly what one pass over the whole run draws.
 CHUNK_S = 5.0
 CHUNK_PAIRS = 1 << 20
+SPLIT_BLOCK = 1 << 16  # mask entries per gather of _split: 512 kB of float64 times
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,34 @@ class _Transmission:
         self.lam_nm, self.position_um, self.spec = lam_nm, position_um, spec
         self.bound = transmission_bound(spec)
 
-    def at(self, idx):
-        return transmission(self.lam_nm.take(idx), self.position_um, self.spec)
+    def decided(self, u, idx, efficiency):
+        """(keep, undecided) of the arrivals idx, for their uniforms u, from transmission_estimate.
+
+        keep[i] is u[i] < transmission * efficiency of arrival idx[i], bit for
+        bit, for every i but the indices ``undecided``: those whose uniform
+        lies in the estimate's band, or whose estimate or band is nan.
+        """
+        p, band = transmission_estimate(self.lam_nm.take(idx), self.position_um, self.spec)
+        p *= efficiency
+        p -= band
+        keep = u < p  # below the band: kept
+        p += 2.0 * band
+        # at or above the band: dropped; nan compares false both ways
+        return keep, np.flatnonzero(~(keep | (u >= p)))
+
+    def keeps(self, u, idx, efficiency):
+        """u < transmission * efficiency of the arrivals idx, for their uniforms u, bit for bit.
+
+        Only the arrivals that ``decided`` leaves undecided get the float64
+        ``transmission``.
+        """
+        keep, undecided = self.decided(u, idx, efficiency)
+        if len(undecided):
+            p = transmission(self.lam_nm.take(idx.take(undecided)), self.position_um,
+                             self.spec)
+            p *= efficiency
+            keep[undecided] = u.take(undecided) < p
+        return keep
 
 
 def _reached(n, accept, efficiency, rng):
@@ -161,9 +188,9 @@ def _reached(n, accept, efficiency, rng):
     uniforms are not drawn: the generator is advanced past them, which leaves
     it in the state that drawing them would. A ``_Transmission`` is evaluated
     only for the arrivals whose uniform is below its bound times the
-    efficiency, the only ones it can keep; it still checks the wedge position
-    when there are none. The uniforms die here, before the caller gathers the
-    survivors.
+    efficiency, the only ones it can keep (``_Transmission.keeps``); it still
+    checks the wedge position when there are none. The uniforms die here,
+    before the caller gathers the survivors.
     """
     exact = accept if isinstance(accept, _Transmission) else None
     p = np.asarray(accept if exact is None else exact.bound, dtype=float) * efficiency
@@ -175,9 +202,7 @@ def _reached(n, accept, efficiency, rng):
     keep = u < p
     if exact is not None:
         below = np.flatnonzero(keep)
-        p = exact.at(below)
-        p *= efficiency
-        keep[below] = u.take(below) < p
+        keep[below] = exact.keeps(u.take(below), below, efficiency)
     return keep
 
 
@@ -239,14 +264,16 @@ def _fluorescence_batch(sample: SampleModel, n, rng):
     uniforms, as ``_reached`` does at acceptance 1. The mask is None when
     every pair emits, and nothing need be gathered.
     """
-    species = sample.species
+    def table(name):  # a field of every species, as floats even if given as ints
+        return np.array([getattr(s, name) for s in sample.species], dtype=float)
+
     u = np.empty(n)
     emitted = None
     if sample.absorption_prob < 1.0:
         emitted = rng.random(out=u) < sample.absorption_prob
     else:  # each uniform is < 1
         rng.bit_generator.advance(n)
-    weights = np.array([s.weight for s in species], dtype=float)
+    weights = table("weight")
     weights /= weights.sum()
     cdf = weights.cumsum()
     cdf /= cdf[-1]
@@ -255,17 +282,17 @@ def _fluorescence_batch(sample: SampleModel, n, rng):
     for c in cdf[:-1]:  # cdf.searchsorted(u, side="right"); u < 1 = cdf[-1]
         idx += u >= c
     delay_ps = rng.standard_exponential(out=u)  # the species draws are used up
-    tau_ps = np.array([s.lifetime_ns for s in species]) * PS_PER_NS
+    tau_ps = table("lifetime_ns") * PS_PER_NS
     # g holds each per-pair parameter in turn; idx < k, and mode="clip" lets take
     # write to out= unbuffered
     g = tau_ps.take(idx, mode="clip")
     delay_ps *= g
-    center = np.array([s.emission_center_nm for s in species])
-    sigma = np.array([s.emission_fwhm_nm for s in species]) / FWHM_PER_SIGMA
+    center = table("emission_center_nm")
+    sigma = table("emission_fwhm_nm") / FWHM_PER_SIGMA
     lam_nm = rng.standard_normal(n)  # normal(loc, scale) is loc + scale * z
     lam_nm *= sigma.take(idx, out=g, mode="clip")
     lam_nm += center.take(idx, out=g, mode="clip")
-    qy = np.array([s.quantum_yield for s in species])
+    qy = table("quantum_yield")
     if np.all(qy == 1.0):  # every yield is certain
         rng.bit_generator.advance(n)
         return emitted, delay_ps, lam_nm
@@ -310,8 +337,8 @@ def _source_chunk(k, n_chunks, sample, twins, run, rate_hz):
     if run.topology == "irf":
         return [(birth_ps, 1.0), (birth_ps, 1.0)]
     if run.topology == "hbt":
-        to_t = rng.random(n) < 0.5
-        return [(birth_ps, 1.0), (birth_ps[to_t], 1.0), (birth_ps[~to_t], 1.0)]
+        to_t, to_r = _split(birth_ps, rng.random(n) < 0.5)
+        return [(birth_ps, 1.0), (to_t, 1.0), (to_r, 1.0)]
     # each per-pair array is dropped once used, so the next one reuses its memory
     emitted, delay_ps, lam_nm = _fluorescence_batch(sample, n, rng)
     delay_ps += birth_ps
@@ -325,6 +352,30 @@ def _source_chunk(k, n_chunks, sample, twins, run, rate_hz):
         accept = _Transmission(lam_nm.take(order), run.twins_position_um, twins)
     del lam_nm
     return [(birth_ps, 1.0), (t.take(order), accept)]
+
+
+def _split(t, mask):
+    """(t[mask], t[~mask]), gathered a block of SPLIT_BLOCK entries at a time.
+
+    Both parts are allocated once, at their sizes. Each block's indices in
+    the mask and in its negation are taken into them with mode="clip",
+    which writes to out= unbuffered (np.compress, which is that flatnonzero
+    and a take, buffers an out= in its mode="raise"), so the split makes no
+    temporary larger than a block.
+    """
+    n_in = int(np.count_nonzero(mask))
+    inside, outside = np.empty(n_in, dtype=t.dtype), np.empty(len(t) - n_in, dtype=t.dtype)
+    flipped = np.empty(min(len(t), SPLIT_BLOCK), dtype=bool)
+    i = o = 0
+    for b0 in range(0, len(t), SPLIT_BLOCK):
+        m, block = mask[b0:b0 + SPLIT_BLOCK], t[b0:b0 + SPLIT_BLOCK]
+        idx = np.flatnonzero(m)
+        block.take(idx, out=inside[i:i + len(idx)], mode="clip")
+        i += len(idx)
+        idx = np.flatnonzero(np.logical_not(m, out=flipped[:len(m)]))
+        block.take(idx, out=outside[o:o + len(idx)], mode="clip")
+        o += len(idx)
+    return inside, outside
 
 
 def _merge_sorted(a, b):

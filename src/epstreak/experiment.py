@@ -150,7 +150,8 @@ def cube(cfg, positions_um):
     The positions must sample the sample's shortest emission wavelength at
     Nyquist. Position i runs on the seed ``derive_seed(run.seed, 2, i)``, so
     the cube is reproducible whatever the number of positions run at once
-    (EPPS_THREADS caps the workers). The cube's metadata records the run's
+    (EPPS_THREADS caps the workers; one worker runs them in the calling
+    thread, with no pool). The cube's metadata records the run's
     duration per position and in total, its seed, and the fields of
     ``analysis.histogram`` (bin_width_ps, window_ps, t0_ps, mode).
     """
@@ -166,8 +167,12 @@ def cube(cfg, positions_um):
         return histogram(replace(cfg, run=replace(cfg.run, seed=derive_seed(cfg.run.seed, 2, i),
                                                   twins_position_um=float(positions_um[i]))))
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        hists = list(pool.map(one, range(len(positions_um))))
+    workers = _max_workers()
+    if workers == 1:
+        hists = [one(i) for i in range(len(positions_um))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hists = list(pool.map(one, range(len(positions_um))))
     meta = {"duration_s_per_position": cfg.run.duration_s,
             "total_duration_s": cfg.run.duration_s * len(positions_um), "seed": cfg.run.seed,
             **asdict(cfg.analysis.histogram)}

@@ -240,7 +240,9 @@ def _pairs(lead, follower, lo, hi):
     s of a walk then pairs every follower tag still in reach with the s-th
     lead tag after that one, and a follower tag leaves the walk at its first
     lead tag beyond reach, so the common case of a few pairs per follower
-    costs one merge and a few passes. A burst of lead tags would cost one
+    costs one merge and a few passes. A pass gathers the tags still in the
+    walk only when some tag leaves it, by one index array for all three
+    gathers. A burst of lead tags would cost one
     pass per lead tag, so after WALK_PASSES passes the follower tags still
     in reach find the end of their span by a second merge and take the rest
     of it at once.
@@ -251,7 +253,9 @@ def _pairs(lead, follower, lo, hi):
     for _ in range(WALK_PASSES):
         dt = follower - lead.take(idx, mode="clip")
         keep = (dt >= lo) & (idx < n)
-        idx, follower, dt = idx[keep], follower[keep], dt[keep]
+        if not keep.all():
+            stay = np.flatnonzero(keep)
+            idx, follower, dt = idx.take(stay), follower.take(stay), dt.take(stay)
         leads.append(idx)
         dts.append(dt)
         if len(idx) == 0:

@@ -53,23 +53,61 @@ class TwinsSpec(Checked):
         return np.linspace(self.position_min_um, self.position_max_um, self.n_positions)
 
 
-def transmission(emission_nm, position_um, spec: TwinsSpec):
-    """Photon-survival probability through the interferometer at wedge position x.
-
-    p = insertion_loss * 0.5 * (1 + visibility * cos(2 pi c tau(x) / lambda)).
-    """
+def _phase(emission_nm, position_um, spec: TwinsSpec, dtype=float):
+    """The float64 phase 2 pi c tau(x) / lambda, in a new array of dtype; x must lie in the scan."""
     if not spec.position_min_um <= position_um <= spec.position_max_um:
         raise DomainError(
             f"position {position_um} um outside scan range "
             f"[{spec.position_min_um}, {spec.position_max_um}] um")
     lam = np.asarray(emission_nm, dtype=float)
     tau_fs = spec.delay_per_um_fs * (position_um - spec.x_zero_um)
-    p = np.divide(2.0 * np.pi * C_NM_PER_FS * tau_fs, lam, out=np.empty_like(lam))
+    return np.divide(2.0 * np.pi * C_NM_PER_FS * tau_fs, lam, out=np.empty(lam.shape, dtype))
+
+
+def transmission(emission_nm, position_um, spec: TwinsSpec):
+    """Photon-survival probability through the interferometer at wedge position x.
+
+    p = insertion_loss * 0.5 * (1 + visibility * cos(2 pi c tau(x) / lambda)).
+    """
+    p = _phase(emission_nm, position_um, spec)
     np.cos(p, out=p)  # the docstring expression, in place, in its order of operations
     p *= spec.visibility
     p += 1.0
     p *= spec.insertion_loss * 0.5
     return p if p.ndim else float(p)
+
+
+# The float32 cosine of a float64 phase phi lies within 2^-24 (|phi| + 1.5) of its
+# float64 cosine: rounding phi to float32 moves it by at most 2^-24 |phi|, and numpy's
+# float32 cosine is within 1.5 units of 2^-24 (measured with AVX-512 on x86-64: at most
+# 0.998 of that bound over |phi| <= 1e6). transmission_estimate's band is 2^8 times its
+# error bound: ESTIMATE_BAND = 2^8 2^-24.
+ESTIMATE_BAND = 2.0**-16
+
+
+def transmission_estimate(emission_nm, position_um, spec: TwinsSpec):
+    """``transmission`` from a float32 cosine, and a band around it: (float32 estimate, band).
+
+    The estimate is the expression of ``transmission`` in float32, with the
+    float32 cosine of the same float64 phase phi (rounded to float32 as it
+    is computed). Its error is the cosine's, scaled by s = visibility *
+    insertion_loss / 2 <= 1/2, plus at most 3.5 units of 2^-24 from the
+    float32 expression. So the estimate, also times a float32 efficiency of
+    at most 1 and moved to float32 band edges, lies within 2^-24 (s (|phi|
+    + 2) + 8) of the transmission times that efficiency. The band,
+    ESTIMATE_BAND (s (max |phi| + 2) + 8), is 2^8 times that bound at the
+    largest phase. A phase beyond float32 gives a nan estimate, and a
+    non-finite phase a band of inf or nan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a phase beyond float32 is inf
+        p = _phase(emission_nm, position_um, spec, np.float32)
+        reach = float(np.maximum(p.max(initial=0.0), -p.min(initial=0.0)))  # nan if any is
+        np.cos(p, out=p)
+    p *= spec.visibility
+    p += 1.0
+    p *= spec.insertion_loss * 0.5
+    scale = spec.visibility * (spec.insertion_loss * 0.5)
+    return p, ESTIMATE_BAND * (scale * (reach + 2.0) + 8.0)
 
 
 def transmission_bound(spec: TwinsSpec):

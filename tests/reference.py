@@ -101,6 +101,11 @@ def detector_draws(arrivals, det, rng, start_ps, span_ps):
     return t
 
 
+def split_arms(t, mask):
+    """events._split as the two boolean gathers ``t[mask]`` and ``t[~mask]``."""
+    return t[mask], t[~mask]
+
+
 def merge_channels(tags):
     """eventfile._merge_channels as a lexsort on (time, channel)."""
     channel = np.concatenate([np.full(len(t), ch, dtype=np.uint8) for ch, t in enumerate(tags)])

@@ -190,6 +190,10 @@ _SPECIES = {
     "one-yield-below-one": (EmitterSpecies(1.0, 0.79, 810.0, 40.0, 0.7),),
     "two-yields-one": (EmitterSpecies(1.0, 0.79, 810.0, 40.0),
                        EmitterSpecies(2.5, 1.51, 900.0, 55.0)),
+    # values given as Python ints, which YAML never gives
+    "int-yield-zero": (EmitterSpecies(quantum_yield=0),),
+    "int-center": (EmitterSpecies(emission_center_nm=850),),
+    "two-all-ints": (EmitterSpecies(1, 1, 810, 40, 1), EmitterSpecies(3, 2, 900, 55, 0)),
 }
 
 

@@ -1,11 +1,12 @@
 """The streamed detector chain's gathers against their boolean-mask forms.
 
 ``np.compress``, the skipped gather and uniforms at acceptance 1, the TWINS
-transmission evaluated only below its bound and the stable merge must give
-the elements, the order and the generator state that ``t[keep]`` with every
-transmission evaluated, ``t_ps[channel == ch]``, ``dt[ok]`` and the (time,
-channel) lexsort give, bit for bit, so no event file, histogram or digest
-moves.
+transmission evaluated only below its bound and decided by its float32
+estimate where it can be, the HBT arms split a block at a time and the
+stable merge must give the elements, the order and the generator state that
+``t[keep]`` with every transmission evaluated, ``t[mask]`` and ``t[~mask]``,
+``t_ps[channel == ch]``, ``dt[ok]`` and the (time, channel) lexsort give,
+bit for bit, so no event file, histogram or digest moves.
 """
 
 import tempfile
@@ -20,9 +21,11 @@ import reference
 from epstreak import eventfile, events
 from epstreak.eventfile import _merge_channels, open_event_file
 from epstreak.errors import DomainError
-from epstreak.events import DetectorModel, _detector_draws, _Transmission
+from epstreak.events import SPLIT_BLOCK, DetectorModel, _detector_draws, _split, _Transmission
 from epstreak.tcspc import StartStopCounter
-from epstreak.twins import TwinsSpec, transmission, transmission_bound
+from epstreak.twins import (TwinsSpec, transmission, transmission_bound,
+                            transmission_estimate)
+from epstreak.units import C_NM_PER_FS
 
 SPAN_PS = 1.0e12  # one second: dark rates of tens of hertz add a few darks
 
@@ -120,7 +123,8 @@ def _twins_arrivals(draw):
 @settings(max_examples=300)
 def test_deferred_transmission_matches_every_transmission(arrivals, det, seed):
     """Same kept times in the same order and the same generator state as transmission(lam)
-    for every arrival; it is evaluated only for the uniforms below bound * efficiency."""
+    for every arrival; it is evaluated once at most, for the uniforms below bound *
+    efficiency that the float32 estimate leaves undecided."""
     t, lam, spec, position = arrivals
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     evaluated = []
@@ -136,7 +140,9 @@ def test_deferred_transmission_matches_every_transmission(arrivals, det, seed):
     _same(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     u = np.random.default_rng(seed).random(len(t))
-    assert evaluated == [np.count_nonzero(u < transmission_bound(spec) * det.efficiency)]
+    below = np.flatnonzero(u < transmission_bound(spec) * det.efficiency)
+    _, undecided = _Transmission(lam, position, spec).decided(u[below], below, det.efficiency)
+    assert evaluated == ([len(undecided)] if len(undecided) else [])
     # the bound holds for every computed transmission, and is reached at zero delay
     assert np.all(every <= transmission_bound(spec))
     if position == spec.x_zero_um:
@@ -152,6 +158,88 @@ def test_deferred_transmission_refuses_a_position_outside_the_scan(n, efficiency
     with pytest.raises(DomainError, match="outside scan range"):
         _detector_draws((np.arange(n, dtype=float), accept), DetectorModel(efficiency=efficiency),
                         np.random.default_rng(0), 0.0, SPAN_PS)
+
+
+@st.composite
+def _band_cases(draw):
+    """Wavelengths, a spec, a position, an efficiency and uniforms at and next to the answer.
+
+    The wavelengths give the phases of real spectra, large phases, phases
+    beyond float32 and non-finite phases. Each uniform is drawn at the
+    exact u < transmission * efficiency threshold, one float step either
+    side of it, or anywhere in [0, 1).
+    """
+    n = draw(st.sampled_from([1, 7, 200]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spectrum", "short", "tiny", "non-finite"]))
+    lam = {"spectrum": 700.0 + 300.0 * gen.random(n),
+           "short": 5.0 + 45.0 * gen.random(n),  # |phase| up to 6e4
+           "tiny": 10.0 ** gen.uniform(-45.0, -1.0, n),  # up to beyond float32
+           "non-finite": gen.choice([0.0, -0.0, np.inf, np.nan, 850.0, -850.0], n)}[kind]
+    spec = TwinsSpec(visibility=draw(st.sampled_from([0.0, 0.9, 1.0])),
+                     insertion_loss=draw(st.sampled_from([1e-12, 0.5, 1.0])))
+    position = draw(st.one_of(st.sampled_from([spec.x_zero_um, spec.position_min_um,
+                                               spec.position_max_um]),
+                              st.floats(spec.position_min_um, spec.position_max_um)))
+    efficiency = draw(st.sampled_from([0.0, 0.35, 1.0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = transmission(lam, position, spec) * efficiency
+    u = np.choose(gen.integers(0, 4, n), [exact, np.nextafter(exact, -np.inf),
+                                          np.nextafter(exact, np.inf), gen.random(n)])
+    return lam, spec, position, efficiency, u, exact
+
+
+@given(_band_cases())
+@settings(max_examples=300)
+def test_transmission_band_decides_as_the_exact_transmission(case):
+    """Every arrival the float32 estimate decides is decided as u < transmission * efficiency,
+    and so is every arrival once the undecided ones get the exact transmission."""
+    lam, spec, position, efficiency, u, exact = case
+    want = u < exact
+    idx = np.arange(len(lam))
+    accept = _Transmission(lam, position, spec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep, undecided = accept.decided(u, idx, efficiency)
+        decided = np.ones(len(lam), dtype=bool)
+        decided[undecided] = False
+        _same(keep[decided], want[decided])
+        _same(accept.keeps(u, idx, efficiency), want)
+        # a nan estimate or band leaves its arrival undecided
+        estimate, band = transmission_estimate(lam, position, spec)
+    if not np.isfinite(band):
+        assert not decided.any()
+    assert not decided[np.isnan(estimate)].any()
+
+
+def test_transmission_estimate_within_its_error_bound_at_each_phase():
+    """|transmission - estimate| <= 2^-24 (s (|phase| + 2) + 8) arrival by arrival, the bound
+    the band is 2^8 times, at phases from 0.5 to 4e6 and every visibility and loss edge."""
+    gen = np.random.default_rng(0)
+    lam = 10.0 ** gen.uniform(-1.0, 5.0, 200_000)
+    for visibility in (0.0, 0.9, 1.0):
+        for loss in (1e-12, 0.3, 0.5, 1.0):
+            spec = TwinsSpec(visibility=visibility, insertion_loss=loss)
+            position = spec.position_min_um
+            phase = np.abs(2.0 * np.pi * C_NM_PER_FS * (position - spec.x_zero_um) / lam)
+            scale = visibility * loss * 0.5
+            estimate, band = transmission_estimate(lam, position, spec)
+            bound = 2.0**-24 * (scale * (phase + 2.0) + 8.0)
+            assert band == pytest.approx(2.0**8 * bound.max(), rel=1e-6)
+            assert np.all(np.abs(transmission(lam, position, spec) - estimate) <= bound)
+
+
+@pytest.mark.parametrize("size", [0, 1, SPLIT_BLOCK - 1, SPLIT_BLOCK, SPLIT_BLOCK + 1,
+                                  3 * SPLIT_BLOCK + 7])
+@pytest.mark.parametrize("share", ["all", "none", "random"])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_arm_split_matches_boolean_gather(size, share, dtype):
+    """The HBT arms, split a block at a time: t[mask] and t[~mask], same bytes and dtype."""
+    gen = np.random.default_rng(size)
+    t = np.sort(gen.random(size) * SPAN_PS).astype(dtype)
+    mask = {"all": np.ones(size, bool), "none": np.zeros(size, bool),
+            "random": gen.random(size) < 0.5}[share]
+    for got, want in zip(_split(t, mask), reference.split_arms(t, mask), strict=True):
+        _same(got, want)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -379,6 +380,26 @@ def test_cube_and_map_bytes_pinned(tmp_path, monkeypatch, threads):
     fig3 = shipped("fig3-two-dyes", {"run.duration_s": 0.02, "run.seed": 7})
     assert _cube_and_map_digest(tmp_path, fig3) == (
         "232916b845737417371611adc3ac031fd83049c52c5418b1a65252c7a77de353")
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
+def test_one_worker_runs_the_cube_on_the_calling_thread(monkeypatch, threads):
+    """One worker runs every position in the calling thread; more run them in a pool."""
+    if threads is None:
+        monkeypatch.delenv("EPPS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("EPPS_THREADS", threads)
+    ran_on = set()
+    run_histogram = experiment.histogram
+
+    def histogram(cfg):
+        ran_on.add(threading.get_ident())
+        return run_histogram(cfg)
+
+    monkeypatch.setattr(experiment, "histogram", histogram)
+    fig3 = shipped("fig3-two-dyes", {"run.duration_s": 0.001, "run.seed": 7})
+    experiment.cube(fig3, fig3.twins.positions_um()[:4])
+    assert (ran_on == {threading.get_ident()}) == (threads is None)
 
 
 def _cube_and_map_digest(tmp_path, cfg):
