@@ -51,7 +51,8 @@ def write_events(path, chunks, metadata: dict):
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, metadata["n_channels"]))
         for tags, horizon in chunks:
-            held = tags if held is None else [np.concatenate((h, t)) for h, t in zip(held, tags)]
+            held = tags if held is None else [np.concatenate((h, t)) if len(h) else t
+                                              for h, t in zip(held, tags)]
             cuts = [len(t) if horizon is None else np.searchsorted(t, horizon, side="left")
                     for t in held]
             _write_records(fh, *_merge_channels([t[:cut] for t, cut in zip(held, cuts)]))

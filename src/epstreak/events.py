@@ -37,7 +37,9 @@ TOPOLOGIES = ("irf", "hbt", "fluorescence")
 # exactly what one pass over the whole run draws.
 CHUNK_S = 5.0
 CHUNK_PAIRS = 1 << 20
-SPLIT_BLOCK = 1 << 16  # mask entries per gather of _split: 512 kB of float64 times
+# Entries per block of a pass over a chunk (_gather's gathers, _reached's uniforms,
+# _add_normals' normals): 512 kB of float64, so no pass makes a chunk-sized temporary.
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,8 @@ def _reached(n, accept, efficiency, rng):
     only for the arrivals whose uniform is below its bound times the
     efficiency, the only ones it can keep (``_Transmission.keeps``); it still
     checks the wedge position when there are none. The uniforms die here,
-    before the caller gathers the survivors.
+    before the caller gathers the survivors; without a ``_Transmission`` they
+    are drawn and compared a block at a time.
     """
     exact = accept if isinstance(accept, _Transmission) else None
     p = np.asarray(accept if exact is None else exact.bound, dtype=float) * efficiency
@@ -198,11 +201,17 @@ def _reached(n, accept, efficiency, rng):
         # a uniform double is one 64-bit step; these generators buffer no 32-bit half
         rng.bit_generator.advance(n)
         return None
+    if exact is None:
+        keep = np.empty(n, dtype=bool)
+        u = np.empty(min(n, BLOCK))
+        for b0 in range(0, n, BLOCK):
+            ub = rng.random(out=u[:min(BLOCK, n - b0)])
+            np.less(ub, p if p.ndim == 0 else p[b0:b0 + len(ub)], out=keep[b0:b0 + len(ub)])
+        return keep
     u = rng.random(n)
     keep = u < p
-    if exact is not None:
-        below = np.flatnonzero(keep)
-        keep[below] = exact.keeps(u.take(below), below, efficiency)
+    below = np.flatnonzero(keep)
+    keep[below] = exact.keeps(u.take(below), below, efficiency)
     return keep
 
 
@@ -219,29 +228,70 @@ def _detector_draws(arrivals, det: DetectorModel, rng, start_ps, span_ps):
 
     The draws from ``rng`` are a contract: one uniform per arrival, then a
     normal per survivor when there is jitter, then the Poisson dark count and
-    a uniform per dark. The survivors are gathered with ``np.compress``,
-    which keeps the elements ``t[keep]`` keeps, in the same order, several
-    times faster at a partial mask; when every arrival survives nothing is
-    gathered. Without jitter and darks the survivors are still sorted, and
-    may be ``t`` itself, which is never written to.
+    a uniform per dark. The survivors, ``t[keep]`` in order, are gathered
+    (``_gather``) into one new array with room for the darks, jittered there
+    a block at a time and followed there by the darks, so the draws make no
+    other chunk-sized array. When every arrival survives and there is no
+    jitter, nothing is gathered: without darks the survivors are ``t``
+    itself, which is never written to.
     """
     t, accept = arrivals
     t = np.asarray(t, dtype=float)
     keep = _reached(len(t), accept, det.efficiency, rng)
-    if keep is not None:
-        t = np.compress(keep, t)
-    del keep  # before the jitter draws allocate
-    jitter = det.jitter_fwhm_ps > 0 and len(t) > 0
-    if jitter:  # noise + t is t + noise, bit for bit
-        noise = rng.normal(0.0, det.jitter_fwhm_ps / FWHM_PER_SIGMA, len(t))
-        noise += t
-        t = noise
-    n_dark = rng.poisson(det.dark_rate_hz * span_ps / PS_PER_S)
-    if n_dark:
-        t = np.concatenate([t, start_ps + rng.random(n_dark) * span_ps])
+    m = len(t) if keep is None else int(np.count_nonzero(keep))
+    jitter = det.jitter_fwhm_ps > 0 and m > 0
+    mean_dark = det.dark_rate_hz * span_ps / PS_PER_S
+    out = t
+    if keep is not None or jitter:
+        out = np.empty(m + int(mean_dark + 8.0 * np.sqrt(mean_dark)) + 16)  # room for the darks
+        if keep is None:
+            out[:m] = t
+        else:
+            _gather(t, keep, out[:m])
+        del keep  # before the jitter draws
+        if jitter:
+            _add_normals(out[:m], det.jitter_fwhm_ps / FWHM_PER_SIGMA, rng)
+    n_dark = rng.poisson(mean_dark)
+    if n_dark and out is not t and m + n_dark <= len(out):
+        darks = rng.random(out=out[m:m + n_dark])
+        darks *= span_ps  # start_ps + u * span_ps
+        darks += start_ps
+    elif n_dark:
+        out = np.concatenate([out[:m], start_ps + rng.random(n_dark) * span_ps])
+    t = out[:m + n_dark] if len(out) > m + n_dark else out
     if jitter or n_dark:
         t.sort(kind="stable")  # near linear here: jitter barely unsorts the arrivals
     return t
+
+
+def _gather(t, mask, out, negate=False):
+    """out[:] = t[mask] (t[~mask] if negate), a block of BLOCK entries at a time.
+
+    Each block's indices are taken into out with mode="clip", which writes
+    to out= unbuffered (np.compress, which is that flatnonzero and a take,
+    buffers an out= in its mode="raise"), so the gather makes no temporary
+    larger than a block.
+    """
+    i = 0
+    for b0 in range(0, len(t), BLOCK):
+        m = mask[b0:b0 + BLOCK]
+        idx = np.flatnonzero(~m if negate else m)
+        t[b0:b0 + BLOCK].take(idx, out=out[i:i + len(idx)], mode="clip")
+        i += len(idx)
+    return out
+
+
+def _add_normals(t, sigma, rng):
+    """t += rng.normal(0.0, sigma, len(t)), bit for bit, drawing a block of BLOCK normals at a time.
+
+    normal(0, sigma) draws 0 + sigma * z from a standard normal z, and for
+    t >= 0, as times are, t + (0 + sigma * z) and t + sigma * z are one float.
+    """
+    z = np.empty(min(len(t), BLOCK))
+    for b0 in range(0, len(t), BLOCK):
+        zb = rng.standard_normal(out=z[:min(BLOCK, len(t) - b0)])
+        zb *= sigma
+        t[b0:b0 + len(zb)] += zb
 
 
 def _tags(times):
@@ -355,27 +405,10 @@ def _source_chunk(k, n_chunks, sample, twins, run, rate_hz):
 
 
 def _split(t, mask):
-    """(t[mask], t[~mask]), gathered a block of SPLIT_BLOCK entries at a time.
-
-    Both parts are allocated once, at their sizes. Each block's indices in
-    the mask and in its negation are taken into them with mode="clip",
-    which writes to out= unbuffered (np.compress, which is that flatnonzero
-    and a take, buffers an out= in its mode="raise"), so the split makes no
-    temporary larger than a block.
-    """
+    """(t[mask], t[~mask]), each allocated once at its size and filled by ``_gather``."""
     n_in = int(np.count_nonzero(mask))
-    inside, outside = np.empty(n_in, dtype=t.dtype), np.empty(len(t) - n_in, dtype=t.dtype)
-    flipped = np.empty(min(len(t), SPLIT_BLOCK), dtype=bool)
-    i = o = 0
-    for b0 in range(0, len(t), SPLIT_BLOCK):
-        m, block = mask[b0:b0 + SPLIT_BLOCK], t[b0:b0 + SPLIT_BLOCK]
-        idx = np.flatnonzero(m)
-        block.take(idx, out=inside[i:i + len(idx)], mode="clip")
-        i += len(idx)
-        idx = np.flatnonzero(np.logical_not(m, out=flipped[:len(m)]))
-        block.take(idx, out=outside[o:o + len(idx)], mode="clip")
-        o += len(idx)
-    return inside, outside
+    return (_gather(t, mask, np.empty(n_in, dtype=t.dtype)),
+            _gather(t, mask, np.empty(len(t) - n_in, dtype=t.dtype), negate=True))
 
 
 def _merge_sorted(a, b):

@@ -21,7 +21,7 @@ import reference
 from epstreak import eventfile, events
 from epstreak.eventfile import _merge_channels, open_event_file
 from epstreak.errors import DomainError
-from epstreak.events import SPLIT_BLOCK, DetectorModel, _detector_draws, _split, _Transmission
+from epstreak.events import BLOCK, DetectorModel, _detector_draws, _split, _Transmission
 from epstreak.tcspc import StartStopCounter
 from epstreak.twins import (TwinsSpec, transmission, transmission_bound,
                             transmission_estimate)
@@ -61,18 +61,54 @@ _DETECTORS = st.builds(DetectorModel,
                        dark_rate_hz=st.sampled_from([0.0, 5.0]))
 
 
-@given(_arrivals(), _DETECTORS, st.integers(0, 2**32 - 1))
-@settings(max_examples=300)
-def test_detector_draws_match_boolean_gather(arrivals, det, seed):
-    """Same times and the same generator state after; the caller's arrivals are left as they were."""
+def _assert_draws_match(arrivals, det, rng, ref_rng):
     t, accept = arrivals
     before = t.copy()
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = _detector_draws((t, accept), det, rng, 0.0, SPAN_PS)
     want = reference.detector_draws((t.copy(), accept), det, ref_rng, 0.0, SPAN_PS)
     _same(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     _same(t, before)
+
+
+@given(_arrivals(), _DETECTORS, st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_detector_draws_match_boolean_gather(arrivals, det, seed):
+    """Same times and the same generator state after; the caller's arrivals are left as they were."""
+    _assert_draws_match(arrivals, det, np.random.default_rng(seed), np.random.default_rng(seed))
+
+
+@given(_arrivals(), _DETECTORS, st.integers(0, 2**32 - 1), st.integers(1, 9))
+@settings(max_examples=200)
+def test_detector_draws_match_boolean_gather_across_blocks(arrivals, det, seed, block):
+    """Uniforms, gathers and normals a few entries a block: the same times and generator state."""
+    with mock.patch.object(events, "BLOCK", block):
+        _assert_draws_match(arrivals, det, np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+
+
+class _FixedDarks:
+    """A generator whose Poisson draws (made, then dropped) all give ``n``."""
+
+    def __init__(self, seed, n):
+        self._rng, self._n = np.random.default_rng(seed), n
+
+    def poisson(self, lam):
+        self._rng.poisson(lam)
+        return self._n
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("n_dark", [1, 38, 39, 1000])  # the room at 5 darks is 38
+@pytest.mark.parametrize("efficiency, jitter", [(1.0, 0.0), (1.0, 184.0), (0.35, 0.0),
+                                                (0.35, 184.0)])
+def test_darks_beyond_their_room_are_appended(n_dark, efficiency, jitter):
+    """Darks that fill or overflow the room left after the survivors give the concatenation too."""
+    det = DetectorModel(efficiency=efficiency, jitter_fwhm_ps=jitter, dark_rate_hz=5.0)
+    t = np.sort(np.random.default_rng(n_dark).random(300) * SPAN_PS)
+    _assert_draws_match((t, 1.0), det, _FixedDarks(7, n_dark), _FixedDarks(7, n_dark))
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 1_000_003])
@@ -228,8 +264,8 @@ def test_transmission_estimate_within_its_error_bound_at_each_phase():
             assert np.all(np.abs(transmission(lam, position, spec) - estimate) <= bound)
 
 
-@pytest.mark.parametrize("size", [0, 1, SPLIT_BLOCK - 1, SPLIT_BLOCK, SPLIT_BLOCK + 1,
-                                  3 * SPLIT_BLOCK + 7])
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                  3 * BLOCK + 7])
 @pytest.mark.parametrize("share", ["all", "none", "random"])
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_arm_split_matches_boolean_gather(size, share, dtype):
